@@ -70,7 +70,8 @@ def count_A(k: int, j: int) -> int:
         sum_{i=0}^{k-1}  C(j-3+i, j-3) * T(k-i)
 
     with T(x) = x(x+1)/2.  The result always equals the stars-and-bars value
-    C(k+j-1, j), kept here as a redundant cross-check.
+    C(k+j-1, j), kept here as a redundant cross-check that raises
+    :class:`AssertionError` on a mismatch, also under ``python -O``.
     """
     _require_kj(k, j)
     if j == 0:
@@ -83,7 +84,11 @@ def count_A(k: int, j: int) -> int:
     for i in range(k):
         tri = (k - i) * (k - i + 1) // 2
         total += math.comb(j - 3 + i, j - 3) * tri
-    assert total == math.comb(k + j - 1, j), "closed form disagrees with stars and bars"
+    binomial = math.comb(k + j - 1, j)
+    if total != binomial:
+        raise AssertionError(
+            f"closed form gives {total} for k={k}, j={j}, stars and bars {binomial}"
+        )
     return total
 
 

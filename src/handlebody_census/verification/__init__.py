@@ -24,7 +24,6 @@ from .moves import (
     slide_sources,
 )
 from .orbits import (
-    BFS_STATE_LIMIT,
     Comparison,
     OrbitStats,
     Partition,
@@ -51,7 +50,6 @@ from .states import (
 )
 
 __all__ = [
-    "BFS_STATE_LIMIT",
     "Comparison",
     "DEFAULT_STATE_BUDGET",
     "GenClass",

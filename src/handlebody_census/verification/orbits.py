@@ -1,37 +1,40 @@
 """Exhaustive orbit counting under the move alphabet.
 
-Two independent routes compute the same partition of the valid state space:
+One engine computes the partition: min-label union-find (Shiloach and
+Vishkin, J. Algorithms 1982) over the raw mixed-radix index of a shape's
+state space.  Every generator move and its inverse is applied to the whole
+space at once (numpy), then scatter-min hooking and pointer jumping run to
+a fixpoint that labels each component by its smallest raw index.
 
-* ``bfs``: breadth-first search with an explicit frontier, driven by
-  :func:`apply_move` on individual states; the default for spaces of at
-  most 100000 states,
-* ``union-find``: a vectorized engine that applies every generator move to
-  the whole space at once (numpy) and merges components by min-label
-  union-find (scatter-min hooking plus pointer jumping).
+The engine runs over every raw index, valid or not.  Moves preserve
+validity, so invalid states form components of their own; a component that
+mixes the two raises, and the labels of valid states are mapped to their
+rank among valid states.  State order is lexicographic on image vectors,
+so a label is the least valid-state index of its orbit.
 
-Both label each orbit by the smallest state index it contains, and state
-order is lexicographic on image vectors, so the two routes produce
-identical labels and the result does not depend on worker count.  Worker
-parallelism only partitions successor computation; the merge is a pure
-min fixpoint, which is order-independent.
+Breadth-first search over :func:`apply_move` computes the same labels from
+individual states; it lives in the tests as the reference this engine is
+checked against.  ``workers`` only splits successor computation across
+threads, which shortens large runs on more than one core; the merge is a
+pure min fixpoint, so labels do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from concurrent.futures import ThreadPoolExecutor
+from typing import ClassVar
 
 import numpy as np
 
 from ..errors import BudgetExceededError
 from ..theorem_counts import count_for_tuple
 from ..tuples import Tuple5, CaseTag, classify, genus_of, require_odd_prime
-from .canonical import enumerate_canonical
+from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .moves import (
     GenClass,
     Move,
     MoveKind,
-    apply_move,
     full_move_alphabet,
     generator_moves,
     inverse_move,
@@ -40,13 +43,11 @@ from .states import (
     State,
     coordinate_domains,
     flatten,
-    iter_valid_states,
     raw_state_count,
 )
 
-DEFAULT_STATE_BUDGET = 1_000_000
-BFS_STATE_LIMIT = 100_000
-_DECODE_CHUNK = 1 << 20
+#: Rows per decode or successor step; bounds the int64 temporaries.
+_CHUNK = 1 << 16
 
 
 class _Space:
@@ -97,19 +98,21 @@ class _Space:
             rem //= k
         return out
 
-    def valid_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw indices and image values of all valid states, ascending."""
+    def digits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Image values of every raw index, and which raw indices are valid.
+
+        The domains already enforce the order constraints, so validity is
+        surjectivity alone; with s+t > 0 every raw index is valid.
+        """
+        dig = np.empty((self.raw, self.ncols), dtype=np.int64)
+        valid = np.ones(self.raw, dtype=bool)
         need_unit = self.v.s == 0 and self.v.t == 0
-        idx_chunks, dig_chunks = [], []
-        for start in range(0, self.raw, _DECODE_CHUNK):
-            rows = np.arange(start, min(start + _DECODE_CHUNK, self.raw), dtype=np.int64)
-            dig = self.decode(rows)
+        for start in range(0, self.raw, _CHUNK):
+            stop = min(start + _CHUNK, self.raw)
+            dig[start:stop] = self.decode(np.arange(start, stop, dtype=np.int64))
             if need_unit:
-                mask = ((dig % self.p) != 0).any(axis=1)
-                rows, dig = rows[mask], dig[mask]
-            idx_chunks.append(rows)
-            dig_chunks.append(dig)
-        return np.concatenate(idx_chunks), np.vstack(dig_chunks)
+                valid[start:stop] = ((dig[start:stop] % self.p) != 0).any(axis=1)
+        return dig, valid
 
     def entry_cols(self, cls: GenClass, index: int) -> list[int]:
         if cls is GenClass.A:
@@ -176,38 +179,34 @@ def _successor_rows(space: _Space, dig, rows, move: Move) -> np.ndarray:
     return out
 
 
-def _rows_to_valid_index(valid_raw: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(valid_raw, rows)
-    pos_clipped = np.minimum(pos, len(valid_raw) - 1)
-    if not ((pos < len(valid_raw)) & (valid_raw[pos_clipped] == rows)).all():
-        raise AssertionError("a move escaped the valid state space")
-    return pos
+def _index_dtype(raw: int):
+    """int32 when every raw index fits, halving the engine's index arrays."""
+    return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
 
 
-def _successor_arrays(space, valid_raw, dig, moves, workers: int) -> list[np.ndarray]:
-    """One successor-index array per move, chunked across workers.
+def _successor_arrays(space: _Space, dig: np.ndarray, moves, workers: int) -> list[np.ndarray]:
+    """One raw successor-index array per move, filled chunk by chunk.
 
-    Successor values do not depend on the chunking, so any worker count
-    yields identical arrays.
+    Chunks write disjoint slices and their values do not depend on which
+    thread computes them, so any worker count yields identical arrays.
     """
-    filtered = len(valid_raw) != space.raw
+    raw = space.raw
+    dtype = _index_dtype(raw)
+    arrays = [np.empty(raw, dtype=dtype) for _ in moves]
 
-    def one_chunk(move, lo, hi):
-        rows = _successor_rows(space, dig[lo:hi], valid_raw[lo:hi], move)
-        return _rows_to_valid_index(valid_raw, rows) if filtered else rows
+    def fill(k: int, lo: int) -> None:
+        hi = min(lo + _CHUNK, raw)
+        rows = np.arange(lo, hi, dtype=np.int64)
+        arrays[k][lo:hi] = _successor_rows(space, dig[lo:hi], rows, moves[k])
 
-    n = len(valid_raw)
-    if workers <= 1 or n == 0:
-        return [one_chunk(move, 0, n) for move in moves]
-    bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-    arrays = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for move in moves:
-            futures = [
-                pool.submit(one_chunk, move, int(bounds[w]), int(bounds[w + 1]))
-                for w in range(workers)
-            ]
-            arrays.append(np.concatenate([f.result() for f in futures]))
+    tasks = [(k, lo) for k in range(len(moves)) for lo in range(0, raw, _CHUNK)]
+    if workers <= 1:
+        for task in tasks:
+            fill(*task)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(fill, *task) for task in tasks]:
+                future.result()
     return arrays
 
 
@@ -220,7 +219,7 @@ def _min_label_components(n: int, succ_arrays) -> np.ndarray:
     assigns every state its component's minimum; min is order-independent,
     which is what makes the result deterministic.
     """
-    labels = np.arange(n, dtype=np.int64)
+    labels = np.arange(n, dtype=_index_dtype(n))
     if n == 0:
         return labels
     while True:
@@ -249,37 +248,6 @@ def _moves_with_inverses(p: int, v: Tuple5) -> list[Move]:
     return moves
 
 
-def _bfs_labels(p: int, v: Tuple5, states: list[State]) -> np.ndarray:
-    """Frontier BFS over apply_move; labels match the vectorized route.
-
-    Seeds are taken in increasing state order, so each seed is the least
-    index of its component.
-    """
-    index = {state: i for i, state in enumerate(states)}
-    moves = _moves_with_inverses(p, v)
-    labels = np.full(len(states), -1, dtype=np.int64)
-    for seed, start in enumerate(states):
-        if labels[seed] >= 0:
-            continue
-        labels[seed] = seed
-        frontier = [start]
-        while frontier:
-            next_frontier = []
-            for state in frontier:
-                for move in moves:
-                    succ = apply_move(p, state, move)
-                    j = index.get(succ)
-                    if j is None:
-                        raise AssertionError(
-                            f"move {move} escaped the valid state space"
-                        )
-                    if labels[j] < 0:
-                        labels[j] = seed
-                        next_frontier.append(succ)
-            frontier = next_frontier
-    return labels
-
-
 @dataclasses.dataclass
 class Partition:
     """Orbit labels for every valid state of one shape.
@@ -288,13 +256,15 @@ class Partition:
     order is lexicographic on image vectors.
     """
 
+    #: The engine that computed the labels; there is only one.
+    method: ClassVar[str] = "union-find"
+
     p: int
     v: Tuple5
     raw: int
     labels: np.ndarray
-    method: str
     _space: _Space
-    _valid_raw: np.ndarray
+    _rank: np.ndarray  # raw index -> valid-state index, -1 for invalid
 
     @property
     def valid_count(self) -> int:
@@ -314,10 +284,8 @@ class Partition:
     def state_index(self, state: State) -> int:
         """Position of a valid state in the space's lexicographic order."""
         row = self._space.state_row(state)
-        if row >= 0:
-            pos = int(np.searchsorted(self._valid_raw, row))
-            if pos < len(self._valid_raw) and self._valid_raw[pos] == row:
-                return pos
+        if row >= 0 and self._rank[row] >= 0:
+            return int(self._rank[row])
         raise KeyError(f"state {state} is not a valid state of shape {self.v}")
 
 
@@ -338,36 +306,34 @@ def orbit_partition(
     v: Tuple5,
     budget: int = DEFAULT_STATE_BUDGET,
     workers: int = 1,
-    method: str | None = None,
 ) -> Partition:
     """Partition the valid states of a shape into move orbits.
 
-    ``method`` may force ``"bfs"`` or ``"union-find"``; by default BFS runs
-    for spaces of at most 100000 valid states with a single worker, and the
-    vectorized union-find otherwise.  Admissibility is not required: any
+    ``workers`` threads share the successor computation; the labels are the
+    same for any worker count.  Admissibility is not required: any
     well-formed shape has a state space.  Raises
-    :class:`BudgetExceededError` when the raw space is over ``budget``.
+    :class:`BudgetExceededError` when the raw space is over ``budget``, and
+    :class:`AssertionError` when an orbit holds both valid and invalid
+    states, which would mean a move left the valid state space.
     """
     require_odd_prime(p)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
-    valid_raw, dig = space.valid_rows()
-    if method is None:
-        method = "bfs" if len(valid_raw) <= BFS_STATE_LIMIT and workers == 1 else "union-find"
-    if method == "bfs":
-        states = list(iter_valid_states(p, v))
-        labels = _bfs_labels(p, v, states)
-    elif method == "union-find":
-        moves = _moves_with_inverses(p, v)
-        succ = _successor_arrays(space, valid_raw, dig, moves, workers)
-        labels = _min_label_components(len(valid_raw), succ)
-    else:
-        raise ValueError(f"unknown orbit method {method!r}")
+    dig, valid = space.digits()
+    succ = _successor_arrays(space, dig, _moves_with_inverses(p, v), workers)
+    del dig  # each phase's arrays go before the next allocates, bounding peak RSS
+    labels = _min_label_components(raw, succ)
+    del succ
+    if not np.array_equal(valid[labels], valid):
+        raise AssertionError(
+            f"an orbit of shape {v} at p={p} mixes valid and invalid states"
+        )
+    rank = np.cumsum(valid, dtype=labels.dtype) - 1
+    rank[~valid] = -1
     return Partition(
-        p=p, v=v, raw=raw, labels=labels, method=method,
-        _space=space, _valid_raw=valid_raw,
+        p=p, v=v, raw=raw, labels=rank[labels[valid]], _space=space, _rank=rank
     )
 
 
@@ -386,10 +352,9 @@ def orbit_count(
     v: Tuple5,
     budget: int = DEFAULT_STATE_BUDGET,
     workers: int = 1,
-    method: str | None = None,
 ) -> OrbitStats:
     """Count move orbits of the valid states; see :func:`orbit_partition`."""
-    part = orbit_partition(p, v, budget=budget, workers=workers, method=method)
+    part = orbit_partition(p, v, budget=budget, workers=workers)
     return OrbitStats(
         orbits=part.orbit_count,
         state_space_size=part.raw,
@@ -408,7 +373,8 @@ def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) ->
     require_odd_prime(p)
     _check_budget(p, v, budget)
     space = _Space(p, v)
-    valid_raw, dig = space.valid_rows()
+    dig, valid = space.digits()
+    dig = dig[valid]
     always_surjective = v.s + v.t > 0
     unit_counts = ((dig % p) != 0).sum(axis=1)
     checked = 0

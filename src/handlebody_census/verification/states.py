@@ -136,11 +136,15 @@ def coordinate_domains(p: int, v: Tuple5) -> list[tuple[int, ...]]:
 
 
 def raw_state_count(p: int, v: Tuple5) -> int:
-    """Size of the image-vector space before the surjectivity filter."""
-    count = 1
-    for dom in coordinate_domains(p, v):
-        count *= len(dom)
-    return count
+    """Size of the image-vector space before the surjectivity filter.
+
+    The product of the :func:`coordinate_domains` sizes, computed without
+    building them, so a budget can be checked before anything of size p^2
+    exists: p^2 free values, p^2 - p units and p - 1 order-p residues.
+    """
+    require_odd_prime(p)
+    q = p * p
+    return q ** (v.r + v.s + v.m) * (q - p) ** (v.s + v.t) * (p - 1) ** (v.m + v.n)
 
 
 def iter_valid_states(p: int, v: Tuple5) -> Iterator[State]:

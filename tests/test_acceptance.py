@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bfs_oracle import bfs_labels
 
 from handlebody_census import (
     InadmissibleTupleError,
@@ -37,8 +38,9 @@ from handlebody_census.verification import (
     check_move_closure,
     full_move_alphabet,
     inverse_move,
-    iter_valid_states,
+    unflatten,
 )
+from handlebody_census.verification.orbits import _Space
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -143,8 +145,10 @@ def test_criterion_7_orbit_oracle_spot_checks():
         for comps, orbits in expected.items():
             v = Tuple5(*comps)
             start = time.perf_counter()
-            stats = orbit_count(3, v, method="bfs")
+            bfs = bfs_labels(3, v)
             elapsed = time.perf_counter() - start
+            assert np.array_equal(orbit_partition(3, v).labels, bfs), comps
+            stats = orbit_count(3, v)
             assert stats.orbits == orbits, (comps, stats.orbits)
             assert stats.orbits == count_for_tuple(3, v), comps
             assert elapsed < 1.0, f"{comps} took {elapsed:.2f}s"
@@ -164,6 +168,17 @@ def _small_p3_shapes(limit=10**5):
     return shapes
 
 
+def _sampled_valid_states(p, v):
+    """The states ``list(iter_valid_states(p, v))[:: max(1, n // 6)]`` holds.
+
+    Decodes only the sampled raw indices instead of building every state.
+    """
+    space = _Space(p, v)
+    rows = np.flatnonzero(space.digits()[1])
+    rows = rows[:: max(1, len(rows) // 6)]
+    return [unflatten(v, images) for images in space.decode(rows).tolist()]
+
+
 def test_criterion_8_property_suite_exhaustive():
     with criterion(8, "closure, invertibility, coverage, orbit<=canonical on all small p=3 shapes"):
         shapes = _small_p3_shapes()
@@ -173,8 +188,7 @@ def test_criterion_8_property_suite_exhaustive():
             check_move_closure(3, v)
 
             # every alphabet move undoes within the alphabet, on sampled states
-            states = list(itertools.islice(iter_valid_states(3, v), 0, None))
-            samples = states[:: max(1, len(states) // 6)]
+            samples = _sampled_valid_states(3, v)
             for move in full_move_alphabet(3, v):
                 inverse = inverse_move(3, move)
                 for state in samples:
@@ -185,7 +199,7 @@ def test_criterion_8_property_suite_exhaustive():
                 canon = enumerate_canonical(3, v)
             except InadmissibleTupleError:
                 continue  # no normal forms to cover for genus < 1 shapes
-            part = orbit_partition(3, v, method="union-find")
+            part = orbit_partition(3, v)
             assert part.orbit_count <= len(canon), v
             covered = {int(part.labels[part.state_index(s)]) for s in canon}
             assert covered == set(np.unique(part.labels).tolist()), v
@@ -194,9 +208,7 @@ def test_criterion_8_property_suite_exhaustive():
 def test_criterion_8b_bfs_and_union_find_agree_on_overlap():
     with criterion("8b", "BFS and union-find agree wherever both run"):
         for v in _small_p3_shapes(limit=2000):
-            bfs = orbit_partition(3, v, method="bfs")
-            uf = orbit_partition(3, v, method="union-find")
-            assert np.array_equal(bfs.labels, uf.labels), v
+            assert np.array_equal(bfs_labels(3, v), orbit_partition(3, v).labels), v
 
 
 def _run_cli(*argv):

@@ -1,6 +1,10 @@
 """Command-line surface: formats, exit codes, round trips, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +156,28 @@ def test_orbits_budget_exit_code(capsys):
     )
     assert code == 2
     assert "10000" in err
+
+
+def test_orbits_refuses_a_large_prime_before_allocating():
+    # The child caps its own address space, so a budget check that comes too
+    # late fails with MemoryError here instead of exhausting the machine.
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from handlebody_census.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "orbits", "--p", "100003", "--tuple", "1,0,0,0,0"],
+        capture_output=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and "over the budget of 1000000" in lines[0]
 
 
 def test_verify_single_tuple(capsys):

@@ -1,6 +1,10 @@
 """Counting layer: oracle equivalence, recurrence, partition, identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +67,29 @@ def test_pinned_first_entry_classes_partition_the_enumeration():
             assert sum(len(v) for v in groups.values()) == count_A(k, j)
             for l in range(1, k + 1):
                 assert len(groups.get(l, [])) == count_C_jl(k, j, l), (k, j, l)
+
+
+def test_stars_and_bars_cross_check_fires_under_python_O():
+    # A wrong binomial must not pass silently when asserts are stripped.
+    child = (
+        "import math, sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "from handlebody_census.counting import count_A\n"
+        "exact = math.comb\n"
+        "math.comb = lambda n, k: exact(n, k) + 1\n"
+        "try:\n"
+        "    count_A(4, 5)\n"
+        "except AssertionError:\n"
+        "    sys.exit(3)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_stars_and_bars_identity_confirmed_by_oracle():

@@ -1,7 +1,8 @@
-"""Orbit engine: frozen counts, method agreement, determinism, compare."""
+"""Orbit engine: frozen counts, agreement with BFS, determinism, compare."""
 
 import numpy as np
 import pytest
+from bfs_oracle import bfs_labels
 
 from handlebody_census import (
     BudgetExceededError,
@@ -15,10 +16,10 @@ from handlebody_census import (
 )
 from handlebody_census.verification import State, apply_move, check_move_closure
 from handlebody_census.verification.moves import generator_moves, inverse_move
+from handlebody_census.verification import orbits
 from handlebody_census.verification.orbits import (
     _Space,
     _moves_with_inverses,
-    _rows_to_valid_index,
     _successor_rows,
 )
 from handlebody_census.verification.states import iter_valid_states
@@ -36,8 +37,9 @@ from handlebody_census.verification.states import iter_valid_states
     ],
 )
 def test_frozen_orbit_counts(p, v, expected):
-    for method in ("bfs", "union-find"):
-        assert orbit_count(p, Tuple5(*v), method=method).orbits == expected
+    v = Tuple5(*v)
+    assert np.array_equal(orbit_partition(p, v).labels, bfs_labels(p, v))
+    assert orbit_count(p, v).orbits == expected
 
 
 def test_orbit_stats_fields():
@@ -64,12 +66,10 @@ def test_methods_and_workers_produce_identical_labels():
         (3, Tuple5(1, 1, 0, 0, 0)),
         (5, Tuple5(0, 0, 0, 1, 0)),
     ]:
-        bfs = orbit_partition(p, v, method="bfs")
-        variants = [
-            orbit_partition(p, v, method="union-find", workers=w) for w in (1, 2, 8)
-        ]
-        for part in variants:
-            assert np.array_equal(bfs.labels, part.labels), (p, v, part.method)
+        bfs = bfs_labels(p, v)
+        for workers in (1, 2, 8):
+            part = orbit_partition(p, v, workers=workers)
+            assert np.array_equal(bfs, part.labels), (p, v, workers)
 
 
 def test_labels_are_least_member_indices():
@@ -80,11 +80,6 @@ def test_labels_are_least_member_indices():
         assert members.min() == rep
     assert part.orbit_count == len(np.unique(labels))
     assert part.orbit_sizes().sum() == part.valid_count
-
-
-def test_default_method_dispatch():
-    assert orbit_partition(3, Tuple5(0, 1, 0, 0, 0)).method == "bfs"
-    assert orbit_partition(3, Tuple5(0, 1, 0, 0, 0), workers=2).method == "union-find"
 
 
 def test_budget_error_names_required_states():
@@ -103,15 +98,32 @@ def test_vectorized_successors_match_apply_move():
         (3, Tuple5(1, 1, 0, 0, 0)),
     ]:
         space = _Space(p, v)
-        valid_raw, dig = space.valid_rows()
+        dig, valid = space.digits()
+        rows = np.flatnonzero(valid)
         states = list(iter_valid_states(p, v))
-        assert len(states) == len(valid_raw)
-        index = {s: i for i, s in enumerate(states)}
+        assert [space.state_row(s) for s in states] == rows.tolist()
         for move in _moves_with_inverses(p, v):
-            rows = _successor_rows(space, dig, valid_raw, move)
-            vec = _rows_to_valid_index(valid_raw, rows)
-            scalar = np.array([index[apply_move(p, s, move)] for s in states])
-            assert np.array_equal(vec, scalar), (p, v, move)
+            vec = _successor_rows(space, dig[rows], rows, move)
+            scalar = [space.state_row(apply_move(p, s, move)) for s in states]
+            assert vec.tolist() == scalar, (p, v, move)
+
+
+def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
+    # raw row 1 is (e, f) = (3, 1), a valid state; row 0 is (3, 0), not surjective
+    v = Tuple5(0, 0, 0, 1, 0)
+    space = _Space(3, v)
+    dig, valid = space.digits()
+    assert valid[1] and not valid[0]
+    exact = orbits._successor_rows
+
+    def escaping(space, dig, rows, move):
+        out = exact(space, dig, rows, move)
+        out[rows == 1] = 0
+        return out
+
+    monkeypatch.setattr(orbits, "_successor_rows", escaping)
+    with pytest.raises(AssertionError, match="mixes valid and invalid states"):
+        orbit_partition(3, v)
 
 
 def test_state_index_round_trip():

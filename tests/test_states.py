@@ -1,10 +1,14 @@
 """State validity, domains, ordering, and the dump format."""
 
+import itertools
+import math
+
 import pytest
 
 from handlebody_census import Tuple5, is_valid_state, iter_valid_states, raw_state_count
 from handlebody_census.verification import (
     State,
+    coordinate_domains,
     encode_state,
     flatten,
     format_state,
@@ -69,6 +73,17 @@ def test_state_space_sizes(p, v, raw, valid):
     shape = Tuple5(*v)
     assert raw_state_count(p, shape) == raw
     assert sum(1 for _ in iter_valid_states(p, shape)) == valid
+
+
+def test_raw_state_count_is_the_product_of_domain_sizes():
+    for p in (3, 5, 7):
+        for comps in itertools.product(range(3), repeat=5):
+            try:
+                shape = Tuple5(*comps)
+            except ValueError:
+                continue
+            domains = coordinate_domains(p, shape)
+            assert raw_state_count(p, shape) == math.prod(map(len, domains)), (p, comps)
 
 
 def test_all_enumerated_states_are_valid():
