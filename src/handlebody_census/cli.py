@@ -4,7 +4,8 @@ Subcommands: akj, tuples, census, canonical, orbits, verify.  Formats:
 table (human), json, csv.  Counts serialize as decimal strings in JSON so
 arbitrary precision survives any consumer.  Exit codes: 0 success
 (discrepancy flags against published values are findings, not failures),
-1 usage error, 2 computation incomplete (a budget stopped an enumeration).
+1 usage error, 2 computation incomplete (an enumeration would exceed its
+budget; decided from a count, before anything is enumerated).
 
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  JSON and CSV never
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,8 +30,9 @@ from .verification import (
     DEFAULT_STATE_BUDGET,
     compare,
     enumerate_canonical,
-    format_state,
+    flatten,
     orbit_count,
+    state_template,
 )
 
 EXIT_OK = 0
@@ -52,16 +55,16 @@ def _timestamp_line(command: str) -> str:
 
 def _emit_table(lines: list[str], command: str, no_header: bool) -> None:
     if not no_header:
-        print(_timestamp_line(command))
-    for line in lines:
-        print(line)
+        lines = [_timestamp_line(command)] + lines
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _emit_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _emit_csv(header: list[str], rows: list[list], no_header: bool) -> None:
+def _emit_csv(header: list[str], rows, no_header: bool) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if not no_header:
@@ -142,50 +145,67 @@ def _cmd_tuples(args) -> int:
     return EXIT_OK
 
 
-def _census_json(report: CountReport) -> dict:
-    obj = {
-        "p": report.p,
-        "g": report.g,
-        "rows": [
-            {
-                "tuple": list(row.tuple.as_tuple()),
-                "case": row.case.value,
-                "count": str(row.count),
-                "flags": [_flag_json(f) for f in row.flags],
-            }
-            for row in report.rows
-        ],
-        "total": str(report.total),
-    }
+def _json_block(obj, indent: int) -> str:
+    """``json.dumps(obj, indent=2)`` as it reads nested ``indent`` spaces deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
+
+
+# One census row as json.dumps(..., indent=2) prints it inside "rows".
+_CENSUS_JSON_ROW = """\
+    {
+      "tuple": [
+        %d,
+        %d,
+        %d,
+        %d,
+        %d
+      ],
+      "case": "%s",
+      "count": "%d",
+      "flags": %s
+    }"""
+
+
+def _census_json(report: CountReport) -> str:
+    """The census as ``json.dumps(obj, indent=2)`` prints it, row by template."""
+    flags_json = functools.cache(lambda flags: _json_block([_flag_json(f) for f in flags], 6))
+    rows = ",\n".join(
+        [
+            _CENSUS_JSON_ROW % (*v, case.value, count, flags_json(flags))
+            for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags)
+        ]
+    )
+    parts = ['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (report.p, report.g)]
+    parts.append("[\n" + rows + "\n  ]" if rows else "[]")
+    parts.append(',\n  "total": "%d"' % report.total)
     if report.reference_total is not None:
-        obj["reference_total"] = str(report.reference_total)
-    obj["flags"] = [_flag_json(f) for f in report.flags]
-    return obj
+        parts.append(',\n  "reference_total": "%d"' % report.reference_total)
+    parts.append(',\n  "flags": ' + _json_block([_flag_json(f) for f in report.flags], 2) + "\n}")
+    return "".join(parts)
+
+
+def _census_cells(report: CountReport):
+    """Per row: r, s, t, m, n, case, count and the flag cell."""
+    flag_cell = functools.cache(_flag_cell)
+    for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags):
+        yield (*v, case.value, count, flag_cell(flags))
+
+
+_CENSUS_HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
 
 
 def _cmd_census(args) -> int:
-    p = require_odd_prime(args.p)
-    g = require_genus(args.genus)
-    report = census(p, g)
+    report = census(args.p, args.genus)
     if args.format == "json":
-        _emit_json(_census_json(report))
+        print(_census_json(report))
     elif args.format == "csv":
-        rows = [
-            list(row.tuple.as_tuple())
-            + [row.case.value, str(row.count), _flag_cell(row.flags)]
-            for row in report.rows
-        ]
-        _emit_csv(["r", "s", "t", "m", "n", "case", "count", "flags"], rows, args.no_header)
+        _emit_csv(_CENSUS_HEADER, _census_cells(report), args.no_header)
     else:
         lines = []
         if args.per_tuple:
-            rows = [
-                [str(x) for x in row.tuple.as_tuple()]
-                + [row.case.value, str(row.count), _flag_cell(row.flags)]
-                for row in report.rows
-            ]
-            lines += _columns(rows, ["r", "s", "t", "m", "n", "case", "count", "flags"], args.no_header)
-        lines.append(f"total {report.total} ({len(report.rows)} shapes)")
+            rows = [[str(x) for x in cells] for cells in _census_cells(report)]
+            lines += _columns(rows, _CENSUS_HEADER, args.no_header)
+        lines.append(f"total {report.total} ({len(report.shapes)} shapes)")
         if report.reference_total is not None:
             lines.append(f"published reference total {report.reference_total}")
         for flag in report.flags:
@@ -205,6 +225,10 @@ def _cmd_canonical(args) -> int:
     except BudgetExceededError as exc:
         print(f"canonical enumeration incomplete: {exc}", file=sys.stderr)
         return EXIT_INCOMPLETE
+    listed = []
+    if args.list:
+        template = state_template(v.as_tuple())
+        listed = [template % flatten(s) for s in states]
     if args.format == "json":
         obj = {
             "p": p,
@@ -213,12 +237,11 @@ def _cmd_canonical(args) -> int:
             "count": str(len(states)),
         }
         if args.list:
-            obj["states"] = [format_state(s) for s in states]
+            obj["states"] = listed
         _emit_json(obj)
     elif args.format == "csv":
         if args.list:
-            rows = [[i, format_state(s)] for i, s in enumerate(states)]
-            _emit_csv(["index", "state"], rows, args.no_header)
+            _emit_csv(["index", "state"], enumerate(listed), args.no_header)
         else:
             rows = [list(v.as_tuple()) + [classify(v).value, str(len(states))]]
             _emit_csv(["r", "s", "t", "m", "n", "case", "count"], rows, args.no_header)
@@ -226,7 +249,7 @@ def _cmd_canonical(args) -> int:
         lines = [f"{len(states)} canonical state(s) for p={p} shape {v}"]
         if args.list:
             lines.append(f"p={p} v={','.join(str(x) for x in v.as_tuple())}")
-            lines += [format_state(s) for s in states]
+            lines += listed
         _emit_table(lines, "canonical", args.no_header)
     return EXIT_OK
 

@@ -8,6 +8,12 @@ sizes depend only on p:
 * ``order_p_pool``: multiples of p in the same range, (p-1)/2 of them,
 * ``pinned_pair_pool``: (order-p, unit) image pairs, (p-1)^2/2 of them.
 
+All three branches live in one plain-integer kernel, :func:`count_kernel`,
+which both :func:`count_for_tuple` and :func:`census` call.  The census is
+stored column-wise (shapes as plain tuples, case tags, counts and per-row
+flags in parallel lists), so a census of 10^5 shapes builds no object per
+shape; ``CountReport.rows`` builds :class:`TupleCount` rows on demand.
+
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
 value is attached as a discrepancy flag next to the computed one, never in
@@ -19,54 +25,71 @@ from __future__ import annotations
 import dataclasses
 
 from .counting import count_A
-from .tuples import (
-    CaseTag,
-    Tuple5,
-    admissible_tuples,
-    classify,
-    require_genus,
-    require_odd_prime,
-)
+from .tuples import CaseTag, Shape, Tuple5, format_shape, require_odd_prime, shape_tuples
+
+Pools = tuple[int, int, int]
+
+
+def pools(p: int) -> Pools:
+    """(unit, order-p, pinned-pair) pool sizes: p*h, h and (p-1)*h, h = (p-1)/2.
+
+    The halving is exact because :func:`require_odd_prime` rejects every
+    even p with a ``ValueError``, a check that ``python -O`` keeps.
+    """
+    require_odd_prime(p)
+    h = (p - 1) // 2
+    return p * h, h, (p - 1) * h
 
 
 def unit_pool(p: int) -> int:
     """Units mod p^2 in [1, (p^2-1)/2]: one per negation pair, p(p-1)/2 total."""
-    require_odd_prime(p)
-    n = p * (p - 1)
-    assert n % 2 == 0
-    return n // 2
+    return pools(p)[0]
 
 
 def order_p_pool(p: int) -> int:
     """Multiples of p in [1, (p^2-1)/2]: one per negation pair, (p-1)/2 total."""
-    require_odd_prime(p)
-    assert (p - 1) % 2 == 0
-    return (p - 1) // 2
+    return pools(p)[1]
 
 
 def pinned_pair_pool(p: int) -> int:
     """(order-p, unit) pairs with the unit reduced mod p: (p-1)^2/2 total."""
-    require_odd_prime(p)
-    n = (p - 1) * (p - 1)
-    assert n % 2 == 0
-    return n // 2
+    return pools(p)[2]
 
 
-def _require_case(v: Tuple5, expected: CaseTag) -> None:
-    got = classify(v)
-    if got is not expected:
+def count_kernel(
+    pool_sizes: Pools, r: int, s: int, t: int, m: int, n: int
+) -> tuple[CaseTag, int]:
+    """The case tag of a shape and its count, from the :func:`pools` of p.
+
+    * s+t > 0 (case st): A(k,s) A(k,t) A(k,m) A(kn,n), a product of four
+      tuple counts.
+    * otherwise the pinned-pair branch kp A(k,m-1) A(kn,n) pins one
+      (order-p, unit) pair; with m = 0 there is nothing to pin and the term
+      is 0.  With r > 0 (case r) the pinned-handle branch k A(kn,m) A(kn,n)
+      is added; with r = 0 (case m, so m > 0) the pinned-pair branch is the
+      count.
+    """
+    k, kn, kp = pool_sizes
+    if s + t:
+        return CaseTag.CASE_ST, count_A(k, s) * count_A(k, t) * count_A(k, m) * count_A(kn, n)
+    pinned_pair = kp * count_A(k, m - 1) * count_A(kn, n) if m else 0
+    if r:
+        return CaseTag.CASE_R, pinned_pair + k * count_A(kn, m) * count_A(kn, n)
+    return CaseTag.CASE_M, pinned_pair
+
+
+def _count_in_case(p: int, v: Tuple5, expected: CaseTag) -> int:
+    case, count = count_kernel(pools(p), *v.as_tuple())
+    if case is not expected:
         raise ValueError(
-            f"shape {v} belongs to case {got.value!r}, not case {expected.value!r}"
+            f"shape {v} belongs to case {case.value!r}, not case {expected.value!r}"
         )
+    return count
 
 
 def count_case_st(p: int, v: Tuple5) -> int:
     """Count for shapes with s+t > 0: a product of four tuple counts."""
-    require_odd_prime(p)
-    _require_case(v, CaseTag.CASE_ST)
-    k = unit_pool(p)
-    kn = order_p_pool(p)
-    return count_A(k, v.s) * count_A(k, v.t) * count_A(k, v.m) * count_A(kn, v.n)
+    return _count_in_case(p, v, CaseTag.CASE_ST)
 
 
 def count_case_r(p: int, v: Tuple5) -> int:
@@ -76,35 +99,17 @@ def count_case_r(p: int, v: Tuple5) -> int:
     since with no pairs there is nothing to pin; its term is defined as 0
     there.  The second branch pins one handle image to a unit instead.
     """
-    require_odd_prime(p)
-    _require_case(v, CaseTag.CASE_R)
-    k = unit_pool(p)
-    kn = order_p_pool(p)
-    if v.m == 0:
-        first = 0
-    else:
-        first = pinned_pair_pool(p) * count_A(k, v.m - 1) * count_A(kn, v.n)
-    second = k * count_A(kn, v.m) * count_A(kn, v.n)
-    return first + second
+    return _count_in_case(p, v, CaseTag.CASE_R)
 
 
 def count_case_m(p: int, v: Tuple5) -> int:
     """Count for shapes with r = s = t = 0 (so m > 0): the pinned-pair branch."""
-    require_odd_prime(p)
-    _require_case(v, CaseTag.CASE_M)
-    k = unit_pool(p)
-    kn = order_p_pool(p)
-    return pinned_pair_pool(p) * count_A(k, v.m - 1) * count_A(kn, v.n)
+    return _count_in_case(p, v, CaseTag.CASE_M)
 
 
 def count_for_tuple(p: int, v: Tuple5) -> int:
     """Evaluate the counting branch matching the shape's case tag."""
-    case = classify(v)
-    if case is CaseTag.CASE_ST:
-        return count_case_st(p, v)
-    if case is CaseTag.CASE_R:
-        return count_case_r(p, v)
-    return count_case_m(p, v)
+    return count_kernel(pools(p), *v.as_tuple())[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,33 +133,49 @@ class TupleCount:
 
 @dataclasses.dataclass
 class CountReport:
-    """A full census: one row per admissible shape plus the exact total."""
+    """A full census, stored column-wise: row i is ``shapes[i]``, ``cases[i]``,
+    ``counts[i]`` and ``row_flags[i]``, plus the exact total.
+
+    Rows without flags share the empty tuple, so the columns hold no object
+    per shape beyond its plain tuple and its count.
+    """
 
     p: int
     g: int
-    rows: list[TupleCount]
+    shapes: list[Shape]
+    cases: list[CaseTag]
+    counts: list[int]
+    row_flags: list[tuple[Flag, ...]]
     total: int
     reference_total: int | None = None
 
     @property
+    def rows(self) -> list[TupleCount]:
+        """One :class:`TupleCount` per shape, built on each access."""
+        return [
+            TupleCount(tuple=Tuple5(*v), case=case, count=count, flags=list(flags))
+            for v, case, count, flags in zip(self.shapes, self.cases, self.counts, self.row_flags)
+        ]
+
+    @property
     def flags(self) -> list[Flag]:
-        return [flag for row in self.rows for flag in row.flags]
+        return [flag for flags in self.row_flags for flag in flags]
 
 
 # Published reference census: per-shape class counts and the printed total
 # for the one (p, g) pair the source worked out in full.  Two of the six
 # per-shape values (and hence the total) differ from the literal formulas;
 # census() surfaces the difference as flags and decides nothing.
-PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Tuple5, int]]] = {
+PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Shape, int]]] = {
     (5, 26): (
         248,
         {
-            Tuple5(0, 2, 0, 0, 0): 55,
-            Tuple5(2, 0, 0, 0, 0): 10,
-            Tuple5(0, 0, 0, 2, 0): 55,
-            Tuple5(1, 1, 0, 0, 0): 10,
-            Tuple5(1, 0, 0, 1, 0): 18,
-            Tuple5(0, 1, 0, 1, 0): 100,
+            (0, 2, 0, 0, 0): 55,
+            (2, 0, 0, 0, 0): 10,
+            (0, 0, 0, 2, 0): 55,
+            (1, 1, 0, 0, 0): 10,
+            (1, 0, 0, 1, 0): 18,
+            (0, 1, 0, 1, 0): 100,
         },
     ),
 }
@@ -167,29 +188,25 @@ def census(p: int, g: int) -> CountReport:
     published reference census, its total is attached as ``reference_total``
     and any per-shape disagreement becomes a row flag.
     """
-    require_odd_prime(p)
-    require_genus(g)
+    shapes = shape_tuples(p, g)  # validates p and g
+    pool_sizes = pools(p)
+    results = [count_kernel(pool_sizes, *v) for v in shapes]
+    counts = [count for _, count in results]
+    row_flags: list[tuple[Flag, ...]] = [()] * len(shapes)
     published = PUBLISHED_CENSUS.get((p, g))
-    rows = []
-    for v in admissible_tuples(p, g):
-        count = count_for_tuple(p, v)
-        flags = []
-        if published is not None:
+    if published is not None:
+        for i, v in enumerate(shapes):
             ref = published[1].get(v)
-            if ref is not None and ref != count:
-                flags.append(
-                    Flag(
-                        location=f"published census p={p} g={g}, shape {v}",
-                        paper_value=ref,
-                        computed_value=count,
-                    )
-                )
-        rows.append(TupleCount(tuple=v, case=classify(v), count=count, flags=flags))
-    total = sum(row.count for row in rows)
+            if ref is not None and ref != counts[i]:
+                location = f"published census p={p} g={g}, shape {format_shape(v)}"
+                row_flags[i] = (Flag(location=location, paper_value=ref, computed_value=counts[i]),)
     return CountReport(
         p=p,
         g=g,
-        rows=rows,
-        total=total,
+        shapes=shapes,
+        cases=[case for case, _ in results],
+        counts=counts,
+        row_flags=row_flags,
+        total=sum(counts),
         reference_total=None if published is None else published[0],
     )

@@ -16,6 +16,8 @@ import enum
 
 from .errors import InadmissibleTupleError
 
+Shape = tuple[int, int, int, int, int]
+
 
 def require_odd_prime(p: int) -> int:
     """Validate p by trial division: an odd prime, at least 3."""
@@ -60,7 +62,7 @@ class Tuple5:
                 "alone has no canonical form"
             )
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
+    def as_tuple(self) -> Shape:
         return (self.r, self.s, self.t, self.m, self.n)
 
     @classmethod
@@ -76,7 +78,12 @@ class Tuple5:
         return cls(*values)
 
     def __str__(self) -> str:
-        return "({},{},{},{},{})".format(*self.as_tuple())
+        return format_shape(self.as_tuple())
+
+
+def format_shape(v: Shape) -> str:
+    """A shape as ``(r,s,t,m,n)``, without spaces."""
+    return "(%d,%d,%d,%d,%d)" % v
 
 
 class CaseTag(enum.Enum):
@@ -110,8 +117,8 @@ def genus_of(p: int, v: Tuple5) -> int:
     return g
 
 
-def admissible_tuples(p: int, g: int) -> list[Tuple5]:
-    """Every shape acting on genus g, sorted lexicographically.
+def shape_tuples(p: int, g: int) -> list[Shape]:
+    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted.
 
     Exhaustive: fixing t and n leaves q*(r+s+m) determined, so the solutions
     are the compositions of that quotient whenever it is a nonnegative
@@ -131,8 +138,13 @@ def admissible_tuples(p: int, g: int) -> list[Tuple5]:
             ksum = rest // q
             if ksum == 0 and t == 0:
                 continue
-            for r in range(ksum + 1):
-                for s in range(ksum - r + 1):
-                    out.append(Tuple5(r, s, t, ksum - r - s, n))
+            out += [
+                (r, s, t, ksum - r - s, n) for r in range(ksum + 1) for s in range(ksum - r + 1)
+            ]
     out.sort()
     return out
+
+
+def admissible_tuples(p: int, g: int) -> list[Tuple5]:
+    """Every shape acting on genus g, sorted lexicographically."""
+    return [Tuple5(*v) for v in shape_tuples(p, g)]

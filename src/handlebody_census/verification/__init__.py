@@ -11,6 +11,7 @@ from .canonical import (
     enumerate_canonical,
     low_order_p_values,
     low_unit_values,
+    normal_form_count,
 )
 from .moves import (
     GenClass,
@@ -45,6 +46,7 @@ from .states import (
     order_p_values,
     parse_state,
     raw_state_count,
+    state_template,
     unflatten,
     unit_values,
 )
@@ -76,12 +78,14 @@ __all__ = [
     "iter_valid_states",
     "low_order_p_values",
     "low_unit_values",
+    "normal_form_count",
     "orbit_count",
     "orbit_partition",
     "order_p_values",
     "parse_state",
     "raw_state_count",
     "slide_sources",
+    "state_template",
     "unflatten",
     "unit_values",
 ]

@@ -11,6 +11,7 @@ for a cyclic group of order p^2 means at least one image is a unit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator, NamedTuple
 
@@ -178,25 +179,21 @@ def encode_state(p: int, v: Tuple5, state: State) -> int:
     return value
 
 
+@functools.cache
+def state_template(dims: tuple[int, int, int, int, int]) -> str:
+    """The :func:`format_state` text of every state of shape ``dims`` as a
+    ``%`` template over :func:`flatten` of the state."""
+    r, s, t, m, n = dims
+    return "|".join(",".join(["%d"] * k) for k in (r, 2 * s, t, 2 * m, n))
+
+
 def format_state(state: State) -> str:
     """Dump syntax: comma-separated residues, classes separated by ``|``.
 
     Paired classes are flattened in order, e.g. ``b1,c1,b2,c2``.  Empty
     classes leave their section empty, so every state has five sections.
     """
-
-    def section(values) -> str:
-        return ",".join(str(x) for x in values)
-
-    return "|".join(
-        [
-            section(state.a),
-            section(x for pair in state.bc for x in pair),
-            section(state.d),
-            section(x for pair in state.ef for x in pair),
-            section(state.g),
-        ]
-    )
+    return state_template(state_dims(state)) % flatten(state)
 
 
 def parse_state(text: str) -> State:

@@ -1,0 +1,88 @@
+"""Reference renderings of ``census`` output, built row by row.
+
+These are the object-per-row renderers the CLI used before it rendered
+from the report's columns: a JSON object dumped with ``json.dumps(...,
+indent=2)``, CSV rows through :mod:`csv`, and table rows through the CLI's
+column aligner.  The CLI must match them byte for byte.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+from handlebody_census.cli import _columns
+from handlebody_census.theorem_counts import CountReport
+
+HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
+
+
+def _flag_json(flag) -> dict:
+    return {
+        "location": flag.location,
+        "paper_value": str(flag.paper_value),
+        "computed_value": str(flag.computed_value),
+    }
+
+
+def _flag_cell(flags) -> str:
+    return "; ".join(
+        f"{f.location}: published={f.paper_value} computed={f.computed_value}"
+        for f in flags
+    )
+
+
+def census_json(report: CountReport) -> str:
+    obj = {
+        "p": report.p,
+        "g": report.g,
+        "rows": [
+            {
+                "tuple": list(row.tuple.as_tuple()),
+                "case": row.case.value,
+                "count": str(row.count),
+                "flags": [_flag_json(f) for f in row.flags],
+            }
+            for row in report.rows
+        ],
+        "total": str(report.total),
+    }
+    if report.reference_total is not None:
+        obj["reference_total"] = str(report.reference_total)
+    obj["flags"] = [_flag_json(f) for f in report.flags]
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def census_csv(report: CountReport, no_header: bool) -> str:
+    rows = [
+        list(row.tuple.as_tuple()) + [row.case.value, str(row.count), _flag_cell(row.flags)]
+        for row in report.rows
+    ]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if not no_header:
+        writer.writerow(HEADER)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def census_table(report: CountReport, per_tuple: bool, no_header: bool) -> str:
+    """Table output without its timestamp line."""
+    lines = []
+    if per_tuple:
+        rows = [
+            [str(x) for x in row.tuple.as_tuple()]
+            + [row.case.value, str(row.count), _flag_cell(row.flags)]
+            for row in report.rows
+        ]
+        lines += _columns(rows, HEADER, no_header)
+    lines.append(f"total {report.total} ({len(report.rows)} shapes)")
+    if report.reference_total is not None:
+        lines.append(f"published reference total {report.reference_total}")
+    for flag in report.flags:
+        lines.append(
+            f"flag: {flag.location}: published={flag.paper_value} "
+            f"computed={flag.computed_value}"
+        )
+    return "".join(line + "\n" for line in lines)

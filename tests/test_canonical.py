@@ -15,10 +15,42 @@ from handlebody_census import (
 )
 from handlebody_census.verification import (
     State,
+    canonical,
     flatten,
+    format_state,
     low_order_p_values,
     low_unit_values,
+    normal_form_count,
 )
+
+ORDER_BUDGET = 5_000
+
+
+def _shapes_within(budget):
+    """Every shape of p=3 (g <= 60), p=5 (g <= 150) and p=7 (g <= 300) with
+    at most ``budget`` normal forms."""
+    for p, gmax in [(3, 60), (5, 150), (7, 300)]:
+        for g in range(1, gmax + 1):
+            for v in admissible_tuples(p, g):
+                if normal_form_count(p, v) <= budget:
+                    yield p, v
+
+
+def _join_format(state):
+    """The join-based dump formatter that ``format_state`` replaced."""
+
+    def section(values):
+        return ",".join(str(x) for x in values)
+
+    return "|".join(
+        [
+            section(state.a),
+            section(x for pair in state.bc for x in pair),
+            section(state.d),
+            section(x for pair in state.ef for x in pair),
+            section(state.g),
+        ]
+    )
 
 
 def test_half_range_pools():
@@ -65,6 +97,47 @@ def test_budget_error():
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_canonical(5, Tuple5(0, 0, 0, 2, 0), budget=10)
     assert excinfo.value.budget == 10
+
+
+def test_refusal_is_decided_from_the_count_before_any_pool_is_built(monkeypatch):
+    def no_pools(p):
+        raise AssertionError("a pool was built before the budget check")
+
+    monkeypatch.setattr(canonical, "low_unit_values", no_pools)
+    monkeypatch.setattr(canonical, "low_order_p_values", no_pools)
+    for p, comps, budget in [(13, (1, 0, 0, 3, 2), 200_000), (10007, (0, 1, 0, 0, 0), 10**6)]:
+        v = Tuple5(*comps)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            enumerate_canonical(p, v, budget=budget)
+        assert excinfo.value.required == normal_form_count(p, v) > budget
+        assert excinfo.value.budget == budget
+
+
+def test_in_loop_guard_still_refuses_when_the_count_is_wrong(monkeypatch):
+    monkeypatch.setattr(canonical, "normal_form_count", lambda p, v: 0)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        enumerate_canonical(5, Tuple5(0, 0, 0, 2, 0), budget=10)
+    assert excinfo.value.budget == 10
+    assert len(enumerate_canonical(5, Tuple5(0, 0, 0, 2, 0), budget=80)) == 80
+
+
+def test_emission_order_is_strictly_increasing_and_counted_in_advance():
+    # enumerate_canonical does not sort: its loops must already emit states
+    # in strictly increasing image-vector order.
+    shapes = 0
+    for p, v in _shapes_within(ORDER_BUDGET):
+        states = enumerate_canonical(p, v)
+        keys = [flatten(s) for s in states]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (p, v)
+        assert len(states) == normal_form_count(p, v), (p, v)
+        shapes += 1
+    assert shapes > 2000
+
+
+def test_template_format_state_equals_the_join_formatter():
+    for p, v in _shapes_within(200):
+        for state in enumerate_canonical(p, v):
+            assert format_state(state) == _join_format(state), (p, v, state)
 
 
 def test_output_is_sorted_and_duplicate_free():

@@ -1,0 +1,74 @@
+"""Census output: byte identity with the row-by-row reference renderers,
+the recorded benchmark outputs, and no per-shape objects on the CLI path."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from handlebody_census import Tuple5, census, theorem_counts
+from handlebody_census.cli import main
+
+import census_reference as ref
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+# (p, genera): includes (3, 2) with no rows and (5, 26) with its two flags.
+CASES = [(3, range(1, 41)), (5, range(1, 80, 3)), (5, [26]), (7, range(1, 200, 7))]
+PAIRS = [(p, g) for p, genera in CASES for g in genera]
+
+
+def run_cli(capsys, *argv):
+    code = main([str(x) for x in argv])
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def test_cases_cover_an_empty_census_and_the_flagged_reference():
+    assert census(3, 2).shapes == []
+    assert len(census(5, 26).flags) == 2
+
+
+@pytest.mark.parametrize("p,g", PAIRS)
+def test_census_output_matches_the_row_by_row_reference(capsys, p, g):
+    report = census(p, g)
+    common = ("census", "--p", p, "--genus", g)
+    assert run_cli(capsys, *common, "--format", "json") == ref.census_json(report)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(report, False)
+    assert run_cli(capsys, *common, "--format", "csv", "--no-header") == ref.census_csv(report, True)
+    for per_tuple in ((), ("--per-tuple",)):
+        out = run_cli(capsys, *common, *per_tuple, "--no-header")
+        assert out == ref.census_table(report, bool(per_tuple), True)
+        out = run_cli(capsys, *common, *per_tuple)
+        first, rest = out.split("\n", 1)
+        assert first.startswith("# handlebody-census census generated ")
+        assert rest == ref.census_table(report, bool(per_tuple), False)
+
+
+RECORDED = json.loads(EXPECTED.read_text())
+REPLAYED = [key for key in RECORDED if key.startswith("census ")] + [
+    key for key in RECORDED if key.startswith("canonical ") and "--list" in key
+][:1]
+
+
+@pytest.mark.parametrize("key", REPLAYED)
+def test_recorded_benchmark_outputs_replay_byte_for_byte(capsys, key):
+    record = RECORDED[key]
+    code = main(key.split())
+    out = capsys.readouterr().out
+    assert code == record["exit"]
+    assert len(out.encode()) == record["bytes"]
+    assert hashlib.sha256(out.encode()).hexdigest() == record["sha256"]
+
+
+def test_cli_census_builds_no_shape_or_row_objects(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-shape object was built")
+
+    monkeypatch.setattr(Tuple5, "__post_init__", refuse)
+    monkeypatch.setattr(theorem_counts, "TupleCount", refuse)
+    for fmt in ("json", "csv", "table"):
+        run_cli(capsys, "census", "--p", 5, "--genus", 26, "--per-tuple", "--format", fmt)
+        run_cli(capsys, "census", "--p", 3, "--genus", 120, "--per-tuple", "--format", fmt)

@@ -158,9 +158,10 @@ def test_orbits_budget_exit_code(capsys):
     assert "10000" in err
 
 
-def test_orbits_refuses_a_large_prime_before_allocating():
-    # The child caps its own address space, so a budget check that comes too
-    # late fails with MemoryError here instead of exhausting the machine.
+def _run_capped(*argv):
+    """Run the CLI in a child process that caps its own address space at
+    512 MiB, so a budget check that comes too late fails with MemoryError
+    there instead of exhausting the machine."""
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
@@ -170,14 +171,34 @@ def test_orbits_refuses_a_large_prime_before_allocating():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "orbits", "--p", "100003", "--tuple", "1,0,0,0,0"],
-        capture_output=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, env=env, timeout=120,
     )
+
+
+def test_orbits_refuses_a_large_prime_before_allocating():
+    proc = _run_capped("orbits", "--p", "100003", "--tuple", "1,0,0,0,0")
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b""
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and "over the budget of 1000000" in lines[0]
+
+
+def test_canonical_and_verify_refuse_a_large_prime_before_allocating():
+    proc = _run_capped("canonical", "--p", "10007", "--tuple", "0,1,0,0,0")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and "exceeds the budget of 1000000 states" in lines[0]
+
+    proc = _run_capped("verify", "--p", "10007", "--tuple", "0,1,0,0,0", "--format", "json")
+    assert proc.returncode == 2, proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["incomplete"] is True
+    (row,) = obj["rows"]
+    assert row["complete"] is False
+    assert row["canonical_count"] is None and row["orbit_count"] is None
+    assert row["theorem_count"] == str(10007 * 10006 // 2)
 
 
 def test_verify_single_tuple(capsys):

@@ -1,5 +1,10 @@
 """Per-shape counts, the census, and discrepancy flagging."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from handlebody_census import (
@@ -16,12 +21,47 @@ from handlebody_census import (
     pinned_pair_pool,
     unit_pool,
 )
+from handlebody_census.theorem_counts import count_kernel, pools
+from handlebody_census.verification import low_order_p_values, low_unit_values
 
 
 def test_pools():
     assert unit_pool(3) == 3 and unit_pool(5) == 10 and unit_pool(7) == 21
     assert order_p_pool(3) == 1 and order_p_pool(5) == 2 and order_p_pool(7) == 3
     assert pinned_pair_pool(3) == 2 and pinned_pair_pool(5) == 8
+
+
+def test_pools_are_the_sizes_of_the_normal_form_pools():
+    for p in (3, 5, 7, 11, 13, 101):
+        units, orderp = low_unit_values(p), low_order_p_values(p)
+        assert pools(p) == (len(units), len(orderp), len(orderp) * (p - 1))
+        assert pools(p) == (unit_pool(p), order_p_pool(p), pinned_pair_pool(p))
+
+
+def test_pools_reject_a_bad_prime_under_python_O():
+    child = (
+        "from handlebody_census.theorem_counts import pools\n"
+        "for p in (2, 4, 9, 15):\n"
+        "    try:\n"
+        "        pools(p)\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'pools({p}) was accepted')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_census_columns_agree_with_the_kernel_and_classify():
+    for p, g in [(3, 28), (5, 26), (7, 50)]:
+        report = census(p, g)
+        for v, case, count in zip(report.shapes, report.cases, report.counts):
+            assert count_kernel(pools(p), *v) == (case, count)
+            assert count_for_tuple(p, Tuple5(*v)) == count
+            assert classify(Tuple5(*v)) is case
 
 
 @pytest.mark.parametrize(
