@@ -25,7 +25,15 @@ from datetime import datetime, timezone
 from .counting import count_A
 from .errors import BudgetExceededError, InadmissibleTupleError
 from .theorem_counts import CountReport, census
-from .tuples import Tuple5, admissible_tuples, classify, require_genus, require_odd_prime
+from .tuples import (
+    Tuple5,
+    admissible_tuples,
+    classify,
+    require_genus,
+    require_odd_prime,
+    shape_case,
+    shape_tuples,
+)
 from .verification import (
     DEFAULT_STATE_BUDGET,
     compare,
@@ -119,39 +127,20 @@ def _cmd_akj(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tuples(args) -> int:
-    p = require_odd_prime(args.p)
-    g = require_genus(args.genus)
-    shapes = admissible_tuples(p, g)
-    if args.format == "json":
-        _emit_json(
-            {
-                "p": p,
-                "g": g,
-                "rows": [
-                    {"tuple": list(v.as_tuple()), "case": classify(v).value}
-                    for v in shapes
-                ],
-            }
-        )
-    elif args.format == "csv":
-        rows = [list(v.as_tuple()) + [classify(v).value] for v in shapes]
-        _emit_csv(["r", "s", "t", "m", "n", "case"], rows, args.no_header)
-    else:
-        rows = [[str(x) for x in v.as_tuple()] + [classify(v).value] for v in shapes]
-        lines = _columns(rows, ["r", "s", "t", "m", "n", "case"], args.no_header)
-        lines.append(f"{len(shapes)} admissible shape(s) for p={p} genus={g}")
-        _emit_table(lines, "tuples", args.no_header)
-    return EXIT_OK
-
-
 def _json_block(obj, indent: int) -> str:
     """``json.dumps(obj, indent=2)`` as it reads nested ``indent`` spaces deep."""
     return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
 
 
-# One census row as json.dumps(..., indent=2) prints it inside "rows".
-_CENSUS_JSON_ROW = """\
+def _json_rows(rows: list[str]) -> str:
+    """Rendered rows as the list ``json.dumps(obj, indent=2)`` prints for a
+    top-level key of ``obj``."""
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+# The start of a shape row as json.dumps(..., indent=2) prints it inside
+# "rows": its tuple and case; each subcommand closes the object.
+_SHAPE_JSON_ROW = """\
     {
       "tuple": [
         %d,
@@ -160,23 +149,41 @@ _CENSUS_JSON_ROW = """\
         %d,
         %d
       ],
-      "case": "%s",
+      "case": "%s\""""
+_TUPLES_JSON_ROW = _SHAPE_JSON_ROW + "\n    }"
+_CENSUS_JSON_ROW = _SHAPE_JSON_ROW + """,
       "count": "%d",
       "flags": %s
     }"""
+
+_TUPLES_HEADER = ["r", "s", "t", "m", "n", "case"]
+
+
+def _cmd_tuples(args) -> int:
+    p = require_odd_prime(args.p)
+    g = require_genus(args.genus)
+    rows = [(*v, shape_case(v).value) for v in shape_tuples(p, g)]
+    if args.format == "json":
+        body = _json_rows([_TUPLES_JSON_ROW % row for row in rows])
+        print('{\n  "p": %d,\n  "g": %d,\n  "rows": %s\n}' % (p, g, body))
+    elif args.format == "csv":
+        _emit_csv(_TUPLES_HEADER, rows, args.no_header)
+    else:
+        lines = _columns([[str(x) for x in row] for row in rows], _TUPLES_HEADER, args.no_header)
+        lines.append(f"{len(rows)} admissible shape(s) for p={p} genus={g}")
+        _emit_table(lines, "tuples", args.no_header)
+    return EXIT_OK
 
 
 def _census_json(report: CountReport) -> str:
     """The census as ``json.dumps(obj, indent=2)`` prints it, row by template."""
     flags_json = functools.cache(lambda flags: _json_block([_flag_json(f) for f in flags], 6))
-    rows = ",\n".join(
-        [
-            _CENSUS_JSON_ROW % (*v, case.value, count, flags_json(flags))
-            for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags)
-        ]
-    )
+    rows = [
+        _CENSUS_JSON_ROW % (*v, case.value, count, flags_json(flags))
+        for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags)
+    ]
     parts = ['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (report.p, report.g)]
-    parts.append("[\n" + rows + "\n  ]" if rows else "[]")
+    parts.append(_json_rows(rows))
     parts.append(',\n  "total": "%d"' % report.total)
     if report.reference_total is not None:
         parts.append(',\n  "reference_total": "%d"' % report.reference_total)

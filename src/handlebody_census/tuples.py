@@ -94,13 +94,19 @@ class CaseTag(enum.Enum):
     CASE_M = "m"
 
 
-def classify(v: Tuple5) -> CaseTag:
-    """Dispatch a shape: s+t > 0 wins, then r > 0, else m > 0 is forced."""
-    if v.s + v.t > 0:
+def shape_case(v: Shape) -> CaseTag:
+    """Dispatch a plain shape: s+t > 0 wins, then r > 0, else m > 0 is forced."""
+    r, s, t, _, _ = v
+    if s + t > 0:
         return CaseTag.CASE_ST
-    if v.r > 0:
+    if r > 0:
         return CaseTag.CASE_R
     return CaseTag.CASE_M
+
+
+def classify(v: Tuple5) -> CaseTag:
+    """:func:`shape_case` of a :class:`Tuple5`."""
+    return shape_case(v.as_tuple())
 
 
 def genus_of(p: int, v: Tuple5) -> int:

@@ -2,9 +2,21 @@
 
 One engine computes the partition: min-label union-find (Shiloach and
 Vishkin, J. Algorithms 1982) over the raw mixed-radix index of a shape's
-state space.  Every generator move and its inverse is applied to the whole
-space at once (numpy), then scatter-min hooking and pointer jumping run to
-a fixpoint that labels each component by its smallest raw index.
+state space.  The raw space is the full product of the per-coordinate
+domains, and a move reads and writes at most four coordinates, so its
+successor array is the raw index plus a small table over those
+coordinates, broadcast over the rest.  The table is built by applying the
+move to the domain values of its coordinates, which also checks that no
+image leaves its domain.  Validity (surjectivity) is broadcast the same
+way, as the OR of per-coordinate unit masks.  Scatter-min hooking and
+pointer jumping then run to a fixpoint that labels each component by its
+smallest raw index.
+
+The moves are the generating set and its inverses, except that each unit
+twist is replaced by the twist amounts 1, 2, 4, ... below its order.
+Those are alphabet moves too, so the orbits do not change; applied one
+after another within a round they take every state to the minimum over
+its whole twist cycle, so twist-driven shapes settle in one or two rounds.
 
 The engine runs over every raw index, valid or not.  Moves preserve
 validity, so invalid states form components of their own; a component that
@@ -14,14 +26,17 @@ so a label is the least valid-state index of its orbit.
 
 Breadth-first search over :func:`apply_move` computes the same labels from
 individual states; it lives in the tests as the reference this engine is
-checked against.  ``workers`` only splits successor computation across
-threads, which shortens large runs on more than one core; the merge is a
-pure min fixpoint, so labels do not depend on the worker count.
+checked against.  ``workers`` threads split the per-move broadcasts, which
+shortens large runs on more than one core; each move's array does not
+depend on the thread that builds it, and the merge is a pure min fixpoint,
+so labels do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import ClassVar
 
@@ -46,9 +61,6 @@ from .states import (
     raw_state_count,
 )
 
-#: Rows per decode or successor step; bounds the int64 temporaries.
-_CHUNK = 1 << 16
-
 
 class _Space:
     """Vectorized view of one shape's state space.
@@ -61,7 +73,6 @@ class _Space:
     def __init__(self, p: int, v: Tuple5):
         self.p, self.q, self.v = p, p * p, v
         doms = coordinate_domains(p, v)
-        self.doms = doms
         self.ncols = len(doms)
         r, s, t, m, n = v.as_tuple()
         self.a_cols = list(range(r))
@@ -88,31 +99,41 @@ class _Space:
             self.luts[c, list(dom)] = np.arange(len(dom))
         self.dom_arrays = [np.asarray(dom, dtype=np.int64) for dom in doms]
 
-    def decode(self, rows: np.ndarray) -> np.ndarray:
-        """Image values (len(rows) x ncols) of the given raw indices."""
-        out = np.empty((len(rows), self.ncols), dtype=np.int64)
-        rem = rows.copy()
-        for c in range(self.ncols - 1, -1, -1):
-            k = int(self.sizes[c])
-            out[:, c] = self.dom_arrays[c][rem % k]
-            rem //= k
-        return out
+    def broadcast(self, table: np.ndarray, cols) -> tuple[list[int], np.ndarray]:
+        """A shape for the raw index, and ``table`` reshaped to broadcast over it.
 
-    def digits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Image values of every raw index, and which raw indices are valid.
+        ``table`` has one axis per column of ``cols`` (ascending), each of
+        that column's size or 1.  In the shape each of ``cols`` is its own
+        axis and each run of other columns is merged into one, so it has at
+        most 2*len(cols)+1 axes however many columns the space has.
+        """
+        shape, table_shape, run = [], [], 1
+        sizes = iter(table.shape)
+        for c, size in enumerate(self.sizes.tolist()):
+            if c in cols:
+                shape += [run, size]
+                table_shape += [1, next(sizes, 1)]
+                run = 1
+            else:
+                run *= size
+        return shape + [run], table.reshape(table_shape + [1])
+
+    def valid_mask(self) -> np.ndarray:
+        """Which raw indices are valid states.
 
         The domains already enforce the order constraints, so validity is
-        surjectivity alone; with s+t > 0 every raw index is valid.
+        surjectivity alone: the OR over columns of each domain's unit mask,
+        broadcast.  With s+t > 0 some domain holds units only, so every raw
+        index is valid.
         """
-        dig = np.empty((self.raw, self.ncols), dtype=np.int64)
-        valid = np.ones(self.raw, dtype=bool)
-        need_unit = self.v.s == 0 and self.v.t == 0
-        for start in range(0, self.raw, _CHUNK):
-            stop = min(start + _CHUNK, self.raw)
-            dig[start:stop] = self.decode(np.arange(start, stop, dtype=np.int64))
-            if need_unit:
-                valid[start:stop] = ((dig[start:stop] % self.p) != 0).any(axis=1)
-        return dig, valid
+        if self.v.s + self.v.t > 0:
+            return np.ones(self.raw, dtype=bool)
+        valid = np.zeros(self.raw, dtype=bool)
+        for c, dom in enumerate(self.dom_arrays):
+            shape, units = self.broadcast(dom % self.p != 0, [c])
+            view = valid.reshape(shape)
+            view |= units
+        return valid
 
     def entry_cols(self, cls: GenClass, index: int) -> list[int]:
         if cls is GenClass.A:
@@ -140,43 +161,65 @@ class _Space:
         return row
 
 
-def _move_updates(space: _Space, dig: np.ndarray, move: Move):
-    """New values for the columns a move changes, as (column, values) pairs."""
+def _move_cols(space: _Space, move: Move) -> list[int]:
+    """The columns a move reads or writes, ascending; at most four."""
+    cols = space.entry_cols(move.cls, move.index)
+    if move.kind is MoveKind.PERMUTE:
+        cols = cols + space.entry_cols(move.cls, move.index2)
+    elif move.kind is MoveKind.SLIDE:
+        cols = cols + [space.ref_col(move.source)]
+    return sorted(cols)
+
+
+def _move_updates(space: _Space, values: dict, move: Move):
+    """New values for the columns a move changes, as (column, values) pairs.
+
+    ``values`` maps each column the move touches to its values; arrays
+    that broadcast against each other give results over every combination.
+    """
     q = space.q
     if move.kind is MoveKind.PERMUTE:
         ci = space.entry_cols(move.cls, move.index)
         cj = space.entry_cols(move.cls, move.index2)
         out = []
         for a, b in zip(ci, cj):
-            out.append((a, dig[:, b]))
-            out.append((b, dig[:, a]))
+            out.append((a, values[b]))
+            out.append((b, values[a]))
         return out
     if move.kind is MoveKind.SPIN:
         if move.sign == 1:
             return []
-        return [(c, (q - dig[:, c]) % q) for c in space.entry_cols(move.cls, move.index)]
+        return [(c, (q - values[c]) % q) for c in space.entry_cols(move.cls, move.index)]
     if move.kind is MoveKind.TWIST:
         finite, free = space.entry_cols(move.cls, move.index)
-        return [(free, (dig[:, free] + move.amount * dig[:, finite]) % q)]
+        return [(free, (values[free] + move.amount * values[finite]) % q)]
     if move.kind is MoveKind.SLIDE:
         (target,) = space.entry_cols(GenClass.A, move.index)
         src = space.ref_col(move.source)
-        return [(target, (dig[:, target] + move.amount * dig[:, src]) % q)]
+        return [(target, (values[target] + move.amount * values[src]) % q)]
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 
-def _successor_rows(space: _Space, dig, rows, move: Move) -> np.ndarray:
-    """Raw successor index per state, via per-column position deltas."""
-    out = rows.copy()
-    for col, new_values in _move_updates(space, dig, move):
-        new_pos = space.luts[col, new_values]
-        if (new_pos < 0).any():
+def _move_table(space: _Space, move: Move):
+    """A move on every combination of its columns' domain values.
+
+    Returns the columns, their values as an open grid (one axis per column)
+    and the checked (column, new values) updates.  Raises
+    :class:`AssertionError` if a new value leaves its column's domain.  The
+    raw space is the full product of the domains, so the grid covers every
+    state's restriction to these columns.
+    """
+    cols = _move_cols(space, move)
+    grid = np.meshgrid(*(space.dom_arrays[c] for c in cols), indexing="ij", sparse=True)
+    values = dict(zip(cols, grid))
+    updates = _move_updates(space, values, move)
+    for col, new_values in updates:
+        if (space.luts[col, new_values] < 0).any():
             raise AssertionError(
-                f"move {move} left the per-generator domain on column {col}"
+                f"move {move} left the per-generator domain on column {col} "
+                f"of shape {space.v}"
             )
-        old_pos = space.luts[col, dig[:, col]]
-        out += (new_pos - old_pos) * int(space.strides[col])
-    return out
+    return cols, values, updates
 
 
 def _index_dtype(raw: int):
@@ -184,45 +227,52 @@ def _index_dtype(raw: int):
     return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
 
 
-def _successor_arrays(space: _Space, dig: np.ndarray, moves, workers: int) -> list[np.ndarray]:
-    """One raw successor-index array per move, filled chunk by chunk.
+def _successors(space: _Space, move: Move, rows: np.ndarray) -> np.ndarray:
+    """Raw successor index of every raw index under one move.
 
-    Chunks write disjoint slices and their values do not depend on which
-    thread computes them, so any worker count yields identical arrays.
+    ``rows`` is ``arange(raw)`` in the engine's index dtype.  The change of
+    index depends only on the columns the move touches, so it is a table
+    over them (position deltas times strides), added with broadcasting.
     """
-    raw = space.raw
-    dtype = _index_dtype(raw)
-    arrays = [np.empty(raw, dtype=dtype) for _ in moves]
+    cols, values, updates = _move_table(space, move)
+    delta = np.zeros((), dtype=np.int64)
+    for col, new_values in updates:
+        delta = delta + (space.luts[col, new_values] - space.luts[col, values[col]]) * space.strides[col]
+    shape, delta = space.broadcast(delta, cols)
+    out = np.empty(space.raw, dtype=rows.dtype)
+    np.add(rows.reshape(shape), delta.astype(rows.dtype), out=out.reshape(shape))
+    return out
 
-    def fill(k: int, lo: int) -> None:
-        hi = min(lo + _CHUNK, raw)
-        rows = np.arange(lo, hi, dtype=np.int64)
-        arrays[k][lo:hi] = _successor_rows(space, dig[lo:hi], rows, moves[k])
 
-    tasks = [(k, lo) for k in range(len(moves)) for lo in range(0, raw, _CHUNK)]
+def _successor_arrays(space: _Space, moves, workers: int) -> list[np.ndarray]:
+    """One raw successor-index array per move.
+
+    Each array is built by one thread and its values do not depend on
+    which, so any worker count yields identical arrays.
+    """
+    rows = np.arange(space.raw, dtype=_index_dtype(space.raw))
     if workers <= 1:
-        for task in tasks:
-            fill(*task)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, *task) for task in tasks]:
-                future.result()
-    return arrays
+        return [_successors(space, move, rows) for move in moves]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda move: _successors(space, move, rows), moves))
 
 
-def _min_label_components(n: int, succ_arrays) -> np.ndarray:
-    """Orbit labels as the least state index per component.
+def _min_label_components(n: int, succ_arrays) -> tuple[np.ndarray, int]:
+    """Orbit labels as the least state index per component, and the rounds.
 
-    Iterate scatter-min over every successor array, then chase labels
-    through themselves (pointer jumping) until nothing changes.  Labels are
+    Each round scatter-mins over every successor array in turn, then
+    chases labels through themselves (pointer jumping) until nothing
+    changes; the last round is the one that changes nothing.  Labels are
     always indices of smaller states in the same component, so the fixpoint
     assigns every state its component's minimum; min is order-independent,
     which is what makes the result deterministic.
     """
     labels = np.arange(n, dtype=_index_dtype(n))
     if n == 0:
-        return labels
+        return labels, 0
+    rounds = 0
     while True:
+        rounds += 1
         before = labels
         cur = labels
         for succ in succ_arrays:
@@ -233,19 +283,26 @@ def _min_label_components(n: int, succ_arrays) -> np.ndarray:
                 break
             cur = jumped
         if np.array_equal(cur, before):
-            return cur
+            return cur, rounds
         labels = cur
 
 
-def _moves_with_inverses(p: int, v: Tuple5) -> list[Move]:
-    moves = generator_moves(p, v)
-    seen = set(moves)
-    for move in list(moves):
-        inv = inverse_move(p, move)
-        if inv not in seen:
-            moves.append(inv)
-            seen.add(inv)
-    return moves
+def _engine_moves(p: int, v: Tuple5) -> list[Move]:
+    """The generating set with inverses, each unit twist replaced by the
+    twist amounts 1, 2, 4, ... below its order (p^2 for bc, p for ef).
+
+    Every twist amount is an alphabet move, so the orbits are those of the
+    generating set; applied in turn, the doubled amounts take a state to
+    the minimum over its whole twist cycle within one round.
+    """
+    moves: list[Move] = []
+    for move in generator_moves(p, v):
+        if move.kind is MoveKind.TWIST:
+            order = p * p if move.cls is GenClass.BC else p
+            moves += [dataclasses.replace(move, amount=1 << k) for k in range((order - 1).bit_length())]
+        else:
+            moves += [move, inverse_move(p, move)]
+    return list(dict.fromkeys(moves))
 
 
 @dataclasses.dataclass
@@ -253,7 +310,9 @@ class Partition:
     """Orbit labels for every valid state of one shape.
 
     ``labels[i]`` is the least state index in the orbit of state i; state
-    order is lexicographic on image vectors.
+    order is lexicographic on image vectors.  ``moves`` is the number of
+    moves the engine applied per round and ``rounds`` the number of
+    fixpoint rounds, the last of which changed nothing.
     """
 
     #: The engine that computed the labels; there is only one.
@@ -263,6 +322,8 @@ class Partition:
     v: Tuple5
     raw: int
     labels: np.ndarray
+    moves: int
+    rounds: int
     _space: _Space
     _rank: np.ndarray  # raw index -> valid-state index, -1 for invalid
 
@@ -313,19 +374,20 @@ def orbit_partition(
     same for any worker count.  Admissibility is not required: any
     well-formed shape has a state space.  Raises
     :class:`BudgetExceededError` when the raw space is over ``budget``, and
-    :class:`AssertionError` when an orbit holds both valid and invalid
-    states, which would mean a move left the valid state space.
+    :class:`AssertionError` when a move leaves a coordinate's domain or an
+    orbit holds both valid and invalid states, either of which would mean a
+    move left the valid state space.
     """
     require_odd_prime(p)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
-    dig, valid = space.digits()
-    succ = _successor_arrays(space, dig, _moves_with_inverses(p, v), workers)
-    del dig  # each phase's arrays go before the next allocates, bounding peak RSS
-    labels = _min_label_components(raw, succ)
-    del succ
+    valid = space.valid_mask()
+    moves = _engine_moves(p, v)
+    succ = _successor_arrays(space, moves, workers)
+    labels, rounds = _min_label_components(raw, succ)
+    del succ  # the successor arrays go before the ranks allocate, bounding peak RSS
     if not np.array_equal(valid[labels], valid):
         raise AssertionError(
             f"an orbit of shape {v} at p={p} mixes valid and invalid states"
@@ -333,7 +395,14 @@ def orbit_partition(
     rank = np.cumsum(valid, dtype=labels.dtype) - 1
     rank[~valid] = -1
     return Partition(
-        p=p, v=v, raw=raw, labels=rank[labels[valid]], _space=space, _rank=rank
+        p=p,
+        v=v,
+        raw=raw,
+        labels=rank[labels[valid]],
+        moves=len(moves),
+        rounds=rounds,
+        _space=space,
+        _rank=rank,
     )
 
 
@@ -364,34 +433,35 @@ def orbit_count(
 
 
 def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) -> int:
-    """Assert every alphabet move maps every valid state into the valid set.
+    """Check that every alphabet move maps every valid state into the valid set.
 
-    Vectorized sweep over the full alphabet.  Domain membership is checked
-    per changed column, and surjectivity by bookkeeping the number of unit
-    images.  Returns the number of (state, move) pairs checked.
+    Each move is applied to every combination of the domain values of the
+    columns it touches, which covers every state's restriction to them.
+    Domain membership is checked per changed column.  With s+t > 0 every
+    state is surjective; otherwise no combination holding a unit may lose
+    every unit.  That is exact, because every other column's domain holds a
+    non-unit, so some valid state has no unit outside these columns.
+    Raises :class:`AssertionError` on a failure; returns the number of
+    (valid state, move) pairs covered.
     """
     require_odd_prime(p)
-    _check_budget(p, v, budget)
+    raw = _check_budget(p, v, budget)
     space = _Space(p, v)
-    dig, valid = space.digits()
-    dig = dig[valid]
-    always_surjective = v.s + v.t > 0
-    unit_counts = ((dig % p) != 0).sum(axis=1)
-    checked = 0
-    for move in full_move_alphabet(p, v):
-        updates = _move_updates(space, dig, move)
-        new_units = unit_counts.copy()
-        for col, new_values in updates:
-            if (space.luts[col, new_values] < 0).any():
-                raise AssertionError(
-                    f"move {move} left the domain of column {col} for shape {v}"
-                )
-            new_units += (new_values % p != 0).astype(np.int64)
-            new_units -= (dig[:, col] % p != 0).astype(np.int64)
-        if not always_surjective and (new_units == 0).any():
+    need_unit = v.s + v.t == 0
+    valid = raw
+    if need_unit:
+        valid -= math.prod(int((dom % p == 0).sum()) for dom in space.dom_arrays)
+    alphabet = full_move_alphabet(p, v)
+    for move in alphabet:
+        cols, values, updates = _move_table(space, move)
+        if not need_unit:
+            continue
+        new_values = {**values, **dict(updates)}
+        had_unit = functools.reduce(np.logical_or, [values[c] % p != 0 for c in cols])
+        has_unit = functools.reduce(np.logical_or, [new_values[c] % p != 0 for c in cols])
+        if (had_unit & ~has_unit).any():
             raise AssertionError(f"move {move} broke surjectivity for shape {v}")
-        checked += len(dig)
-    return checked
+    return valid * len(alphabet)
 
 
 @dataclasses.dataclass

@@ -3,13 +3,24 @@
 The production engine is min-label union-find on the raw index
 (:func:`handlebody_census.orbit_partition`).  This oracle reaches the same
 partition from individual states, so the tests can compare the two label
-for label.
+for label.  It steps through the paper's generating set and the inverses of
+its moves, built here from the public move functions, not through the
+engine's own move list.
 """
 
 import numpy as np
 
 from handlebody_census.verification import apply_move, iter_valid_states
-from handlebody_census.verification.orbits import _moves_with_inverses
+from handlebody_census.verification.moves import generator_moves, inverse_move
+
+
+def generators_and_inverses(p, v) -> list:
+    """:func:`generator_moves` followed by the inverses it does not hold."""
+    moves = generator_moves(p, v)
+    for inverse in [inverse_move(p, move) for move in moves]:
+        if inverse not in moves:
+            moves.append(inverse)
+    return moves
 
 
 def bfs_labels(p, v) -> np.ndarray:
@@ -20,7 +31,7 @@ def bfs_labels(p, v) -> np.ndarray:
     """
     states = list(iter_valid_states(p, v))
     index = {state: i for i, state in enumerate(states)}
-    moves = _moves_with_inverses(p, v)
+    moves = generators_and_inverses(p, v)
     labels = np.full(len(states), -1, dtype=np.int64)
     for seed, start in enumerate(states):
         if labels[seed] >= 0:

@@ -1,9 +1,9 @@
-"""Reference renderings of ``census`` output, built row by row.
+"""Reference renderings of ``census`` and ``tuples`` output, built row by row.
 
 These are the object-per-row renderers the CLI used before it rendered
-from the report's columns: a JSON object dumped with ``json.dumps(...,
-indent=2)``, CSV rows through :mod:`csv`, and table rows through the CLI's
-column aligner.  The CLI must match them byte for byte.
+from plain shapes and the report's columns: a JSON object dumped with
+``json.dumps(..., indent=2)``, CSV rows through :mod:`csv`, and table rows
+through the CLI's column aligner.  The CLI must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import json
 
 from handlebody_census.cli import _columns
 from handlebody_census.theorem_counts import CountReport
+from handlebody_census.tuples import admissible_tuples, classify
 
 HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
+TUPLES_HEADER = ["r", "s", "t", "m", "n", "case"]
 
 
 def _flag_json(flag) -> dict:
@@ -85,4 +87,27 @@ def census_table(report: CountReport, per_tuple: bool, no_header: bool) -> str:
             f"flag: {flag.location}: published={flag.paper_value} "
             f"computed={flag.computed_value}"
         )
+    return "".join(line + "\n" for line in lines)
+
+
+def tuples_json(p: int, g: int) -> str:
+    rows = [{"tuple": list(v.as_tuple()), "case": classify(v).value} for v in admissible_tuples(p, g)]
+    return json.dumps({"p": p, "g": g, "rows": rows}, indent=2) + "\n"
+
+
+def tuples_csv(p: int, g: int, no_header: bool) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if not no_header:
+        writer.writerow(TUPLES_HEADER)
+    writer.writerows(list(v.as_tuple()) + [classify(v).value] for v in admissible_tuples(p, g))
+    return buf.getvalue()
+
+
+def tuples_table(p: int, g: int, no_header: bool) -> str:
+    """Table output without its timestamp line."""
+    shapes = admissible_tuples(p, g)
+    rows = [[str(x) for x in v.as_tuple()] + [classify(v).value] for v in shapes]
+    lines = _columns(rows, TUPLES_HEADER, no_header)
+    lines.append(f"{len(shapes)} admissible shape(s) for p={p} genus={g}")
     return "".join(line + "\n" for line in lines)

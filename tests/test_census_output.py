@@ -1,5 +1,6 @@
-"""Census output: byte identity with the row-by-row reference renderers,
-the recorded benchmark outputs, and no per-shape objects on the CLI path."""
+"""Census and tuples output: byte identity with the row-by-row reference
+renderers, the recorded benchmark outputs, and no per-shape objects on the
+CLI path."""
 
 import hashlib
 import json
@@ -47,6 +48,18 @@ def test_census_output_matches_the_row_by_row_reference(capsys, p, g):
         assert rest == ref.census_table(report, bool(per_tuple), False)
 
 
+@pytest.mark.parametrize("p,g", PAIRS)
+def test_tuples_output_matches_the_row_by_row_reference(capsys, p, g):
+    common = ("tuples", "--p", p, "--genus", g)
+    assert run_cli(capsys, *common, "--format", "json") == ref.tuples_json(p, g)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.tuples_csv(p, g, False)
+    assert run_cli(capsys, *common, "--format", "csv", "--no-header") == ref.tuples_csv(p, g, True)
+    assert run_cli(capsys, *common, "--no-header") == ref.tuples_table(p, g, True)
+    first, rest = run_cli(capsys, *common).split("\n", 1)
+    assert first.startswith("# handlebody-census tuples generated ")
+    assert rest == ref.tuples_table(p, g, False)
+
+
 RECORDED = json.loads(EXPECTED.read_text())
 REPLAYED = [key for key in RECORDED if key.startswith("census ")] + [
     key for key in RECORDED if key.startswith("canonical ") and "--list" in key
@@ -63,12 +76,23 @@ def test_recorded_benchmark_outputs_replay_byte_for_byte(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == record["sha256"]
 
 
-def test_cli_census_builds_no_shape_or_row_objects(capsys, monkeypatch):
+def _refuse_shape_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-shape object was built")
 
     monkeypatch.setattr(Tuple5, "__post_init__", refuse)
     monkeypatch.setattr(theorem_counts, "TupleCount", refuse)
+
+
+def test_cli_census_builds_no_shape_or_row_objects(capsys, monkeypatch):
+    _refuse_shape_objects(monkeypatch)
     for fmt in ("json", "csv", "table"):
         run_cli(capsys, "census", "--p", 5, "--genus", 26, "--per-tuple", "--format", fmt)
         run_cli(capsys, "census", "--p", 3, "--genus", 120, "--per-tuple", "--format", fmt)
+
+
+def test_cli_tuples_builds_no_shape_objects(capsys, monkeypatch):
+    _refuse_shape_objects(monkeypatch)
+    for fmt in ("json", "csv", "table"):
+        run_cli(capsys, "tuples", "--p", 5, "--genus", 26, "--format", fmt)
+        run_cli(capsys, "tuples", "--p", 3, "--genus", 120, "--format", fmt)

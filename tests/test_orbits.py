@@ -1,8 +1,14 @@
 """Orbit engine: frozen counts, agreement with BFS, determinism, compare."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
+import orbit_reference as ref
 import pytest
-from bfs_oracle import bfs_labels
+from bfs_oracle import bfs_labels, generators_and_inverses
 
 from handlebody_census import (
     BudgetExceededError,
@@ -15,14 +21,16 @@ from handlebody_census import (
     orbit_partition,
 )
 from handlebody_census.verification import State, apply_move, check_move_closure
-from handlebody_census.verification.moves import generator_moves, inverse_move
 from handlebody_census.verification import orbits
+from handlebody_census.verification.moves import GenClass, MoveKind
 from handlebody_census.verification.orbits import (
     _Space,
-    _moves_with_inverses,
-    _successor_rows,
+    _engine_moves,
+    _successor_arrays,
 )
 from handlebody_census.verification.states import iter_valid_states
+
+TESTS_DIR = Path(__file__).resolve().parent
 
 
 @pytest.mark.parametrize(
@@ -98,30 +106,71 @@ def test_vectorized_successors_match_apply_move():
         (3, Tuple5(1, 1, 0, 0, 0)),
     ]:
         space = _Space(p, v)
-        dig, valid = space.digits()
-        rows = np.flatnonzero(valid)
+        rows = np.flatnonzero(space.valid_mask())
         states = list(iter_valid_states(p, v))
         assert [space.state_row(s) for s in states] == rows.tolist()
-        for move in _moves_with_inverses(p, v):
-            vec = _successor_rows(space, dig[rows], rows, move)
+        moves = _engine_moves(p, v)
+        for move, succ in zip(moves, _successor_arrays(space, moves, workers=1)):
             scalar = [space.state_row(apply_move(p, s, move)) for s in states]
-            assert vec.tolist() == scalar, (p, v, move)
+            assert succ[rows].tolist() == scalar, (p, v, move)
+
+
+def _assert_successors_match_the_decode_reference(p, v):
+    space = _Space(p, v)
+    assert np.array_equal(space.valid_mask(), ref.digits(space)[1]), v
+    moves = _engine_moves(p, v)
+    expected = ref.successor_arrays(space, moves)
+    for workers in (1, 2):
+        for move, got, want in zip(moves, _successor_arrays(space, moves, workers), expected):
+            assert got.dtype == want.dtype, (v, move)
+            assert np.array_equal(got, want), (v, move, workers)
+
+
+def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes():
+    shapes = ref.small_p3_shapes(limit=20_000)
+    assert len(shapes) > 200
+    for v in shapes:
+        _assert_successors_match_the_decode_reference(3, v)
+
+
+def test_successor_arrays_match_the_decode_reference_at_p5():
+    _assert_successors_match_the_decode_reference(5, Tuple5(0, 0, 0, 3, 0))
+
+
+def test_engine_moves_double_each_twist_and_keep_the_generators_orbits():
+    p, v = 5, Tuple5(1, 1, 0, 1, 0)
+    moves = _engine_moves(p, v)
+    twists = {(m.cls, m.amount) for m in moves if m.kind is MoveKind.TWIST}
+    assert twists == {(GenClass.BC, a) for a in (1, 2, 4, 8, 16)} | {
+        (GenClass.EF, a) for a in (1, 2, 4)
+    }
+    others = [m for m in moves if m.kind is not MoveKind.TWIST]
+    assert len(set(others)) == len(others)
+    assert set(others) == {m for m in generators_and_inverses(p, v) if m.kind is not MoveKind.TWIST}
+
+
+def test_twist_cycles_close_in_one_round():
+    # 16 rounds when each round stepped a twist and its inverse once
+    part = orbit_partition(7, Tuple5(0, 1, 0, 0, 0))
+    assert part.raw == 2058
+    assert part.rounds == 2
+    assert part.moves == len(_engine_moves(7, Tuple5(0, 1, 0, 0, 0))) == 7
+    assert np.array_equal(part.labels, bfs_labels(7, Tuple5(0, 1, 0, 0, 0)))
 
 
 def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
     # raw row 1 is (e, f) = (3, 1), a valid state; row 0 is (3, 0), not surjective
     v = Tuple5(0, 0, 0, 1, 0)
-    space = _Space(3, v)
-    dig, valid = space.digits()
+    valid = _Space(3, v).valid_mask()
     assert valid[1] and not valid[0]
-    exact = orbits._successor_rows
+    exact = orbits._successors
 
-    def escaping(space, dig, rows, move):
-        out = exact(space, dig, rows, move)
-        out[rows == 1] = 0
+    def escaping(space, move, rows):
+        out = exact(space, move, rows)
+        out[1] = 0
         return out
 
-    monkeypatch.setattr(orbits, "_successor_rows", escaping)
+    monkeypatch.setattr(orbits, "_successors", escaping)
     with pytest.raises(AssertionError, match="mixes valid and invalid states"):
         orbit_partition(3, v)
 
@@ -144,8 +193,51 @@ def test_orbit_count_ignores_admissibility():
 
 
 def test_check_move_closure_runs():
-    assert check_move_closure(3, Tuple5(0, 0, 0, 1, 0)) > 0
-    assert check_move_closure(3, Tuple5(1, 1, 0, 0, 0)) > 0
+    # (valid states) x (full alphabet)
+    assert check_move_closure(3, Tuple5(0, 0, 0, 1, 0)) == 12 * 4
+    assert check_move_closure(3, Tuple5(1, 1, 0, 0, 0)) == 486 * 29
+    assert check_move_closure(3, Tuple5(1, 0, 0, 1, 0)) == 144 * 23
+
+
+BROKEN_MOVES = {
+    # (patch, shape, message): a bc spin writes b = 0, which is no unit
+    "domain": ("spins_leave_the_domain", (0, 1, 0, 0, 0), "left the per-generator domain"),
+    # a free-handle spin writes a = 0: in the domain, but the only unit is gone
+    "surjectivity": ("spins_zero_the_free_handles", (1, 0, 0, 1, 0), "broke surjectivity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MOVES))
+def test_check_move_closure_catches_a_broken_move(monkeypatch, case):
+    patch, shape, message = BROKEN_MOVES[case]
+    monkeypatch.setattr(orbits, "_move_updates", getattr(ref, patch)(orbits._move_updates))
+    with pytest.raises(AssertionError, match=message):
+        check_move_closure(3, Tuple5(*shape))
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_MOVES))
+def test_check_move_closure_catches_a_broken_move_under_python_O(case):
+    patch, shape, message = BROKEN_MOVES[case]
+    child = (
+        "import sys\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(4)\n"
+        "import orbit_reference as ref\n"
+        "from handlebody_census import Tuple5\n"
+        "from handlebody_census.verification import orbits\n"
+        f"orbits._move_updates = ref.{patch}(orbits._move_updates)\n"
+        "try:\n"
+        f"    orbits.check_move_closure(3, Tuple5{shape})\n"
+        "except AssertionError as exc:\n"
+        f"    sys.exit(3 if {message!r} in str(exc) else 5)\n"
+    )
+    env = dict(os.environ)
+    path = [str(TESTS_DIR.parent / "src"), str(TESTS_DIR), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_compare_agreeing_shape():
