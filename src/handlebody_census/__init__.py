@@ -7,107 +7,25 @@ enumeration of normal-form image vectors, and orbit counting of the full
 state space under the realizable move alphabet.  Where the closed forms
 and the oracles (or a published reference value) disagree, reports carry
 the disagreement; nothing is silently corrected.
+
+The top level exports the library API the README documents; everything else
+is imported from its module (``counting``, ``tuples``, ``theorem_counts``,
+``verification``).
 """
 
-from .counting import (
-    DEFAULT_ENUMERATION_BUDGET,
-    brute_count_nondecreasing,
-    count_A,
-    count_C_jl,
-    iter_nondecreasing,
-)
 from .errors import BudgetExceededError, InadmissibleTupleError
-from .theorem_counts import (
-    CountReport,
-    Flag,
-    TupleCount,
-    census,
-    count_case_m,
-    count_case_r,
-    count_case_st,
-    count_for_tuple,
-    order_p_pool,
-    pinned_pair_pool,
-    unit_pool,
-)
-from .tuples import (
-    CaseTag,
-    Tuple5,
-    admissible_tuples,
-    classify,
-    genus_of,
-    require_genus,
-    require_odd_prime,
-)
-from .verification import (
-    Comparison,
-    Move,
-    MoveKind,
-    GenClass,
-    GenRef,
-    OrbitStats,
-    State,
-    apply_move,
-    compare,
-    enumerate_canonical,
-    format_state,
-    full_move_alphabet,
-    generator_moves,
-    inverse_move,
-    is_valid_state,
-    iter_valid_states,
-    orbit_count,
-    orbit_partition,
-    parse_state,
-    raw_state_count,
-)
+from .theorem_counts import CountReport, census
+from .tuples import Tuple5
+from .verification import Comparison, compare
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CaseTag",
     "Comparison",
     "CountReport",
-    "DEFAULT_ENUMERATION_BUDGET",
-    "Flag",
-    "GenClass",
-    "GenRef",
     "InadmissibleTupleError",
-    "Move",
-    "MoveKind",
-    "OrbitStats",
-    "State",
     "Tuple5",
-    "TupleCount",
-    "admissible_tuples",
-    "apply_move",
-    "brute_count_nondecreasing",
     "census",
-    "classify",
     "compare",
-    "count_A",
-    "count_C_jl",
-    "count_case_m",
-    "count_case_r",
-    "count_case_st",
-    "count_for_tuple",
-    "enumerate_canonical",
-    "format_state",
-    "full_move_alphabet",
-    "generator_moves",
-    "genus_of",
-    "inverse_move",
-    "is_valid_state",
-    "iter_nondecreasing",
-    "iter_valid_states",
-    "orbit_count",
-    "orbit_partition",
-    "order_p_pool",
-    "parse_state",
-    "pinned_pair_pool",
-    "raw_state_count",
-    "require_genus",
-    "require_odd_prime",
-    "unit_pool",
 ]

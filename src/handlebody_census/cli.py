@@ -7,9 +7,13 @@ arbitrary precision survives any consumer.  Exit codes: 0 success
 1 usage error, 2 computation incomplete (an enumeration would exceed its
 budget; decided from a count, before anything is enumerated).
 
+``--max-states`` is one budget: normal forms for ``canonical``, raw states
+for ``orbits``, both per shape for ``verify``.  A negative budget, like a
+``--workers`` below 1, is a usage error.
+
 Output is reproducible byte for byte; the only exception is the timestamp
-header on table output, which --no-header suppresses.  JSON and CSV never
-carry a timestamp.
+header on table output, which --no-header suppresses.  ``akj`` prints its
+bare value as its table, with no timestamp.  JSON and CSV never carry one.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 from datetime import datetime, timezone
+from typing import Callable, Iterable, NamedTuple
 
 from .counting import count_A
 from .errors import BudgetExceededError, InadmissibleTupleError
@@ -56,29 +60,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _timestamp_line(command: str) -> str:
-    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return f"# handlebody-census {command} generated {now}"
+class Output(NamedTuple):
+    """A subcommand's answer in every format; :func:`_render` builds only the asked one."""
+
+    json: Callable[[], str]  # the JSON document
+    header: list[str]  # CSV header, and the column heads of aligned table rows
+    rows: Iterable  # CSV rows, and the rows of an aligned table
+    lines: list[str]  # table lines
+    aligned: bool = False  # the table starts with ``rows`` aligned under ``header``
+    stamped: bool = True  # the table starts with the timestamp line
+    code: int = EXIT_OK
 
 
-def _emit_table(lines: list[str], command: str, no_header: bool) -> None:
-    if not no_header:
-        lines = [_timestamp_line(command)] + lines
-    if lines:
-        sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
-
-
-def _emit_csv(header: list[str], rows, no_header: bool) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if not no_header:
-        writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _render(out: Output, args) -> None:
+    """Write ``out`` to stdout in ``args.format``."""
+    if args.format == "json":
+        print(out.json())  # no "+ newline" copy of a document that can run to megabytes
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        if not args.no_header:
+            writer.writerow(out.header)
+        writer.writerows(out.rows)
+    else:
+        lines = out.lines
+        if out.aligned:
+            cells = [[str(x) for x in row] for row in out.rows]
+            lines = _columns(cells, out.header, args.no_header) + lines
+        if out.stamped and not args.no_header:
+            now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            lines = [f"# handlebody-census {args.command} generated {now}"] + lines
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _columns(rows: list[list[str]], headers: list[str], no_header: bool) -> list[str]:
@@ -104,27 +116,25 @@ def _flag_cell(flags) -> str:
     )
 
 
-def _parse_tuple(text: str) -> Tuple5:
-    return Tuple5.parse(text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
+_SHAPE_COLUMNS = ["r", "s", "t", "m", "n"]
 
-def _cmd_akj(args) -> int:
+
+def _cmd_akj(args) -> Output:
     if args.k < 1:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.j < 0:
         raise ValueError(f"--j must be >= 0, got {args.j}")
     value = count_A(args.k, args.j)
-    if args.format == "json":
-        _emit_json({"k": args.k, "j": args.j, "value": str(value)})
-    elif args.format == "csv":
-        _emit_csv(["k", "j", "value"], [[args.k, args.j, str(value)]], args.no_header)
-    else:
-        print(value)
-    return EXIT_OK
+    return Output(
+        json=lambda: json.dumps({"k": args.k, "j": args.j, "value": str(value)}, indent=2),
+        header=["k", "j", "value"],
+        rows=[[args.k, args.j, str(value)]],
+        lines=[str(value)],
+        stamped=False,
+    )
 
 
 def _json_block(obj, indent: int) -> str:
@@ -132,10 +142,13 @@ def _json_block(obj, indent: int) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
 
 
-def _json_rows(rows: list[str]) -> str:
-    """Rendered rows as the list ``json.dumps(obj, indent=2)`` prints for a
-    top-level key of ``obj``."""
-    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+def _json_rows(p: int, g: int, rows: list[str], tail: Iterable[str] = ()) -> str:
+    """``{"p": p, "g": g, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
+    prints it, from rendered rows and the rendered keys after them (``tail``).
+    One join builds the document: another copy of a rows list that runs to
+    megabytes would raise the peak RSS."""
+    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+    return "".join(['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g), body, *tail, "\n}"])
 
 
 # The start of a shape row as json.dumps(..., indent=2) prints it inside
@@ -156,23 +169,18 @@ _CENSUS_JSON_ROW = _SHAPE_JSON_ROW + """,
       "flags": %s
     }"""
 
-_TUPLES_HEADER = ["r", "s", "t", "m", "n", "case"]
 
-
-def _cmd_tuples(args) -> int:
+def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
     rows = [(*v, shape_case(v).value) for v in shape_tuples(p, g)]
-    if args.format == "json":
-        body = _json_rows([_TUPLES_JSON_ROW % row for row in rows])
-        print('{\n  "p": %d,\n  "g": %d,\n  "rows": %s\n}' % (p, g, body))
-    elif args.format == "csv":
-        _emit_csv(_TUPLES_HEADER, rows, args.no_header)
-    else:
-        lines = _columns([[str(x) for x in row] for row in rows], _TUPLES_HEADER, args.no_header)
-        lines.append(f"{len(rows)} admissible shape(s) for p={p} genus={g}")
-        _emit_table(lines, "tuples", args.no_header)
-    return EXIT_OK
+    return Output(
+        json=lambda: _json_rows(p, g, [_TUPLES_JSON_ROW % row for row in rows]),
+        header=_SHAPE_COLUMNS + ["case"],
+        rows=rows,
+        lines=[f"{len(rows)} admissible shape(s) for p={p} genus={g}"],
+        aligned=True,
+    )
 
 
 def _census_json(report: CountReport) -> str:
@@ -182,13 +190,11 @@ def _census_json(report: CountReport) -> str:
         _CENSUS_JSON_ROW % (*v, case.value, count, flags_json(flags))
         for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags)
     ]
-    parts = ['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (report.p, report.g)]
-    parts.append(_json_rows(rows))
-    parts.append(',\n  "total": "%d"' % report.total)
+    tail = [',\n  "total": "%d"' % report.total]
     if report.reference_total is not None:
-        parts.append(',\n  "reference_total": "%d"' % report.reference_total)
-    parts.append(',\n  "flags": ' + _json_block([_flag_json(f) for f in report.flags], 2) + "\n}")
-    return "".join(parts)
+        tail.append(',\n  "reference_total": "%d"' % report.reference_total)
+    tail.append(',\n  "flags": ' + _json_block([_flag_json(f) for f in report.flags], 2))
+    return _json_rows(report.p, report.g, rows, tail)
 
 
 def _census_cells(report: CountReport):
@@ -198,212 +204,178 @@ def _census_cells(report: CountReport):
         yield (*v, case.value, count, flag_cell(flags))
 
 
-_CENSUS_HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
-
-
-def _cmd_census(args) -> int:
+def _cmd_census(args) -> Output:
     report = census(args.p, args.genus)
-    if args.format == "json":
-        print(_census_json(report))
-    elif args.format == "csv":
-        _emit_csv(_CENSUS_HEADER, _census_cells(report), args.no_header)
-    else:
-        lines = []
-        if args.per_tuple:
-            rows = [[str(x) for x in cells] for cells in _census_cells(report)]
-            lines += _columns(rows, _CENSUS_HEADER, args.no_header)
-        lines.append(f"total {report.total} ({len(report.shapes)} shapes)")
-        if report.reference_total is not None:
-            lines.append(f"published reference total {report.reference_total}")
-        for flag in report.flags:
-            lines.append(
-                f"flag: {flag.location}: published={flag.paper_value} "
-                f"computed={flag.computed_value}"
-            )
-        _emit_table(lines, "census", args.no_header)
-    return EXIT_OK
+    lines = [f"total {report.total} ({len(report.shapes)} shapes)"]
+    if report.reference_total is not None:
+        lines.append(f"published reference total {report.reference_total}")
+    lines += [f"flag: {_flag_cell([flag])}" for flag in report.flags]
+    return Output(
+        json=functools.partial(_census_json, report),
+        header=_SHAPE_COLUMNS + ["case", "count", "flags"],
+        rows=_census_cells(report),
+        lines=lines,
+        aligned=args.per_tuple,
+    )
 
 
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args) -> Output:
     p = require_odd_prime(args.p)
-    v = _parse_tuple(args.tuple)
-    try:
-        states = enumerate_canonical(p, v, budget=args.max_states)
-    except BudgetExceededError as exc:
-        print(f"canonical enumeration incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    listed = []
+    v = Tuple5.parse(args.tuple)
+    states = enumerate_canonical(p, v, budget=args.max_states)
+    fields = {"case": classify(v).value, "count": str(len(states))}
+    obj = {"p": p, "tuple": list(v.as_tuple()), **fields}
+    lines = [f"{len(states)} canonical state(s) for p={p} shape {v}"]
+    header, rows = _SHAPE_COLUMNS + list(fields), [[*v.as_tuple(), *fields.values()]]
     if args.list:
         template = state_template(v.as_tuple())
-        listed = [template % flatten(s) for s in states]
-    if args.format == "json":
-        obj = {
-            "p": p,
-            "tuple": list(v.as_tuple()),
-            "case": classify(v).value,
-            "count": str(len(states)),
-        }
-        if args.list:
-            obj["states"] = listed
-        _emit_json(obj)
-    elif args.format == "csv":
-        if args.list:
-            _emit_csv(["index", "state"], enumerate(listed), args.no_header)
-        else:
-            rows = [list(v.as_tuple()) + [classify(v).value, str(len(states))]]
-            _emit_csv(["r", "s", "t", "m", "n", "case", "count"], rows, args.no_header)
-    else:
-        lines = [f"{len(states)} canonical state(s) for p={p} shape {v}"]
-        if args.list:
-            lines.append(f"p={p} v={','.join(str(x) for x in v.as_tuple())}")
-            lines += listed
-        _emit_table(lines, "canonical", args.no_header)
-    return EXIT_OK
+        obj["states"] = listed = [template % flatten(s) for s in states]
+        lines += [f"p={p} v={','.join(str(x) for x in v.as_tuple())}", *listed]
+        header, rows = ["index", "state"], enumerate(listed)
+    return Output(lambda: json.dumps(obj, indent=2), header, rows, lines)
 
 
-def _cmd_orbits(args) -> int:
+def _cmd_orbits(args) -> Output:
     p = require_odd_prime(args.p)
-    v = _parse_tuple(args.tuple)
-    try:
-        stats = orbit_count(p, v, budget=args.max_states, workers=args.workers)
-    except BudgetExceededError as exc:
-        print(f"orbit count incomplete: {exc}", file=sys.stderr)
-        return EXIT_INCOMPLETE
-    if args.format == "json":
-        _emit_json(
-            {
-                "p": p,
-                "tuple": list(v.as_tuple()),
-                "orbits": str(stats.orbits),
-                "state_space_size": stats.state_space_size,
-                "valid_states": stats.valid_states,
-                "largest_orbit": stats.largest_orbit,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["r", "s", "t", "m", "n", "orbits", "state_space_size", "valid_states", "largest_orbit"],
-            [
-                list(v.as_tuple())
-                + [str(stats.orbits), stats.state_space_size, stats.valid_states, stats.largest_orbit]
-            ],
-            args.no_header,
-        )
-    else:
-        _emit_table(
-            [
-                f"shape {v} at p={p}: {stats.orbits} orbit(s)",
-                f"state space {stats.state_space_size} raw, "
-                f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
-            ],
-            "orbits",
-            args.no_header,
-        )
-    return EXIT_OK
-
-
-def _comparison_json(report) -> dict:
-    def opt(x):
-        return None if x is None else str(x)
-
-    return {
-        "tuple": list(report.tuple.as_tuple()),
-        "case": report.case.value,
-        "theorem_count": str(report.theorem_count),
-        "canonical_count": opt(report.canonical_count),
-        "orbit_count": opt(report.orbit_count),
-        "state_space_size": report.state_space_size,
-        "valid_states": report.valid_states,
-        "largest_orbit": report.largest_orbit,
-        "agreement": report.agreement,
-        "complete": report.complete,
-        "errors": report.errors,
+    v = Tuple5.parse(args.tuple)
+    stats = orbit_count(p, v, budget=args.max_states, workers=args.workers)
+    fields = {
+        "orbits": str(stats.orbits),
+        "state_space_size": stats.state_space_size,
+        "valid_states": stats.valid_states,
+        "largest_orbit": stats.largest_orbit,
     }
+    return Output(
+        json=lambda: json.dumps({"p": p, "tuple": list(v.as_tuple()), **fields}, indent=2),
+        header=_SHAPE_COLUMNS + list(fields),
+        rows=[[*v.as_tuple(), *fields.values()]],
+        lines=[
+            f"shape {v} at p={p}: {stats.orbits} orbit(s)",
+            f"state space {stats.state_space_size} raw, "
+            f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
+        ],
+    )
 
 
-def _cmd_verify(args) -> int:
+# A verify CSV row is its JSON row with the tuple and the agreement spread
+# into cells and the errors left out (csv writes a null as an empty cell);
+# these keys fill the cells between.
+_VERIFY_KEYS = [
+    "case", "theorem_count", "canonical_count", "orbit_count",
+    "state_space_size", "valid_states", "largest_orbit",
+]
+
+
+def _comparison_cells(row: dict) -> list:
+    cells = [*row["tuple"], *(row[k] for k in _VERIFY_KEYS)]
+    return cells + [*row["agreement"].values(), row["complete"]]
+
+
+def _cmd_verify(args) -> Output:
     p = require_odd_prime(args.p)
     if (args.tuple is None) == (args.genus is None):
         raise ValueError("verify needs exactly one of --tuple or --genus")
     if args.tuple is not None:
-        shapes = [_parse_tuple(args.tuple)]
+        shapes = [Tuple5.parse(args.tuple)]
+        target = {"tuple": list(shapes[0].as_tuple())}
     else:
         shapes = admissible_tuples(p, require_genus(args.genus))
-    reports = [
-        compare(p, v, budget=args.max_states, workers=args.workers) for v in shapes
-    ]
-    incomplete = any(not r.complete for r in reports)
-
-    if args.format == "json":
-        obj: dict = {"p": p}
-        if args.genus is not None:
-            obj["g"] = args.genus
-        else:
-            obj["tuple"] = list(shapes[0].as_tuple())
-        obj["rows"] = [_comparison_json(r) for r in reports]
-        obj["incomplete"] = incomplete
-        _emit_json(obj)
-    elif args.format == "csv":
-        header = [
-            "r", "s", "t", "m", "n", "case", "theorem_count", "canonical_count",
-            "orbit_count", "state_space_size", "valid_states", "largest_orbit",
-            "agree_theorem_canonical", "agree_theorem_orbit", "agree_canonical_orbit",
-            "complete",
-        ]
-        def cell(x):
-            return "" if x is None else x
-        rows = []
-        for r in reports:
-            ag = r.agreement
-            rows.append(
-                list(r.tuple.as_tuple())
-                + [
-                    r.case.value,
-                    str(r.theorem_count),
-                    cell(None if r.canonical_count is None else str(r.canonical_count)),
-                    cell(None if r.orbit_count is None else str(r.orbit_count)),
-                    r.state_space_size,
-                    cell(r.valid_states),
-                    cell(r.largest_orbit),
-                    cell(ag["theorem_vs_canonical"]),
-                    cell(ag["theorem_vs_orbit"]),
-                    cell(ag["canonical_vs_orbit"]),
-                    r.complete,
-                ]
-            )
-        _emit_csv(header, rows, args.no_header)
-    else:
-        lines = []
-        for r in reports:
-            def show(x):
-                return "?" if x is None else str(x)
-            verdict = "agree" if all(v is True for v in r.agreement.values()) else "DIFFER"
-            if not r.complete:
-                verdict = "incomplete"
-            lines.append(
-                f"shape {r.tuple}: theorem {r.theorem_count}, canonical "
-                f"{show(r.canonical_count)}, orbits {show(r.orbit_count)} [{verdict}]"
-            )
-            for err in r.errors:
-                lines.append(f"  {err}")
-        _emit_table(lines, "verify", args.no_header)
-    return EXIT_INCOMPLETE if incomplete else EXIT_OK
+        target = {"g": args.genus}
+    rows, lines = [], []
+    for v in shapes:
+        r = compare(p, v, budget=args.max_states, workers=args.workers)
+        row = {
+            "tuple": list(v.as_tuple()),
+            "case": r.case.value,
+            "theorem_count": str(r.theorem_count),
+            "canonical_count": None if r.canonical_count is None else str(r.canonical_count),
+            "orbit_count": None if r.orbit_count is None else str(r.orbit_count),
+            "state_space_size": r.state_space_size,
+            "valid_states": r.valid_states,
+            "largest_orbit": r.largest_orbit,
+            "agreement": r.agreement,
+            "complete": r.complete,
+            "errors": r.errors,
+        }
+        rows.append(row)
+        verdict = "agree" if all(x is True for x in r.agreement.values()) else "DIFFER"
+        lines.append(
+            f"shape {v}: theorem {r.theorem_count}, canonical {row['canonical_count'] or '?'}, "
+            f"orbits {row['orbit_count'] or '?'} [{verdict if r.complete else 'incomplete'}]"
+        )
+        lines += [f"  {err}" for err in r.errors]
+    incomplete = any(not row["complete"] for row in rows)
+    return Output(
+        json=lambda: json.dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}, indent=2),
+        header=_SHAPE_COLUMNS + _VERIFY_KEYS + [
+            "agree_theorem_canonical", "agree_theorem_orbit", "agree_canonical_orbit", "complete",
+        ],
+        rows=map(_comparison_cells, rows),
+        lines=lines,
+        code=EXIT_INCOMPLETE if incomplete else EXIT_OK,
+    )
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
-def _add_common(sub, *, fmt=True):
-    if fmt:
-        sub.add_argument(
-            "--format", choices=["table", "json", "csv"], default="table",
-            help="output format (default table)",
-        )
-    sub.add_argument(
-        "--no-header", action="store_true",
-        help="suppress the table timestamp line and the CSV header row",
-    )
+def _at_least(minimum: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+_P = _arg("--p", type=int, required=True, help="odd prime")
+_GENUS = _arg("--genus", type=int, required=True, help="genus, >= 1")
+_TUPLE = _arg("--tuple", required=True, metavar="r,s,t,m,n")
+_MAX_STATES = _arg(
+    "--max-states", type=_at_least(0), default=DEFAULT_STATE_BUDGET,
+    help="budget, >= 0: normal forms (canonical), raw states (orbits), both per shape "
+    "(verify); default %(default)s",
+)
+_WORKERS = _arg("--workers", type=_at_least(1), default=1, help="worker count, >= 1")
+_FORMAT = _arg(
+    "--format", choices=["table", "json", "csv"], default="table", help="output format (default table)"
+)
+_NO_HEADER = _arg(
+    "--no-header", action="store_true", help="suppress the table timestamp line and the CSV header row"
+)
+
+# Per subcommand: its function, help and arguments.
+_COMMANDS = {
+    "akj": (_cmd_akj, "closed-form nondecreasing-tuple count", [
+        _arg("--k", type=int, required=True, help="alphabet size, >= 1"),
+        _arg("--j", type=int, required=True, help="tuple length, >= 0"),
+    ]),
+    "tuples": (_cmd_tuples, "admissible shapes for (p, genus)", [_P, _GENUS]),
+    "census": (_cmd_census, "class counts for (p, genus)", [
+        _P, _GENUS,
+        _arg("--per-tuple", action="store_true", help="show per-shape rows in table output"),
+    ]),
+    "canonical": (_cmd_canonical, "normal-form states of one shape", [
+        _P, _TUPLE, _arg("--list", action="store_true", help="dump the states"), _MAX_STATES,
+    ]),
+    "orbits": (_cmd_orbits, "move-orbit count of one shape", [_P, _TUPLE, _MAX_STATES, _WORKERS]),
+    "verify": (_cmd_verify, "compare formula, normal-form, and orbit counts", [
+        _P,
+        _arg("--genus", type=int, help="verify every shape of this genus"),
+        _arg("--tuple", metavar="r,s,t,m,n", help="verify one shape"),
+        _MAX_STATES, _WORKERS,
+    ]),
+}
+
+# The stderr line of a budget refusal; verify reports a stopped shape on stdout instead.
+_REFUSALS = {"canonical": "canonical enumeration incomplete", "orbits": "orbit count incomplete"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,80 +387,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    akj = subparsers.add_parser("akj", help="closed-form nondecreasing-tuple count")
-    akj.add_argument("--k", type=int, required=True, help="alphabet size, >= 1")
-    akj.add_argument("--j", type=int, required=True, help="tuple length, >= 0")
-    _add_common(akj)
-    akj.set_defaults(func=_cmd_akj)
-
-    tuples_cmd = subparsers.add_parser("tuples", help="admissible shapes for (p, genus)")
-    tuples_cmd.add_argument("--p", type=int, required=True, help="odd prime")
-    tuples_cmd.add_argument("--genus", type=int, required=True, help="genus, >= 1")
-    _add_common(tuples_cmd)
-    tuples_cmd.set_defaults(func=_cmd_tuples)
-
-    census_cmd = subparsers.add_parser("census", help="class counts for (p, genus)")
-    census_cmd.add_argument("--p", type=int, required=True, help="odd prime")
-    census_cmd.add_argument("--genus", type=int, required=True, help="genus, >= 1")
-    census_cmd.add_argument(
-        "--per-tuple", action="store_true", help="show per-shape rows in table output"
-    )
-    _add_common(census_cmd)
-    census_cmd.set_defaults(func=_cmd_census)
-
-    canonical_cmd = subparsers.add_parser("canonical", help="normal-form states of one shape")
-    canonical_cmd.add_argument("--p", type=int, required=True, help="odd prime")
-    canonical_cmd.add_argument("--tuple", required=True, metavar="r,s,t,m,n")
-    canonical_cmd.add_argument("--list", action="store_true", help="dump the states")
-    canonical_cmd.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_BUDGET,
-        help="state budget (default %(default)s)",
-    )
-    _add_common(canonical_cmd)
-    canonical_cmd.set_defaults(func=_cmd_canonical)
-
-    orbits_cmd = subparsers.add_parser("orbits", help="move-orbit count of one shape")
-    orbits_cmd.add_argument("--p", type=int, required=True, help="odd prime")
-    orbits_cmd.add_argument("--tuple", required=True, metavar="r,s,t,m,n")
-    orbits_cmd.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_BUDGET,
-        help="raw state budget (default %(default)s)",
-    )
-    orbits_cmd.add_argument("--workers", type=int, default=1, help="worker count")
-    _add_common(orbits_cmd)
-    orbits_cmd.set_defaults(func=_cmd_orbits)
-
-    verify_cmd = subparsers.add_parser(
-        "verify", help="compare formula, normal-form, and orbit counts"
-    )
-    verify_cmd.add_argument("--p", type=int, required=True, help="odd prime")
-    verify_cmd.add_argument("--genus", type=int, help="verify every shape of this genus")
-    verify_cmd.add_argument("--tuple", metavar="r,s,t,m,n", help="verify one shape")
-    verify_cmd.add_argument(
-        "--max-states", type=int, default=DEFAULT_STATE_BUDGET,
-        help="raw state budget per shape (default %(default)s)",
-    )
-    verify_cmd.add_argument("--workers", type=int, default=1, help="worker count")
-    _add_common(verify_cmd)
-    verify_cmd.set_defaults(func=_cmd_verify)
-
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for flags, options in [*arguments, _FORMAT, _NO_HEADER]:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        out = args.func(args)
+        _render(out, args)
+    except BudgetExceededError as exc:
+        print(f"{_REFUSALS[args.command]}: {exc}", file=sys.stderr)
+        return EXIT_INCOMPLETE
     except (ValueError, InadmissibleTupleError) as exc:
         print(f"handlebody-census {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return out.code
 
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -17,7 +17,8 @@ import itertools
 
 import numpy as np
 
-from handlebody_census import Tuple5, raw_state_count
+from handlebody_census.tuples import Tuple5
+from handlebody_census.verification.states import raw_state_count
 from handlebody_census.verification.moves import GenClass, Move, MoveKind
 
 #: Rows per decode or successor step; bounds the int64 temporaries.

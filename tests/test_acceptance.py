@@ -16,22 +16,12 @@ import pytest
 import orbit_reference as ref
 from bfs_oracle import bfs_labels
 
-from handlebody_census import (
-    InadmissibleTupleError,
-    Tuple5,
-    admissible_tuples,
-    brute_count_nondecreasing,
-    census,
-    count_A,
-    count_C_jl,
-    count_case_r,
-    count_case_st,
-    count_for_tuple,
-    enumerate_canonical,
-    orbit_count,
-    orbit_partition,
-)
-from handlebody_census.errors import BudgetExceededError
+from handlebody_census.counting import brute_count_nondecreasing, count_A, count_C_jl
+from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
+from handlebody_census.theorem_counts import census, count_case_r, count_case_st, count_for_tuple
+from handlebody_census.tuples import Tuple5, admissible_tuples
+from handlebody_census.verification.canonical import enumerate_canonical
+from handlebody_census.verification.orbits import orbit_count, orbit_partition
 from handlebody_census.verification import (
     apply_move,
     check_move_closure,

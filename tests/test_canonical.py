@@ -2,17 +2,11 @@
 
 import pytest
 
-from handlebody_census import (
-    BudgetExceededError,
-    CaseTag,
-    InadmissibleTupleError,
-    Tuple5,
-    admissible_tuples,
-    classify,
-    count_for_tuple,
-    enumerate_canonical,
-    is_valid_state,
-)
+from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
+from handlebody_census.theorem_counts import count_for_tuple
+from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, classify
+from handlebody_census.verification.canonical import enumerate_canonical
+from handlebody_census.verification.states import is_valid_state
 from handlebody_census.verification import (
     State,
     canonical,

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import Tuple5, census, theorem_counts
+from handlebody_census import theorem_counts
+from handlebody_census.theorem_counts import census
+from handlebody_census.tuples import Tuple5
 from handlebody_census.cli import main
 
 import census_reference as ref

@@ -1,4 +1,5 @@
-"""Command-line surface: formats, exit codes, round trips, determinism."""
+"""Command-line surface: formats, exit codes, round trips, determinism; and
+the top-level names of the package."""
 
 import json
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import handlebody_census
 from handlebody_census import census
 from handlebody_census.cli import main
 from handlebody_census.verification import parse_state
@@ -17,6 +19,20 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_top_level_exports_the_documented_library_api():
+    assert sorted(handlebody_census.__all__) == [
+        "BudgetExceededError",
+        "Comparison",
+        "CountReport",
+        "InadmissibleTupleError",
+        "Tuple5",
+        "census",
+        "compare",
+    ]
+    assert all(hasattr(handlebody_census, name) for name in handlebody_census.__all__)
+    assert handlebody_census.__version__
 
 
 def test_akj_table_is_bare_value(capsys):
@@ -278,3 +294,35 @@ def test_json_outputs_are_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canonical", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", "-1"],
+        ["orbits", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", "-1"],
+        ["verify", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", "-1"],
+        ["verify", "--p", "3", "--genus", "10", "--max-states", "-5", "--format", "json"],
+        ["orbits", "--p", "3", "--tuple", "0,1,0,0,0", "--workers", "0"],
+        ["verify", "--p", "3", "--genus", "10", "--workers", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_negative_budgets_and_worker_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    flag = "--workers" if "--workers" in argv else "--max-states"
+    assert f"argument {flag}: must be >= " in captured.err
+
+
+def test_a_zero_budget_is_a_refusal_not_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "canonical", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", "0"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("canonical enumeration incomplete: ")
+    code, out, _ = run_cli(capsys, "verify", "--p", "3", "--genus", "10", "--max-states", "0")
+    assert code == 2 and "[incomplete]" in out

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handlebody_census import (
-    BudgetExceededError,
+from handlebody_census.counting import (
     brute_count_nondecreasing,
     count_A,
     count_C_jl,
     iter_nondecreasing,
 )
+from handlebody_census.errors import BudgetExceededError
 
 
 @pytest.mark.parametrize("k,j,expected", [(5, 1, 5), (7, 0, 1), (3, 3, 10)])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handlebody_census import Tuple5, is_valid_state
+from handlebody_census.tuples import Tuple5
+from handlebody_census.verification.states import is_valid_state
 from handlebody_census.verification import (
     GenClass,
     GenRef,

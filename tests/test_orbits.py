@@ -10,16 +10,11 @@ import orbit_reference as ref
 import pytest
 from bfs_oracle import bfs_labels, generators_and_inverses
 
-from handlebody_census import (
-    BudgetExceededError,
-    InadmissibleTupleError,
-    Tuple5,
-    compare,
-    count_for_tuple,
-    enumerate_canonical,
-    orbit_count,
-    orbit_partition,
-)
+from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
+from handlebody_census.theorem_counts import count_for_tuple
+from handlebody_census.tuples import Tuple5
+from handlebody_census.verification.canonical import enumerate_canonical
+from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition
 from handlebody_census.verification import State, apply_move, check_move_closure
 from handlebody_census.verification import orbits
 from handlebody_census.verification.moves import GenClass, MoveKind

@@ -5,7 +5,12 @@ import math
 
 import pytest
 
-from handlebody_census import Tuple5, is_valid_state, iter_valid_states, raw_state_count
+from handlebody_census.tuples import Tuple5
+from handlebody_census.verification.states import (
+    is_valid_state,
+    iter_valid_states,
+    raw_state_count,
+)
 from handlebody_census.verification import (
     State,
     coordinate_domains,

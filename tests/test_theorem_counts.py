@@ -7,21 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import (
-    CaseTag,
-    Tuple5,
+from handlebody_census.counting import count_A
+from handlebody_census.theorem_counts import (
     census,
-    classify,
-    count_A,
     count_case_m,
     count_case_r,
     count_case_st,
     count_for_tuple,
+    count_kernel,
     order_p_pool,
     pinned_pair_pool,
+    pools,
     unit_pool,
 )
-from handlebody_census.theorem_counts import count_kernel, pools
+from handlebody_census.tuples import CaseTag, Tuple5, classify
 from handlebody_census.verification import low_order_p_values, low_unit_values
 
 

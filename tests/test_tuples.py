@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handlebody_census import (
+from handlebody_census.errors import InadmissibleTupleError
+from handlebody_census.tuples import (
     CaseTag,
-    InadmissibleTupleError,
     Tuple5,
     admissible_tuples,
     classify,
