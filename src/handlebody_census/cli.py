@@ -5,7 +5,8 @@ table (human), json, csv.  Counts serialize as decimal strings in JSON so
 arbitrary precision survives any consumer.  Exit codes: 0 success
 (discrepancy flags against published values are findings, not failures),
 1 usage error, 2 computation incomplete (an enumeration would exceed its
-budget; decided from a count, before anything is enumerated).
+budget, decided from a count before anything is enumerated, or an
+allocation failed).
 
 ``--max-states`` is one budget: normal forms for ``canonical``, raw states
 for ``orbits``, both per shape for ``verify``.  A negative budget, like a
@@ -22,12 +23,13 @@ import argparse
 import csv
 import functools
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from typing import Callable, Iterable, NamedTuple
 
 from .counting import count_A
-from .errors import BudgetExceededError, InadmissibleTupleError
+from .errors import BudgetExceededError, InadmissibleTupleError, stop_reason
 from .theorem_counts import CountReport, census
 from .tuples import (
     Tuple5,
@@ -53,7 +55,15 @@ EXIT_INCOMPLETE = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code pinned to 1."""
+    """argparse with the usage-error exit code pinned to 1, and every
+    argument that starts like a negative number read as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Before 3.13 argparse reads only plain numbers as negative values, so
+        # "--tuple -1,0,0,1,0" failed as a missing argument instead of reaching
+        # the tuple parser.  No option here starts with "-" and a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -374,7 +384,8 @@ _COMMANDS = {
     ]),
 }
 
-# The stderr line of a budget refusal; verify reports a stopped shape on stdout instead.
+# The stderr line of a budget refusal or a failed allocation; verify reports
+# a stopped shape on stdout instead.
 _REFUSALS = {"canonical": "canonical enumeration incomplete", "orbits": "orbit count incomplete"}
 
 
@@ -400,8 +411,9 @@ def main(argv=None) -> int:
     try:
         out = args.func(args)
         _render(out, args)
-    except BudgetExceededError as exc:
-        print(f"{_REFUSALS[args.command]}: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError) as exc:
+        what = _REFUSALS.get(args.command, f"{args.command} incomplete")
+        print(f"{what}: {stop_reason(exc)}", file=sys.stderr)
         return EXIT_INCOMPLETE
     except (ValueError, InadmissibleTupleError) as exc:
         print(f"handlebody-census {args.command}: error: {exc}", file=sys.stderr)

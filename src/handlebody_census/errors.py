@@ -17,3 +17,11 @@ class BudgetExceededError(RuntimeError):
 
 class InadmissibleTupleError(ValueError):
     """A shape tuple whose genus formula evaluates below 1."""
+
+
+def stop_reason(exc: BudgetExceededError | MemoryError) -> str:
+    """One line for why a computation stopped: the budget refusal's message,
+    or "out of memory" with numpy's allocation size when it gave one."""
+    if isinstance(exc, MemoryError):
+        return f"out of memory: {exc}" if str(exc) else "out of memory"
+    return str(exc)

@@ -4,15 +4,16 @@ Each shape's count is a product, or a two-term sum of products, of the
 nondecreasing-tuple counts from :mod:`.counting`, taken over pools whose
 sizes depend only on p:
 
-* ``unit_pool``: units mod p^2 in the lower half-range, p(p-1)/2 of them,
-* ``order_p_pool``: multiples of p in the same range, (p-1)/2 of them,
-* ``pinned_pair_pool``: (order-p, unit) image pairs, (p-1)^2/2 of them.
+* units mod p^2 in the lower half-range, p(p-1)/2 of them,
+* multiples of p in the same range, (p-1)/2 of them,
+* pinned (order-p, unit) image pairs, (p-1)^2/2 of them.
 
-All three branches live in one plain-integer kernel, :func:`count_kernel`,
-which both :func:`count_for_tuple` and :func:`census` call.  The census is
-stored column-wise (shapes as plain tuples, case tags, counts and per-row
-flags in parallel lists), so a census of 10^5 shapes builds no object per
-shape; ``CountReport.rows`` builds :class:`TupleCount` rows on demand.
+:func:`pools` gives the three sizes.  All three branches live in one
+plain-integer kernel, :func:`count_kernel`, which :func:`count_for_tuple`,
+:func:`census` and the normal-form refusal call.  The census is stored
+column-wise (shapes as plain tuples, case tags, counts and per-row flags in
+parallel lists), so a census of 10^5 shapes builds no object per shape;
+``CountReport.rows`` builds :class:`TupleCount` rows on demand.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -41,21 +42,6 @@ def pools(p: int) -> Pools:
     return p * h, h, (p - 1) * h
 
 
-def unit_pool(p: int) -> int:
-    """Units mod p^2 in [1, (p^2-1)/2]: one per negation pair, p(p-1)/2 total."""
-    return pools(p)[0]
-
-
-def order_p_pool(p: int) -> int:
-    """Multiples of p in [1, (p^2-1)/2]: one per negation pair, (p-1)/2 total."""
-    return pools(p)[1]
-
-
-def pinned_pair_pool(p: int) -> int:
-    """(order-p, unit) pairs with the unit reduced mod p: (p-1)^2/2 total."""
-    return pools(p)[2]
-
-
 def count_kernel(
     pool_sizes: Pools, r: int, s: int, t: int, m: int, n: int
 ) -> tuple[CaseTag, int]:
@@ -76,35 +62,6 @@ def count_kernel(
     if r:
         return CaseTag.CASE_R, pinned_pair + k * count_A(kn, m) * count_A(kn, n)
     return CaseTag.CASE_M, pinned_pair
-
-
-def _count_in_case(p: int, v: Tuple5, expected: CaseTag) -> int:
-    case, count = count_kernel(pools(p), *v.as_tuple())
-    if case is not expected:
-        raise ValueError(
-            f"shape {v} belongs to case {case.value!r}, not case {expected.value!r}"
-        )
-    return count
-
-
-def count_case_st(p: int, v: Tuple5) -> int:
-    """Count for shapes with s+t > 0: a product of four tuple counts."""
-    return _count_in_case(p, v, CaseTag.CASE_ST)
-
-
-def count_case_r(p: int, v: Tuple5) -> int:
-    """Count for shapes with s = t = 0 and r > 0: a two-branch sum.
-
-    The first branch pins one (order-p, unit) pair and is empty when m = 0,
-    since with no pairs there is nothing to pin; its term is defined as 0
-    there.  The second branch pins one handle image to a unit instead.
-    """
-    return _count_in_case(p, v, CaseTag.CASE_R)
-
-
-def count_case_m(p: int, v: Tuple5) -> int:
-    """Count for shapes with r = s = t = 0 (so m > 0): the pinned-pair branch."""
-    return _count_in_case(p, v, CaseTag.CASE_M)
 
 
 def count_for_tuple(p: int, v: Tuple5) -> int:

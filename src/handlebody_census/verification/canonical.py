@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import sys
 
 from ..errors import BudgetExceededError
-from ..tuples import CaseTag, Tuple5, classify, genus_of, require_odd_prime
+from ..theorem_counts import count_kernel, pools
+from ..tuples import CaseTag, Tuple5, genus_of, require_odd_prime
 from .states import State
 
 DEFAULT_STATE_BUDGET = 1_000_000
@@ -38,33 +39,6 @@ def low_order_p_values(p: int) -> tuple[int, ...]:
     return tuple(range(p, ((p - 1) // 2) * p + 1, p))
 
 
-def normal_form_count(p: int, v: Tuple5) -> int:
-    """How many states :func:`enumerate_canonical` emits, without building any.
-
-    Each loop of the enumeration draws a multiset of size j from a pool of
-    N values, which it does C(N+j-1, j) times.  The pool sizes are those of
-    the enumeration's own pools: p(p-1)/2 half-range units, h = (p-1)/2
-    half-range order-p values, hp (order-p, any) pairs and h(p-1) pinned
-    pairs.  Used to refuse an over-budget shape before any pool of size p^2
-    exists; the enumeration's result is still counted by its length.
-    """
-    require_odd_prime(p)
-
-    def multisets(pool: int, j: int) -> int:
-        return math.comb(pool + j - 1, j)
-
-    r, s, t, m, n = v.as_tuple()
-    h = (p - 1) // 2
-    units, pairs, pinned = p * h, h * p, h * (p - 1)
-    case = classify(v)
-    if case is CaseTag.CASE_ST:
-        return multisets(units, s) * multisets(units, t) * multisets(pairs, m) * multisets(h, n)
-    pinned_pair = pinned * multisets(pairs, m - 1) * multisets(h, n) if m else 0
-    if case is CaseTag.CASE_R:
-        return pinned_pair + units * multisets(h, m) * multisets(h, n)
-    return pinned_pair
-
-
 def enumerate_canonical(
     p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET
 ) -> list[State]:
@@ -78,8 +52,9 @@ def enumerate_canonical(
     sort, and the output is deterministic.
 
     Raises :class:`BudgetExceededError` when more than ``budget`` states
-    would be produced: from :func:`normal_form_count` before any pool is
-    built, and again, as a guard, once the products pass ``budget``.
+    would be produced: from the closed-form count (:func:`count_kernel`)
+    before any pool is built, and again, as a guard, once the products pass
+    ``budget``, so a wrong closed form can only show as a refusal.
     Propagates the genus error for inadmissible shapes.
     """
     require_odd_prime(p)
@@ -93,11 +68,10 @@ def enumerate_canonical(
             budget=budget,
         )
 
-    required = normal_form_count(p, v)
+    case, required = count_kernel(pools(p), *v.as_tuple())
     if required > budget:
         raise refuse(required)
 
-    case = classify(v)
     units = low_unit_values(p)
     orderp = low_order_p_values(p)
     pairs = tuple((e, f) for e in orderp for f in range(p))
@@ -128,7 +102,9 @@ def enumerate_canonical(
         branches = pinned_pair_branch(empty)
 
     product = itertools.chain.from_iterable(itertools.product(*branch) for branch in branches)
-    states = list(map(functools.partial(tuple.__new__, State), itertools.islice(product, budget + 1)))
+    # islice takes no stop past sys.maxsize, and no list is that long
+    stop = min(budget + 1, sys.maxsize)
+    states = list(map(functools.partial(tuple.__new__, State), itertools.islice(product, stop)))
     if len(states) > budget:
         raise refuse()
     return states

@@ -24,9 +24,9 @@ mixes the two raises, and the labels of valid states are mapped to their
 rank among valid states.  State order is lexicographic on image vectors,
 so a label is the least valid-state index of its orbit.
 
-Breadth-first search over :func:`apply_move` computes the same labels from
-individual states; it lives in the tests as the reference this engine is
-checked against.  ``workers`` threads split the per-move broadcasts, which
+The tests hold a reference for this engine: breadth-first search over
+:func:`apply_move`, from individual states, which must reach the same
+labels.  ``workers`` threads split the per-move broadcasts, which
 shortens large runs on more than one core; each move's array does not
 depend on the thread that builds it, and the merge is a pure min fixpoint,
 so labels do not depend on the worker count.
@@ -42,7 +42,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..errors import BudgetExceededError
+from ..errors import BudgetExceededError, stop_reason
 from ..theorem_counts import count_for_tuple
 from ..tuples import Tuple5, CaseTag, classify, genus_of, require_odd_prime
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
@@ -66,8 +66,9 @@ class _Space:
     """Vectorized view of one shape's state space.
 
     States are rows of a mixed-radix index (last coordinate fastest), so
-    row order is lexicographic on image vectors and matches both
-    :func:`iter_valid_states` and the fixed-radix encoding.
+    row order is lexicographic on image vectors and matches
+    :func:`iter_valid_states`.  Indices are int64, so the raw size must
+    fit that range; :func:`_check_budget` refuses any that does not.
     """
 
     def __init__(self, p: int, v: Tuple5):
@@ -351,11 +352,14 @@ class Partition:
 
 
 def _check_budget(p: int, v: Tuple5, budget: int) -> int:
+    """The raw size of a shape's space, once it fits ``budget`` and the int64
+    indices of :class:`_Space`."""
     raw = raw_state_count(p, v)
-    if raw > budget:
+    index_max = int(np.iinfo(np.int64).max)
+    if raw > min(budget, index_max):
+        limit = f"the budget of {budget}" if raw > budget else f"the int64 index range of {index_max}"
         raise BudgetExceededError(
-            f"shape {v} at p={p} has a raw state space of {raw} states, "
-            f"over the budget of {budget}",
+            f"shape {v} at p={p} has a raw state space of {raw} states, over {limit}",
             required=raw,
             budget=budget,
         )
@@ -469,9 +473,9 @@ class Comparison:
     """Three-way record for one shape: formula, normal forms, orbits.
 
     ``agreement`` holds pairwise equality booleans (None where a side is
-    missing); ``complete`` is False when a budget stopped a computation,
-    with the reasons in ``errors``.  Disagreement is a finding, never an
-    exception.
+    missing); ``complete`` is False when a budget or a failed allocation
+    stopped a computation, with the reasons in ``errors``.  Disagreement is
+    a finding, never an exception.
     """
 
     p: int
@@ -503,9 +507,9 @@ def compare(
     canonical: int | None
     try:
         canonical = len(enumerate_canonical(p, v, budget=budget))
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
         canonical = None
-        errors.append(f"canonical: {exc}")
+        errors.append(f"canonical: {stop_reason(exc)}")
 
     orbits: int | None
     valid: int | None
@@ -513,9 +517,9 @@ def compare(
     try:
         part = orbit_partition(p, v, budget=budget, workers=workers)
         orbits, valid, largest = part.orbit_count, part.valid_count, part.largest_orbit
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, MemoryError) as exc:
         orbits = valid = largest = None
-        errors.append(f"orbits: {exc}")
+        errors.append(f"orbits: {stop_reason(exc)}")
 
     agreement = {
         "theorem_vs_canonical": None if canonical is None else theorem == canonical,

@@ -28,16 +28,6 @@ class State(NamedTuple):
     g: tuple[int, ...]
 
 
-def is_unit(x: int, p: int) -> bool:
-    """Whether a residue in [0, p^2) generates the whole group."""
-    return x % p != 0
-
-
-def is_order_p(x: int, p: int) -> bool:
-    """Whether a residue in [0, p^2) has exact order p."""
-    return x % p == 0 and x % (p * p) != 0
-
-
 def unit_values(p: int) -> tuple[int, ...]:
     """All units mod p^2, ascending."""
     q = p * p
@@ -52,12 +42,6 @@ def order_p_values(p: int) -> tuple[int, ...]:
 
 def state_dims(state: State) -> tuple[int, int, int, int, int]:
     return (len(state.a), len(state.bc), len(state.d), len(state.ef), len(state.g))
-
-
-def require_dims(v: Tuple5, state: State) -> None:
-    dims = state_dims(state)
-    if dims != v.as_tuple():
-        raise ValueError(f"state dimensions {dims} do not match shape {v}")
 
 
 def flatten(state: State) -> tuple[int, ...]:
@@ -91,25 +75,6 @@ def unflatten(v: Tuple5, coords) -> State:
     pos += 2 * m
     g = coords[pos : pos + n]
     return State(a=a, bc=bc, d=d, ef=ef, g=g)
-
-
-def is_valid_state(p: int, v: Tuple5, state: State) -> bool:
-    """Order constraints plus surjectivity (at least one image is a unit)."""
-    require_odd_prime(p)
-    require_dims(v, state)
-    q = p * p
-    images = flatten(state)
-    if any(not 0 <= x < q for x in images):
-        return False
-    if any(not is_unit(b, p) for b, _ in state.bc):
-        return False
-    if any(not is_unit(d, p) for d in state.d):
-        return False
-    if any(not is_order_p(e, p) for e, _ in state.ef):
-        return False
-    if any(not is_order_p(z, p) for z in state.g):
-        return False
-    return any(is_unit(x, p) for x in images)
 
 
 def coordinate_domains(p: int, v: Tuple5) -> list[tuple[int, ...]]:
@@ -163,22 +128,6 @@ def iter_valid_states(p: int, v: Tuple5) -> Iterator[State]:
         yield unflatten(v, coords)
 
 
-def encode_state(p: int, v: Tuple5, state: State) -> int:
-    """Fixed-radix encoding: each image a digit base p^2, first image highest.
-
-    Encoded order is lexicographic order on the image vector; the smallest
-    encoded state in an orbit serves as the orbit's representative.
-    """
-    require_dims(v, state)
-    q = p * p
-    value = 0
-    for x in flatten(state):
-        if not 0 <= x < q:
-            raise ValueError(f"image {x} outside [0, {q})")
-        value = value * q + x
-    return value
-
-
 @functools.cache
 def state_template(dims: tuple[int, int, int, int, int]) -> str:
     """The :func:`format_state` text of every state of shape ``dims`` as a
@@ -194,27 +143,3 @@ def format_state(state: State) -> str:
     classes leave their section empty, so every state has five sections.
     """
     return state_template(state_dims(state)) % flatten(state)
-
-
-def parse_state(text: str) -> State:
-    """Inverse of :func:`format_state`."""
-    sections = text.strip().split("|")
-    if len(sections) != 5:
-        raise ValueError(f"expected five |-separated sections, got {len(sections)}")
-
-    def ints(section: str) -> list[int]:
-        return [int(x) for x in section.split(",")] if section else []
-
-    def pairs(section: str, label: str) -> tuple[tuple[int, int], ...]:
-        vals = ints(section)
-        if len(vals) % 2:
-            raise ValueError(f"{label} section must hold whole pairs, got {section!r}")
-        return tuple((vals[2 * i], vals[2 * i + 1]) for i in range(len(vals) // 2))
-
-    return State(
-        a=tuple(ints(sections[0])),
-        bc=pairs(sections[1], "bc"),
-        d=tuple(ints(sections[2])),
-        ef=pairs(sections[3], "ef"),
-        g=tuple(ints(sections[4])),
-    )

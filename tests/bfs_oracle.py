@@ -10,8 +10,8 @@ engine's own move list.
 
 import numpy as np
 
-from handlebody_census.verification import apply_move, iter_valid_states
-from handlebody_census.verification.moves import generator_moves, inverse_move
+from handlebody_census.verification.moves import apply_move, generator_moves, inverse_move
+from handlebody_census.verification.states import iter_valid_states
 
 
 def generators_and_inverses(p, v) -> list:

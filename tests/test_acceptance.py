@@ -15,21 +15,16 @@ import numpy as np
 import pytest
 import orbit_reference as ref
 from bfs_oracle import bfs_labels
+from oracles import brute_count_nondecreasing, count_C_jl
 
-from handlebody_census.counting import brute_count_nondecreasing, count_A, count_C_jl
+from handlebody_census.counting import count_A
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
-from handlebody_census.theorem_counts import census, count_case_r, count_case_st, count_for_tuple
-from handlebody_census.tuples import Tuple5, admissible_tuples
+from handlebody_census.theorem_counts import census, count_for_tuple, count_kernel, pools
+from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples
 from handlebody_census.verification.canonical import enumerate_canonical
-from handlebody_census.verification.orbits import orbit_count, orbit_partition
-from handlebody_census.verification import (
-    apply_move,
-    check_move_closure,
-    full_move_alphabet,
-    inverse_move,
-    unflatten,
-)
-from handlebody_census.verification.orbits import _Space
+from handlebody_census.verification.moves import apply_move, full_move_alphabet, inverse_move
+from handlebody_census.verification.orbits import _Space, check_move_closure, orbit_count, orbit_partition
+from handlebody_census.verification.states import unflatten
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -83,10 +78,10 @@ def test_criterion_3_worked_example_tuples():
 
 def test_criterion_4_published_values_reproduced_where_consistent():
     with criterion(4, "published per-shape values that match the formulas"):
-        assert count_case_st(5, Tuple5(0, 2, 0, 0, 0)) == 55
-        assert count_case_r(5, Tuple5(2, 0, 0, 0, 0)) == 10
-        assert count_case_st(5, Tuple5(1, 1, 0, 0, 0)) == 10
-        assert count_case_st(5, Tuple5(0, 1, 0, 1, 0)) == 100
+        assert count_kernel(pools(5), 0, 2, 0, 0, 0) == (CaseTag.CASE_ST, 55)
+        assert count_kernel(pools(5), 2, 0, 0, 0, 0) == (CaseTag.CASE_R, 10)
+        assert count_kernel(pools(5), 1, 1, 0, 0, 0) == (CaseTag.CASE_ST, 10)
+        assert count_kernel(pools(5), 0, 1, 0, 1, 0) == (CaseTag.CASE_ST, 100)
 
 
 def test_criterion_5_discrepancies_surfaced_not_suppressed():

@@ -1,23 +1,24 @@
 """Normal-form enumeration: frozen examples, soundness, count equality."""
 
 import pytest
+from oracles import is_valid_state
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
-from handlebody_census.theorem_counts import count_for_tuple
+from handlebody_census.theorem_counts import count_for_tuple, count_kernel, pools
 from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, classify
-from handlebody_census.verification.canonical import enumerate_canonical
-from handlebody_census.verification.states import is_valid_state
-from handlebody_census.verification import (
-    State,
-    canonical,
-    flatten,
-    format_state,
+from handlebody_census.verification import canonical
+from handlebody_census.verification.canonical import (
+    enumerate_canonical,
     low_order_p_values,
     low_unit_values,
-    normal_form_count,
 )
+from handlebody_census.verification.states import State, flatten, format_state
 
 ORDER_BUDGET = 5_000
+
+
+def _closed_form(p, v):
+    return count_kernel(pools(p), *v.as_tuple())[1]
 
 
 def _shapes_within(budget):
@@ -26,7 +27,7 @@ def _shapes_within(budget):
     for p, gmax in [(3, 60), (5, 150), (7, 300)]:
         for g in range(1, gmax + 1):
             for v in admissible_tuples(p, g):
-                if normal_form_count(p, v) <= budget:
+                if _closed_form(p, v) <= budget:
                     yield p, v
 
 
@@ -99,16 +100,19 @@ def test_refusal_is_decided_from_the_count_before_any_pool_is_built(monkeypatch)
 
     monkeypatch.setattr(canonical, "low_unit_values", no_pools)
     monkeypatch.setattr(canonical, "low_order_p_values", no_pools)
-    for p, comps, budget in [(13, (1, 0, 0, 3, 2), 200_000), (10007, (0, 1, 0, 0, 0), 10**6)]:
+    for p, comps, budget, required in [
+        (13, (1, 0, 0, 3, 2), 200_000, 4_750_200),
+        (10007, (0, 1, 0, 0, 0), 10**6, 50_065_021),
+    ]:
         v = Tuple5(*comps)
         with pytest.raises(BudgetExceededError) as excinfo:
             enumerate_canonical(p, v, budget=budget)
-        assert excinfo.value.required == normal_form_count(p, v) > budget
+        assert excinfo.value.required == _closed_form(p, v) == required
         assert excinfo.value.budget == budget
 
 
 def test_in_loop_guard_still_refuses_when_the_count_is_wrong(monkeypatch):
-    monkeypatch.setattr(canonical, "normal_form_count", lambda p, v: 0)
+    monkeypatch.setattr(canonical, "count_kernel", lambda pool_sizes, *v: (classify(Tuple5(*v)), 0))
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_canonical(5, Tuple5(0, 0, 0, 2, 0), budget=10)
     assert excinfo.value.budget == 10
@@ -123,7 +127,7 @@ def test_emission_order_is_strictly_increasing_and_counted_in_advance():
         states = enumerate_canonical(p, v)
         keys = [flatten(s) for s in states]
         assert all(a < b for a, b in zip(keys, keys[1:])), (p, v)
-        assert len(states) == normal_form_count(p, v), (p, v)
+        assert len(states) == _closed_form(p, v), (p, v)
         shapes += 1
     assert shapes > 2000
 

@@ -8,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import parse_state
 
 import handlebody_census
 from handlebody_census import census
 from handlebody_census.cli import main
-from handlebody_census.verification import parse_state
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,31 @@ def test_canonical_and_verify_refuse_a_large_prime_before_allocating():
     assert row["theorem_count"] == str(10007 * 10006 // 2)
 
 
+def test_orbit_spaces_past_int64_and_out_of_memory_exit_two():
+    # (0,0,0,30,0) and (0,0,0,20,0) overflow int64 indices; (0,0,0,12,0) fits,
+    # at 1.2e15 raw states, but its arrays cannot be allocated.
+    for shape, budget, reason in [
+        ("0,0,0,30,0", 10**40, "over the int64 index range of 9223372036854775807"),
+        ("0,0,0,20,0", 10**40, "over the int64 index range of 9223372036854775807"),
+        ("0,0,0,12,0", 10**16, "out of memory"),
+    ]:
+        proc = _run_capped("orbits", "--p", "3", "--tuple", shape, "--max-states", str(budget))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == b""
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("orbit count incomplete: "), lines
+        assert reason in lines[0]
+
+        argv = ("verify", "--p", "3", "--tuple", shape, "--max-states", str(budget), "--format", "json")
+        proc = _run_capped(*argv)
+        assert proc.returncode == 2, proc.stderr
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["complete"] is False and row["orbit_count"] is None
+        assert row["canonical_count"] == row["theorem_count"]
+        (error,) = row["errors"]
+        assert error.startswith("orbits: ") and reason in error
+
+
 def test_verify_single_tuple(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -289,6 +314,15 @@ def test_bad_tuple_syntax_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["canonical", "orbits", "verify"])
+@pytest.mark.parametrize("tuple_args", [["--tuple", "-1,0,0,1,0"], ["--tuple=-1,0,0,1,0"]])
+def test_negative_tuple_reaches_the_tuple_parser(capsys, command, tuple_args):
+    # argparse would take "-1,0,0,1,0" for an option and report a missing argument
+    code, out, err = run_cli(capsys, command, "--p", "3", *tuple_args)
+    assert (code, out) == (1, "")
+    assert "shape components must be nonnegative integers, got (-1, 0, 0, 1, 0)" in err
+
+
 def test_json_outputs_are_deterministic(capsys):
     args = ("verify", "--p", "3", "--genus", "10", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
@@ -326,3 +360,15 @@ def test_a_zero_budget_is_a_refusal_not_a_usage_error(capsys):
     assert err.startswith("canonical enumeration incomplete: ")
     code, out, _ = run_cli(capsys, "verify", "--p", "3", "--genus", "10", "--max-states", "0")
     assert code == 2 and "[incomplete]" in out
+
+
+def test_a_budget_past_sys_maxsize_is_accepted(capsys):
+    budget = str(10**40)
+    code, out, _ = run_cli(
+        capsys, "canonical", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", budget, "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["count"] == "3"
+    code, out, _ = run_cli(
+        capsys, "verify", "--p", "3", "--tuple", "0,1,0,0,0", "--max-states", budget, "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["incomplete"] is False

@@ -7,12 +7,13 @@ import contextlib
 import io
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from handlebody_census.cli import main
 
 PRIMES = st.sampled_from(["-3", "0", "1", "2", "3", "4", "5", "7", "9", "11", "13", "x"])
+ODD_PRIMES = ("3", "5", "7", "11", "13")
 GENERA = st.integers(-2, 150).map(str) | st.just("1.5")
 BUDGETS = st.integers(-5, 3000).map(str)
 SHAPES = st.tuples(*[st.integers(0, 3)] * 5).map(lambda v: ",".join(map(str, v))) | st.sampled_from(
@@ -44,7 +45,7 @@ def run(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _options(**flags):
@@ -61,7 +62,7 @@ def test_tuples_exit_codes(p, g, fmt, no_header):
 @given(PRIMES, GENERA, FORMATS, st.booleans(), st.booleans())
 def test_census_exit_codes_and_json_total(p, g, fmt, no_header, per_tuple):
     argv = ["census", "--p", p, "--genus", g, "--format", fmt]
-    code, out = run(argv + _options(**{"--no-header": no_header, "--per-tuple": per_tuple}))
+    code, out, _ = run(argv + _options(**{"--no-header": no_header, "--per-tuple": per_tuple}))
     assert code != 2  # the census has no budget to exceed
     if code == 0 and fmt == "json":
         obj = json.loads(out)
@@ -70,9 +71,14 @@ def test_census_exit_codes_and_json_total(p, g, fmt, no_header, per_tuple):
 
 @SETTINGS
 @given(PRIMES, SHAPES, BUDGETS, FORMATS, st.booleans(), st.booleans())
+@example("3", "-1,0,0,1,0", "10", "table", False, False)
 def test_canonical_exit_codes(p, shape, budget, fmt, listed, no_header):
     argv = ["canonical", "--p", p, "--tuple", shape, "--max-states", budget, "--format", fmt]
-    code, out = run(argv + _options(**{"--list": listed, "--no-header": no_header}))
+    code, out, err = run(argv + _options(**{"--list": listed, "--no-header": no_header}))
+    if shape == "-1,0,0,1,0" and p in ODD_PRIMES and int(budget) >= 0:
+        # read as the --tuple value, not as an option, and refused by the tuple parser
+        assert code == 1
+        assert "shape components must be nonnegative integers, got (-1, 0, 0, 1, 0)" in err
     if code == 2:
         assert out == ""
     elif code == 0 and fmt == "json":
@@ -86,7 +92,7 @@ def test_canonical_exit_codes(p, shape, budget, fmt, listed, no_header):
 @given(SMALL_INTS | st.just("x"), SMALL_INTS, FORMATS, st.booleans())
 def test_akj_exit_codes(k, j, fmt, no_header):
     argv = ["akj", "--k", k, "--j", j, "--format", fmt]
-    code, out = run(argv + _options(**{"--no-header": no_header}))
+    code, out, _ = run(argv + _options(**{"--no-header": no_header}))
     assert code != 2  # akj has no budget to exceed
     if code == 0 and fmt == "json":
         assert json.loads(out)["k"] == int(k)
@@ -96,7 +102,7 @@ def test_akj_exit_codes(k, j, fmt, no_header):
 @given(SMALL_PRIMES, SMALL_SHAPES, SMALL_BUDGETS, WORKERS, FORMATS, st.booleans())
 def test_orbits_exit_codes(p, shape, budget, workers, fmt, no_header):
     argv = ["orbits", "--p", p, "--tuple", shape, "--max-states", budget, "--workers", workers]
-    code, out = run(argv + ["--format", fmt] + _options(**{"--no-header": no_header}))
+    code, out, _ = run(argv + ["--format", fmt] + _options(**{"--no-header": no_header}))
     if code == 2:
         assert out == ""
     elif code == 0 and fmt == "json":
@@ -109,7 +115,7 @@ def test_orbits_exit_codes(p, shape, budget, workers, fmt, no_header):
 @given(SMALL_PRIMES, TARGETS, SMALL_BUDGETS, WORKERS, st.booleans())
 def test_verify_json_is_incomplete_exactly_on_exit_two(p, target, budget, workers, no_header):
     argv = ["verify", "--p", p, *target, "--max-states", budget, "--workers", workers]
-    code, out = run(argv + ["--format", "json"] + _options(**{"--no-header": no_header}))
+    code, out, _ = run(argv + ["--format", "json"] + _options(**{"--no-header": no_header}))
     if code in (0, 2):
         obj = json.loads(out)
         assert obj["incomplete"] is (code == 2)

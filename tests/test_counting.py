@@ -9,13 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_count_nondecreasing, count_C_jl, iter_nondecreasing
 
-from handlebody_census.counting import (
-    brute_count_nondecreasing,
-    count_A,
-    count_C_jl,
-    iter_nondecreasing,
-)
+from handlebody_census.counting import count_A
 from handlebody_census.errors import BudgetExceededError
 
 

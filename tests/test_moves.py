@@ -3,21 +3,20 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import is_valid_state
 
 from handlebody_census.tuples import Tuple5
-from handlebody_census.verification.states import is_valid_state
-from handlebody_census.verification import (
+from handlebody_census.verification.moves import (
     GenClass,
     GenRef,
     Move,
     MoveKind,
-    State,
     apply_move,
     full_move_alphabet,
     generator_moves,
     inverse_move,
-    iter_valid_states,
 )
+from handlebody_census.verification.states import State, iter_valid_states
 
 
 def bc_state(b, c):

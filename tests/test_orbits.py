@@ -15,15 +15,15 @@ from handlebody_census.theorem_counts import count_for_tuple
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition
-from handlebody_census.verification import State, apply_move, check_move_closure
 from handlebody_census.verification import orbits
-from handlebody_census.verification.moves import GenClass, MoveKind
+from handlebody_census.verification.moves import GenClass, MoveKind, apply_move
 from handlebody_census.verification.orbits import (
     _Space,
     _engine_moves,
     _successor_arrays,
+    check_move_closure,
 )
-from handlebody_census.verification.states import iter_valid_states
+from handlebody_census.verification.states import State, iter_valid_states
 
 TESTS_DIR = Path(__file__).resolve().parent
 

@@ -4,23 +4,17 @@ import itertools
 import math
 
 import pytest
+from oracles import encode_state, is_order_p, is_unit, is_valid_state, parse_state
 
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.states import (
-    is_valid_state,
-    iter_valid_states,
-    raw_state_count,
-)
-from handlebody_census.verification import (
     State,
     coordinate_domains,
-    encode_state,
     flatten,
     format_state,
-    is_order_p,
-    is_unit,
+    iter_valid_states,
     order_p_values,
-    parse_state,
+    raw_state_count,
     unflatten,
     unit_values,
 )

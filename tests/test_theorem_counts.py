@@ -8,33 +8,25 @@ from pathlib import Path
 import pytest
 
 from handlebody_census.counting import count_A
-from handlebody_census.theorem_counts import (
-    census,
-    count_case_m,
-    count_case_r,
-    count_case_st,
-    count_for_tuple,
-    count_kernel,
-    order_p_pool,
-    pinned_pair_pool,
-    pools,
-    unit_pool,
-)
+from handlebody_census.theorem_counts import census, count_for_tuple, count_kernel, pools
 from handlebody_census.tuples import CaseTag, Tuple5, classify
-from handlebody_census.verification import low_order_p_values, low_unit_values
+from handlebody_census.verification.canonical import low_order_p_values, low_unit_values
+
+
+def kernel(p, v):
+    """The case tag and count of a shape given as a plain tuple."""
+    return count_kernel(pools(p), *v)
 
 
 def test_pools():
-    assert unit_pool(3) == 3 and unit_pool(5) == 10 and unit_pool(7) == 21
-    assert order_p_pool(3) == 1 and order_p_pool(5) == 2 and order_p_pool(7) == 3
-    assert pinned_pair_pool(3) == 2 and pinned_pair_pool(5) == 8
+    # (unit, order-p, pinned-pair) pool sizes
+    assert pools(3) == (3, 1, 2) and pools(5) == (10, 2, 8) and pools(7) == (21, 3, 18)
 
 
 def test_pools_are_the_sizes_of_the_normal_form_pools():
     for p in (3, 5, 7, 11, 13, 101):
         units, orderp = low_unit_values(p), low_order_p_values(p)
         assert pools(p) == (len(units), len(orderp), len(orderp) * (p - 1))
-        assert pools(p) == (unit_pool(p), order_p_pool(p), pinned_pair_pool(p))
 
 
 def test_pools_reject_a_bad_prime_under_python_O():
@@ -72,7 +64,7 @@ def test_census_columns_agree_with_the_kernel_and_classify():
     ],
 )
 def test_case_st_examples(p, v, expected):
-    assert count_case_st(p, Tuple5(*v)) == expected
+    assert kernel(p, v) == (CaseTag.CASE_ST, expected)
 
 
 @pytest.mark.parametrize(
@@ -84,7 +76,7 @@ def test_case_st_examples(p, v, expected):
     ],
 )
 def test_case_r_examples(p, v, expected):
-    assert count_case_r(p, Tuple5(*v)) == expected
+    assert kernel(p, v) == (CaseTag.CASE_R, expected)
 
 
 @pytest.mark.parametrize(
@@ -96,22 +88,20 @@ def test_case_r_examples(p, v, expected):
     ],
 )
 def test_case_m_examples(p, v, expected):
-    assert count_case_m(p, Tuple5(*v)) == expected
+    assert kernel(p, v) == (CaseTag.CASE_M, expected)
 
 
 def test_m_zero_keeps_only_the_handle_branch():
     # with no pairs, the pinned-pair branch is empty by definition
-    assert count_case_r(3, Tuple5(2, 0, 0, 0, 0)) == unit_pool(3)
-    assert count_case_r(5, Tuple5(2, 0, 0, 0, 0)) == unit_pool(5)
+    assert kernel(3, (2, 0, 0, 0, 0)) == (CaseTag.CASE_R, pools(3)[0])
+    assert kernel(5, (2, 0, 0, 0, 0)) == (CaseTag.CASE_R, pools(5)[0])
 
 
-def test_wrong_case_is_a_contract_violation():
-    with pytest.raises(ValueError):
-        count_case_st(3, Tuple5(2, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        count_case_r(3, Tuple5(0, 1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        count_case_m(3, Tuple5(1, 0, 0, 1, 0))
+def test_kernel_tags_each_shape_with_its_own_case():
+    assert kernel(3, (2, 0, 0, 0, 0))[0] is CaseTag.CASE_R
+    assert kernel(3, (0, 1, 0, 0, 0))[0] is CaseTag.CASE_ST
+    assert kernel(3, (1, 0, 0, 1, 0))[0] is CaseTag.CASE_R
+    assert kernel(3, (0, 0, 0, 1, 0))[0] is CaseTag.CASE_M
 
 
 def test_census_worked_example_with_flags():
@@ -174,13 +164,9 @@ def test_dispatch_totality():
         report = census(p, g)
         for row in report.rows:
             case = classify(row.tuple)
-            fn = {
-                CaseTag.CASE_ST: count_case_st,
-                CaseTag.CASE_R: count_case_r,
-                CaseTag.CASE_M: count_case_m,
-            }[case]
             assert row.case is case
-            assert fn(p, row.tuple) == row.count == count_for_tuple(p, row.tuple)
+            assert kernel(p, row.tuple.as_tuple()) == (case, row.count)
+            assert row.count == count_for_tuple(p, row.tuple)
 
 
 def test_counts_are_positive():
@@ -193,15 +179,14 @@ def test_st_counts_scale_exactly_with_n():
     # incrementing n multiplies a shape's count by A(pool, n+1) / A(pool, n),
     # checked by exact cross-multiplication
     for p in (3, 5):
-        kn = order_p_pool(p)
-        for comps in [(0, 1, 0, 0, 0), (0, 1, 1, 1, 0), (1, 2, 0, 0, 2), (0, 0, 2, 1, 1)]:
-            v = Tuple5(*comps)
-            up = Tuple5(v.r, v.s, v.t, v.m, v.n + 1)
-            lhs = count_case_st(p, up) * count_A(kn, v.n)
-            rhs = count_case_st(p, v) * count_A(kn, v.n + 1)
-            assert lhs == rhs, (p, comps)
+        kn = pools(p)[1]
+        for v in [(0, 1, 0, 0, 0), (0, 1, 1, 1, 0), (1, 2, 0, 0, 2), (0, 0, 2, 1, 1)]:
+            up = v[:4] + (v[4] + 1,)
+            (case, count), (up_case, up_count) = kernel(p, v), kernel(p, up)
+            assert case is up_case is CaseTag.CASE_ST
+            assert up_count * count_A(kn, v[4]) == count * count_A(kn, v[4] + 1), (p, v)
 
 
 def test_formula_evaluation_is_deterministic():
     v = Tuple5(1, 2, 0, 1, 3)
-    assert count_case_st(5, v) == count_case_st(5, v) == count_for_tuple(5, v)
+    assert kernel(5, v.as_tuple()) == kernel(5, v.as_tuple()) == (CaseTag.CASE_ST, count_for_tuple(5, v))
