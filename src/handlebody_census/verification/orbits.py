@@ -3,14 +3,18 @@
 One engine computes the partition: min-label union-find (Shiloach and
 Vishkin, J. Algorithms 1982) over the raw mixed-radix index of a shape's
 state space.  The raw space is the full product of the per-coordinate
-domains, and a move reads and writes at most four coordinates, so its
-successor array is the raw index plus a small table over those
-coordinates, broadcast over the rest.  The table is built by applying the
-move to the domain values of its coordinates, which also checks that no
-image leaves its domain.  Validity (surjectivity) is broadcast the same
-way, as the OR of per-coordinate unit masks.  Scatter-min hooking and
-pointer jumping then run to a fixpoint that labels each component by its
-smallest raw index.
+domains, and a move reads and writes at most four coordinates, so with the
+raw index viewed as an array with one axis per run of touched columns, a
+move changes the positions on those axes only, by a small table over them.
+The table is built by applying the move to the domain values of its
+coordinates, which also checks that no image leaves its domain.  Each
+round gathers the labels through every move with that table, along the
+touched axes (one ``np.take`` when they are adjacent, chunked flat
+offsets when they are not), so no successor array of the raw size is ever
+built.  Validity (surjectivity) is
+broadcast the same way, as the OR of per-coordinate unit masks.
+Min-label hooking and pointer jumping then run to a fixpoint that labels
+each component by its smallest raw index.
 
 The moves are the generating set and its inverses, except that each unit
 twist is replaced by the twist amounts 1, 2, 4, ... below its order.
@@ -26,10 +30,10 @@ so a label is the least valid-state index of its orbit.
 
 The tests hold a reference for this engine: breadth-first search over
 :func:`apply_move`, from individual states, which must reach the same
-labels.  ``workers`` threads split the per-move broadcasts, which
-shortens large runs on more than one core; each move's array does not
-depend on the thread that builds it, and the merge is a pure min fixpoint,
-so labels do not depend on the worker count.
+labels.  ``workers`` threads split each ``np.take`` of a gather and each
+pointer jump into blocks of its leading axis; a block writes its own part
+of the output from an input no block writes, and the merge is a pure min
+fixpoint, so labels do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -100,24 +104,39 @@ class _Space:
             self.luts[c, list(dom)] = np.arange(len(dom))
         self.dom_arrays = [np.asarray(dom, dtype=np.int64) for dom in doms]
 
+    def layout(self, cols) -> tuple[list[int], list[list[int]]]:
+        """The raw index's shape with each run of adjacent ``cols`` merged
+        into one axis, and those runs.
+
+        ``cols`` is ascending.  Axes alternate between a run of other
+        columns (even positions, size 1 where the run is empty) and a run of
+        ``cols`` (odd positions), so the shape has at most 2*len(cols)+1
+        axes however many columns the space has.
+        """
+        shape, runs, other = [], [], 1
+        for c, size in enumerate(self.sizes.tolist()):
+            if c not in cols:
+                other *= size
+            elif runs and runs[-1][-1] == c - 1:
+                runs[-1].append(c)
+                shape[-1] *= size
+            else:
+                runs.append([c])
+                shape += [other, size]
+                other = 1
+        return shape + [other], runs
+
     def broadcast(self, table: np.ndarray, cols) -> tuple[list[int], np.ndarray]:
         """A shape for the raw index, and ``table`` reshaped to broadcast over it.
 
         ``table`` has one axis per column of ``cols`` (ascending), each of
-        that column's size or 1.  In the shape each of ``cols`` is its own
-        axis and each run of other columns is merged into one, so it has at
-        most 2*len(cols)+1 axes however many columns the space has.
+        that column's size; the shape is :meth:`layout`'s.
         """
-        shape, table_shape, run = [], [], 1
-        sizes = iter(table.shape)
-        for c, size in enumerate(self.sizes.tolist()):
-            if c in cols:
-                shape += [run, size]
-                table_shape += [1, next(sizes, 1)]
-                run = 1
-            else:
-                run *= size
-        return shape + [run], table.reshape(table_shape + [1])
+        shape, _ = self.layout(cols)
+        table_shape = [1]
+        for axis in range(1, len(shape), 2):
+            table_shape += [shape[axis], 1]
+        return shape, table.reshape(table_shape)
 
     def valid_mask(self) -> np.ndarray:
         """Which raw indices are valid states.
@@ -228,64 +247,156 @@ def _index_dtype(raw: int):
     return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
 
 
-def _successors(space: _Space, move: Move, rows: np.ndarray) -> np.ndarray:
-    """Raw successor index of every raw index under one move.
+#: Fewest elements a thread gathers; smaller arrays run in one block.
+_MIN_BLOCK = 1 << 16
 
-    ``rows`` is ``arange(raw)`` in the engine's index dtype.  The change of
-    index depends only on the columns the move touches, so it is a table
-    over them (position deltas times strides), added with broadcasting.
+#: Elements per offset array of a gather across non-adjacent columns.
+_CHUNK = 1 << 16
+
+
+class _Threads:
+    """Runs a block function over the blocks of a leading axis.
+
+    With ``workers`` above 1 and enough elements, the axis is cut into up
+    to ``workers`` contiguous blocks run on a thread pool (numpy's gathers
+    release the GIL); otherwise it runs as one block.  The blocks write
+    disjoint parts of the output and read only the input, so the result
+    does not depend on the worker count.
     """
-    cols, values, updates = _move_table(space, move)
-    delta = np.zeros((), dtype=np.int64)
-    for col, new_values in updates:
-        delta = delta + (space.luts[col, new_values] - space.luts[col, values[col]]) * space.strides[col]
-    shape, delta = space.broadcast(delta, cols)
-    out = np.empty(space.raw, dtype=rows.dtype)
-    np.add(rows.reshape(shape), delta.astype(rows.dtype), out=out.reshape(shape))
-    return out
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+
+    def run(self, block, length: int, size: int) -> None:
+        """Call ``block(lo, hi)`` over ``[0, length)``; ``size`` is the
+        number of elements the whole axis covers."""
+        count = min(self.workers, length, size // _MIN_BLOCK)
+        if self.pool is None or count < 2:
+            block(0, length)
+            return
+        cuts = [length * k // count for k in range(count + 1)]
+        list(self.pool.map(block, cuts[:-1], cuts[1:]))
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
-def _successor_arrays(space: _Space, moves, workers: int) -> list[np.ndarray]:
-    """One raw successor-index array per move.
+class _Gather:
+    """One move as a gather: ``out[x] = src[succ(x)]`` for every raw index
+    x, where ``succ`` is the move's successor, with no array of raw size.
 
-    Each array is built by one thread and its values do not depend on
-    which, so any worker count yields identical arrays.
+    The raw index is viewed in :meth:`_Space.layout` over the columns the
+    move touches, so ``succ`` changes the positions on the touched axes
+    only, by a table over them.  When the move touches one run of adjacent
+    columns (spins, twists, interchanges of neighbouring entries) the
+    gather is one ``np.take`` along that axis.  Otherwise (slides, far
+    interchanges) the flat offset of the element to gather is a sum of two
+    broadcast terms, the tables times their axes' strides and the untouched
+    axes' own offsets, built and taken ``_CHUNK`` elements at a time.  A
+    leading axis of size 1 is dropped, so blocks of the first axis are
+    independent parts of the output.
     """
-    rows = np.arange(space.raw, dtype=_index_dtype(space.raw))
-    if workers <= 1:
-        return [_successors(space, move, rows) for move in moves]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda move: _successors(space, move, rows), moves))
+
+    def __init__(self, space: _Space, move: Move):
+        cols, values, updates = _move_table(space, move)
+        pos = {c: space.luts[c, values[c]] for c in cols}
+        pos.update((c, space.luts[c, new_values]) for c, new_values in updates)
+        shape, runs = space.layout(cols)
+        touched = list(range(1, len(shape), 2))
+        if shape[0] == 1:
+            shape, touched = shape[1:], [axis - 1 for axis in touched]
+        self.shape = tuple(shape)
+        # the new position along each touched axis, over all of them
+        grid = [len(space.dom_arrays[c]) for c in cols]
+        tables = []
+        for run in runs:
+            table = np.zeros((), dtype=np.int64)
+            for c in run:
+                table = table * int(space.sizes[c]) + pos[c]
+            tables.append(np.broadcast_to(table, grid).reshape([shape[a] for a in touched]))
+        self.axis, self.table, self.offsets = touched[0], tables[0], None
+        if len(tables) == 1:
+            return
+        strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+        sub = [size if a in touched else 1 for a, size in enumerate(shape)]
+        self.offsets = sum(t * strides[a] for t, a in zip(tables, touched)).reshape(sub)
+        self.rest = [(a, size, strides[a]) for a, size in enumerate(shape) if a not in touched]
+
+    def apply(self, src: np.ndarray, out: np.ndarray, threads: _Threads) -> None:
+        """Write ``src`` gathered through the move into ``out``."""
+        view, dest, table = src.reshape(self.shape), out.reshape(self.shape), self.table
+        if self.offsets is not None:
+            block = self._offsets_block(src, out)
+        elif self.axis == 1:
+            def block(lo, hi):
+                np.take(view[lo:hi], table, axis=1, out=dest[lo:hi], mode="clip")
+        else:
+            def block(lo, hi):
+                np.take(view, table[lo:hi], axis=0, out=dest[lo:hi], mode="clip")
+        threads.run(block, self.shape[0], src.size)
+
+    def _offsets_block(self, src: np.ndarray, out: np.ndarray):
+        # the untouched axes' offsets grow with the space, so they are built
+        # per call rather than kept for every move
+        ndim, offsets = len(self.shape), self.offsets
+        rest = np.zeros((), dtype=np.int64)
+        for axis, size, stride in self.rest:
+            rest = rest + np.arange(0, size * stride, stride).reshape(
+                [size if a == axis else 1 for a in range(ndim)]
+            )
+        row = src.size // self.shape[0]
+        step = max(1, _CHUNK // row)
+
+        def block(lo, hi):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                # the first axis is in exactly one of the two terms
+                index = offsets[a:b] + rest if offsets.shape[0] > 1 else offsets + rest[a:b]
+                np.take(src, index.reshape(-1), out=out[a * row:b * row], mode="clip")
+
+        return block
 
 
-def _min_label_components(n: int, succ_arrays) -> tuple[np.ndarray, int]:
+def _jump(src: np.ndarray, out: np.ndarray, threads: _Threads) -> None:
+    """Pointer jumping: ``out = src[src]``."""
+
+    def block(lo, hi):
+        np.take(src, src[lo:hi], out=out[lo:hi], mode="clip")
+
+    threads.run(block, src.size, src.size)
+
+
+def _min_label_components(n: int, gathers, threads: _Threads) -> tuple[np.ndarray, int]:
     """Orbit labels as the least state index per component, and the rounds.
 
-    Each round scatter-mins over every successor array in turn, then
-    chases labels through themselves (pointer jumping) until nothing
-    changes; the last round is the one that changes nothing.  Labels are
-    always indices of smaller states in the same component, so the fixpoint
-    assigns every state its component's minimum; min is order-independent,
-    which is what makes the result deterministic.
+    Each round takes, move by move, the min of the labels and the labels
+    gathered through the move, then chases labels through themselves
+    (pointer jumping) until nothing changes; the last round is the one
+    that changes nothing.  Labels are always indices of smaller states in
+    the same component, so the fixpoint assigns every state its
+    component's minimum; min is order-independent, which is what makes the
+    result deterministic.
     """
     labels = np.arange(n, dtype=_index_dtype(n))
     if n == 0:
         return labels, 0
+    buf, before = np.empty_like(labels), np.empty_like(labels)
     rounds = 0
     while True:
         rounds += 1
-        before = labels
-        cur = labels
-        for succ in succ_arrays:
-            cur = np.minimum(cur, cur[succ])
+        np.copyto(before, labels)
+        for gather in gathers:
+            gather.apply(labels, buf, threads)
+            np.minimum(labels, buf, out=labels)
         while True:
-            jumped = cur[cur]
-            if np.array_equal(jumped, cur):
+            _jump(labels, buf, threads)
+            if np.array_equal(buf, labels):
                 break
-            cur = jumped
-        if np.array_equal(cur, before):
-            return cur, rounds
-        labels = cur
+            labels, buf = buf, labels
+        if np.array_equal(labels, before):
+            return labels, rounds
 
 
 def _engine_moves(p: int, v: Tuple5) -> list[Move]:
@@ -332,16 +443,24 @@ class Partition:
     def valid_count(self) -> int:
         return len(self.labels)
 
+    @functools.cached_property
+    def _sizes(self) -> np.ndarray:
+        # a label is its orbit's least member, so the orbits are the states
+        # labelled with themselves; one count, with no sort
+        roots = self.labels == np.arange(self.valid_count)
+        return np.bincount(self.labels, minlength=self.valid_count)[roots]
+
     @property
     def orbit_count(self) -> int:
-        return len(np.unique(self.labels)) if self.valid_count else 0
+        return len(self._sizes)
 
     def orbit_sizes(self) -> np.ndarray:
-        return np.unique(self.labels, return_counts=True)[1]
+        """Orbit sizes, in the order of their labels."""
+        return self._sizes.copy()
 
     @property
     def largest_orbit(self) -> int:
-        return int(self.orbit_sizes().max()) if self.valid_count else 0
+        return int(self._sizes.max()) if self.valid_count else 0
 
     def state_index(self, state: State) -> int:
         """Position of a valid state in the space's lexicographic order."""
@@ -374,8 +493,8 @@ def orbit_partition(
 ) -> Partition:
     """Partition the valid states of a shape into move orbits.
 
-    ``workers`` threads share the successor computation; the labels are the
-    same for any worker count.  Admissibility is not required: any
+    ``workers`` threads split each gather of the fixpoint; the labels are
+    the same for any worker count.  Admissibility is not required: any
     well-formed shape has a state space.  Raises
     :class:`BudgetExceededError` when the raw space is over ``budget``, and
     :class:`AssertionError` when a move leaves a coordinate's domain or an
@@ -389,9 +508,12 @@ def orbit_partition(
     space = _Space(p, v)
     valid = space.valid_mask()
     moves = _engine_moves(p, v)
-    succ = _successor_arrays(space, moves, workers)
-    labels, rounds = _min_label_components(raw, succ)
-    del succ  # the successor arrays go before the ranks allocate, bounding peak RSS
+    gathers = [_Gather(space, move) for move in moves]
+    threads = _Threads(workers)
+    try:
+        labels, rounds = _min_label_components(raw, gathers, threads)
+    finally:
+        threads.close()
     if not np.array_equal(valid[labels], valid):
         raise AssertionError(
             f"an orbit of shape {v} at p={p} mixes valid and invalid states"

@@ -1,10 +1,11 @@
 """Reference pieces for the orbit engine's tests.
 
-The engine builds each move's successor array by broadcasting a table over
-the few columns the move touches.  Before that it decoded every raw index
-into a matrix of image values and stepped each row through per-column
-lookup tables; that construction is kept here, row by row and chunk by
-chunk, as the reference the broadcast arrays must equal.  It has its own
+The engine gathers labels through each move with a table over the few
+columns the move touches; gathering ``arange(raw)`` that way gives the
+move's successor array.  Earlier engines decoded every raw index into a
+matrix of image values and stepped each row through per-column lookup
+tables; that construction is kept here, row by row and chunk by chunk, as
+the reference those successor arrays must equal.  It has its own
 copy of the image-level move updates, so a slip in the engine's copy shows.
 
 Also here: the small p=3 shapes the exhaustive sweeps run over, and two

@@ -174,13 +174,13 @@ def test_orbits_budget_exit_code(capsys):
     assert "10000" in err
 
 
-def _run_capped(*argv):
+def _run_capped(*argv, cap_mib=512):
     """Run the CLI in a child process that caps its own address space at
-    512 MiB, so a budget check that comes too late fails with MemoryError
-    there instead of exhausting the machine."""
+    ``cap_mib`` MiB, so a budget check that comes too late fails with
+    MemoryError there instead of exhausting the machine."""
     child = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mib} << 20, {cap_mib} << 20))\n"
         "from handlebody_census.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -240,6 +240,17 @@ def test_orbit_spaces_past_int64_and_out_of_memory_exit_two():
         assert row["canonical_count"] == row["theorem_count"]
         (error,) = row["errors"]
         assert error.startswith("orbits: ") and reason in error
+
+
+def test_orbits_of_a_589824_state_space_run_under_256_mib():
+    # 64 engine moves over 589,824 raw states: the fixpoint holds a few
+    # label arrays, never one successor array per move
+    proc = _run_capped("orbits", "--p", "3", "--tuple", "1,0,0,0,16", "--format", "csv", cap_mib=256)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        b"r,s,t,m,n,orbits,state_space_size,valid_states,largest_orbit\n"
+        b"1,0,0,0,16,1,589824,393216,393216\n"
+    )
 
 
 def test_verify_single_tuple(capsys):

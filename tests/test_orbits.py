@@ -18,14 +18,31 @@ from handlebody_census.verification.orbits import compare, orbit_count, orbit_pa
 from handlebody_census.verification import orbits
 from handlebody_census.verification.moves import GenClass, MoveKind, apply_move
 from handlebody_census.verification.orbits import (
+    _Gather,
     _Space,
+    _Threads,
     _engine_moves,
-    _successor_arrays,
+    _index_dtype,
     check_move_closure,
 )
 from handlebody_census.verification.states import State, iter_valid_states
 
 TESTS_DIR = Path(__file__).resolve().parent
+
+
+def _successor_arrays(space, moves, workers):
+    """Each move's raw successor array: ``arange(raw)`` gathered through it."""
+    rows = np.arange(space.raw, dtype=_index_dtype(space.raw))
+    threads = _Threads(workers)
+    try:
+        arrays = []
+        for move in moves:
+            succ = np.empty_like(rows)
+            _Gather(space, move).apply(rows, succ, threads)
+            arrays.append(succ)
+        return arrays
+    finally:
+        threads.close()
 
 
 @pytest.mark.parametrize(
@@ -61,7 +78,9 @@ def test_slide_collapse_findings():
     assert orbit_count(5, Tuple5(0, 0, 0, 2, 0)).orbits == 52  # closed form: 80
 
 
-def test_methods_and_workers_produce_identical_labels():
+def test_methods_and_workers_produce_identical_labels(monkeypatch):
+    # one-element blocks, so these small spaces are split across threads too
+    monkeypatch.setattr(orbits, "_MIN_BLOCK", 1)
     for p, v in [
         (3, Tuple5(0, 2, 0, 0, 0)),
         (3, Tuple5(0, 0, 0, 2, 0)),
@@ -121,7 +140,8 @@ def _assert_successors_match_the_decode_reference(p, v):
             assert np.array_equal(got, want), (v, move, workers)
 
 
-def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes():
+def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes(monkeypatch):
+    monkeypatch.setattr(orbits, "_MIN_BLOCK", 1)  # workers=2 splits every gather
     shapes = ref.small_p3_shapes(limit=20_000)
     assert len(shapes) > 200
     for v in shapes:
@@ -158,14 +178,13 @@ def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
     v = Tuple5(0, 0, 0, 1, 0)
     valid = _Space(3, v).valid_mask()
     assert valid[1] and not valid[0]
-    exact = orbits._successors
+    exact = orbits._Gather.apply
 
-    def escaping(space, move, rows):
-        out = exact(space, move, rows)
-        out[1] = 0
-        return out
+    def escaping(gather, src, out, threads):
+        exact(gather, src, out, threads)
+        out[1] = src[0]
 
-    monkeypatch.setattr(orbits, "_successors", escaping)
+    monkeypatch.setattr(orbits._Gather, "apply", escaping)
     with pytest.raises(AssertionError, match="mixes valid and invalid states"):
         orbit_partition(3, v)
 
