@@ -353,7 +353,9 @@ _MAX_STATES = _arg(
     help="budget, >= 0: normal forms (canonical), raw states (orbits), both per shape "
     "(verify); default %(default)s",
 )
-_WORKERS = _arg("--workers", type=_at_least(1), default=1, help="worker count, >= 1")
+_WORKERS = _arg(
+    "--workers", type=_at_least(1), default=1, help="accepted, >= 1; the orbit engine runs on one thread"
+)
 _FORMAT = _arg(
     "--format", choices=["table", "json", "csv"], default="table", help="output format (default table)"
 )

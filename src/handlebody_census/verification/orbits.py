@@ -30,10 +30,7 @@ so a label is the least valid-state index of its orbit.
 
 The tests hold a reference for this engine: breadth-first search over
 :func:`apply_move`, from individual states, which must reach the same
-labels.  ``workers`` threads split each ``np.take`` of a gather and each
-pointer jump into blocks of its leading axis; a block writes its own part
-of the output from an input no block writes, and the merge is a pure min
-fixpoint, so labels do not depend on the worker count.
+labels.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import ClassVar
 
 import numpy as np
@@ -126,18 +122,6 @@ class _Space:
                 other = 1
         return shape + [other], runs
 
-    def broadcast(self, table: np.ndarray, cols) -> tuple[list[int], np.ndarray]:
-        """A shape for the raw index, and ``table`` reshaped to broadcast over it.
-
-        ``table`` has one axis per column of ``cols`` (ascending), each of
-        that column's size; the shape is :meth:`layout`'s.
-        """
-        shape, _ = self.layout(cols)
-        table_shape = [1]
-        for axis in range(1, len(shape), 2):
-            table_shape += [shape[axis], 1]
-        return shape, table.reshape(table_shape)
-
     def valid_mask(self) -> np.ndarray:
         """Which raw indices are valid states.
 
@@ -150,9 +134,9 @@ class _Space:
             return np.ones(self.raw, dtype=bool)
         valid = np.zeros(self.raw, dtype=bool)
         for c, dom in enumerate(self.dom_arrays):
-            shape, units = self.broadcast(dom % self.p != 0, [c])
+            shape, _ = self.layout([c])
             view = valid.reshape(shape)
-            view |= units
+            view |= (dom % self.p != 0).reshape(-1, 1)
         return valid
 
     def entry_cols(self, cls: GenClass, index: int) -> list[int]:
@@ -247,40 +231,8 @@ def _index_dtype(raw: int):
     return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
 
 
-#: Fewest elements a thread gathers; smaller arrays run in one block.
-_MIN_BLOCK = 1 << 16
-
-#: Elements per offset array of a gather across non-adjacent columns.
+#: Most elements per offset array of a gather across non-adjacent columns.
 _CHUNK = 1 << 16
-
-
-class _Threads:
-    """Runs a block function over the blocks of a leading axis.
-
-    With ``workers`` above 1 and enough elements, the axis is cut into up
-    to ``workers`` contiguous blocks run on a thread pool (numpy's gathers
-    release the GIL); otherwise it runs as one block.  The blocks write
-    disjoint parts of the output and read only the input, so the result
-    does not depend on the worker count.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self.pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def run(self, block, length: int, size: int) -> None:
-        """Call ``block(lo, hi)`` over ``[0, length)``; ``size`` is the
-        number of elements the whole axis covers."""
-        count = min(self.workers, length, size // _MIN_BLOCK)
-        if self.pool is None or count < 2:
-            block(0, length)
-            return
-        cuts = [length * k // count for k in range(count + 1)]
-        list(self.pool.map(block, cuts[:-1], cuts[1:]))
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
 
 
 class _Gather:
@@ -292,83 +244,63 @@ class _Gather:
     only, by a table over them.  When the move touches one run of adjacent
     columns (spins, twists, interchanges of neighbouring entries) the
     gather is one ``np.take`` along that axis.  Otherwise (slides, far
-    interchanges) the flat offset of the element to gather is a sum of two
-    broadcast terms, the tables times their axes' strides and the untouched
-    axes' own offsets, built and taken ``_CHUNK`` elements at a time.  A
-    leading axis of size 1 is dropped, so blocks of the first axis are
-    independent parts of the output.
+    interchanges) the element to gather is ``x + delta``, where ``delta``
+    depends on the touched positions only: the tables' change of position
+    times their axes' strides.  ``x + delta`` is built and taken over
+    consecutive ranges of at most ``_CHUNK`` raw indices, each a slice of
+    one axis under fixed indices on the axes before it.
     """
 
     def __init__(self, space: _Space, move: Move):
         cols, values, updates = _move_table(space, move)
         pos = {c: space.luts[c, values[c]] for c in cols}
-        pos.update((c, space.luts[c, new_values]) for c, new_values in updates)
+        new_pos = {**pos, **{c: space.luts[c, new_values] for c, new_values in updates}}
         shape, runs = space.layout(cols)
-        touched = list(range(1, len(shape), 2))
-        if shape[0] == 1:
-            shape, touched = shape[1:], [axis - 1 for axis in touched]
         self.shape = tuple(shape)
-        # the new position along each touched axis, over all of them
+        touched = list(range(1, len(shape), 2))
         grid = [len(space.dom_arrays[c]) for c in cols]
-        tables = []
-        for run in runs:
+
+        def run_table(run, positions):
             table = np.zeros((), dtype=np.int64)
             for c in run:
-                table = table * int(space.sizes[c]) + pos[c]
-            tables.append(np.broadcast_to(table, grid).reshape([shape[a] for a in touched]))
-        self.axis, self.table, self.offsets = touched[0], tables[0], None
-        if len(tables) == 1:
+                table = table * int(space.sizes[c]) + positions[c]
+            return np.broadcast_to(table, grid).reshape([shape[a] for a in touched])
+
+        if len(runs) == 1:
+            self.table, self.blocks = run_table(runs[0], new_pos), None
             return
         strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
+        delta = sum(
+            (run_table(run, new_pos) - run_table(run, pos)) * strides[a]
+            for run, a in zip(runs, touched)
+        )
         sub = [size if a in touched else 1 for a, size in enumerate(shape)]
-        self.offsets = sum(t * strides[a] for t, a in zip(tables, touched)).reshape(sub)
-        self.rest = [(a, size, strides[a]) for a, size in enumerate(shape) if a not in touched]
+        delta = np.broadcast_to(delta.reshape(sub), shape)
+        # the first axis whose slices of `step` entries hold at most _CHUNK
+        # indices; the axes before it are walked one index at a time
+        lead = next(a for a, stride in enumerate(strides) if stride <= _CHUNK)
+        step = max(1, _CHUNK // strides[lead])
+        self.blocks = []
+        for prefix in np.ndindex(*shape[:lead]):
+            base = sum(k * stride for k, stride in zip(prefix, strides))
+            for i in range(0, shape[lead], step):
+                stop = min(i + step, shape[lead])
+                block = delta[prefix + (slice(i, stop),)]
+                self.blocks.append((block, base + i * strides[lead], base + stop * strides[lead]))
 
-    def apply(self, src: np.ndarray, out: np.ndarray, threads: _Threads) -> None:
+    def apply(self, src: np.ndarray, out: np.ndarray) -> None:
         """Write ``src`` gathered through the move into ``out``."""
-        view, dest, table = src.reshape(self.shape), out.reshape(self.shape), self.table
-        if self.offsets is not None:
-            block = self._offsets_block(src, out)
-        elif self.axis == 1:
-            def block(lo, hi):
-                np.take(view[lo:hi], table, axis=1, out=dest[lo:hi], mode="clip")
-        else:
-            def block(lo, hi):
-                np.take(view, table[lo:hi], axis=0, out=dest[lo:hi], mode="clip")
-        threads.run(block, self.shape[0], src.size)
-
-    def _offsets_block(self, src: np.ndarray, out: np.ndarray):
-        # the untouched axes' offsets grow with the space, so they are built
-        # per call rather than kept for every move
-        ndim, offsets = len(self.shape), self.offsets
-        rest = np.zeros((), dtype=np.int64)
-        for axis, size, stride in self.rest:
-            rest = rest + np.arange(0, size * stride, stride).reshape(
-                [size if a == axis else 1 for a in range(ndim)]
-            )
-        row = src.size // self.shape[0]
-        step = max(1, _CHUNK // row)
-
-        def block(lo, hi):
-            for a in range(lo, hi, step):
-                b = min(a + step, hi)
-                # the first axis is in exactly one of the two terms
-                index = offsets[a:b] + rest if offsets.shape[0] > 1 else offsets + rest[a:b]
-                np.take(src, index.reshape(-1), out=out[a * row:b * row], mode="clip")
-
-        return block
+        if self.blocks is None:
+            view, dest = src.reshape(self.shape), out.reshape(self.shape)
+            np.take(view, self.table, axis=1, out=dest, mode="clip")
+            return
+        for block, start, stop in self.blocks:
+            index = np.arange(start, stop).reshape(block.shape)
+            index += block
+            np.take(src, index.reshape(-1), out=out[start:stop], mode="clip")
 
 
-def _jump(src: np.ndarray, out: np.ndarray, threads: _Threads) -> None:
-    """Pointer jumping: ``out = src[src]``."""
-
-    def block(lo, hi):
-        np.take(src, src[lo:hi], out=out[lo:hi], mode="clip")
-
-    threads.run(block, src.size, src.size)
-
-
-def _min_label_components(n: int, gathers, threads: _Threads) -> tuple[np.ndarray, int]:
+def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
     """Orbit labels as the least state index per component, and the rounds.
 
     Each round takes, move by move, the min of the labels and the labels
@@ -388,10 +320,10 @@ def _min_label_components(n: int, gathers, threads: _Threads) -> tuple[np.ndarra
         rounds += 1
         np.copyto(before, labels)
         for gather in gathers:
-            gather.apply(labels, buf, threads)
+            gather.apply(labels, buf)
             np.minimum(labels, buf, out=labels)
         while True:
-            _jump(labels, buf, threads)
+            np.take(labels, labels, out=buf, mode="clip")
             if np.array_equal(buf, labels):
                 break
             labels, buf = buf, labels
@@ -493,9 +425,9 @@ def orbit_partition(
 ) -> Partition:
     """Partition the valid states of a shape into move orbits.
 
-    ``workers`` threads split each gather of the fixpoint; the labels are
-    the same for any worker count.  Admissibility is not required: any
-    well-formed shape has a state space.  Raises
+    ``workers`` is checked and otherwise unused: the engine runs on one
+    thread, so the labels are the same for any value.  Admissibility is
+    not required: any well-formed shape has a state space.  Raises
     :class:`BudgetExceededError` when the raw space is over ``budget``, and
     :class:`AssertionError` when a move leaves a coordinate's domain or an
     orbit holds both valid and invalid states, either of which would mean a
@@ -509,11 +441,7 @@ def orbit_partition(
     valid = space.valid_mask()
     moves = _engine_moves(p, v)
     gathers = [_Gather(space, move) for move in moves]
-    threads = _Threads(workers)
-    try:
-        labels, rounds = _min_label_components(raw, gathers, threads)
-    finally:
-        threads.close()
+    labels, rounds = _min_label_components(raw, gathers)
     if not np.array_equal(valid[labels], valid):
         raise AssertionError(
             f"an orbit of shape {v} at p={p} mixes valid and invalid states"

@@ -20,7 +20,6 @@ from handlebody_census.verification.moves import GenClass, MoveKind, apply_move
 from handlebody_census.verification.orbits import (
     _Gather,
     _Space,
-    _Threads,
     _engine_moves,
     _index_dtype,
     check_move_closure,
@@ -30,19 +29,15 @@ from handlebody_census.verification.states import State, iter_valid_states
 TESTS_DIR = Path(__file__).resolve().parent
 
 
-def _successor_arrays(space, moves, workers):
+def _successor_arrays(space, moves):
     """Each move's raw successor array: ``arange(raw)`` gathered through it."""
     rows = np.arange(space.raw, dtype=_index_dtype(space.raw))
-    threads = _Threads(workers)
-    try:
-        arrays = []
-        for move in moves:
-            succ = np.empty_like(rows)
-            _Gather(space, move).apply(rows, succ, threads)
-            arrays.append(succ)
-        return arrays
-    finally:
-        threads.close()
+    arrays = []
+    for move in moves:
+        succ = np.empty_like(rows)
+        _Gather(space, move).apply(rows, succ)
+        arrays.append(succ)
+    return arrays
 
 
 @pytest.mark.parametrize(
@@ -78,9 +73,7 @@ def test_slide_collapse_findings():
     assert orbit_count(5, Tuple5(0, 0, 0, 2, 0)).orbits == 52  # closed form: 80
 
 
-def test_methods_and_workers_produce_identical_labels(monkeypatch):
-    # one-element blocks, so these small spaces are split across threads too
-    monkeypatch.setattr(orbits, "_MIN_BLOCK", 1)
+def test_methods_and_workers_produce_identical_labels():
     for p, v in [
         (3, Tuple5(0, 2, 0, 0, 0)),
         (3, Tuple5(0, 0, 0, 2, 0)),
@@ -124,7 +117,7 @@ def test_vectorized_successors_match_apply_move():
         states = list(iter_valid_states(p, v))
         assert [space.state_row(s) for s in states] == rows.tolist()
         moves = _engine_moves(p, v)
-        for move, succ in zip(moves, _successor_arrays(space, moves, workers=1)):
+        for move, succ in zip(moves, _successor_arrays(space, moves)):
             scalar = [space.state_row(apply_move(p, s, move)) for s in states]
             assert succ[rows].tolist() == scalar, (p, v, move)
 
@@ -134,14 +127,14 @@ def _assert_successors_match_the_decode_reference(p, v):
     assert np.array_equal(space.valid_mask(), ref.digits(space)[1]), v
     moves = _engine_moves(p, v)
     expected = ref.successor_arrays(space, moves)
-    for workers in (1, 2):
-        for move, got, want in zip(moves, _successor_arrays(space, moves, workers), expected):
-            assert got.dtype == want.dtype, (v, move)
-            assert np.array_equal(got, want), (v, move, workers)
+    for move, got, want in zip(moves, _successor_arrays(space, moves), expected):
+        assert got.dtype == want.dtype, (v, move)
+        assert np.array_equal(got, want), (v, move)
 
 
 def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes(monkeypatch):
-    monkeypatch.setattr(orbits, "_MIN_BLOCK", 1)  # workers=2 splits every gather
+    # offset gathers in ranges of 64 indices, so most of them cut an axis
+    monkeypatch.setattr(orbits, "_CHUNK", 64)
     shapes = ref.small_p3_shapes(limit=20_000)
     assert len(shapes) > 200
     for v in shapes:
@@ -180,8 +173,8 @@ def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
     assert valid[1] and not valid[0]
     exact = orbits._Gather.apply
 
-    def escaping(gather, src, out, threads):
-        exact(gather, src, out, threads)
+    def escaping(gather, src, out):
+        exact(gather, src, out)
         out[1] = src[0]
 
     monkeypatch.setattr(orbits._Gather, "apply", escaping)
