@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
+import io
+import itertools
 import json
 import re
 import sys
 from datetime import datetime, timezone
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .counting import count_A
 from .errors import BudgetExceededError, InadmissibleTupleError, stop_reason
@@ -35,10 +36,11 @@ from .tuples import (
     Tuple5,
     admissible_tuples,
     classify,
+    iter_shapes,
     require_genus,
     require_odd_prime,
     shape_case,
-    shape_tuples,
+    shape_count,
 )
 from .verification import (
     DEFAULT_STATE_BUDGET,
@@ -71,26 +73,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Output(NamedTuple):
-    """A subcommand's answer in every format; :func:`_render` builds only the asked one."""
+    """A subcommand's answer in every format; :func:`_render` reads only the asked one.
 
-    json: Callable[[], str]  # the JSON document
+    ``json``, ``rows`` and ``csv`` are lazy iterables: nothing is rendered
+    for the formats that are not asked.
+    """
+
+    json: Iterable[str]  # the JSON document, in chunks
     header: list[str]  # CSV header, and the column heads of aligned table rows
-    rows: Iterable  # CSV rows, and the rows of an aligned table
+    rows: Iterable  # CSV rows (unless ``csv`` is given), and the rows of an aligned table
     lines: list[str]  # table lines
     aligned: bool = False  # the table starts with ``rows`` aligned under ``header``
     stamped: bool = True  # the table starts with the timestamp line
     code: int = EXIT_OK
+    csv: Iterable[str] | None = None  # the CSV body in chunks, in place of ``rows``
 
 
 def _render(out: Output, args) -> None:
     """Write ``out`` to stdout in ``args.format``."""
+    write = sys.stdout.write
     if args.format == "json":
-        print(out.json())  # no "+ newline" copy of a document that can run to megabytes
+        for chunk in out.json:
+            write(chunk)
+        write("\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if not args.no_header:
             writer.writerow(out.header)
-        writer.writerows(out.rows)
+        if out.csv is None:
+            writer.writerows(out.rows)
+        else:
+            for chunk in out.csv:
+                write(chunk)
     else:
         lines = out.lines
         if out.aligned:
@@ -126,6 +140,32 @@ def _flag_cell(flags) -> str:
     )
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as :mod:`csv` writes it in the last cell of a row, quoted if need be."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(["", text])
+    return buf.getvalue()[1:]
+
+
+def _dumps(obj) -> Iterator[str]:
+    """``json.dumps(obj, indent=2)`` as one chunk, made when it is read."""
+    yield json.dumps(obj, indent=2)
+
+
+#: Rows rendered per write of a streamed JSON or CSV body.
+_CHUNK = 4096
+
+
+def _chunks(rows: Iterable[str], sep: str) -> Iterator[str]:
+    """Rendered rows joined by ``sep``, at most :data:`_CHUNK` rows a chunk;
+    every chunk after the first starts with ``sep``."""
+    rows = iter(rows)
+    lead = ""
+    while batch := list(itertools.islice(rows, _CHUNK)):
+        yield lead + sep.join(batch)
+        lead = sep
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -139,7 +179,7 @@ def _cmd_akj(args) -> Output:
         raise ValueError(f"--j must be >= 0, got {args.j}")
     value = count_A(args.k, args.j)
     return Output(
-        json=lambda: json.dumps({"k": args.k, "j": args.j, "value": str(value)}, indent=2),
+        json=_dumps({"k": args.k, "j": args.j, "value": str(value)}),
         header=["k", "j", "value"],
         rows=[[args.k, args.j, str(value)]],
         lines=[str(value)],
@@ -152,13 +192,21 @@ def _json_block(obj, indent: int) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
 
 
-def _json_rows(p: int, g: int, rows: list[str], tail: Iterable[str] = ()) -> str:
+def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
     """``{"p": p, "g": g, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
-    prints it, from rendered rows and the rendered keys after them (``tail``).
-    One join builds the document: another copy of a rows list that runs to
-    megabytes would raise the peak RSS."""
-    body = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-    return "".join(['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g), body, *tail, "\n}"])
+    prints it, from rendered rows and the rendered keys after them (``tail``),
+    in chunks of :func:`_chunks`: the rows are never all held."""
+    yield '{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g)
+    chunks = _chunks(rows, ",\n")
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+    else:
+        yield "[\n" + first
+        yield from chunks
+        yield "\n  ]"
+    yield from tail
+    yield "\n}"
 
 
 # The start of a shape row as json.dumps(..., indent=2) prints it inside
@@ -178,28 +226,39 @@ _CENSUS_JSON_ROW = _SHAPE_JSON_ROW + """,
       "count": "%d",
       "flags": %s
     }"""
+# A census or tuples CSV row: only the flag cell can need quoting, and it
+# comes quoted by _csv_cell.
+_CENSUS_CSV_ROW = "%d,%d,%d,%d,%d,%s,%d,%s\n"
+_TUPLES_CSV_ROW = "%d,%d,%d,%d,%d,%s\n"
 
 
 def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
-    rows = [(*v, shape_case(v).value) for v in shape_tuples(p, g)]
+    # one generator for every format: only the asked one reads it
+    rows = ((*v, shape_case(v).value) for v in iter_shapes(p, g))
     return Output(
-        json=lambda: _json_rows(p, g, [_TUPLES_JSON_ROW % row for row in rows]),
+        json=_json_rows(p, g, (_TUPLES_JSON_ROW % row for row in rows)),
         header=_SHAPE_COLUMNS + ["case"],
         rows=rows,
-        lines=[f"{len(rows)} admissible shape(s) for p={p} genus={g}"],
+        lines=[f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}"],
         aligned=True,
+        csv=_chunks((_TUPLES_CSV_ROW % row for row in rows), ""),
     )
 
 
-def _census_json(report: CountReport) -> str:
+def _per_flags(report: CountReport, render) -> dict:
+    """``render(flags)`` for every flags tuple a census row can carry."""
+    return {flags: render(flags) for flags in [(), *report.shape_flags.values()]}
+
+
+def _census_json(report: CountReport) -> Iterator[str]:
     """The census as ``json.dumps(obj, indent=2)`` prints it, row by template."""
-    flags_json = functools.cache(lambda flags: _json_block([_flag_json(f) for f in flags], 6))
-    rows = [
-        _CENSUS_JSON_ROW % (*v, case.value, count, flags_json(flags))
-        for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags)
-    ]
+    flags_json = _per_flags(report, lambda flags: _json_block([_flag_json(f) for f in flags], 6))
+    rows = (
+        _CENSUS_JSON_ROW % (r, s, t, m, n, case.value, count, flags_json[flags])
+        for r, s, t, m, n, case, count, flags in report.iter_rows()
+    )
     tail = [',\n  "total": "%d"' % report.total]
     if report.reference_total is not None:
         tail.append(',\n  "reference_total": "%d"' % report.reference_total)
@@ -207,25 +266,36 @@ def _census_json(report: CountReport) -> str:
     return _json_rows(report.p, report.g, rows, tail)
 
 
+def _census_csv(report: CountReport) -> Iterator[str]:
+    """The census CSV body, row by template."""
+    flag_cell = _per_flags(report, lambda flags: _csv_cell(_flag_cell(flags)))
+    rows = (
+        _CENSUS_CSV_ROW % (r, s, t, m, n, case.value, count, flag_cell[flags])
+        for r, s, t, m, n, case, count, flags in report.iter_rows()
+    )
+    return _chunks(rows, "")
+
+
 def _census_cells(report: CountReport):
     """Per row: r, s, t, m, n, case, count and the flag cell."""
-    flag_cell = functools.cache(_flag_cell)
-    for v, case, count, flags in zip(report.shapes, report.cases, report.counts, report.row_flags):
-        yield (*v, case.value, count, flag_cell(flags))
+    flag_cell = _per_flags(report, _flag_cell)
+    for r, s, t, m, n, case, count, flags in report.iter_rows():
+        yield (r, s, t, m, n, case.value, count, flag_cell[flags])
 
 
 def _cmd_census(args) -> Output:
     report = census(args.p, args.genus)
-    lines = [f"total {report.total} ({len(report.shapes)} shapes)"]
+    lines = [f"total {report.total} ({report.shape_count} shapes)"]
     if report.reference_total is not None:
         lines.append(f"published reference total {report.reference_total}")
     lines += [f"flag: {_flag_cell([flag])}" for flag in report.flags]
     return Output(
-        json=functools.partial(_census_json, report),
+        json=_census_json(report),
         header=_SHAPE_COLUMNS + ["case", "count", "flags"],
         rows=_census_cells(report),
         lines=lines,
         aligned=args.per_tuple,
+        csv=_census_csv(report),
     )
 
 
@@ -242,7 +312,7 @@ def _cmd_canonical(args) -> Output:
         obj["states"] = listed = [template % flatten(s) for s in states]
         lines += [f"p={p} v={','.join(str(x) for x in v.as_tuple())}", *listed]
         header, rows = ["index", "state"], enumerate(listed)
-    return Output(lambda: json.dumps(obj, indent=2), header, rows, lines)
+    return Output(_dumps(obj), header, rows, lines)
 
 
 def _cmd_orbits(args) -> Output:
@@ -256,7 +326,7 @@ def _cmd_orbits(args) -> Output:
         "largest_orbit": stats.largest_orbit,
     }
     return Output(
-        json=lambda: json.dumps({"p": p, "tuple": list(v.as_tuple()), **fields}, indent=2),
+        json=_dumps({"p": p, "tuple": list(v.as_tuple()), **fields}),
         header=_SHAPE_COLUMNS + list(fields),
         rows=[[*v.as_tuple(), *fields.values()]],
         lines=[
@@ -316,7 +386,7 @@ def _cmd_verify(args) -> Output:
         lines += [f"  {err}" for err in r.errors]
     incomplete = any(not row["complete"] for row in rows)
     return Output(
-        json=lambda: json.dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}, indent=2),
+        json=_dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}),
         header=_SHAPE_COLUMNS + _VERIFY_KEYS + [
             "agree_theorem_canonical", "agree_theorem_orbit", "agree_canonical_orbit", "complete",
         ],

@@ -9,10 +9,16 @@ sizes depend only on p:
 * pinned (order-p, unit) image pairs, (p-1)^2/2 of them.
 
 :func:`pools` gives the three sizes.  All three branches live in one
-plain-integer kernel, :func:`count_kernel`, which :func:`count_for_tuple`,
-:func:`census` and the normal-form refusal call.  The census is stored
-column-wise (shapes as plain tuples, case tags, counts and per-row flags in
-parallel lists), so a census of 10^5 shapes builds no object per shape;
+plain-integer kernel, :func:`count_kernel`, which :func:`count_for_tuple`
+(so ``compare``), the normal-form refusal and the published-census flags
+call.
+
+The census never lists its shapes.  :func:`census` gives the total and the
+number of shapes in closed form, one term per (t, n) block, and
+:meth:`CountReport.iter_rows` streams the rows in lexicographic order from
+:func:`census_rows`, the kernel factored per run of the shape walk
+(:func:`~.tuples.shape_runs`) into lookups in two per-census tables.
+The rows are checked against the closed form when they have all been read;
 ``CountReport.rows`` builds :class:`TupleCount` rows on demand.
 
 The census always reports the literal formula value.  Where the published
@@ -24,9 +30,21 @@ its place.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+from typing import Iterator
 
 from .counting import count_A
-from .tuples import CaseTag, Shape, Tuple5, format_shape, require_odd_prime, shape_tuples
+from .tuples import (
+    CaseTag,
+    Shape,
+    Tuple5,
+    format_shape,
+    genus_blocks,
+    require_odd_prime,
+    shape_runs,
+    shape_count,
+)
 
 Pools = tuple[int, int, int]
 
@@ -88,35 +106,61 @@ class TupleCount:
     flags: list[Flag] = dataclasses.field(default_factory=list)
 
 
+#: One census row: r, s, t, m, n, its case, its count and its flags.
+CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
+
+
 @dataclasses.dataclass
 class CountReport:
-    """A full census, stored column-wise: row i is ``shapes[i]``, ``cases[i]``,
-    ``counts[i]`` and ``row_flags[i]``, plus the exact total.
+    """A full census: the exact total and the number of shapes, both in
+    closed form, the published reference total and flags when there are
+    any, and the rows on demand.
 
-    Rows without flags share the empty tuple, so the columns hold no object
-    per shape beyond its plain tuple and its count.
+    ``shape_flags`` holds the flags of the flagged shapes only, in row order.
     """
 
     p: int
     g: int
-    shapes: list[Shape]
-    cases: list[CaseTag]
-    counts: list[int]
-    row_flags: list[tuple[Flag, ...]]
     total: int
+    shape_count: int
     reference_total: int | None = None
+    shape_flags: dict[Shape, tuple[Flag, ...]] = dataclasses.field(default_factory=dict)
+
+    @property
+    def flags(self) -> list[Flag]:
+        return [flag for flags in self.shape_flags.values() for flag in flags]
+
+    def iter_rows(self) -> Iterator[CensusRow]:
+        """The rows as plain tuples in lexicographic order, computed as they
+        are read, a run of :func:`census_rows` at a time.
+
+        Once every run has been read, their number and their sum are held to
+        ``shape_count`` and ``total``; a difference raises
+        :class:`AssertionError`, also under ``python -O``.
+        """
+        return itertools.chain.from_iterable(self._checked_runs())
+
+    def _checked_runs(self) -> Iterator[list[CensusRow]]:
+        count = total = 0
+        for run in census_rows(self.p, self.g):
+            count += len(run)
+            total += sum([row[6] for row in run])
+            if self.shape_flags:
+                run = [(*row[:7], self.shape_flags.get(row[:5], ())) for row in run]
+            yield run
+        if (count, total) != (self.shape_count, self.total):
+            raise AssertionError(
+                f"census p={self.p} g={self.g}: the rows give {count} shapes and total {total}, "
+                f"the closed form {self.shape_count} and {self.total}"
+            )
 
     @property
     def rows(self) -> list[TupleCount]:
         """One :class:`TupleCount` per shape, built on each access."""
         return [
-            TupleCount(tuple=Tuple5(*v), case=case, count=count, flags=list(flags))
-            for v, case, count, flags in zip(self.shapes, self.cases, self.counts, self.row_flags)
+            TupleCount(tuple=Tuple5(r, s, t, m, n), case=case, count=count, flags=list(flags))
+            for r, s, t, m, n, case, count, flags in self.iter_rows()
         ]
-
-    @property
-    def flags(self) -> list[Flag]:
-        return [flag for flags in self.row_flags for flag in flags]
 
 
 # Published reference census: per-shape class counts and the printed total
@@ -138,32 +182,73 @@ PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Shape, int]]] = {
 }
 
 
-def census(p: int, g: int) -> CountReport:
-    """Count every admissible shape for (p, g); rows sorted lexicographically.
+def census_rows(p: int, g: int) -> Iterator[list[CensusRow]]:
+    """The census rows, one list per run of :func:`shape_runs`, in
+    lexicographic order and with no flags.
 
-    The total is the exact sum of the rows.  When the pair (p, g) has a
-    published reference census, its total is attached as ``reference_total``
-    and any per-shape disagreement becomes a row flag.
+    This is :func:`count_kernel` factored per run: every count is a product
+    of lookups in two tables of :func:`count_A`, built once, and the (r, s,
+    t) factor of case st is taken out of the run.
     """
-    shapes = shape_tuples(p, g)  # validates p and g
+    k, kn, kp = pools(p)
+    q = p * p
+    A_k = [count_A(k, j) for j in range((g - 1 + q) // (q - 1) + 1)]  # j = s, t, m
+    A_kn = [count_A(kn, j) for j in range((g - 1 + q) // (q - p) + 1)]  # j = m, n
+    case_st, case_r, case_m = CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M
+    for r, s, t, ms, ns in shape_runs(p, g):
+        if s + t:
+            f = A_k[s] * A_k[t]
+            yield [(r, s, t, m, n, case_st, f * A_k[m] * A_kn[n], ()) for m, n in zip(ms, ns)]
+        elif r:
+            yield [
+                (r, s, t, m, n, case_r, ((kp * A_k[m - 1] if m else 0) + k * A_kn[m]) * A_kn[n], ())
+                for m, n in zip(ms, ns)
+            ]
+        else:  # m > 0: shape_runs emits no shape with r+s+t+m = 0
+            yield [(r, s, t, m, n, case_m, kp * A_k[m - 1] * A_kn[n], ()) for m, n in zip(ms, ns)]
+
+
+def census(p: int, g: int) -> CountReport:
+    """The census of (p, g): its total and shape count in closed form, its
+    rows on demand (:meth:`CountReport.iter_rows`, lexicographic order).
+
+    One term per (t, n) block of :func:`genus_blocks`, with K = r+s+m.  The
+    sum over the block's (r, s, m) collapses by Chu-Vandermonde, since the
+    sum of A(k,s) A(k,m) over s+m <= K is C(2k+K, K):
+
+    * t > 0: every shape is case st, and the block total is
+      A(kn,n) A(k,t) C(2k+K, K).
+    * t = 0: case st is the s > 0 part, C(2k+K, K) - C(k+K, K); the
+      pinned-pair branch adds kp C(k+K-1, K-1) and the pinned-handle branch
+      of case r adds k C(kn+K-1, K-1), all times A(kn,n).
+
+    When the pair (p, g) has a published reference census, its total is
+    attached as ``reference_total``, and each published shape whose
+    :func:`count_kernel` value differs is flagged.
+    """
     pool_sizes = pools(p)
-    results = [count_kernel(pool_sizes, *v) for v in shapes]
-    counts = [count for _, count in results]
-    row_flags: list[tuple[Flag, ...]] = [()] * len(shapes)
+    k, kn, kp = pool_sizes
+    total = 0
+    for t, n, K in genus_blocks(p, g):
+        both = math.comb(2 * k + K, K)
+        if t:
+            total += count_A(kn, n) * count_A(k, t) * both
+        else:
+            free = both - math.comb(k + K, K) + kp * math.comb(k + K - 1, K - 1)
+            total += count_A(kn, n) * (free + k * math.comb(kn + K - 1, K - 1))
+    shape_flags: dict[Shape, tuple[Flag, ...]] = {}
     published = PUBLISHED_CENSUS.get((p, g))
     if published is not None:
-        for i, v in enumerate(shapes):
-            ref = published[1].get(v)
-            if ref is not None and ref != counts[i]:
+        for v, ref in sorted(published[1].items()):
+            count = count_kernel(pool_sizes, *v)[1]
+            if ref != count:
                 location = f"published census p={p} g={g}, shape {format_shape(v)}"
-                row_flags[i] = (Flag(location=location, paper_value=ref, computed_value=counts[i]),)
+                shape_flags[v] = (Flag(location=location, paper_value=ref, computed_value=count),)
     return CountReport(
         p=p,
         g=g,
-        shapes=shapes,
-        cases=[case for case, _ in results],
-        counts=counts,
-        row_flags=row_flags,
-        total=sum(counts),
+        total=total,
+        shape_count=shape_count(p, g),
         reference_total=None if published is None else published[0],
+        shape_flags=shape_flags,
     )

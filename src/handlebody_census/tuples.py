@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from typing import Iterator
 
 from .errors import InadmissibleTupleError
 
@@ -123,32 +124,83 @@ def genus_of(p: int, v: Tuple5) -> int:
     return g
 
 
-def shape_tuples(p: int, g: int) -> list[Shape]:
-    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted.
+def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
+    """Every shape acting on genus g, as runs ``(r, s, t, ms, ns)`` in
+    lexicographic order: the run's shapes are ``(r, s, t, m, n)`` for
+    ``m, n`` in ``zip(ms, ns)``.
 
-    Exhaustive: fixing t and n leaves q*(r+s+m) determined, so the solutions
-    are the compositions of that quotient whenever it is a nonnegative
-    multiple of q.  Shapes with r+s+t+m = 0 are never emitted.
+    The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n = g-1+q, with
+    q = p^2.  Fixing (r, s, t) fixes q*m + (q-p)*n =: R.  A solution needs
+    R = p*R' (so t runs through one residue class mod p, as q-1 = -1 mod p)
+    and m = R' mod p-1 (as p = 1 mod p-1); from one solution to the next m
+    rises by p-1 while n falls by p.  So the runs come out already sorted,
+    with no list of shapes and no sort.  Shapes with r+s+t+m = 0 are never
+    emitted.
     """
     require_odd_prime(p)
     require_genus(g)
     q = p * p
-    out = []
-    t_max = (g - 1 + q) // (q - 1)
-    n_max = (g - 1 + q) // (q - p)
-    for t in range(t_max + 1):
-        for n in range(n_max + 1):
-            rest = (g - 1) - (q - 1) * t - (q - p) * n + q  # equals q*(r+s+m)
-            if rest < 0 or rest % q:
-                continue
-            ksum = rest // q
-            if ksum == 0 and t == 0:
-                continue
-            out += [
-                (r, s, t, ksum - r - s, n) for r in range(ksum + 1) for s in range(ksum - r + 1)
-            ]
-    out.sort()
-    return out
+    top = g - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
+    for r in range(top // q + 1):
+        for s in range(top // q - r + 1):
+            rest = top - q * (r + s)  # (q-1)*t + R
+            for t in range(-rest % p, rest // (q - 1) + 1, p):
+                reduced = (rest - (q - 1) * t) // p  # R'
+                ms = range(reduced % (p - 1), reduced // p + 1, p - 1)
+                if r + s + t == 0 and ms and ms[0] == 0:
+                    ms = ms[1:]
+                if ms:
+                    n = (reduced - p * ms[0]) // (p - 1)
+                    yield r, s, t, ms, range(n, n - p * len(ms), -p)
+
+
+def iter_shapes(p: int, g: int) -> Iterator[Shape]:
+    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted,
+    read from :func:`shape_runs` one at a time.
+
+    At the end the number of shapes is held to :func:`shape_count`; a
+    difference raises :class:`AssertionError`, also under ``python -O``.
+    """
+    count = 0
+    for r, s, t, ms, ns in shape_runs(p, g):
+        count += len(ms)
+        for m, n in zip(ms, ns):
+            yield r, s, t, m, n
+    expected = shape_count(p, g)
+    if count != expected:
+        raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
+
+
+def shape_tuples(p: int, g: int) -> list[Shape]:
+    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted:
+    :func:`iter_shapes` as a list."""
+    return list(iter_shapes(p, g))
+
+
+def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
+    """``(t, n, K)`` for every (t, n) that some shape of genus g has, with
+    K = r+s+m, the same for all of the block's (K+1)(K+2)/2 shapes.
+
+    For each n, t runs through one residue class mod q, as q-1 = -1 mod q.
+    The closed forms of :func:`shape_count` and of the census total take one
+    term per block.
+    """
+    require_odd_prime(p)
+    require_genus(g)
+    q = p * p
+    top = g - 1 + q  # q*K + (q-1)*t + (q-p)*n
+    for n in range(top // (q - p) + 1):
+        rest = top - (q - p) * n
+        for t in range(-rest % q, rest // (q - 1) + 1, q):
+            K = (rest - (q - 1) * t) // q
+            if K or t:
+                yield t, n, K
+
+
+def shape_count(p: int, g: int) -> int:
+    """The number of shapes acting on genus g, in closed form: the sum of
+    (K+1)(K+2)/2 over :func:`genus_blocks`."""
+    return sum((K + 1) * (K + 2) // 2 for _, _, K in genus_blocks(p, g))
 
 
 def admissible_tuples(p: int, g: int) -> list[Tuple5]:

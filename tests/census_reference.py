@@ -1,7 +1,7 @@
 """Reference renderings of ``census`` and ``tuples`` output, built row by row.
 
-These are the object-per-row renderers the CLI used before it rendered
-from plain shapes and the report's columns: a JSON object dumped with
+These are the object-per-row renderers the CLI used before it streamed
+plain row tuples through per-row templates: a JSON object dumped with
 ``json.dumps(..., indent=2)``, CSV rows through :mod:`csv`, and table rows
 through the CLI's column aligner.  The CLI must match them byte for byte.
 """

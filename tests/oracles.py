@@ -5,6 +5,10 @@ closed form :func:`handlebody_census.counting.count_A`, and their
 refinement by pinned first symbol, computed through a prefix-sum
 recurrence whose column sums must reproduce ``count_A``.
 
+Census: the list-and-sort census that the streamed one replaced, with
+every shape listed from the (t, n) compositions, sorted, and counted by
+:func:`handlebody_census.theorem_counts.count_kernel` one at a time.
+
 States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
 raw index must follow; and the parser of the ``canonical --list`` dump
@@ -15,6 +19,7 @@ import itertools
 
 from handlebody_census.counting import _require_kj
 from handlebody_census.errors import BudgetExceededError
+from handlebody_census.theorem_counts import count_kernel, pools
 from handlebody_census.tuples import Tuple5, require_odd_prime
 from handlebody_census.verification.states import State, flatten, state_dims
 
@@ -72,6 +77,32 @@ def count_C_jl(k: int, j: int, l: int) -> int:
             nxt[u] = acc
         row = nxt
     return row[l]
+
+
+def listed_shapes(p: int, g: int) -> list[tuple[int, int, int, int, int]]:
+    """Every shape acting on genus g, listed and then sorted: for each (t, n)
+    that leaves q*(r+s+m) a nonnegative multiple of q, every composition of
+    r+s+m into (r, s, m)."""
+    q = p * p
+    out = []
+    for t in range((g - 1 + q) // (q - 1) + 1):
+        for n in range((g - 1 + q) // (q - p) + 1):
+            rest = (g - 1) - (q - 1) * t - (q - p) * n + q  # equals q*(r+s+m)
+            if rest < 0 or rest % q:
+                continue
+            ksum = rest // q
+            if ksum == 0 and t == 0:
+                continue
+            out += [(r, s, t, ksum - r - s, n) for r in range(ksum + 1) for s in range(ksum - r + 1)]
+    out.sort()
+    return out
+
+
+def listed_census(p: int, g: int) -> list[tuple]:
+    """The census rows ``(r, s, t, m, n, case, count)`` of :func:`listed_shapes`,
+    each counted by ``count_kernel``."""
+    pool_sizes = pools(p)
+    return [(*v, *count_kernel(pool_sizes, *v)) for v in listed_shapes(p, g)]
 
 
 def is_unit(x: int, p: int) -> bool:

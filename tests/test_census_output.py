@@ -1,6 +1,6 @@
 """Census and tuples output: byte identity with the row-by-row reference
-renderers, the recorded benchmark outputs, and no per-shape objects on the
-CLI path."""
+renderers at several write-chunk sizes, the recorded benchmark outputs, and
+no per-shape objects on the CLI path."""
 
 import hashlib
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import theorem_counts
+from handlebody_census import cli, theorem_counts
 from handlebody_census.theorem_counts import census
 from handlebody_census.tuples import Tuple5
 from handlebody_census.cli import main
@@ -22,6 +22,15 @@ CASES = [(3, range(1, 41)), (5, range(1, 80, 3)), (5, [26]), (7, range(1, 200, 7
 PAIRS = [(p, g) for p, genera in CASES for g in genera]
 
 
+@pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"])
+def chunk(request, monkeypatch):
+    """The rows per write of streamed JSON and CSV (tables are not streamed):
+    the default, and sizes small enough that these censuses cross chunk
+    joins."""
+    if request.param is not None:
+        monkeypatch.setattr(cli, "_CHUNK", request.param)
+
+
 def run_cli(capsys, *argv):
     code = main([str(x) for x in argv])
     out = capsys.readouterr().out
@@ -30,17 +39,23 @@ def run_cli(capsys, *argv):
 
 
 def test_cases_cover_an_empty_census_and_the_flagged_reference():
-    assert census(3, 2).shapes == []
+    assert census(3, 2).shape_count == 0 and list(census(3, 2).iter_rows()) == []
     assert len(census(5, 26).flags) == 2
 
 
 @pytest.mark.parametrize("p,g", PAIRS)
-def test_census_output_matches_the_row_by_row_reference(capsys, p, g):
+def test_census_output_matches_the_row_by_row_reference(capsys, chunk, p, g):
     report = census(p, g)
     common = ("census", "--p", p, "--genus", g)
     assert run_cli(capsys, *common, "--format", "json") == ref.census_json(report)
     assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(report, False)
     assert run_cli(capsys, *common, "--format", "csv", "--no-header") == ref.census_csv(report, True)
+
+
+@pytest.mark.parametrize("p,g", PAIRS)
+def test_census_table_matches_the_row_by_row_reference(capsys, p, g):
+    report = census(p, g)
+    common = ("census", "--p", p, "--genus", g)
     for per_tuple in ((), ("--per-tuple",)):
         out = run_cli(capsys, *common, *per_tuple, "--no-header")
         assert out == ref.census_table(report, bool(per_tuple), True)
@@ -51,11 +66,16 @@ def test_census_output_matches_the_row_by_row_reference(capsys, p, g):
 
 
 @pytest.mark.parametrize("p,g", PAIRS)
-def test_tuples_output_matches_the_row_by_row_reference(capsys, p, g):
+def test_tuples_output_matches_the_row_by_row_reference(capsys, chunk, p, g):
     common = ("tuples", "--p", p, "--genus", g)
     assert run_cli(capsys, *common, "--format", "json") == ref.tuples_json(p, g)
     assert run_cli(capsys, *common, "--format", "csv") == ref.tuples_csv(p, g, False)
     assert run_cli(capsys, *common, "--format", "csv", "--no-header") == ref.tuples_csv(p, g, True)
+
+
+@pytest.mark.parametrize("p,g", PAIRS)
+def test_tuples_table_matches_the_row_by_row_reference(capsys, p, g):
+    common = ("tuples", "--p", p, "--genus", g)
     assert run_cli(capsys, *common, "--no-header") == ref.tuples_table(p, g, True)
     first, rest = run_cli(capsys, *common).split("\n", 1)
     assert first.startswith("# handlebody-census tuples generated ")

@@ -3,8 +3,10 @@ the top-level names of the package."""
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +253,28 @@ def test_orbits_of_a_589824_state_space_run_under_256_mib():
         b"r,s,t,m,n,orbits,state_space_size,valid_states,largest_orbit\n"
         b"1,0,0,0,16,1,589824,393216,393216\n"
     )
+
+
+def test_census_of_100151058_shapes_runs_under_256_mib():
+    # the total and the shape count are closed forms: no shape is listed
+    start = time.perf_counter()
+    proc = _run_capped("census", "--p", "3", "--genus", "3000", "--no-header", cap_mib=256)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"total 1325509295535412398 (100151058 shapes)\n"
+    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+
+
+def test_census_csv_streams_1374562_rows_under_256_mib():
+    argv = ("census", "--p", "3", "--genus", "1000")
+    table = _run_capped(*argv, "--no-header", cap_mib=256)
+    assert table.returncode == 0, table.stderr
+    total, shapes = re.fullmatch(rb"total (\d+) \((\d+) shapes\)\n", table.stdout).groups()
+    proc = _run_capped(*argv, "--format", "csv", "--no-header", cap_mib=256)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == int(shapes) == 1374562
+    assert sum(int(row.split(b",")[6]) for row in rows) == int(total)
 
 
 def test_verify_single_tuple(capsys):

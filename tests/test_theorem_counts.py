@@ -1,15 +1,17 @@
 """Per-shape counts, the census, and discrepancy flagging."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from oracles import listed_census
 
 from handlebody_census.counting import count_A
 from handlebody_census.theorem_counts import census, count_for_tuple, count_kernel, pools
-from handlebody_census.tuples import CaseTag, Tuple5, classify
+from handlebody_census.tuples import CaseTag, Tuple5, classify, shape_tuples
 from handlebody_census.verification.canonical import low_order_p_values, low_unit_values
 
 
@@ -46,10 +48,10 @@ def test_pools_reject_a_bad_prime_under_python_O():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_census_columns_agree_with_the_kernel_and_classify():
+def test_census_rows_agree_with_the_kernel_and_classify():
     for p, g in [(3, 28), (5, 26), (7, 50)]:
         report = census(p, g)
-        for v, case, count in zip(report.shapes, report.cases, report.counts):
+        for *v, case, count, _ in report.iter_rows():
             assert count_kernel(pools(p), *v) == (case, count)
             assert count_for_tuple(p, Tuple5(*v)) == count
             assert classify(Tuple5(*v)) is case
@@ -190,3 +192,38 @@ def test_st_counts_scale_exactly_with_n():
 def test_formula_evaluation_is_deterministic():
     v = Tuple5(1, 2, 0, 1, 3)
     assert kernel(5, v.as_tuple()) == kernel(5, v.as_tuple()) == (CaseTag.CASE_ST, count_for_tuple(5, v))
+
+
+# The streamed census against the listed one: every (p, g) of each group.
+ORACLE_SWEEP = {
+    "p3-g-below-200": [(3, g) for g in range(1, 200)],
+    "p5-g-below-400": [(5, g) for g in range(1, 400)],
+    "p7-g-below-500": [(7, g) for g in range(1, 500)],
+    "benchmark-pairs": [(3, 492), (5, 2000), (5, 26)],
+}
+
+
+@pytest.mark.parametrize("pairs", ORACLE_SWEEP.values(), ids=ORACLE_SWEEP.keys())
+def test_streamed_census_matches_the_listed_census(pairs):
+    for p, g in pairs:
+        want = listed_census(p, g)
+        report = census(p, g)
+        rows = list(report.iter_rows())
+        assert [row[:7] for row in rows] == want, (p, g)
+        assert report.shape_count == len(want), (p, g)
+        assert report.total == sum(row[6] for row in want), (p, g)
+        assert shape_tuples(p, g) == [row[:5] for row in want], (p, g)
+        flagged = {row[:5]: row[7] for row in rows if row[7]}
+        assert flagged == report.shape_flags, (p, g)
+
+
+def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
+    report = census(5, 26)
+    for wrong in (
+        dataclasses.replace(report, total=report.total + 1),
+        dataclasses.replace(report, shape_count=report.shape_count - 1),
+    ):
+        rows = wrong.iter_rows()
+        assert len([next(rows) for _ in range(report.shape_count)]) == 6
+        with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
+            next(rows)

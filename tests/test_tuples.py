@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handlebody_census import tuples
 from handlebody_census.errors import InadmissibleTupleError
 from handlebody_census.tuples import (
     CaseTag,
@@ -127,6 +128,14 @@ def test_completeness_against_box_scan():
         for g in range(1, 61):
             got = [v.as_tuple() for v in admissible_tuples(p, g)]
             assert got == _scan_box(p, g), (p, g)
+
+
+def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatch):
+    monkeypatch.setattr(tuples, "shape_count", lambda p, g: 5)
+    shapes = tuples.iter_shapes(5, 26)
+    assert len([next(shapes) for _ in range(6)]) == 6
+    with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
+        next(shapes)
 
 
 def test_tuple5_rejects_bad_components():
