@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import re
 import sys
@@ -75,27 +74,25 @@ class _Parser(argparse.ArgumentParser):
 class Output(NamedTuple):
     """A subcommand's answer in every format; :func:`_render` reads only the asked one.
 
-    ``json``, ``rows`` and ``csv`` are lazy iterables: nothing is rendered
-    for the formats that are not asked.
+    ``json`` and ``rows`` are lazy iterables: nothing is rendered for the
+    formats that are not asked.
     """
 
-    json: Iterable[str]  # the JSON document, in chunks
+    json: Iterable[str]  # the JSON document, in pieces written as they are made
     header: list[str]  # CSV header, and the column heads of aligned table rows
-    rows: Iterable  # CSV rows (unless ``csv`` is given), and the rows of an aligned table
+    rows: Iterable  # CSV rows, and the rows of an aligned table
     lines: list[str]  # table lines
     aligned: bool = False  # the table starts with ``rows`` aligned under ``header``
     stamped: bool = True  # the table starts with the timestamp line
     code: int = EXIT_OK
-    csv: Iterable[str] | None = None  # the CSV body in chunks, in place of ``rows``
+    csv: Iterable[str] | None = None  # CSV body lines, in place of ``rows``
 
 
 def _render(out: Output, args) -> None:
     """Write ``out`` to stdout in ``args.format``."""
-    write = sys.stdout.write
     if args.format == "json":
-        for chunk in out.json:
-            write(chunk)
-        write("\n")
+        sys.stdout.writelines(out.json)
+        sys.stdout.write("\n")
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if not args.no_header:
@@ -103,8 +100,7 @@ def _render(out: Output, args) -> None:
         if out.csv is None:
             writer.writerows(out.rows)
         else:
-            for chunk in out.csv:
-                write(chunk)
+            sys.stdout.writelines(out.csv)
     else:
         lines = out.lines
         if out.aligned:
@@ -152,20 +148,6 @@ def _dumps(obj) -> Iterator[str]:
     yield json.dumps(obj, indent=2)
 
 
-#: Rows rendered per write of a streamed JSON or CSV body.
-_CHUNK = 4096
-
-
-def _chunks(rows: Iterable[str], sep: str) -> Iterator[str]:
-    """Rendered rows joined by ``sep``, at most :data:`_CHUNK` rows a chunk;
-    every chunk after the first starts with ``sep``."""
-    rows = iter(rows)
-    lead = ""
-    while batch := list(itertools.islice(rows, _CHUNK)):
-        yield lead + sep.join(batch)
-        lead = sep
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -195,15 +177,16 @@ def _json_block(obj, indent: int) -> str:
 def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
     """``{"p": p, "g": g, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
     prints it, from rendered rows and the rendered keys after them (``tail``),
-    in chunks of :func:`_chunks`: the rows are never all held."""
+    one row at a time: the rows are never all held."""
     yield '{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g)
-    chunks = _chunks(rows, ",\n")
-    first = next(chunks, None)
+    rows = iter(rows)
+    first = next(rows, None)
     if first is None:
         yield "[]"
     else:
         yield "[\n" + first
-        yield from chunks
+        for row in rows:
+            yield ",\n" + row
         yield "\n  ]"
     yield from tail
     yield "\n}"
@@ -226,10 +209,9 @@ _CENSUS_JSON_ROW = _SHAPE_JSON_ROW + """,
       "count": "%d",
       "flags": %s
     }"""
-# A census or tuples CSV row: only the flag cell can need quoting, and it
-# comes quoted by _csv_cell.
+# A census CSV row: only the flag cell can need quoting, and it comes quoted
+# by _csv_cell.
 _CENSUS_CSV_ROW = "%d,%d,%d,%d,%d,%s,%d,%s\n"
-_TUPLES_CSV_ROW = "%d,%d,%d,%d,%d,%s\n"
 
 
 def _cmd_tuples(args) -> Output:
@@ -243,7 +225,6 @@ def _cmd_tuples(args) -> Output:
         rows=rows,
         lines=[f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}"],
         aligned=True,
-        csv=_chunks((_TUPLES_CSV_ROW % row for row in rows), ""),
     )
 
 
@@ -269,11 +250,10 @@ def _census_json(report: CountReport) -> Iterator[str]:
 def _census_csv(report: CountReport) -> Iterator[str]:
     """The census CSV body, row by template."""
     flag_cell = _per_flags(report, lambda flags: _csv_cell(_flag_cell(flags)))
-    rows = (
+    return (
         _CENSUS_CSV_ROW % (r, s, t, m, n, case.value, count, flag_cell[flags])
         for r, s, t, m, n, case, count, flags in report.iter_rows()
     )
-    return _chunks(rows, "")
 
 
 def _census_cells(report: CountReport):

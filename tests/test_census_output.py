@@ -1,5 +1,5 @@
 """Census and tuples output: byte identity with the row-by-row reference
-renderers at several write-chunk sizes, the recorded benchmark outputs, and
+renderers, the recorded benchmark outputs, and
 no per-shape objects on the CLI path."""
 
 import hashlib
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import cli, theorem_counts
+from handlebody_census import theorem_counts
 from handlebody_census.theorem_counts import census
 from handlebody_census.tuples import Tuple5
 from handlebody_census.cli import main
@@ -20,15 +20,6 @@ EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 # (p, genera): includes (3, 2) with no rows and (5, 26) with its two flags.
 CASES = [(3, range(1, 41)), (5, range(1, 80, 3)), (5, [26]), (7, range(1, 200, 7))]
 PAIRS = [(p, g) for p, genera in CASES for g in genera]
-
-
-@pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"])
-def chunk(request, monkeypatch):
-    """The rows per write of streamed JSON and CSV (tables are not streamed):
-    the default, and sizes small enough that these censuses cross chunk
-    joins."""
-    if request.param is not None:
-        monkeypatch.setattr(cli, "_CHUNK", request.param)
 
 
 def run_cli(capsys, *argv):
@@ -44,7 +35,7 @@ def test_cases_cover_an_empty_census_and_the_flagged_reference():
 
 
 @pytest.mark.parametrize("p,g", PAIRS)
-def test_census_output_matches_the_row_by_row_reference(capsys, chunk, p, g):
+def test_census_output_matches_the_row_by_row_reference(capsys, p, g):
     report = census(p, g)
     common = ("census", "--p", p, "--genus", g)
     assert run_cli(capsys, *common, "--format", "json") == ref.census_json(report)
@@ -66,7 +57,7 @@ def test_census_table_matches_the_row_by_row_reference(capsys, p, g):
 
 
 @pytest.mark.parametrize("p,g", PAIRS)
-def test_tuples_output_matches_the_row_by_row_reference(capsys, chunk, p, g):
+def test_tuples_output_matches_the_row_by_row_reference(capsys, p, g):
     common = ("tuples", "--p", p, "--genus", g)
     assert run_cli(capsys, *common, "--format", "json") == ref.tuples_json(p, g)
     assert run_cli(capsys, *common, "--format", "csv") == ref.tuples_csv(p, g, False)
