@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import re
@@ -298,7 +299,7 @@ def _cmd_canonical(args) -> Output:
 def _cmd_orbits(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
-    stats = orbit_count(p, v, budget=args.max_states, workers=args.workers)
+    stats = orbit_count(p, v, budget=args.max_states)
     fields = {
         "orbits": str(stats.orbits),
         "state_space_size": stats.state_space_size,
@@ -343,7 +344,7 @@ def _cmd_verify(args) -> Output:
         target = {"g": args.genus}
     rows, lines = [], []
     for v in shapes:
-        r = compare(p, v, budget=args.max_states, workers=args.workers)
+        r = compare(p, v, budget=args.max_states)
         row = {
             "tuple": list(v.as_tuple()),
             "case": r.case.value,
@@ -441,7 +442,9 @@ _COMMANDS = {
 _REFUSALS = {"canonical": "canonical enumeration incomplete", "orbits": "orbit count incomplete"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = _Parser(
         prog="handlebody-census",
         description=(
@@ -460,6 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Counts are exact at any size, so lift Python's cap on int-to-decimal
+    # conversion while printing them; argument parsing keeps the default.
+    digit_limit = getattr(sys, "get_int_max_str_digits", None)
+    if digit_limit is not None:
+        previous = digit_limit()
+        sys.set_int_max_str_digits(0)
     try:
         out = args.func(args)
         _render(out, args)
@@ -470,6 +479,9 @@ def main(argv=None) -> int:
     except (ValueError, InadmissibleTupleError) as exc:
         print(f"handlebody-census {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(previous)
     return out.code
 
 

@@ -421,21 +421,16 @@ def orbit_partition(
     p: int,
     v: Tuple5,
     budget: int = DEFAULT_STATE_BUDGET,
-    workers: int = 1,
 ) -> Partition:
     """Partition the valid states of a shape into move orbits.
 
-    ``workers`` is checked and otherwise unused: the engine runs on one
-    thread, so the labels are the same for any value.  Admissibility is
-    not required: any well-formed shape has a state space.  Raises
+    Admissibility is not required: any well-formed shape has a state space.  Raises
     :class:`BudgetExceededError` when the raw space is over ``budget``, and
     :class:`AssertionError` when a move leaves a coordinate's domain or an
     orbit holds both valid and invalid states, either of which would mean a
     move left the valid state space.
     """
     require_odd_prime(p)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
@@ -474,10 +469,9 @@ def orbit_count(
     p: int,
     v: Tuple5,
     budget: int = DEFAULT_STATE_BUDGET,
-    workers: int = 1,
 ) -> OrbitStats:
     """Count move orbits of the valid states; see :func:`orbit_partition`."""
-    part = orbit_partition(p, v, budget=budget, workers=workers)
+    part = orbit_partition(p, v, budget=budget)
     return OrbitStats(
         orbits=part.orbit_count,
         state_space_size=part.raw,
@@ -546,7 +540,6 @@ def compare(
     p: int,
     v: Tuple5,
     budget: int = DEFAULT_STATE_BUDGET,
-    workers: int = 1,
 ) -> Comparison:
     """Compare the formula count, normal-form count, and orbit count."""
     require_odd_prime(p)
@@ -565,7 +558,7 @@ def compare(
     valid: int | None
     largest: int | None
     try:
-        part = orbit_partition(p, v, budget=budget, workers=workers)
+        part = orbit_partition(p, v, budget=budget)
         orbits, valid, largest = part.orbit_count, part.valid_count, part.largest_orbit
     except (BudgetExceededError, MemoryError) as exc:
         orbits = valid = largest = None

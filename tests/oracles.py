@@ -1,9 +1,10 @@
 """Reference oracles that only the tests use.
 
-Counting: explicit enumeration of nondecreasing tuples, the check on the
-closed form :func:`handlebody_census.counting.count_A`, and their
-refinement by pinned first symbol, computed through a prefix-sum
-recurrence whose column sums must reproduce ``count_A``.
+Counting: the paper's piecewise double sum for the number of
+nondecreasing tuples, their explicit enumeration, and their refinement by
+pinned first symbol, computed through a prefix-sum recurrence whose
+column sums must reproduce
+:func:`handlebody_census.counting.count_A`, the binomial the package uses.
 
 Census: the list-and-sort census that the streamed one replaced, with
 every shape listed from the (t, n) compositions, sorted, and counted by
@@ -16,6 +17,7 @@ format.
 """
 
 import itertools
+import math
 
 from handlebody_census.counting import _require_kj
 from handlebody_census.errors import BudgetExceededError
@@ -52,6 +54,30 @@ def brute_count_nondecreasing(
                 budget=budget,
             )
     return count
+
+
+def count_A_double_sum(k: int, j: int) -> int:
+    """The paper's count of nondecreasing j-tuples over a k-symbol alphabet.
+
+    Piecewise: 1 for the empty tuple, k for singletons, k(k+1)/2 for pairs,
+    and for j >= 3 the double sum
+
+        sum_{i=0}^{k-1}  C(j-3+i, j-3) * T(k-i)
+
+    with T(x) = x(x+1)/2.  O(k) terms, so only for small alphabets.
+    """
+    _require_kj(k, j)
+    if j == 0:
+        return 1
+    if j == 1:
+        return k
+    if j == 2:
+        return k * (k + 1) // 2
+    total = 0
+    for i in range(k):
+        tri = (k - i) * (k - i + 1) // 2
+        total += math.comb(j - 3 + i, j - 3) * tri
+    return total
 
 
 def count_C_jl(k: int, j: int, l: int) -> int:

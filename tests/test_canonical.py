@@ -103,6 +103,7 @@ def test_refusal_is_decided_from_the_count_before_any_pool_is_built(monkeypatch)
     for p, comps, budget, required in [
         (13, (1, 0, 0, 3, 2), 200_000, 4_750_200),
         (10007, (0, 1, 0, 0, 0), 10**6, 50_065_021),
+        (10007, (0, 3, 0, 0, 0), 10**6, 20_914_716_575_662_749_054_271),
     ]:
         v = Tuple5(*comps)
         with pytest.raises(BudgetExceededError) as excinfo:

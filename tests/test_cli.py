@@ -2,6 +2,7 @@
 the top-level names of the package."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -53,6 +54,25 @@ def test_akj_json_and_csv(capsys):
     assert json.loads(out) == {"k": 10, "j": 2, "value": "55"}
     code, out, _ = run_cli(capsys, "akj", "--k", "10", "--j", "2", "--format", "csv")
     assert out == "k,j,value\n10,2,55\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no cap on int-to-decimal conversion"
+)
+def test_akj_prints_counts_past_the_int_string_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(math.comb(15999, 8000))  # 4,814 digits
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > limit
+    code, out, err = run_cli(capsys, "akj", "--k", "8000", "--j", "8000")
+    assert (code, out, err) == (0, expected + "\n", "")
+    code, out, _ = run_cli(capsys, "akj", "--k", "8000", "--j", "8000", "--format", "json")
+    assert code == 0
+    assert f'"value": "{expected}"' in out
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_akj_usage_error(capsys):

@@ -1,15 +1,16 @@
 """Counting layer: oracle equivalence, recurrence, partition, identities."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_count_nondecreasing, count_C_jl, iter_nondecreasing
+from oracles import (
+    brute_count_nondecreasing,
+    count_A_double_sum,
+    count_C_jl,
+    iter_nondecreasing,
+)
 
 from handlebody_census.counting import count_A
 from handlebody_census.errors import BudgetExceededError
@@ -65,27 +66,10 @@ def test_pinned_first_entry_classes_partition_the_enumeration():
                 assert len(groups.get(l, [])) == count_C_jl(k, j, l), (k, j, l)
 
 
-def test_stars_and_bars_cross_check_fires_under_python_O():
-    # A wrong binomial must not pass silently when asserts are stripped.
-    child = (
-        "import math, sys\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(4)\n"
-        "from handlebody_census.counting import count_A\n"
-        "exact = math.comb\n"
-        "math.comb = lambda n, k: exact(n, k) + 1\n"
-        "try:\n"
-        "    count_A(4, 5)\n"
-        "except AssertionError:\n"
-        "    sys.exit(3)\n"
-    )
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60
-    )
-    assert proc.returncode == 3, proc.stderr
+def test_binomial_matches_the_papers_double_sum():
+    for k in range(1, 61):
+        for j in range(0, 13):
+            assert count_A(k, j) == count_A_double_sum(k, j), (k, j)
 
 
 def test_stars_and_bars_identity_confirmed_by_oracle():
@@ -120,6 +104,8 @@ def test_preconditions(k, j):
     with pytest.raises(ValueError):
         count_A(k, j)
     with pytest.raises(ValueError):
+        count_A_double_sum(k, j)
+    with pytest.raises(ValueError):
         brute_count_nondecreasing(k, j)
 
 
@@ -135,4 +121,9 @@ def test_count_C_jl_preconditions():
 @settings(deadline=None, max_examples=120)
 @given(k=st.integers(1, 9), j=st.integers(0, 6))
 def test_three_routes_agree(k, j):
-    assert count_A(k, j) == brute_count_nondecreasing(k, j) == math.comb(k + j - 1, j)
+    assert (
+        count_A(k, j)
+        == count_A_double_sum(k, j)
+        == brute_count_nondecreasing(k, j)
+        == math.comb(k + j - 1, j)
+    )

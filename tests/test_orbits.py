@@ -81,10 +81,7 @@ def test_methods_and_workers_produce_identical_labels():
         (3, Tuple5(1, 1, 0, 0, 0)),
         (5, Tuple5(0, 0, 0, 1, 0)),
     ]:
-        bfs = bfs_labels(p, v)
-        for workers in (1, 2, 8):
-            part = orbit_partition(p, v, workers=workers)
-            assert np.array_equal(bfs, part.labels), (p, v, workers)
+        assert np.array_equal(bfs_labels(p, v), orbit_partition(p, v).labels), (p, v)
 
 
 def test_labels_are_least_member_indices():
