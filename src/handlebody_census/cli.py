@@ -42,14 +42,7 @@ from .tuples import (
     shape_case,
     shape_count,
 )
-from .verification import (
-    DEFAULT_STATE_BUDGET,
-    compare,
-    enumerate_canonical,
-    flatten,
-    orbit_count,
-    state_template,
-)
+from .verification import DEFAULT_STATE_BUDGET, compare, enumerate_canonical, orbit_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -283,14 +276,13 @@ def _cmd_census(args) -> Output:
 def _cmd_canonical(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
-    states = enumerate_canonical(p, v, budget=args.max_states)
-    fields = {"case": classify(v).value, "count": str(len(states))}
+    forms = enumerate_canonical(p, v, budget=args.max_states)
+    fields = {"case": classify(v).value, "count": str(len(forms))}
     obj = {"p": p, "tuple": list(v.as_tuple()), **fields}
-    lines = [f"{len(states)} canonical state(s) for p={p} shape {v}"]
+    lines = [f"{len(forms)} canonical state(s) for p={p} shape {v}"]
     header, rows = _SHAPE_COLUMNS + list(fields), [[*v.as_tuple(), *fields.values()]]
     if args.list:
-        template = state_template(v.as_tuple())
-        obj["states"] = listed = [template % flatten(s) for s in states]
+        obj["states"] = listed = forms.lines()
         lines += [f"p={p} v={','.join(str(x) for x in v.as_tuple())}", *listed]
         header, rows = ["index", "state"], enumerate(listed)
     return Output(_dumps(obj), header, rows, lines)

@@ -12,14 +12,11 @@ everything else is imported from its module (``.canonical``, ``.moves``,
 
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .orbits import Comparison, compare, orbit_count
-from .states import flatten, state_template
 
 __all__ = [
     "Comparison",
     "DEFAULT_STATE_BUDGET",
     "compare",
     "enumerate_canonical",
-    "flatten",
     "orbit_count",
-    "state_template",
 ]

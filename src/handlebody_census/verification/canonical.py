@@ -6,8 +6,13 @@ half-range unit), finite-order images take one representative per negation
 pair from the lower half-range, free partners are reduced modulo the order
 of their finite partner, and sortable entries are sorted nondecreasingly.
 Enumerating those ranges directly lists exactly one state per normal form,
-so the list length is the number the closed-form counts claim to compute;
+so their number is the one the closed-form counts claim to compute;
 checking that equality is the point of the comparison harness.
+
+A shape's normal forms are a few branches, each the product of five
+per-class pools.  :class:`NormalForms` keeps the pools, not the product:
+its length is the sum of the pool-size products, its iteration builds the
+states, and its dump lines join per-entry texts without building any.
 
 Pair ordering: (e, f) pairs are sorted lexicographically.  In the branch
 that pins a unit free image, the first pair is held fixed and only the
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import sys
+from typing import Iterator
 
 from ..errors import BudgetExceededError
 from ..theorem_counts import count_kernel, pools
@@ -39,28 +46,77 @@ def low_order_p_values(p: int) -> tuple[int, ...]:
     return tuple(range(p, ((p - 1) // 2) * p + 1, p))
 
 
+# How each class's image tuple reads as a flat run of residues: bc and ef
+# hold (finite, free) pairs.
+_PAIRS = itertools.chain.from_iterable
+_FLATTEN = (iter, _PAIRS, iter, _PAIRS, iter)
+
+
+class NormalForms:
+    """The normal forms of one shape, as branches of five per-class pools.
+
+    Each branch is a tuple of five pools, one per class (a, bc, d, ef, g),
+    each a list of that class's image tuples in lexicographic order.  The
+    forms are the branches' products, branch by branch, in image-vector
+    order.  ``len()`` is counted from the pool sizes; iteration yields
+    :class:`State` objects; :meth:`lines` gives the dump text of each form
+    without building any.
+    """
+
+    __slots__ = ("branches", "_count")
+
+    def __init__(self, branches):
+        self.branches = branches
+        self._count = sum(math.prod(map(len, branch)) for branch in branches)
+        if self._count > sys.maxsize:
+            # len() cannot report it, and no listing could hold it
+            raise MemoryError(f"{self._count} normal forms are more than a sequence can index")
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[State]:
+        make = functools.partial(tuple.__new__, State)
+        for branch in self.branches:
+            yield from map(make, itertools.product(*branch))
+
+    def lines(self) -> list[str]:
+        """The dump text of every form, in iteration order (see README,
+        "State dump format"): each pool entry is rendered once, and a line
+        is the ``|``-join of one text per class."""
+        out: list[str] = []
+        for branch in self.branches:
+            texts = [
+                [",".join(map(str, flat(entry))) for entry in pool]
+                for pool, flat in zip(branch, _FLATTEN)
+            ]
+            out += map("|".join, itertools.product(*texts))
+        return out
+
+
 def enumerate_canonical(
     p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET
-) -> list[State]:
-    """List the normal-form states of an admissible shape.
+) -> NormalForms:
+    """The normal forms of an admissible shape, as per-class pools.
 
     Each branch of the shape's case is a product of five prebuilt pools,
     one per class (a, bc, d, ef, g), each pool in lexicographic order.  The
     product runs in image-vector order, and in case r the pinned-pair branch
     (every handle image 0) precedes the pinned-handle branch (first handle
-    image a unit), so states are emitted in image-vector order, with no
-    sort, and the output is deterministic.
+    image a unit), so the forms come in image-vector order, with no sort,
+    and the output is deterministic.
 
-    Raises :class:`BudgetExceededError` when more than ``budget`` states
-    would be produced: from the closed-form count (:func:`count_kernel`)
-    before any pool is built, and again, as a guard, once the products pass
-    ``budget``, so a wrong closed form can only show as a refusal.
-    Propagates the genus error for inadmissible shapes.
+    Raises :class:`BudgetExceededError` when there are more than ``budget``
+    normal forms: from the closed-form count (:func:`count_kernel`) before
+    any pool is built, and again from the pool sizes once the pools are
+    built, before any state is produced, so a wrong closed form can only
+    show as a refusal.  The returned length never comes from the closed
+    form.  Propagates the genus error for inadmissible shapes.
     """
     require_odd_prime(p)
     genus_of(p, v)  # raises for shapes that force genus < 1
 
-    def refuse(required=None):
+    def refuse(required):
         return BudgetExceededError(
             f"canonical enumeration for p={p}, shape {v} exceeds the "
             f"budget of {budget} states",
@@ -101,10 +157,7 @@ def enumerate_canonical(
     else:  # CASE_M: the pinned-pair branch alone, with no handles to zero
         branches = pinned_pair_branch(empty)
 
-    product = itertools.chain.from_iterable(itertools.product(*branch) for branch in branches)
-    # islice takes no stop past sys.maxsize, and no list is that long
-    stop = min(budget + 1, sys.maxsize)
-    states = list(map(functools.partial(tuple.__new__, State), itertools.islice(product, stop)))
-    if len(states) > budget:
-        raise refuse()
-    return states
+    forms = NormalForms(branches)
+    if len(forms) > budget:
+        raise refuse(len(forms))
+    return forms

@@ -11,7 +11,6 @@ for a cyclic group of order p^2 means at least one image is a unit.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterator, NamedTuple
 
@@ -38,10 +37,6 @@ def order_p_values(p: int) -> tuple[int, ...]:
     """All residues of exact order p, ascending."""
     q = p * p
     return tuple(range(p, q, p))
-
-
-def state_dims(state: State) -> tuple[int, int, int, int, int]:
-    return (len(state.a), len(state.bc), len(state.d), len(state.ef), len(state.g))
 
 
 def flatten(state: State) -> tuple[int, ...]:
@@ -126,20 +121,3 @@ def iter_valid_states(p: int, v: Tuple5) -> Iterator[State]:
         if need_unit and not any(x % p for x in coords):
             continue
         yield unflatten(v, coords)
-
-
-@functools.cache
-def state_template(dims: tuple[int, int, int, int, int]) -> str:
-    """The :func:`format_state` text of every state of shape ``dims`` as a
-    ``%`` template over :func:`flatten` of the state."""
-    r, s, t, m, n = dims
-    return "|".join(",".join(["%d"] * k) for k in (r, 2 * s, t, 2 * m, n))
-
-
-def format_state(state: State) -> str:
-    """Dump syntax: comma-separated residues, classes separated by ``|``.
-
-    Paired classes are flattened in order, e.g. ``b1,c1,b2,c2``.  Empty
-    classes leave their section empty, so every state has five sections.
-    """
-    return state_template(state_dims(state)) % flatten(state)

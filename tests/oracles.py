@@ -12,10 +12,11 @@ every shape listed from the (t, n) compositions, sorted, and counted by
 
 States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
-raw index must follow; and the parser of the ``canonical --list`` dump
-format.
+raw index must follow; and the per-state renderer of the ``canonical
+--list`` dump format, with its parser.
 """
 
+import functools
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from handlebody_census.counting import _require_kj
 from handlebody_census.errors import BudgetExceededError
 from handlebody_census.theorem_counts import count_kernel, pools
 from handlebody_census.tuples import Tuple5, require_odd_prime
-from handlebody_census.verification.states import State, flatten, state_dims
+from handlebody_census.verification.states import State, flatten
 
 #: Cap on brute-force enumeration, roughly seconds of work when hit.
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -141,6 +142,10 @@ def is_order_p(x: int, p: int) -> bool:
     return x % p == 0 and x % (p * p) != 0
 
 
+def state_dims(state: State) -> tuple[int, int, int, int, int]:
+    return (len(state.a), len(state.bc), len(state.d), len(state.ef), len(state.g))
+
+
 def require_dims(v: Tuple5, state: State) -> None:
     dims = state_dims(state)
     if dims != v.as_tuple():
@@ -180,6 +185,24 @@ def encode_state(p: int, v: Tuple5, state: State) -> int:
             raise ValueError(f"image {x} outside [0, {q})")
         value = value * q + x
     return value
+
+
+@functools.cache
+def state_template(dims: tuple[int, int, int, int, int]) -> str:
+    """The :func:`format_state` text of every state of shape ``dims`` as a
+    ``%`` template over :func:`flatten` of the state."""
+    r, s, t, m, n = dims
+    return "|".join(",".join(["%d"] * k) for k in (r, 2 * s, t, 2 * m, n))
+
+
+def format_state(state: State) -> str:
+    """Dump syntax, one state at a time: comma-separated residues, classes
+    separated by ``|``.
+
+    Paired classes are flattened in order, e.g. ``b1,c1,b2,c2``.  Empty
+    classes leave their section empty, so every state has five sections.
+    """
+    return state_template(state_dims(state)) % flatten(state)
 
 
 def parse_state(text: str) -> State:

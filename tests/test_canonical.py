@@ -1,18 +1,21 @@
 """Normal-form enumeration: frozen examples, soundness, count equality."""
 
+import sys
+
 import pytest
-from oracles import is_valid_state
+from oracles import format_state, is_valid_state
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
 from handlebody_census.theorem_counts import count_for_tuple, count_kernel, pools
 from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, classify
 from handlebody_census.verification import canonical
 from handlebody_census.verification.canonical import (
+    NormalForms,
     enumerate_canonical,
     low_order_p_values,
     low_unit_values,
 )
-from handlebody_census.verification.states import State, flatten, format_state
+from handlebody_census.verification.states import State, flatten
 
 ORDER_BUDGET = 5_000
 
@@ -57,7 +60,7 @@ def test_half_range_pools():
 
 def test_single_pair_shape_lists_both_normal_forms():
     states = enumerate_canonical(3, Tuple5(0, 0, 0, 1, 0))
-    assert states == [
+    assert list(states) == [
         State(a=(), bc=(), d=(), ef=((3, 1),), g=()),
         State(a=(), bc=(), d=(), ef=((3, 2),), g=()),
     ]
@@ -128,15 +131,26 @@ def test_emission_order_is_strictly_increasing_and_counted_in_advance():
         states = enumerate_canonical(p, v)
         keys = [flatten(s) for s in states]
         assert all(a < b for a, b in zip(keys, keys[1:])), (p, v)
-        assert len(states) == _closed_form(p, v), (p, v)
+        assert len(keys) == len(states) == _closed_form(p, v), (p, v)
         shapes += 1
     assert shapes > 2000
 
 
 def test_template_format_state_equals_the_join_formatter():
     for p, v in _shapes_within(200):
-        for state in enumerate_canonical(p, v):
-            assert format_state(state) == _join_format(state), (p, v, state)
+        forms = enumerate_canonical(p, v)
+        joined = [_join_format(state) for state in forms]
+        assert [format_state(state) for state in forms] == joined, (p, v)
+        assert forms.lines() == joined, (p, v)
+
+
+def test_a_count_past_sys_maxsize_is_an_allocation_failure():
+    # len() cannot return it, so the CLI and compare see the documented
+    # out-of-memory stop instead of an OverflowError
+    pool = range(2**16)
+    with pytest.raises(MemoryError):
+        NormalForms([(pool,) * 4 + ([()],)])
+    assert len(NormalForms([(pool,) * 3 + ([()], [()])])) == 2**48 < sys.maxsize
 
 
 def test_output_is_sorted_and_duplicate_free():

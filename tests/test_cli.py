@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, round trips, determinism; and
 the top-level names of the package."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -10,11 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import parse_state
+from oracles import format_state, parse_state
 
 import handlebody_census
-from handlebody_census import census
+from handlebody_census import Tuple5, census
 from handlebody_census.cli import main
+from handlebody_census.verification.canonical import enumerate_canonical
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +165,33 @@ def test_canonical_listing_round_trips(capsys):
     assert lines[1] == "p=3 v=0,1,0,0,0"
     states = [parse_state(line) for line in lines[2:]]
     assert [s.bc for s in states] == [((1, 0),), ((2, 0),), ((4, 0),)]
+
+
+@pytest.mark.parametrize(
+    "p,shape,case", [(3, "1,0,0,1,1", "r"), (5, "0,1,1,0,1", "st"), (5, "0,0,0,1,1", "m")]
+)
+def test_canonical_listing_matches_the_per_state_dump_in_every_format(capsys, p, shape, case):
+    v = Tuple5.parse(shape)
+    dumped = [format_state(state) for state in enumerate_canonical(p, v)]
+    argv = ["canonical", "--p", str(p), "--tuple", shape, "--list"]
+
+    code, out, _ = run_cli(capsys, *argv, "--no-header")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{len(dumped)} canonical state(s) for p={p} shape ({shape})", f"p={p} v={shape}", *dumped
+    ]
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "p": p, "tuple": list(v.as_tuple()), "case": case, "count": str(len(dumped)), "states": dumped
+    }
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert list(csv.reader(io.StringIO(out))) == [["index", "state"]] + [
+        [str(i), text] for i, text in enumerate(dumped)
+    ]
 
 
 def test_canonical_budget_exit_code(capsys):

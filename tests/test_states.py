@@ -4,14 +4,13 @@ import itertools
 import math
 
 import pytest
-from oracles import encode_state, is_order_p, is_unit, is_valid_state, parse_state
+from oracles import encode_state, format_state, is_order_p, is_unit, is_valid_state, parse_state
 
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.states import (
     State,
     coordinate_domains,
     flatten,
-    format_state,
     iter_valid_states,
     order_p_values,
     raw_state_count,
