@@ -35,7 +35,6 @@ from .theorem_counts import CountReport, census
 from .tuples import (
     Tuple5,
     admissible_tuples,
-    classify,
     iter_shapes,
     require_genus,
     require_odd_prime,
@@ -277,13 +276,13 @@ def _cmd_canonical(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
     forms = enumerate_canonical(p, v, budget=args.max_states)
-    fields = {"case": classify(v).value, "count": str(len(forms))}
-    obj = {"p": p, "tuple": list(v.as_tuple()), **fields}
+    fields = {"case": shape_case(v).value, "count": str(len(forms))}
+    obj = {"p": p, "tuple": v, **fields}
     lines = [f"{len(forms)} canonical state(s) for p={p} shape {v}"]
-    header, rows = _SHAPE_COLUMNS + list(fields), [[*v.as_tuple(), *fields.values()]]
+    header, rows = _SHAPE_COLUMNS + list(fields), [[*v, *fields.values()]]
     if args.list:
         obj["states"] = listed = forms.lines()
-        lines += [f"p={p} v={','.join(str(x) for x in v.as_tuple())}", *listed]
+        lines += [f"p={p} v={','.join(map(str, v))}", *listed]
         header, rows = ["index", "state"], enumerate(listed)
     return Output(_dumps(obj), header, rows, lines)
 
@@ -299,9 +298,9 @@ def _cmd_orbits(args) -> Output:
         "largest_orbit": stats.largest_orbit,
     }
     return Output(
-        json=_dumps({"p": p, "tuple": list(v.as_tuple()), **fields}),
+        json=_dumps({"p": p, "tuple": v, **fields}),
         header=_SHAPE_COLUMNS + list(fields),
-        rows=[[*v.as_tuple(), *fields.values()]],
+        rows=[[*v, *fields.values()]],
         lines=[
             f"shape {v} at p={p}: {stats.orbits} orbit(s)",
             f"state space {stats.state_space_size} raw, "
@@ -330,7 +329,7 @@ def _cmd_verify(args) -> Output:
         raise ValueError("verify needs exactly one of --tuple or --genus")
     if args.tuple is not None:
         shapes = [Tuple5.parse(args.tuple)]
-        target = {"tuple": list(shapes[0].as_tuple())}
+        target = {"tuple": shapes[0]}
     else:
         shapes = admissible_tuples(p, require_genus(args.genus))
         target = {"g": args.genus}
@@ -338,7 +337,7 @@ def _cmd_verify(args) -> Output:
     for v in shapes:
         r = compare(p, v, budget=args.max_states)
         row = {
-            "tuple": list(v.as_tuple()),
+            "tuple": v,
             "case": r.case.value,
             "theorem_count": str(r.theorem_count),
             "canonical_count": None if r.canonical_count is None else str(r.canonical_count),

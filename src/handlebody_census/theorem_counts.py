@@ -18,8 +18,8 @@ number of shapes in closed form, one term per (t, n) block, and
 :meth:`CountReport.iter_rows` streams the rows in lexicographic order from
 :func:`census_rows`, the kernel factored per run of the shape walk
 (:func:`~.tuples.shape_runs`) into lookups in two per-census tables.
-The rows are checked against the closed form when they have all been read;
-``CountReport.rows`` builds :class:`TupleCount` rows on demand.
+A row is one plain tuple, ``(r, s, t, m, n, case, count, flags)``; the
+rows are checked against the closed form when they have all been read.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -39,7 +39,6 @@ from .tuples import (
     CaseTag,
     Shape,
     Tuple5,
-    format_shape,
     genus_blocks,
     require_odd_prime,
     shape_runs,
@@ -82,9 +81,9 @@ def count_kernel(
     return CaseTag.CASE_M, pinned_pair
 
 
-def count_for_tuple(p: int, v: Tuple5) -> int:
+def count_for_tuple(p: int, v: Shape) -> int:
     """Evaluate the counting branch matching the shape's case tag."""
-    return count_kernel(pools(p), *v.as_tuple())[1]
+    return count_kernel(pools(p), *v)[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,16 +93,6 @@ class Flag:
     location: str
     paper_value: int
     computed_value: int
-
-
-@dataclasses.dataclass
-class TupleCount:
-    """One census row: a shape, its case, its count, and any flags."""
-
-    tuple: Tuple5
-    case: CaseTag
-    count: int
-    flags: list[Flag] = dataclasses.field(default_factory=list)
 
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
@@ -154,29 +143,21 @@ class CountReport:
                 f"the closed form {self.shape_count} and {self.total}"
             )
 
-    @property
-    def rows(self) -> list[TupleCount]:
-        """One :class:`TupleCount` per shape, built on each access."""
-        return [
-            TupleCount(tuple=Tuple5(r, s, t, m, n), case=case, count=count, flags=list(flags))
-            for r, s, t, m, n, case, count, flags in self.iter_rows()
-        ]
-
 
 # Published reference census: per-shape class counts and the printed total
 # for the one (p, g) pair the source worked out in full.  Two of the six
 # per-shape values (and hence the total) differ from the literal formulas;
 # census() surfaces the difference as flags and decides nothing.
-PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Shape, int]]] = {
+PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Tuple5, int]]] = {
     (5, 26): (
         248,
         {
-            (0, 2, 0, 0, 0): 55,
-            (2, 0, 0, 0, 0): 10,
-            (0, 0, 0, 2, 0): 55,
-            (1, 1, 0, 0, 0): 10,
-            (1, 0, 0, 1, 0): 18,
-            (0, 1, 0, 1, 0): 100,
+            Tuple5(0, 2, 0, 0, 0): 55,
+            Tuple5(2, 0, 0, 0, 0): 10,
+            Tuple5(0, 0, 0, 2, 0): 55,
+            Tuple5(1, 1, 0, 0, 0): 10,
+            Tuple5(1, 0, 0, 1, 0): 18,
+            Tuple5(0, 1, 0, 1, 0): 100,
         },
     ),
 }
@@ -242,7 +223,7 @@ def census(p: int, g: int) -> CountReport:
         for v, ref in sorted(published[1].items()):
             count = count_kernel(pool_sizes, *v)[1]
             if ref != count:
-                location = f"published census p={p} g={g}, shape {format_shape(v)}"
+                location = f"published census p={p} g={g}, shape {v}"
                 shape_flags[v] = (Flag(location=location, paper_value=ref, computed_value=count),)
     return CountReport(
         p=p,

@@ -3,17 +3,21 @@
 A shape is an ordered 5-tuple (r, s, t, m, n) counting the free-product
 factors of the quotient's fundamental group by kind: r free handles (Z),
 s pairs of kind Z_{p^2} x Z, t of kind Z_{p^2}, m pairs of kind Z_p x Z,
-and n of kind Z_p.  Shapes with r+s+t+m = 0 carry no action and are
-rejected at construction.  The genus a shape acts on is a fixed linear
-function of its components; for given p and g the admissible shapes are
-the lattice solutions of that equation.
+and n of kind Z_p.  The genus a shape acts on is a fixed linear function
+of its components; for given p and g the admissible shapes are the lattice
+solutions of that equation.
+
+There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
+with named fields and a check at construction: shapes with r+s+t+m = 0
+carry no action and are rejected.  The shape walk (:func:`shape_runs`,
+:func:`iter_shapes`) yields plain tuples and builds no :class:`Tuple5`;
+:func:`shape_case` and :func:`genus_of` take either.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InadmissibleTupleError
 
@@ -40,31 +44,44 @@ def require_genus(g: int) -> int:
     return g
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class Tuple5:
-    """Factor counts (r, s, t, m, n); at least one of r, s, t, m is positive."""
-
+# The fields alone: a NamedTuple class may not define __new__, so the
+# checks live in the subclass.
+class _Fields(NamedTuple):
     r: int
     s: int
     t: int
     m: int
     n: int
 
-    def __post_init__(self):
-        parts = self.as_tuple()
+
+class Tuple5(_Fields):
+    """Factor counts (r, s, t, m, n); at least one of r, s, t, m is positive.
+
+    A ``Tuple5`` is its plain tuple ``(r, s, t, m, n)``: equal to it, hashed
+    and sorted like it.  Every way of building one (the constructor,
+    ``_make``, ``_replace``) runs the same checks, which raise
+    ``ValueError``, also under ``python -O``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, s: int, t: int, m: int, n: int) -> "Tuple5":
+        parts = (r, s, t, m, n)
         for x in parts:
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError(
                     f"shape components must be nonnegative integers, got {parts}"
                 )
-        if self.r + self.s + self.t + self.m == 0:
+        if r + s + t + m == 0:
             raise ValueError(
                 f"need r+s+t+m > 0, got {parts}: a shape made of Z_p factors "
                 "alone has no canonical form"
             )
+        return super().__new__(cls, r, s, t, m, n)
 
-    def as_tuple(self) -> Shape:
-        return (self.r, self.s, self.t, self.m, self.n)
+    @classmethod
+    def _make(cls, iterable) -> "Tuple5":
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, text: str) -> "Tuple5":
@@ -79,12 +96,8 @@ class Tuple5:
         return cls(*values)
 
     def __str__(self) -> str:
-        return format_shape(self.as_tuple())
-
-
-def format_shape(v: Shape) -> str:
-    """A shape as ``(r,s,t,m,n)``, without spaces."""
-    return "(%d,%d,%d,%d,%d)" % v
+        """The shape as ``(r,s,t,m,n)``, without spaces."""
+        return "(%d,%d,%d,%d,%d)" % self
 
 
 class CaseTag(enum.Enum):
@@ -96,7 +109,7 @@ class CaseTag(enum.Enum):
 
 
 def shape_case(v: Shape) -> CaseTag:
-    """Dispatch a plain shape: s+t > 0 wins, then r > 0, else m > 0 is forced."""
+    """The case of a shape: s+t > 0 wins, then r > 0, else m > 0 is forced."""
     r, s, t, _, _ = v
     if s + t > 0:
         return CaseTag.CASE_ST
@@ -105,20 +118,16 @@ def shape_case(v: Shape) -> CaseTag:
     return CaseTag.CASE_M
 
 
-def classify(v: Tuple5) -> CaseTag:
-    """:func:`shape_case` of a :class:`Tuple5`."""
-    return shape_case(v.as_tuple())
-
-
-def genus_of(p: int, v: Tuple5) -> int:
+def genus_of(p: int, v: Shape) -> int:
     """Genus forced by a shape: 1 + p^2(r+s+m-1) + (p^2-1)t + (p^2-p)n.
 
     Raises :class:`InadmissibleTupleError` when the formula lands below 1,
     which can only happen for r+s+m = 0 with t, n small.
     """
     require_odd_prime(p)
+    r, s, t, m, n = v
     q = p * p
-    g = 1 + q * (v.r + v.s + v.m - 1) + (q - 1) * v.t + (q - p) * v.n
+    g = 1 + q * (r + s + m - 1) + (q - 1) * t + (q - p) * n
     if g < 1:
         raise InadmissibleTupleError(f"shape {v} forces genus {g} < 1")
     return g
@@ -171,12 +180,6 @@ def iter_shapes(p: int, g: int) -> Iterator[Shape]:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
 
 
-def shape_tuples(p: int, g: int) -> list[Shape]:
-    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted:
-    :func:`iter_shapes` as a list."""
-    return list(iter_shapes(p, g))
-
-
 def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
     """``(t, n, K)`` for every (t, n) that some shape of genus g has, with
     K = r+s+m, the same for all of the block's (K+1)(K+2)/2 shapes.
@@ -204,5 +207,5 @@ def shape_count(p: int, g: int) -> int:
 
 
 def admissible_tuples(p: int, g: int) -> list[Tuple5]:
-    """Every shape acting on genus g, sorted lexicographically."""
-    return [Tuple5(*v) for v in shape_tuples(p, g)]
+    """Every shape acting on genus g as a :class:`Tuple5`, sorted."""
+    return [Tuple5(*v) for v in iter_shapes(p, g)]

@@ -124,7 +124,7 @@ def enumerate_canonical(
             budget=budget,
         )
 
-    case, required = count_kernel(pools(p), *v.as_tuple())
+    case, required = count_kernel(pools(p), *v)
     if required > budget:
         raise refuse(required)
 

@@ -61,7 +61,6 @@ class Move:
     index2: int | None = None  # PERMUTE partner
     amount: int = 0  # TWIST amount, or SLIDE multiplier
     source: GenRef | None = None  # SLIDE source generator
-    sign: int = -1  # SPIN direction; -1 negates, +1 is the identity
 
 
 def _class_values(state: State, cls: GenClass):
@@ -117,10 +116,6 @@ def apply_move(p: int, state: State, move: Move) -> State:
         return _replace(state, move.cls, values)
 
     if move.kind is MoveKind.SPIN:
-        if move.sign not in (1, -1):
-            raise ValueError(f"spin sign must be +1 or -1, got {move.sign}")
-        if move.sign == 1:
-            return state
         entry = values[move.index]
         if move.cls in PAIRED:
             values[move.index] = ((-entry[0]) % q, (-entry[1]) % q)

@@ -44,7 +44,7 @@ import numpy as np
 
 from ..errors import BudgetExceededError, stop_reason
 from ..theorem_counts import count_for_tuple
-from ..tuples import Tuple5, CaseTag, classify, genus_of, require_odd_prime
+from ..tuples import Tuple5, CaseTag, genus_of, require_odd_prime, shape_case
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .moves import (
     GenClass,
@@ -75,7 +75,7 @@ class _Space:
         self.p, self.q, self.v = p, p * p, v
         doms = coordinate_domains(p, v)
         self.ncols = len(doms)
-        r, s, t, m, n = v.as_tuple()
+        r, s, t, m, n = v
         self.a_cols = list(range(r))
         self.b_cols = [r + 2 * i for i in range(s)]
         self.c_cols = [r + 2 * i + 1 for i in range(s)]
@@ -191,8 +191,6 @@ def _move_updates(space: _Space, values: dict, move: Move):
             out.append((b, values[a]))
         return out
     if move.kind is MoveKind.SPIN:
-        if move.sign == 1:
-            return []
         return [(c, (q - values[c]) % q) for c in space.entry_cols(move.cls, move.index)]
     if move.kind is MoveKind.TWIST:
         finite, free = space.entry_cols(move.cls, move.index)
@@ -574,7 +572,7 @@ def compare(
     return Comparison(
         p=p,
         tuple=v,
-        case=classify(v),
+        case=shape_case(v),
         theorem_count=theorem,
         canonical_count=canonical,
         orbit_count=orbits,

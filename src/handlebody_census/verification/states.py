@@ -56,7 +56,7 @@ def flatten(state: State) -> tuple[int, ...]:
 def unflatten(v: Tuple5, coords) -> State:
     """Rebuild a state from its flat image vector."""
     coords = tuple(coords)
-    r, s, t, m, n = v.as_tuple()
+    r, s, t, m, n = v
     if len(coords) != r + 2 * s + t + 2 * m + n:
         raise ValueError(f"expected {r + 2 * s + t + 2 * m + n} images for {v}, got {len(coords)}")
     pos = 0

@@ -1,9 +1,10 @@
 """Reference renderings of ``census`` and ``tuples`` output, built row by row.
 
-These are the object-per-row renderers the CLI used before it streamed
-plain row tuples through per-row templates: a JSON object dumped with
-``json.dumps(..., indent=2)``, CSV rows through :mod:`csv`, and table rows
-through the CLI's column aligner.  The CLI must match them byte for byte.
+These are the renderers the CLI used before it wrote rows through per-row
+templates: one JSON object dumped with ``json.dumps(..., indent=2)``, CSV
+rows through :mod:`csv`, and table rows through the CLI's column aligner.
+They read the census rows from ``CountReport.iter_rows()`` and the shapes
+from ``admissible_tuples``.  The CLI must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 from handlebody_census.cli import _columns
 from handlebody_census.theorem_counts import CountReport
-from handlebody_census.tuples import admissible_tuples, classify
+from handlebody_census.tuples import admissible_tuples, shape_case
 
 HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
 TUPLES_HEADER = ["r", "s", "t", "m", "n", "case"]
@@ -41,12 +42,12 @@ def census_json(report: CountReport) -> str:
         "g": report.g,
         "rows": [
             {
-                "tuple": list(row.tuple.as_tuple()),
-                "case": row.case.value,
-                "count": str(row.count),
-                "flags": [_flag_json(f) for f in row.flags],
+                "tuple": [r, s, t, m, n],
+                "case": case.value,
+                "count": str(count),
+                "flags": [_flag_json(f) for f in flags],
             }
-            for row in report.rows
+            for r, s, t, m, n, case, count, flags in report.iter_rows()
         ],
         "total": str(report.total),
     }
@@ -58,8 +59,8 @@ def census_json(report: CountReport) -> str:
 
 def census_csv(report: CountReport, no_header: bool) -> str:
     rows = [
-        list(row.tuple.as_tuple()) + [row.case.value, str(row.count), _flag_cell(row.flags)]
-        for row in report.rows
+        [r, s, t, m, n, case.value, str(count), _flag_cell(flags)]
+        for r, s, t, m, n, case, count, flags in report.iter_rows()
     ]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -72,14 +73,13 @@ def census_csv(report: CountReport, no_header: bool) -> str:
 def census_table(report: CountReport, per_tuple: bool, no_header: bool) -> str:
     """Table output without its timestamp line."""
     lines = []
+    rows = [
+        [*map(str, (r, s, t, m, n)), case.value, str(count), _flag_cell(flags)]
+        for r, s, t, m, n, case, count, flags in report.iter_rows()
+    ]
     if per_tuple:
-        rows = [
-            [str(x) for x in row.tuple.as_tuple()]
-            + [row.case.value, str(row.count), _flag_cell(row.flags)]
-            for row in report.rows
-        ]
         lines += _columns(rows, HEADER, no_header)
-    lines.append(f"total {report.total} ({len(report.rows)} shapes)")
+    lines.append(f"total {report.total} ({len(rows)} shapes)")
     if report.reference_total is not None:
         lines.append(f"published reference total {report.reference_total}")
     for flag in report.flags:
@@ -91,7 +91,7 @@ def census_table(report: CountReport, per_tuple: bool, no_header: bool) -> str:
 
 
 def tuples_json(p: int, g: int) -> str:
-    rows = [{"tuple": list(v.as_tuple()), "case": classify(v).value} for v in admissible_tuples(p, g)]
+    rows = [{"tuple": list(v), "case": shape_case(v).value} for v in admissible_tuples(p, g)]
     return json.dumps({"p": p, "g": g, "rows": rows}, indent=2) + "\n"
 
 
@@ -100,14 +100,14 @@ def tuples_csv(p: int, g: int, no_header: bool) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     if not no_header:
         writer.writerow(TUPLES_HEADER)
-    writer.writerows(list(v.as_tuple()) + [classify(v).value] for v in admissible_tuples(p, g))
+    writer.writerows([*v, shape_case(v).value] for v in admissible_tuples(p, g))
     return buf.getvalue()
 
 
 def tuples_table(p: int, g: int, no_header: bool) -> str:
     """Table output without its timestamp line."""
     shapes = admissible_tuples(p, g)
-    rows = [[str(x) for x in v.as_tuple()] + [classify(v).value] for v in shapes]
+    rows = [[str(x) for x in v] + [shape_case(v).value] for v in shapes]
     lines = _columns(rows, TUPLES_HEADER, no_header)
     lines.append(f"{len(shapes)} admissible shape(s) for p={p} genus={g}")
     return "".join(line + "\n" for line in lines)

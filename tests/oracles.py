@@ -148,7 +148,7 @@ def state_dims(state: State) -> tuple[int, int, int, int, int]:
 
 def require_dims(v: Tuple5, state: State) -> None:
     dims = state_dims(state)
-    if dims != v.as_tuple():
+    if dims != v:
         raise ValueError(f"state dimensions {dims} do not match shape {v}")
 
 

@@ -75,8 +75,6 @@ def move_updates(space, dig: np.ndarray, move: Move):
             out.append((b, dig[:, a]))
         return out
     if move.kind is MoveKind.SPIN:
-        if move.sign == 1:
-            return []
         return [(c, (q - dig[:, c]) % q) for c in space.entry_cols(move.cls, move.index)]
     if move.kind is MoveKind.TWIST:
         finite, free = space.entry_cols(move.cls, move.index)

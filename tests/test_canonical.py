@@ -7,7 +7,7 @@ from oracles import format_state, is_valid_state
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
 from handlebody_census.theorem_counts import count_for_tuple, count_kernel, pools
-from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, classify
+from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, shape_case
 from handlebody_census.verification import canonical
 from handlebody_census.verification.canonical import (
     NormalForms,
@@ -21,7 +21,7 @@ ORDER_BUDGET = 5_000
 
 
 def _closed_form(p, v):
-    return count_kernel(pools(p), *v.as_tuple())[1]
+    return count_kernel(pools(p), *v)[1]
 
 
 def _shapes_within(budget):
@@ -116,7 +116,7 @@ def test_refusal_is_decided_from_the_count_before_any_pool_is_built(monkeypatch)
 
 
 def test_in_loop_guard_still_refuses_when_the_count_is_wrong(monkeypatch):
-    monkeypatch.setattr(canonical, "count_kernel", lambda pool_sizes, *v: (classify(Tuple5(*v)), 0))
+    monkeypatch.setattr(canonical, "count_kernel", lambda pool_sizes, *v: (shape_case(v), 0))
     with pytest.raises(BudgetExceededError) as excinfo:
         enumerate_canonical(5, Tuple5(0, 0, 0, 2, 0), budget=10)
     assert excinfo.value.budget == 10
@@ -165,7 +165,7 @@ def _assert_clauses(p, v, state):
     """Check every normalized property the case demands, clause by clause."""
     units = set(low_unit_values(p))
     orderp = set(low_order_p_values(p))
-    case = classify(v)
+    case = shape_case(v)
     bs = [b for b, _ in state.bc]
     cs = [c for _, c in state.bc]
     es = [e for e, _ in state.ef]

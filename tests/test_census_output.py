@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import theorem_counts
 from handlebody_census.theorem_counts import census
 from handlebody_census.tuples import Tuple5
 from handlebody_census.cli import main
@@ -93,8 +92,7 @@ def _refuse_shape_objects(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a per-shape object was built")
 
-    monkeypatch.setattr(Tuple5, "__post_init__", refuse)
-    monkeypatch.setattr(theorem_counts, "TupleCount", refuse)
+    monkeypatch.setattr(Tuple5, "__new__", refuse)
 
 
 def test_cli_census_builds_no_shape_or_row_objects(capsys, monkeypatch):

@@ -53,13 +53,6 @@ def test_slide_adds_multiple_of_source_image():
     assert apply_move(3, state, mv).a == (4,)
 
 
-def test_spin_sign_plus_one_is_identity():
-    state = bc_state(2, 5)
-    assert apply_move(3, state, Move(MoveKind.SPIN, GenClass.BC, 0, sign=1)) == state
-    with pytest.raises(ValueError):
-        apply_move(3, state, Move(MoveKind.SPIN, GenClass.BC, 0, sign=2))
-
-
 def test_move_contract_violations():
     state = State(a=(1, 0), bc=(), d=(), ef=((3, 2),), g=())
     with pytest.raises(ValueError):

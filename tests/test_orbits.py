@@ -11,7 +11,6 @@ import pytest
 from bfs_oracle import bfs_labels, generators_and_inverses
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
-from handlebody_census.theorem_counts import count_for_tuple
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition

@@ -1,4 +1,10 @@
-"""Shape enumeration, genus bookkeeping, and case classification."""
+"""Shape enumeration, genus bookkeeping, case dispatch, and the shape type."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +16,9 @@ from handlebody_census.tuples import (
     CaseTag,
     Tuple5,
     admissible_tuples,
-    classify,
     genus_of,
     require_odd_prime,
+    shape_case,
 )
 
 
@@ -34,7 +40,7 @@ def test_genus_inadmissible_names_the_tuple():
 
 
 def test_admissible_tuples_worked_example():
-    assert [v.as_tuple() for v in admissible_tuples(5, 26)] == [
+    assert admissible_tuples(5, 26) == [
         (0, 0, 0, 2, 0),
         (0, 1, 0, 1, 0),
         (0, 2, 0, 0, 0),
@@ -49,7 +55,7 @@ def test_admissible_tuples_empty():
 
 
 def test_admissible_tuples_small_genus():
-    assert [v.as_tuple() for v in admissible_tuples(3, 9)] == [
+    assert admissible_tuples(3, 9) == [
         (0, 0, 1, 1, 0),
         (0, 1, 1, 0, 0),
         (1, 0, 1, 0, 0),
@@ -64,8 +70,9 @@ def test_admissible_tuples_small_genus():
         ((0, 0, 0, 2, 0), CaseTag.CASE_M),
     ],
 )
-def test_classify_examples(v, expected):
-    assert classify(Tuple5(*v)) is expected
+def test_shape_case_examples(v, expected):
+    assert shape_case(Tuple5(*v)) is expected
+    assert shape_case(v) is expected
 
 
 def test_round_trip_small_components():
@@ -126,7 +133,7 @@ def _scan_box(p, g):
 def test_completeness_against_box_scan():
     for p in (3, 5):
         for g in range(1, 61):
-            got = [v.as_tuple() for v in admissible_tuples(p, g)]
+            got = admissible_tuples(p, g)
             assert got == _scan_box(p, g), (p, g)
 
 
@@ -145,6 +152,56 @@ def test_tuple5_rejects_bad_components():
         Tuple5(0, 0, 0, 0, 3)  # no finite-order or handle factor at all
     with pytest.raises(ValueError):
         Tuple5(0, 0, 0, 0, 0)
+
+
+def test_tuple5_rejects_bad_components_on_every_route():
+    v = Tuple5(1, 0, 0, 1, 0)
+    with pytest.raises(ValueError):
+        Tuple5(True, 0, 0, 1, 0)
+    with pytest.raises(ValueError):
+        Tuple5._make([0, 0, 0, 0, 0])
+    with pytest.raises(ValueError):
+        v._replace(r=-1)
+    with pytest.raises(ValueError):
+        v._replace(r=0, m=0)
+    assert Tuple5._make([1, 0, 0, 1, 0]) == v
+    assert v._replace(n=2) == Tuple5(1, 0, 0, 1, 2)
+    assert type(v._replace(n=2)) is Tuple5
+
+
+def test_tuple5_checks_survive_python_O():
+    child = (
+        "from handlebody_census.tuples import Tuple5\n"
+        "v = Tuple5(1, 0, 0, 1, 0)\n"
+        "for build in (lambda: Tuple5(0, 0, 0, 0, 1), lambda: Tuple5(True, 0, 0, 1, 0),\n"
+        "              lambda: Tuple5._make([0, 0, 0, 0, 0]), lambda: v._replace(r=-1)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    raise SystemExit('a bad shape was accepted')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_tuple5_is_its_plain_tuple():
+    v, plain = Tuple5(1, 0, 0, 1, 0), (1, 0, 0, 1, 0)
+    assert v == plain and plain == v and isinstance(v, tuple)
+    assert hash(v) == hash(plain)
+    assert {v: "x"}[plain] == "x" and {plain: "x"}[v] == "x"
+    assert sorted([Tuple5(0, 2, 0, 0, 0), (0, 0, 0, 2, 0), Tuple5(1, 0, 0, 0, 0)]) == [
+        (0, 0, 0, 2, 0),
+        (0, 2, 0, 0, 0),
+        (1, 0, 0, 0, 0),
+    ]
+    assert (v.r, v.s, v.t, v.m, v.n) == plain
+    assert str(v) == "(1,0,0,1,0)"
+    assert repr(v) == "Tuple5(r=1, s=0, t=0, m=1, n=0)"
+    assert json.dumps(v) == json.dumps(plain) == "[1, 0, 0, 1, 0]"
 
 
 def test_tuple5_parse_and_str():
@@ -184,9 +241,9 @@ def test_non_odd_primes_rejected(p):
     comps=st.tuples(*[st.integers(0, 4)] * 5).filter(lambda c: sum(c[:4]) > 0),
     p=st.sampled_from([3, 5, 7]),
 )
-def test_classify_is_total_and_single_valued(comps, p):
+def test_shape_case_is_total_and_single_valued(comps, p):
     v = Tuple5(*comps)
-    tag = classify(v)
+    tag = shape_case(v)
     predicates = [v.s + v.t > 0, v.s + v.t == 0 and v.r > 0, v.r + v.s + v.t == 0 and v.m > 0]
     assert predicates.count(True) == 1
     assert tag is [CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M][predicates.index(True)]
