@@ -100,6 +100,13 @@ def _replace(state: State, cls: GenClass, values) -> State:
 def apply_move(p: int, state: State, move: Move) -> State:
     """Apply one move to a state; validity is preserved.
 
+    The images may be numpy arrays that broadcast against each other: the
+    move is elementwise arithmetic mod p^2 on the images it changes, so the
+    result holds, element by element, the move applied to every
+    combination.  Images the move neither reads nor writes are passed
+    through as the same objects and may be anything, ``None`` included.
+    The orbit engine builds its gather tables this way.
+
     Raises ValueError for out-of-range indices, malformed amounts, or a
     slide sourced from the target's own factor.
     """

@@ -6,13 +6,14 @@ state space.  The raw space is the full product of the per-coordinate
 domains, and a move reads and writes at most four coordinates, so with the
 raw index viewed as an array with one axis per run of touched columns, a
 move changes the positions on those axes only, by a small table over them.
-The table is built by applying the move to the domain values of its
-coordinates, which also checks that no image leaves its domain.  Each
-round gathers the labels through every move with that table, along the
-touched axes (one ``np.take`` when they are adjacent, chunked flat
-offsets when they are not), so no successor array of the raw size is ever
-built.  Validity (surjectivity) is
-broadcast the same way, as the OR of per-coordinate unit masks.
+The table is :func:`apply_move` on a state holding, in the :mod:`.states`
+layout, the domain values of the touched coordinates as an open grid; it
+is checked to stay in every domain.  Each round gathers the labels
+through every move with that table, along the touched axes (one
+``np.take`` when they are adjacent, chunked flat offsets when they are
+not), so no successor array of the raw size is ever built.  Validity
+(surjectivity) is broadcast the same way, as the OR of per-coordinate unit
+masks.
 Min-label hooking and pointer jumping then run to a fixpoint that labels
 each component by its smallest raw index.
 
@@ -30,7 +31,9 @@ so a label is the least valid-state index of its orbit.
 
 The tests hold a reference for this engine: breadth-first search over
 :func:`apply_move`, from individual states, which must reach the same
-labels.
+labels.  That search shares the move rule with the engine, so the check of
+the rule and the layout rests on ``tests/orbit_reference.py``, whose own
+update rule and column map must give every move's successor array.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ from ..theorem_counts import count_for_tuple
 from ..tuples import Tuple5, CaseTag, genus_of, require_odd_prime, shape_case
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .moves import (
+    PAIRED,
     GenClass,
     Move,
     MoveKind,
-    full_move_alphabet,
+    apply_move,
     generator_moves,
     inverse_move,
 )
@@ -59,6 +63,7 @@ from .states import (
     coordinate_domains,
     flatten,
     raw_state_count,
+    unflatten,
 )
 
 
@@ -75,17 +80,8 @@ class _Space:
         self.p, self.q, self.v = p, p * p, v
         doms = coordinate_domains(p, v)
         self.ncols = len(doms)
-        r, s, t, m, n = v
-        self.a_cols = list(range(r))
-        self.b_cols = [r + 2 * i for i in range(s)]
-        self.c_cols = [r + 2 * i + 1 for i in range(s)]
-        base = r + 2 * s
-        self.d_cols = [base + i for i in range(t)]
-        base += t
-        self.e_cols = [base + 2 * i for i in range(m)]
-        self.f_cols = [base + 2 * i + 1 for i in range(m)]
-        base += 2 * m
-        self.g_cols = [base + i for i in range(n)]
+        # the state whose images are their own column numbers
+        self.columns = unflatten(v, range(self.ncols))
 
         sizes = [len(dom) for dom in doms]
         strides = np.ones(self.ncols, dtype=np.int64)
@@ -139,21 +135,6 @@ class _Space:
             view |= (dom % self.p != 0).reshape(-1, 1)
         return valid
 
-    def entry_cols(self, cls: GenClass, index: int) -> list[int]:
-        if cls is GenClass.A:
-            return [self.a_cols[index]]
-        if cls is GenClass.BC:
-            return [self.b_cols[index], self.c_cols[index]]
-        if cls is GenClass.D:
-            return [self.d_cols[index]]
-        if cls is GenClass.EF:
-            return [self.e_cols[index], self.f_cols[index]]
-        return [self.g_cols[index]]
-
-    def ref_col(self, ref) -> int:
-        cols = self.entry_cols(ref.cls, ref.index)
-        return cols[ref.part] if len(cols) == 2 else cols[0]
-
     def state_row(self, state: State) -> int:
         """Raw index of one state; -1 if any image leaves its domain."""
         row = 0
@@ -167,54 +148,36 @@ class _Space:
 
 def _move_cols(space: _Space, move: Move) -> list[int]:
     """The columns a move reads or writes, ascending; at most four."""
-    cols = space.entry_cols(move.cls, move.index)
+
+    def entry(cls: GenClass, index: int) -> list[int]:
+        cols = getattr(space.columns, cls.value)[index]
+        return list(cols) if cls in PAIRED else [cols]
+
+    cols = entry(move.cls, move.index)
     if move.kind is MoveKind.PERMUTE:
-        cols = cols + space.entry_cols(move.cls, move.index2)
+        cols += entry(move.cls, move.index2)
     elif move.kind is MoveKind.SLIDE:
-        cols = cols + [space.ref_col(move.source)]
+        cols.append(entry(move.source.cls, move.source.index)[move.source.part])
     return sorted(cols)
-
-
-def _move_updates(space: _Space, values: dict, move: Move):
-    """New values for the columns a move changes, as (column, values) pairs.
-
-    ``values`` maps each column the move touches to its values; arrays
-    that broadcast against each other give results over every combination.
-    """
-    q = space.q
-    if move.kind is MoveKind.PERMUTE:
-        ci = space.entry_cols(move.cls, move.index)
-        cj = space.entry_cols(move.cls, move.index2)
-        out = []
-        for a, b in zip(ci, cj):
-            out.append((a, values[b]))
-            out.append((b, values[a]))
-        return out
-    if move.kind is MoveKind.SPIN:
-        return [(c, (q - values[c]) % q) for c in space.entry_cols(move.cls, move.index)]
-    if move.kind is MoveKind.TWIST:
-        finite, free = space.entry_cols(move.cls, move.index)
-        return [(free, (values[free] + move.amount * values[finite]) % q)]
-    if move.kind is MoveKind.SLIDE:
-        (target,) = space.entry_cols(GenClass.A, move.index)
-        src = space.ref_col(move.source)
-        return [(target, (values[target] + move.amount * values[src]) % q)]
-    raise ValueError(f"unknown move kind {move.kind!r}")
 
 
 def _move_table(space: _Space, move: Move):
     """A move on every combination of its columns' domain values.
 
     Returns the columns, their values as an open grid (one axis per column)
-    and the checked (column, new values) updates.  Raises
-    :class:`AssertionError` if a new value leaves its column's domain.  The
-    raw space is the full product of the domains, so the grid covers every
-    state's restriction to these columns.
+    and the checked (column, new values) updates.  :func:`apply_move` acts
+    on a state holding the grid in these columns and ``None`` in every
+    other; a column is updated when the move put a new object in it.
+    Raises :class:`AssertionError` if a new value leaves its column's
+    domain.  The raw space is the full product of the domains, so the grid
+    covers every state's restriction to these columns.
     """
     cols = _move_cols(space, move)
     grid = np.meshgrid(*(space.dom_arrays[c] for c in cols), indexing="ij", sparse=True)
     values = dict(zip(cols, grid))
-    updates = _move_updates(space, values, move)
+    coords = [values.get(c) for c in range(space.ncols)]
+    moved = flatten(apply_move(space.p, unflatten(space.v, coords), move))
+    updates = [(c, moved[c]) for c in cols if moved[c] is not values[c]]
     for col, new_values in updates:
         if (space.luts[col, new_values] < 0).any():
             raise AssertionError(
@@ -476,38 +439,6 @@ def orbit_count(
         valid_states=part.valid_count,
         largest_orbit=part.largest_orbit,
     )
-
-
-def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) -> int:
-    """Check that every alphabet move maps every valid state into the valid set.
-
-    Each move is applied to every combination of the domain values of the
-    columns it touches, which covers every state's restriction to them.
-    Domain membership is checked per changed column.  With s+t > 0 every
-    state is surjective; otherwise no combination holding a unit may lose
-    every unit.  That is exact, because every other column's domain holds a
-    non-unit, so some valid state has no unit outside these columns.
-    Raises :class:`AssertionError` on a failure; returns the number of
-    (valid state, move) pairs covered.
-    """
-    require_odd_prime(p)
-    raw = _check_budget(p, v, budget)
-    space = _Space(p, v)
-    need_unit = v.s + v.t == 0
-    valid = raw
-    if need_unit:
-        valid -= math.prod(int((dom % p == 0).sum()) for dom in space.dom_arrays)
-    alphabet = full_move_alphabet(p, v)
-    for move in alphabet:
-        cols, values, updates = _move_table(space, move)
-        if not need_unit:
-            continue
-        new_values = {**values, **dict(updates)}
-        had_unit = functools.reduce(np.logical_or, [values[c] % p != 0 for c in cols])
-        has_unit = functools.reduce(np.logical_or, [new_values[c] % p != 0 for c in cols])
-        if (had_unit & ~has_unit).any():
-            raise AssertionError(f"move {move} broke surjectivity for shape {v}")
-    return valid * len(alphabet)
 
 
 @dataclasses.dataclass

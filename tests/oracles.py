@@ -14,16 +14,25 @@ States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
 raw index must follow; and the per-state renderer of the ``canonical
 --list`` dump format, with its parser.
+
+Moves: the closure check, which runs every move of the full alphabet over
+every combination of its columns' domain values through the orbit
+engine's move tables.
 """
 
 import functools
 import itertools
 import math
 
+import numpy as np
+
 from handlebody_census.counting import _require_kj
 from handlebody_census.errors import BudgetExceededError
 from handlebody_census.theorem_counts import count_kernel, pools
 from handlebody_census.tuples import Tuple5, require_odd_prime
+from handlebody_census.verification.canonical import DEFAULT_STATE_BUDGET
+from handlebody_census.verification.moves import full_move_alphabet
+from handlebody_census.verification.orbits import _check_budget, _move_table, _Space
 from handlebody_census.verification.states import State, flatten
 
 #: Cap on brute-force enumeration, roughly seconds of work when hit.
@@ -185,6 +194,38 @@ def encode_state(p: int, v: Tuple5, state: State) -> int:
             raise ValueError(f"image {x} outside [0, {q})")
         value = value * q + x
     return value
+
+
+def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) -> int:
+    """Check that every alphabet move maps every valid state into the valid set.
+
+    Each move is applied to every combination of the domain values of the
+    columns it touches, which covers every state's restriction to them.
+    Domain membership is checked per changed column.  With s+t > 0 every
+    state is surjective; otherwise no combination holding a unit may lose
+    every unit.  That is exact, because every other column's domain holds a
+    non-unit, so some valid state has no unit outside these columns.
+    Raises :class:`AssertionError` on a failure; returns the number of
+    (valid state, move) pairs covered.
+    """
+    require_odd_prime(p)
+    raw = _check_budget(p, v, budget)
+    space = _Space(p, v)
+    need_unit = v.s + v.t == 0
+    valid = raw
+    if need_unit:
+        valid -= math.prod(int((dom % p == 0).sum()) for dom in space.dom_arrays)
+    alphabet = full_move_alphabet(p, v)
+    for move in alphabet:
+        cols, values, updates = _move_table(space, move)
+        if not need_unit:
+            continue
+        new_values = {**values, **dict(updates)}
+        had_unit = functools.reduce(np.logical_or, [values[c] % p != 0 for c in cols])
+        has_unit = functools.reduce(np.logical_or, [new_values[c] % p != 0 for c in cols])
+        if (had_unit & ~has_unit).any():
+            raise AssertionError(f"move {move} broke surjectivity for shape {v}")
+    return valid * len(alphabet)
 
 
 @functools.cache

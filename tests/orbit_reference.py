@@ -5,11 +5,14 @@ columns the move touches; gathering ``arange(raw)`` that way gives the
 move's successor array.  Earlier engines decoded every raw index into a
 matrix of image values and stepped each row through per-column lookup
 tables; that construction is kept here, row by row and chunk by chunk, as
-the reference those successor arrays must equal.  It has its own
-copy of the image-level move updates, so a slip in the engine's copy shows.
+the reference those successor arrays must equal.  The engine builds its
+tables through :func:`apply_move` over the ``states`` layout; this module
+has its own copy of the image-level move updates and its own column map,
+so a slip in either of those shows.
 
 Also here: the small p=3 shapes the exhaustive sweeps run over, and two
-deliberately broken move updates for the closure check's negative tests.
+deliberately broken versions of :func:`apply_move` for the closure check's
+negative tests.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.states import raw_state_count
-from handlebody_census.verification.moves import GenClass, Move, MoveKind
+from handlebody_census.verification.moves import PAIRED, GenClass, GenRef, Move, MoveKind
 
 #: Rows per decode or successor step; bounds the int64 temporaries.
 CHUNK = 1 << 16
@@ -37,6 +40,24 @@ def small_p3_shapes(limit=10**5) -> list[Tuple5]:
         if raw_state_count(3, v) <= limit:
             shapes.append(v)
     return shapes
+
+
+#: Columns per entry of each class, in the flat order a, bc, d, ef, g.
+CLASS_WIDTHS = [(GenClass.A, 1), (GenClass.BC, 2), (GenClass.D, 1), (GenClass.EF, 2), (GenClass.G, 1)]
+
+
+def entry_cols(v: Tuple5, cls: GenClass, index: int) -> list[int]:
+    """The flat columns of entry ``index`` of class ``cls`` in shape ``v``."""
+    base = 0
+    for (c, width), length in zip(CLASS_WIDTHS, v):
+        if c is cls:
+            return list(range(base + width * index, base + width * (index + 1)))
+        base += width * length
+
+
+def ref_col(v: Tuple5, ref: GenRef) -> int:
+    """The flat column of one generator."""
+    return entry_cols(v, ref.cls, ref.index)[ref.part]
 
 
 def decode(space, rows: np.ndarray) -> np.ndarray:
@@ -65,23 +86,23 @@ def digits(space) -> tuple[np.ndarray, np.ndarray]:
 
 def move_updates(space, dig: np.ndarray, move: Move):
     """New values for the columns a move changes, one per row of ``dig``."""
-    q = space.q
+    q, v = space.q, space.v
     if move.kind is MoveKind.PERMUTE:
-        ci = space.entry_cols(move.cls, move.index)
-        cj = space.entry_cols(move.cls, move.index2)
+        ci = entry_cols(v, move.cls, move.index)
+        cj = entry_cols(v, move.cls, move.index2)
         out = []
         for a, b in zip(ci, cj):
             out.append((a, dig[:, b]))
             out.append((b, dig[:, a]))
         return out
     if move.kind is MoveKind.SPIN:
-        return [(c, (q - dig[:, c]) % q) for c in space.entry_cols(move.cls, move.index)]
+        return [(c, (q - dig[:, c]) % q) for c in entry_cols(v, move.cls, move.index)]
     if move.kind is MoveKind.TWIST:
-        finite, free = space.entry_cols(move.cls, move.index)
+        finite, free = entry_cols(v, move.cls, move.index)
         return [(free, (dig[:, free] + move.amount * dig[:, finite]) % q)]
     if move.kind is MoveKind.SLIDE:
-        (target,) = space.entry_cols(GenClass.A, move.index)
-        src = space.ref_col(move.source)
+        (target,) = entry_cols(v, GenClass.A, move.index)
+        src = ref_col(v, move.source)
         return [(target, (dig[:, target] + move.amount * dig[:, src]) % q)]
     raise ValueError(f"unknown move kind {move.kind!r}")
 
@@ -113,26 +134,35 @@ def successor_arrays(space, moves) -> list[np.ndarray]:
     return arrays
 
 
-def spins_leave_the_domain(exact):
-    """``exact`` move updates, except that spins write 0 to every column."""
+def _zero_the_spun_entry(state, move: Move):
+    """``state`` with the entry ``move`` spins set to 0, image by image."""
+    entries = list(getattr(state, move.cls.value))
+    entry = entries[move.index]
+    entries[move.index] = tuple(x * 0 for x in entry) if move.cls in PAIRED else entry * 0
+    return state._replace(**{move.cls.value: tuple(entries)})
 
-    def updates(space, values, move):
-        out = exact(space, values, move)
+
+def spins_leave_the_domain(exact):
+    """``exact`` (an ``apply_move``), except that spins write 0 to every
+    image they change."""
+
+    def apply(p, state, move):
+        out = exact(p, state, move)
         if move.kind is MoveKind.SPIN:
-            out = [(col, new_values * 0) for col, new_values in out]
+            out = _zero_the_spun_entry(out, move)
         return out
 
-    return updates
+    return apply
 
 
 def spins_zero_the_free_handles(exact):
-    """``exact`` move updates, except that a spin of a free handle writes 0,
-    which stays in the handle's domain but is not a unit."""
+    """``exact`` (an ``apply_move``), except that a spin of a free handle
+    writes 0, which stays in the handle's domain but is not a unit."""
 
-    def updates(space, values, move):
-        out = exact(space, values, move)
+    def apply(p, state, move):
+        out = exact(p, state, move)
         if move.kind is MoveKind.SPIN and move.cls is GenClass.A:
-            out = [(col, new_values * 0) for col, new_values in out]
+            out = _zero_the_spun_entry(out, move)
         return out
 
-    return updates
+    return apply

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import orbit_reference as ref
 from bfs_oracle import bfs_labels
-from oracles import brute_count_nondecreasing, count_C_jl
+from oracles import brute_count_nondecreasing, check_move_closure, count_C_jl
 
 from handlebody_census.counting import count_A
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
@@ -22,7 +22,7 @@ from handlebody_census.theorem_counts import census, count_for_tuple, count_kern
 from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.moves import apply_move, full_move_alphabet, inverse_move
-from handlebody_census.verification.orbits import _Space, check_move_closure, orbit_count, orbit_partition
+from handlebody_census.verification.orbits import _Space, orbit_count, orbit_partition
 from handlebody_census.verification.states import unflatten
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"

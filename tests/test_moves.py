@@ -1,5 +1,8 @@
 """Move semantics: frozen examples, invertibility, validity preservation."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,13 @@ from handlebody_census.verification.moves import (
     generator_moves,
     inverse_move,
 )
-from handlebody_census.verification.states import State, iter_valid_states
+from handlebody_census.verification.states import (
+    State,
+    coordinate_domains,
+    flatten,
+    iter_valid_states,
+    unflatten,
+)
 
 
 def bc_state(b, c):
@@ -103,6 +112,19 @@ def test_every_move_inverts_within_the_alphabet(p, v):
         assert inverse.kind is move.kind
         for state in samples:
             assert apply_move(p, apply_move(p, state, move), inverse) == state
+
+
+@pytest.mark.parametrize("p,v", [*SMALL_SHAPES, (3, Tuple5(1, 1, 0, 0, 0))])
+def test_apply_move_on_broadcasting_arrays_matches_the_scalar_move(p, v):
+    # one axis per image, over every combination of the coordinate domains
+    doms = coordinate_domains(p, v)
+    grid = np.meshgrid(*(np.asarray(dom) for dom in doms), indexing="ij", sparse=True)
+    shape = [len(dom) for dom in doms]
+    states = [unflatten(v, coords) for coords in itertools.product(*doms)]
+    for move in full_move_alphabet(p, v):
+        moved = flatten(apply_move(p, unflatten(v, grid), move))
+        got = np.stack([np.broadcast_to(x, shape).reshape(-1) for x in moved], axis=1)
+        assert got.tolist() == [list(flatten(apply_move(p, s, move))) for s in states], move
 
 
 def test_generator_moves_are_a_subset_shape():

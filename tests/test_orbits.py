@@ -9,6 +9,7 @@ import numpy as np
 import orbit_reference as ref
 import pytest
 from bfs_oracle import bfs_labels, generators_and_inverses
+from oracles import check_move_closure
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
 from handlebody_census.tuples import Tuple5
@@ -21,7 +22,6 @@ from handlebody_census.verification.orbits import (
     _Space,
     _engine_moves,
     _index_dtype,
-    check_move_closure,
 )
 from handlebody_census.verification.states import State, iter_valid_states
 
@@ -213,7 +213,7 @@ BROKEN_MOVES = {
 @pytest.mark.parametrize("case", sorted(BROKEN_MOVES))
 def test_check_move_closure_catches_a_broken_move(monkeypatch, case):
     patch, shape, message = BROKEN_MOVES[case]
-    monkeypatch.setattr(orbits, "_move_updates", getattr(ref, patch)(orbits._move_updates))
+    monkeypatch.setattr(orbits, "apply_move", getattr(ref, patch)(orbits.apply_move))
     with pytest.raises(AssertionError, match=message):
         check_move_closure(3, Tuple5(*shape))
 
@@ -226,11 +226,12 @@ def test_check_move_closure_catches_a_broken_move_under_python_O(case):
         "if not sys.flags.optimize:\n"
         "    sys.exit(4)\n"
         "import orbit_reference as ref\n"
+        "from oracles import check_move_closure\n"
         "from handlebody_census import Tuple5\n"
         "from handlebody_census.verification import orbits\n"
-        f"orbits._move_updates = ref.{patch}(orbits._move_updates)\n"
+        f"orbits.apply_move = ref.{patch}(orbits.apply_move)\n"
         "try:\n"
-        f"    orbits.check_move_closure(3, Tuple5{shape})\n"
+        f"    check_move_closure(3, Tuple5{shape})\n"
         "except AssertionError as exc:\n"
         f"    sys.exit(3 if {message!r} in str(exc) else 5)\n"
     )
