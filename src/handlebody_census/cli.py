@@ -27,6 +27,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .counting import count_A
@@ -40,6 +41,7 @@ from .tuples import (
     require_odd_prime,
     shape_case,
     shape_count,
+    shape_runs,
 )
 from .verification import DEFAULT_STATE_BUDGET, compare, enumerate_canonical, orbit_count
 
@@ -162,62 +164,86 @@ def _cmd_akj(args) -> Output:
     )
 
 
-def _json_block(obj, indent: int) -> str:
-    """``json.dumps(obj, indent=2)`` as it reads nested ``indent`` spaces deep."""
-    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
+def _json_flags(flags, indent: int) -> str:
+    """A list of flags as ``json.dumps(..., indent=2)`` prints it nested
+    ``indent`` spaces deep."""
+    return json.dumps([_flag_json(f) for f in flags], indent=2).replace("\n", "\n" + " " * indent)
 
 
 def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
     """``{"p": p, "g": g, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
     prints it, from rendered rows and the rendered keys after them (``tail``),
-    one row at a time: the rows are never all held."""
-    yield '{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g)
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is None:
-        yield "[]"
-    else:
-        yield "[\n" + first
-        for row in rows:
-            yield ",\n" + row
-        yield "\n  ]"
-    yield from tail
-    yield "\n}"
+    one row at a time: the rows are never all held.  Each row comes with the
+    ``",\n"`` that separates it from the row before; the first one's comma
+    becomes the opening bracket, and the rest pass through a C-level chain."""
+
+    def pieces():
+        yield ['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g)]
+        first = next(row_iter, None)
+        if first is None:
+            yield ["[]"]
+        else:
+            yield from (["[" + first[1:]], row_iter, ["\n  ]"])
+        yield from (tail, ["\n}"])
+
+    row_iter = iter(rows)
+    return chain.from_iterable(pieces())
 
 
-# The start of a shape row as json.dumps(..., indent=2) prints it inside
-# "rows": its tuple and case; each subcommand closes the object.
-_SHAPE_JSON_ROW = """\
+def _run_rows(template: str, runs: Iterable[tuple[tuple, tuple]]) -> Iterator[str]:
+    """Rows rendered a run at a time, one string a row.
+
+    For each ``(head, columns)`` of ``runs``, ``template % head`` fills in
+    what the run fixes, and a C-level ``map`` applies the result to each
+    tuple of ``zip(*columns)``.  A run is not joined into one string: rows
+    stay small objects, and the peak RSS with them.
+    """
+    return chain.from_iterable(
+        map((template % head).__mod__, zip(*columns)) for head, columns in runs
+    )
+
+
+# Shape rows, rendered a run at a time (_run_rows): the run fills in r, s, t
+# and the case, so what each row fills in (m, n, ...) is written %%d, %%s.
+# A JSON row is its object as json.dumps(..., indent=2) prints it inside
+# "rows", after the ",\n" that separates it from the row before.
+_SHAPE_JSON_RUN = """,
     {
       "tuple": [
         %d,
         %d,
         %d,
-        %d,
-        %d
+        %%d,
+        %%d
       ],
       "case": "%s\""""
-_TUPLES_JSON_ROW = _SHAPE_JSON_ROW + "\n    }"
-_CENSUS_JSON_ROW = _SHAPE_JSON_ROW + """,
-      "count": "%d",
-      "flags": %s
+_TUPLES_JSON_RUN = _SHAPE_JSON_RUN + "\n    }"
+_CENSUS_JSON_RUN = _SHAPE_JSON_RUN + """,
+      "count": "%%d",
+      "flags": %%s
     }"""
-# A census CSV row: only the flag cell can need quoting, and it comes quoted
-# by _csv_cell.
-_CENSUS_CSV_ROW = "%d,%d,%d,%d,%d,%s,%d,%s\n"
+# In CSV only the census flag cell can need quoting, and it comes quoted by
+# _csv_cell.
+_TUPLES_CSV_RUN = "%d,%d,%d,%%d,%%d,%s\n"
+_CENSUS_CSV_RUN = "%d,%d,%d,%%d,%%d,%s,%%d,%%s\n"
+
+
+def _shape_runs(p: int, g: int):
+    """Per run of :func:`shape_runs`: ``((r, s, t, case), (ms, ns))``."""
+    for r, s, t, ms, ns in shape_runs(p, g):
+        yield (r, s, t, shape_case((r, s, t, ms[0], ns[0])).value), (ms, ns)
 
 
 def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
-    # one generator for every format: only the asked one reads it
-    rows = ((*v, shape_case(v).value) for v in iter_shapes(p, g))
     return Output(
-        json=_json_rows(p, g, (_TUPLES_JSON_ROW % row for row in rows)),
+        json=_json_rows(p, g, _run_rows(_TUPLES_JSON_RUN, _shape_runs(p, g))),
         header=_SHAPE_COLUMNS + ["case"],
-        rows=rows,
+        rows=((*v, shape_case(v).value) for v in iter_shapes(p, g)),
         lines=[f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}"],
         aligned=True,
+        csv=_run_rows(_TUPLES_CSV_RUN, _shape_runs(p, g)),
     )
 
 
@@ -226,27 +252,27 @@ def _per_flags(report: CountReport, render) -> dict:
     return {flags: render(flags) for flags in [(), *report.shape_flags.values()]}
 
 
+def _census_runs(report: CountReport, render):
+    """Per run of the census: ``((r, s, t, case), (ms, ns, counts, texts))``,
+    with ``texts`` the ``render(flags)`` of each row's flags (:func:`_per_flags`)."""
+    texts = _per_flags(report, render)
+    for r, s, t, case, ms, ns, counts, flags in report.iter_runs():
+        yield (r, s, t, case.value), (ms, ns, counts, map(texts.__getitem__, flags))
+
+
 def _census_json(report: CountReport) -> Iterator[str]:
-    """The census as ``json.dumps(obj, indent=2)`` prints it, row by template."""
-    flags_json = _per_flags(report, lambda flags: _json_block([_flag_json(f) for f in flags], 6))
-    rows = (
-        _CENSUS_JSON_ROW % (r, s, t, m, n, case.value, count, flags_json[flags])
-        for r, s, t, m, n, case, count, flags in report.iter_rows()
-    )
+    """The census as ``json.dumps(obj, indent=2)`` prints it, a run at a time."""
+    rows = _run_rows(_CENSUS_JSON_RUN, _census_runs(report, functools.partial(_json_flags, indent=6)))
     tail = [',\n  "total": "%d"' % report.total]
     if report.reference_total is not None:
         tail.append(',\n  "reference_total": "%d"' % report.reference_total)
-    tail.append(',\n  "flags": ' + _json_block([_flag_json(f) for f in report.flags], 2))
+    tail.append(',\n  "flags": ' + _json_flags(report.flags, 2))
     return _json_rows(report.p, report.g, rows, tail)
 
 
 def _census_csv(report: CountReport) -> Iterator[str]:
-    """The census CSV body, row by template."""
-    flag_cell = _per_flags(report, lambda flags: _csv_cell(_flag_cell(flags)))
-    return (
-        _CENSUS_CSV_ROW % (r, s, t, m, n, case.value, count, flag_cell[flags])
-        for r, s, t, m, n, case, count, flags in report.iter_rows()
-    )
+    """The census CSV body, a run at a time."""
+    return _run_rows(_CENSUS_CSV_RUN, _census_runs(report, lambda flags: _csv_cell(_flag_cell(flags))))
 
 
 def _census_cells(report: CountReport):
@@ -279,12 +305,25 @@ def _cmd_canonical(args) -> Output:
     fields = {"case": shape_case(v).value, "count": str(len(forms))}
     obj = {"p": p, "tuple": v, **fields}
     lines = [f"{len(forms)} canonical state(s) for p={p} shape {v}"]
-    header, rows = _SHAPE_COLUMNS + list(fields), [[*v, *fields.values()]]
+    header, rows, body = _SHAPE_COLUMNS + list(fields), [[*v, *fields.values()]], None
     if args.list:
         obj["states"] = listed = forms.lines()
         lines += [f"p={p} v={','.join(map(str, v))}", *listed]
-        header, rows = ["index", "state"], enumerate(listed)
-    return Output(_dumps(obj), header, rows, lines)
+        header, rows, body = ["index", "state"], (), _dump_csv(listed)
+    return Output(_dumps(obj), header, rows, lines, csv=body)
+
+
+def _dump_csv(listed: list[str]) -> Iterator[str]:
+    """The CSV body of a state dump, ``index,state`` a line, as :mod:`csv`
+    writes it.
+
+    A dump line holds only digits, ``,`` and ``|``, so :mod:`csv` quotes it
+    exactly when it holds a comma.  Every line of one listing has the same
+    number of residues in each class, so either every line holds a comma or
+    none does, and one template serves the whole listing.
+    """
+    template = '%d,"%s"\n' if listed and "," in listed[0] else "%d,%s\n"
+    return map(template.__mod__, enumerate(listed))
 
 
 def _cmd_orbits(args) -> Output:

@@ -15,11 +15,14 @@ call.
 
 The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
-:meth:`CountReport.iter_rows` streams the rows in lexicographic order from
+:meth:`CountReport.iter_runs` streams the rows in lexicographic order from
 :func:`census_rows`, the kernel factored per run of the shape walk
-(:func:`~.tuples.shape_runs`) into lookups in two per-census tables.
-A row is one plain tuple, ``(r, s, t, m, n, case, count, flags)``; the
-rows are checked against the closed form when they have all been read.
+(:func:`~.tuples.shape_runs`) into lookups in per-census tables.  A run is
+one plain tuple, ``(r, s, t, case, ms, ns, counts, flags)``, with one entry
+of ``ms``, ``ns``, ``counts`` and ``flags`` per row;
+:meth:`CountReport.iter_rows` flattens the runs into plain row tuples
+``(r, s, t, m, n, case, count, flags)``.  The rows are checked against the
+closed form when they have all been read.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -30,8 +33,8 @@ its place.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
+from itertools import chain, repeat
 from typing import Iterator
 
 from .counting import count_A
@@ -97,6 +100,11 @@ class Flag:
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
+#: One run of census rows with no flags: r, s, t, the case, and per row m,
+#: n and the count.
+CountRun = tuple[int, int, int, CaseTag, range, range, list[int]]
+#: One run of census rows: a :data:`CountRun` and the flags of each row.
+CensusRun = tuple[int, int, int, CaseTag, range, range, list[int], list[tuple[Flag, ...]]]
 
 
 @dataclasses.dataclass
@@ -119,29 +127,39 @@ class CountReport:
     def flags(self) -> list[Flag]:
         return [flag for flags in self.shape_flags.values() for flag in flags]
 
-    def iter_rows(self) -> Iterator[CensusRow]:
-        """The rows as plain tuples in lexicographic order, computed as they
-        are read, a run of :func:`census_rows` at a time.
+    def iter_runs(self) -> Iterator[CensusRun]:
+        """The rows a run of :func:`census_rows` at a time, in lexicographic
+        order, computed as they are read: ``(r, s, t, case, ms, ns, counts,
+        flags)``, where row i is ``(r, s, t, ms[i], ns[i])`` with count
+        ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
 
-        Once every run has been read, their number and their sum are held to
-        ``shape_count`` and ``total``; a difference raises
+        Once every run has been read, their number of rows and their sum are
+        held to ``shape_count`` and ``total``; a difference raises
         :class:`AssertionError`, also under ``python -O``.
         """
-        return itertools.chain.from_iterable(self._checked_runs())
-
-    def _checked_runs(self) -> Iterator[list[CensusRow]]:
+        shape_flags = self.shape_flags
         count = total = 0
-        for run in census_rows(self.p, self.g):
-            count += len(run)
-            total += sum([row[6] for row in run])
-            if self.shape_flags:
-                run = [(*row[:7], self.shape_flags.get(row[:5], ())) for row in run]
-            yield run
+        for r, s, t, case, ms, ns, counts in census_rows(self.p, self.g):
+            count += len(counts)
+            total += sum(counts)
+            if shape_flags:
+                flags = [shape_flags.get((r, s, t, m, n), ()) for m, n in zip(ms, ns)]
+            else:
+                flags = [()] * len(counts)
+            yield r, s, t, case, ms, ns, counts, flags
         if (count, total) != (self.shape_count, self.total):
             raise AssertionError(
                 f"census p={self.p} g={self.g}: the rows give {count} shapes and total {total}, "
                 f"the closed form {self.shape_count} and {self.total}"
             )
+
+    def iter_rows(self) -> Iterator[CensusRow]:
+        """The rows of :meth:`iter_runs` as plain tuples ``(r, s, t, m, n,
+        case, count, flags)``, with the same check at the end."""
+        return chain.from_iterable(
+            zip(repeat(r), repeat(s), repeat(t), ms, ns, repeat(case), counts, flags)
+            for r, s, t, case, ms, ns, counts, flags in self.iter_runs()
+        )
 
 
 # Published reference census: per-shape class counts and the printed total
@@ -163,35 +181,41 @@ PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Tuple5, int]]] = {
 }
 
 
-def census_rows(p: int, g: int) -> Iterator[list[CensusRow]]:
-    """The census rows, one list per run of :func:`shape_runs`, in
-    lexicographic order and with no flags.
+def census_rows(p: int, g: int) -> Iterator[CountRun]:
+    """The census rows with no flags, one :data:`CountRun` per run of
+    :func:`shape_runs`, in lexicographic order.
 
-    This is :func:`count_kernel` factored per run: every count is a product
-    of lookups in two tables of :func:`count_A`, built once, and the (r, s,
-    t) factor of case st is taken out of the run.
+    This is :func:`count_kernel` factored per run: a row's count is
+    ``f * by_m[m] * A(kn, n)``, where the run fixes the factor f and the
+    table by_m, both looked up in tables of :func:`count_A` built once per
+    census.
+
+    * case st: f = A(k,s) A(k,t) and by_m[m] = A(k,m);
+    * case m: f = 1 and by_m[m] = kp A(k,m-1), the pinned-pair branch (0 at
+      m = 0, where there is nothing to pin);
+    * case r: f = 1 and by_m[m] = kp A(k,m-1) + k A(kn,m), both branches.
     """
     k, kn, kp = pools(p)
     q = p * p
     A_k = [count_A(k, j) for j in range((g - 1 + q) // (q - 1) + 1)]  # j = s, t, m
     A_kn = [count_A(kn, j) for j in range((g - 1 + q) // (q - p) + 1)]  # j = m, n
+    pinned = [0] + [kp * a for a in A_k[: (g - 1 + q) // q]]  # m = 0 .. top // q
+    handle = [x + k * a for x, a in zip(pinned, A_kn)]
     case_st, case_r, case_m = CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M
     for r, s, t, ms, ns in shape_runs(p, g):
         if s + t:
-            f = A_k[s] * A_k[t]
-            yield [(r, s, t, m, n, case_st, f * A_k[m] * A_kn[n], ()) for m, n in zip(ms, ns)]
+            case, f, by_m = case_st, A_k[s] * A_k[t], A_k
         elif r:
-            yield [
-                (r, s, t, m, n, case_r, ((kp * A_k[m - 1] if m else 0) + k * A_kn[m]) * A_kn[n], ())
-                for m, n in zip(ms, ns)
-            ]
+            case, f, by_m = case_r, 1, handle
         else:  # m > 0: shape_runs emits no shape with r+s+t+m = 0
-            yield [(r, s, t, m, n, case_m, kp * A_k[m - 1] * A_kn[n], ()) for m, n in zip(ms, ns)]
+            case, f, by_m = case_m, 1, pinned
+        yield r, s, t, case, ms, ns, [f * by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
 
 
 def census(p: int, g: int) -> CountReport:
     """The census of (p, g): its total and shape count in closed form, its
-    rows on demand (:meth:`CountReport.iter_rows`, lexicographic order).
+    rows on demand (:meth:`CountReport.iter_runs` and
+    :meth:`CountReport.iter_rows`, lexicographic order).
 
     One term per (t, n) block of :func:`genus_blocks`, with K = r+s+m.  The
     sum over the block's (r, s, m) collapses by Chu-Vandermonde, since the

@@ -17,6 +17,7 @@ carry no action and are rejected.  The shape walk (:func:`shape_runs`,
 from __future__ import annotations
 
 import enum
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .errors import InadmissibleTupleError
@@ -145,11 +146,15 @@ def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
     rises by p-1 while n falls by p.  So the runs come out already sorted,
     with no list of shapes and no sort.  Shapes with r+s+t+m = 0 are never
     emitted.
+
+    At the end the number of shapes is held to :func:`shape_count`; a
+    difference raises :class:`AssertionError`, also under ``python -O``.
     """
     require_odd_prime(p)
     require_genus(g)
     q = p * p
     top = g - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
+    count = 0
     for r in range(top // q + 1):
         for s in range(top // q - r + 1):
             rest = top - q * (r + s)  # (q-1)*t + R
@@ -160,24 +165,20 @@ def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
                     ms = ms[1:]
                 if ms:
                     n = (reduced - p * ms[0]) // (p - 1)
+                    count += len(ms)
                     yield r, s, t, ms, range(n, n - p * len(ms), -p)
-
-
-def iter_shapes(p: int, g: int) -> Iterator[Shape]:
-    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted,
-    read from :func:`shape_runs` one at a time.
-
-    At the end the number of shapes is held to :func:`shape_count`; a
-    difference raises :class:`AssertionError`, also under ``python -O``.
-    """
-    count = 0
-    for r, s, t, ms, ns in shape_runs(p, g):
-        count += len(ms)
-        for m, n in zip(ms, ns):
-            yield r, s, t, m, n
     expected = shape_count(p, g)
     if count != expected:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
+
+
+def iter_shapes(p: int, g: int) -> Iterator[Shape]:
+    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted:
+    the runs of :func:`shape_runs`, flattened, with the same check at the
+    end."""
+    return chain.from_iterable(
+        zip(repeat(r), repeat(s), repeat(t), ms, ns) for r, s, t, ms, ns in shape_runs(p, g)
+    )
 
 
 def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:

@@ -1,14 +1,19 @@
 """Census and tuples output: byte identity with the row-by-row reference
 renderers, the recorded benchmark outputs, and
-no per-shape objects on the CLI path."""
+no per-shape objects on the CLI path; and the CSV of a state dump against
+:mod:`csv`."""
 
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from handlebody_census.theorem_counts import census
+from handlebody_census import cli
+from handlebody_census.theorem_counts import Flag, census
 from handlebody_census.tuples import Tuple5
 from handlebody_census.cli import main
 
@@ -70,6 +75,52 @@ def test_tuples_table_matches_the_row_by_row_reference(capsys, p, g):
     first, rest = run_cli(capsys, *common).split("\n", 1)
     assert first.startswith("# handlebody-census tuples generated ")
     assert rest == ref.tuples_table(p, g, False)
+
+
+def test_flags_stay_per_row_inside_a_multi_row_run(capsys, monkeypatch):
+    # At (5, 26) every flagged shape is alone in its run; here one flag sits
+    # on the middle row of a run of three or more.
+    report = census(3, 60)
+    r, s, t, _, ms, ns, _, _ = next(run for run in report.iter_runs() if len(run[4]) >= 3)
+    middle = (r, s, t, ms[1], ns[1])
+    flag = Flag(location=f"synthetic flag on {middle}", paper_value=1, computed_value=2)
+    flagged = dataclasses.replace(report, shape_flags={middle: (flag,)})
+    rows = list(flagged.iter_rows())
+    assert [row[:5] for row in rows if row[7]] == [middle]
+    monkeypatch.setattr(cli, "census", lambda p, g: flagged)
+    common = ("census", "--p", 3, "--genus", 60)
+    assert run_cli(capsys, *common, "--format", "json") == ref.census_json(flagged)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(flagged, False)
+    out = run_cli(capsys, *common, "--per-tuple", "--no-header")
+    assert out == ref.census_table(flagged, True, True)
+    assert f"synthetic flag on {middle}" in out
+
+
+def _csv_writer_dump(listed):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(enumerate(listed))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "listed",
+    [["1||||", "2||||", "4||||"], ["0||1||3"], ["|1,0|||", "|2,0|||"], ["4|||3,0|"], []],
+)
+def test_dump_csv_template_matches_csv_writer(listed):
+    assert "".join(cli._dump_csv(listed)) == _csv_writer_dump(listed)
+
+
+@pytest.mark.parametrize(
+    "p,shape",
+    [(3, "1,0,0,0,0"), (3, "1,0,1,0,1"), (3, "0,1,0,0,0"), (3, "2,0,0,0,0"), (5, "1,0,0,1,0"), (7, "0,0,1,0,2")],
+)
+def test_canonical_list_csv_matches_csv_writer(capsys, p, shape):
+    # shapes whose dump lines hold no comma and shapes whose lines all do
+    table = run_cli(capsys, "canonical", "--p", p, "--tuple", shape, "--list", "--no-header")
+    listed = table.splitlines()[2:]
+    assert listed
+    out = run_cli(capsys, "canonical", "--p", p, "--tuple", shape, "--list", "--format", "csv")
+    assert out == "index,state\n" + _csv_writer_dump(listed)
 
 
 RECORDED = json.loads(EXPECTED.read_text())

@@ -217,8 +217,25 @@ def test_streamed_census_matches_the_listed_census(pairs):
         assert flagged == report.shape_flags, (p, g)
 
 
+@pytest.mark.parametrize("group", ["benchmark-pairs", "p3-g-below-200"])
+def test_runs_flatten_to_the_rows_and_the_listed_census(group):
+    for p, g in ORACLE_SWEEP[group]:
+        report = census(p, g)
+        runs = list(report.iter_runs())
+        flat = []
+        for r, s, t, case, ms, ns, counts, flags in runs:
+            assert len(ms) == len(ns) == len(counts) == len(flags) > 0, (p, g)
+            assert shape_case((r, s, t, ms[0], ns[0])) is case, (p, g)
+            flat += [(r, s, t, m, n, case, count, f) for m, n, count, f in zip(ms, ns, counts, flags)]
+        # one run per (r, s, t)
+        assert len({run[:3] for run in runs}) == len(runs), (p, g)
+        assert flat == list(report.iter_rows()), (p, g)
+        assert [row[:7] for row in flat] == listed_census(p, g), (p, g)
+
+
 def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
     report = census(5, 26)
+    runs = len(list(report.iter_runs()))
     for wrong in (
         dataclasses.replace(report, total=report.total + 1),
         dataclasses.replace(report, shape_count=report.shape_count - 1),
@@ -227,3 +244,29 @@ def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
         assert len([next(rows) for _ in range(report.shape_count)]) == 6
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
             next(rows)
+        run_iter = wrong.iter_runs()
+        assert sum(len(next(run_iter)[6]) for _ in range(runs)) == 6
+        with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
+            next(run_iter)
+
+
+def test_runs_that_disagree_with_the_closed_form_raise_under_python_O():
+    child = (
+        "import dataclasses\n"
+        "from handlebody_census.theorem_counts import census\n"
+        "report = census(5, 26)\n"
+        "wrong = dataclasses.replace(report, total=report.total + 1)\n"
+        "runs = list(report.iter_runs())\n"
+        "run_iter = wrong.iter_runs()\n"
+        "read = [next(run_iter) for _ in runs]\n"
+        "try:\n"
+        "    next(run_iter)\n"
+        "except AssertionError as exc:\n"
+        "    raise SystemExit(0 if 'the rows give 6 shapes and total 283' in str(exc) else str(exc))\n"
+        "raise SystemExit('the runs ended with no error')\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-O", "-c", child], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
