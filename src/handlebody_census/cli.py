@@ -12,6 +12,13 @@ allocation failed).
 for ``orbits``, both per shape for ``verify``.  A negative budget, like a
 ``--workers`` below 1, is a usage error.
 
+Each subcommand answers with three lazy streams of text chunks, one per
+format (:class:`Output`), and :func:`_render` writes the asked one; nothing
+is rendered for the other two.  The census rows and the shapes stream from
+the same per-run records in every format, and an aligned table makes one
+extra pass over the runs for its column widths.  A normal-form listing is
+one list of dump lines in every format.
+
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  ``akj`` prints its
 bare value as its table, with no timestamp.  JSON and CSV never carry one.
@@ -36,7 +43,6 @@ from .theorem_counts import CountReport, census
 from .tuples import (
     Tuple5,
     admissible_tuples,
-    iter_shapes,
     require_genus,
     require_odd_prime,
     shape_case,
@@ -67,20 +73,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 class Output(NamedTuple):
-    """A subcommand's answer in every format; :func:`_render` reads only the asked one.
+    """A subcommand's answer in every format; :func:`_render` writes only the asked one.
 
-    ``json`` and ``rows`` are lazy iterables: nothing is rendered for the
-    formats that are not asked.
+    ``json``, ``csv`` and ``table`` are lazy streams of text chunks: nothing
+    is rendered for the formats that are not asked.  The CSV header row and
+    the table's timestamp line are not in them; :func:`_render` adds those
+    unless ``--no-header``.
     """
 
-    json: Iterable[str]  # the JSON document, in pieces written as they are made
-    header: list[str]  # CSV header, and the column heads of aligned table rows
-    rows: Iterable  # CSV rows, and the rows of an aligned table
-    lines: list[str]  # table lines
-    aligned: bool = False  # the table starts with ``rows`` aligned under ``header``
+    json: Iterable[str]  # the JSON document, without its final newline
+    header: list[str]  # the CSV header row
+    csv: Iterable[str]  # the CSV body, each line ended by "\n"
+    table: Iterable[str]  # the table after its timestamp, each line ended by "\n"
     stamped: bool = True  # the table starts with the timestamp line
     code: int = EXIT_OK
-    csv: Iterable[str] | None = None  # CSV body lines, in place of ``rows``
 
 
 def _render(out: Output, args) -> None:
@@ -89,31 +95,26 @@ def _render(out: Output, args) -> None:
         sys.stdout.writelines(out.json)
         sys.stdout.write("\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
         if not args.no_header:
-            writer.writerow(out.header)
-        if out.csv is None:
-            writer.writerows(out.rows)
-        else:
-            sys.stdout.writelines(out.csv)
+            sys.stdout.write(_csv_line(out.header))
+        sys.stdout.writelines(out.csv)
     else:
-        lines = out.lines
-        if out.aligned:
-            cells = [[str(x) for x in row] for row in out.rows]
-            lines = _columns(cells, out.header, args.no_header) + lines
         if out.stamped and not args.no_header:
             now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-            lines = [f"# handlebody-census {args.command} generated {now}"] + lines
-        if lines:
-            sys.stdout.write("\n".join(lines) + "\n")
+            sys.stdout.write(f"# handlebody-census {args.command} generated {now}\n")
+        sys.stdout.writelines(out.table)
 
 
-def _columns(rows: list[list[str]], headers: list[str], no_header: bool) -> list[str]:
-    table = rows if no_header else [headers] + rows
-    if not table:
-        return []
-    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
-    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+def _lines(lines: list[str]) -> list[str]:
+    """Table lines as one chunk, each line ended by ``"\n"``."""
+    return ["\n".join([*lines, ""])]
+
+
+def _csv_line(cells: Iterable) -> str:
+    """One row as :mod:`csv` writes it, ended by ``"\n"``."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 def _flag_json(flag) -> dict:
@@ -133,9 +134,7 @@ def _flag_cell(flags) -> str:
 
 def _csv_cell(text: str) -> str:
     """``text`` as :mod:`csv` writes it in the last cell of a row, quoted if need be."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="").writerow(["", text])
-    return buf.getvalue()[1:]
+    return _csv_line(["", text])[1:-1]
 
 
 def _dumps(obj) -> Iterator[str]:
@@ -147,6 +146,8 @@ def _dumps(obj) -> Iterator[str]:
 # subcommands
 
 _SHAPE_COLUMNS = ["r", "s", "t", "m", "n"]
+_TUPLES_HEADER = _SHAPE_COLUMNS + ["case"]
+_CENSUS_HEADER = _TUPLES_HEADER + ["count", "flags"]
 
 
 def _cmd_akj(args) -> Output:
@@ -158,8 +159,8 @@ def _cmd_akj(args) -> Output:
     return Output(
         json=_dumps({"k": args.k, "j": args.j, "value": str(value)}),
         header=["k", "j", "value"],
-        rows=[[args.k, args.j, str(value)]],
-        lines=[str(value)],
+        csv=[_csv_line([args.k, args.j, value])],
+        table=_lines([str(value)]),
         stamped=False,
     )
 
@@ -226,6 +227,25 @@ _CENSUS_JSON_RUN = _SHAPE_JSON_RUN + """,
 # _csv_cell.
 _TUPLES_CSV_RUN = "%d,%d,%d,%%d,%%d,%s\n"
 _CENSUS_CSV_RUN = "%d,%d,%d,%%d,%%d,%s,%%d,%%s\n"
+# Aligned table rows: str.format puts in the column widths first.  The last
+# column is never padded, since every row is right-stripped (_aligned).
+_TUPLES_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %s"
+_CENSUS_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %-{}s  %%-{}d  %%s"
+
+
+def _aligned(header: list[str], widths: list[int], template: str, runs, no_header: bool) -> Iterator[str]:
+    """Rows of ``runs`` (:func:`_run_rows` records) aligned under ``header``,
+    as ``ljust`` aligns cells: two spaces between columns, each row
+    right-stripped and ended by ``"\n"``.
+
+    ``widths`` holds the widest cell of each column but the last; the header
+    widens them only when it is printed.
+    """
+    if not no_header:
+        widths = list(map(max, widths, map(len, header)))
+        yield "  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"
+    rows = _run_rows(template.format(*widths), runs)
+    yield from map("%s\n".__mod__, map(str.rstrip, rows))
 
 
 def _shape_runs(p: int, g: int):
@@ -234,16 +254,25 @@ def _shape_runs(p: int, g: int):
         yield (r, s, t, shape_case((r, s, t, ms[0], ns[0])).value), (ms, ns)
 
 
+def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
+    """The shapes aligned under their header, a run at a time, after a
+    first pass over :func:`shape_runs` for the column widths."""
+    top = (0,) * 5  # the largest r, s, t, m, n
+    for r, s, t, ms, ns in shape_runs(p, g):
+        top = tuple(map(max, top, (r, s, t, ms[-1], ns[0])))
+    widths = [len(str(x)) for x in top]
+    yield from _aligned(_TUPLES_HEADER, widths, _TUPLES_TABLE_RUN, _shape_runs(p, g), no_header)
+    yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
+
+
 def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
     return Output(
         json=_json_rows(p, g, _run_rows(_TUPLES_JSON_RUN, _shape_runs(p, g))),
-        header=_SHAPE_COLUMNS + ["case"],
-        rows=((*v, shape_case(v).value) for v in iter_shapes(p, g)),
-        lines=[f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}"],
-        aligned=True,
+        header=_TUPLES_HEADER,
         csv=_run_rows(_TUPLES_CSV_RUN, _shape_runs(p, g)),
+        table=_tuples_table(p, g, args.no_header),
     )
 
 
@@ -275,26 +304,33 @@ def _census_csv(report: CountReport) -> Iterator[str]:
     return _run_rows(_CENSUS_CSV_RUN, _census_runs(report, lambda flags: _csv_cell(_flag_cell(flags))))
 
 
-def _census_cells(report: CountReport):
-    """Per row: r, s, t, m, n, case, count and the flag cell."""
-    flag_cell = _per_flags(report, _flag_cell)
-    for r, s, t, m, n, case, count, flags in report.iter_rows():
-        yield (r, s, t, m, n, case.value, count, flag_cell[flags])
+def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iterator[str]:
+    """The census table: with ``per_tuple`` its rows aligned under their
+    header, a run at a time, after a first pass over
+    :meth:`CountReport.iter_runs` for the column widths; then the total."""
+    if per_tuple:
+        top, cases = (0,) * 6, set()  # the largest r, s, t, m, n and count
+        for r, s, t, case, ms, ns, counts, _ in report.iter_runs():
+            top = tuple(map(max, top, (r, s, t, ms[-1], ns[0], max(counts))))
+            cases.add(case.value)
+        *widths, count = (len(str(x)) for x in top)
+        widths += [max(map(len, cases), default=0), count]
+        runs = _census_runs(report, _flag_cell)
+        yield from _aligned(_CENSUS_HEADER, widths, _CENSUS_TABLE_RUN, runs, no_header)
+    yield f"total {report.total} ({report.shape_count} shapes)\n"
+    if report.reference_total is not None:
+        yield f"published reference total {report.reference_total}\n"
+    for flag in report.flags:
+        yield f"flag: {_flag_cell([flag])}\n"
 
 
 def _cmd_census(args) -> Output:
     report = census(args.p, args.genus)
-    lines = [f"total {report.total} ({report.shape_count} shapes)"]
-    if report.reference_total is not None:
-        lines.append(f"published reference total {report.reference_total}")
-    lines += [f"flag: {_flag_cell([flag])}" for flag in report.flags]
     return Output(
         json=_census_json(report),
-        header=_SHAPE_COLUMNS + ["case", "count", "flags"],
-        rows=_census_cells(report),
-        lines=lines,
-        aligned=args.per_tuple,
+        header=_CENSUS_HEADER,
         csv=_census_csv(report),
+        table=_census_table(report, args.per_tuple, args.no_header),
     )
 
 
@@ -304,13 +340,26 @@ def _cmd_canonical(args) -> Output:
     forms = enumerate_canonical(p, v, budget=args.max_states)
     fields = {"case": shape_case(v).value, "count": str(len(forms))}
     obj = {"p": p, "tuple": v, **fields}
-    lines = [f"{len(forms)} canonical state(s) for p={p} shape {v}"]
-    header, rows, body = _SHAPE_COLUMNS + list(fields), [[*v, *fields.values()]], None
-    if args.list:
-        obj["states"] = listed = forms.lines()
-        lines += [f"p={p} v={','.join(map(str, v))}", *listed]
-        header, rows, body = ["index", "state"], (), _dump_csv(listed)
-    return Output(_dumps(obj), header, rows, lines, csv=body)
+    summary = f"{len(forms)} canonical state(s) for p={p} shape {v}"
+    if not args.list:
+        header = _SHAPE_COLUMNS + list(fields)
+        return Output(_dumps(obj), header, [_csv_line([*v, *fields.values()])], _lines([summary]))
+    listed = forms.lines()
+    table = _lines([summary, f"p={p} v={','.join(map(str, v))}", *listed])
+    return Output(_json_states(obj, listed), ["index", "state"], _dump_csv(listed), table)
+
+
+def _json_states(obj: dict, listed: list[str]) -> Iterator[str]:
+    """``obj`` with ``"states": listed`` added, as ``json.dumps(obj, indent=2)``
+    prints it.  A dump line holds only digits, ``,`` and ``|``, so it needs no
+    escaping, and the array is one join of the listing."""
+    yield json.dumps(obj, indent=2)[: -len("\n}")]
+    yield ',\n  "states": ['
+    if listed:
+        yield '\n    "'
+        yield '",\n    "'.join(listed)
+        yield '"\n  '
+    yield "]\n}"
 
 
 def _dump_csv(listed: list[str]) -> Iterator[str]:
@@ -339,12 +388,12 @@ def _cmd_orbits(args) -> Output:
     return Output(
         json=_dumps({"p": p, "tuple": v, **fields}),
         header=_SHAPE_COLUMNS + list(fields),
-        rows=[[*v, *fields.values()]],
-        lines=[
+        csv=[_csv_line([*v, *fields.values()])],
+        table=_lines([
             f"shape {v} at p={p}: {stats.orbits} orbit(s)",
             f"state space {stats.state_space_size} raw, "
             f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
-        ],
+        ]),
     )
 
 
@@ -401,8 +450,8 @@ def _cmd_verify(args) -> Output:
         header=_SHAPE_COLUMNS + _VERIFY_KEYS + [
             "agree_theorem_canonical", "agree_theorem_orbit", "agree_canonical_orbit", "complete",
         ],
-        rows=map(_comparison_cells, rows),
-        lines=lines,
+        csv=map(_csv_line, map(_comparison_cells, rows)),
+        table=_lines(lines),
         code=EXIT_INCOMPLETE if incomplete else EXIT_OK,
     )
 

@@ -210,7 +210,9 @@ def generator_moves(p: int, v: Tuple5) -> list[Move]:
 
     Adjacent interchanges generate all permutations, unit twists generate
     all twist amounts, and unit slides generate all multipliers, so orbits
-    under this set equal orbits under :func:`full_move_alphabet`.
+    under this set equal orbits under the full alphabet of every
+    interchange, spin, twist amount and slide multiplier (the tests build it
+    as ``oracles.full_move_alphabet``).
     """
     moves = []
     for cls, length in _class_lengths(v):
@@ -228,33 +230,3 @@ def generator_moves(p: int, v: Tuple5) -> list[Move]:
             moves.append(Move(MoveKind.SLIDE, GenClass.A, i, amount=1, source=src))
     return moves
 
-
-def full_move_alphabet(p: int, v: Tuple5) -> list[Move]:
-    """Every single move: all interchanges, spins, twist amounts, slides.
-
-    Twist amounts run over [0, p^2) for bc pairs and [0, p) for ef pairs;
-    slide multipliers run over [0, p^2).  Amount 0 moves are identities and
-    are included for completeness of the documented ranges.
-    """
-    q = p * p
-    moves = []
-    for cls, length in _class_lengths(v):
-        for i in range(length):
-            for j in range(i + 1, length):
-                moves.append(Move(MoveKind.PERMUTE, cls, i, index2=j))
-    for cls, length in _class_lengths(v):
-        for i in range(length):
-            moves.append(Move(MoveKind.SPIN, cls, i))
-    for i in range(v.s):
-        for amount in range(q):
-            moves.append(Move(MoveKind.TWIST, GenClass.BC, i, amount=amount))
-    for i in range(v.m):
-        for amount in range(p):
-            moves.append(Move(MoveKind.TWIST, GenClass.EF, i, amount=amount))
-    for i in range(v.r):
-        for src in slide_sources(v, i):
-            for amount in range(q):
-                moves.append(
-                    Move(MoveKind.SLIDE, GenClass.A, i, amount=amount, source=src)
-                )
-    return moves

@@ -1,10 +1,11 @@
 """Reference renderings of ``census`` and ``tuples`` output, built row by row.
 
-These are the renderers the CLI used before it wrote rows through per-row
+These are the renderers the CLI used before it wrote rows through per-run
 templates: one JSON object dumped with ``json.dumps(..., indent=2)``, CSV
-rows through :mod:`csv`, and table rows through the CLI's column aligner.
-They read the census rows from ``CountReport.iter_rows()`` and the shapes
-from ``admissible_tuples``.  The CLI must match them byte for byte.
+rows through :mod:`csv`, and table rows through the column aligner the CLI
+used to hold every row in (:func:`_columns`).  They read the census rows
+from ``CountReport.iter_rows()`` and the shapes from ``admissible_tuples``.
+The CLI must match them byte for byte.
 """
 
 from __future__ import annotations
@@ -13,12 +14,19 @@ import csv
 import io
 import json
 
-from handlebody_census.cli import _columns
 from handlebody_census.theorem_counts import CountReport
 from handlebody_census.tuples import admissible_tuples, shape_case
 
 HEADER = ["r", "s", "t", "m", "n", "case", "count", "flags"]
 TUPLES_HEADER = ["r", "s", "t", "m", "n", "case"]
+
+
+def _columns(rows: list[list[str]], headers: list[str], no_header: bool) -> list[str]:
+    table = rows if no_header else [headers] + rows
+    if not table:
+        return []
+    widths = [max(len(row[i]) for row in table) for i in range(len(table[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
 
 
 def _flag_json(flag) -> dict:

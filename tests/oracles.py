@@ -15,9 +15,9 @@ image by image; the fixed-radix encoding whose order the orbit engine's
 raw index must follow; and the per-state renderer of the ``canonical
 --list`` dump format, with its parser.
 
-Moves: the closure check, which runs every move of the full alphabet over
-every combination of its columns' domain values through the orbit
-engine's move tables.
+Moves: the full alphabet, every single move with every amount, and the
+closure check, which runs each of its moves over every combination of its
+columns' domain values through the orbit engine's move tables.
 """
 
 import functools
@@ -31,7 +31,13 @@ from handlebody_census.errors import BudgetExceededError
 from handlebody_census.theorem_counts import count_kernel, pools
 from handlebody_census.tuples import Tuple5, require_odd_prime
 from handlebody_census.verification.canonical import DEFAULT_STATE_BUDGET
-from handlebody_census.verification.moves import full_move_alphabet
+from handlebody_census.verification.moves import (
+    GenClass,
+    Move,
+    MoveKind,
+    _class_lengths,
+    slide_sources,
+)
 from handlebody_census.verification.orbits import _check_budget, _move_table, _Space
 from handlebody_census.verification.states import State, flatten
 
@@ -194,6 +200,37 @@ def encode_state(p: int, v: Tuple5, state: State) -> int:
             raise ValueError(f"image {x} outside [0, {q})")
         value = value * q + x
     return value
+
+
+def full_move_alphabet(p: int, v: Tuple5) -> list[Move]:
+    """Every single move: all interchanges, spins, twist amounts, slides.
+
+    Twist amounts run over [0, p^2) for bc pairs and [0, p) for ef pairs;
+    slide multipliers run over [0, p^2).  Amount 0 moves are identities and
+    are included for completeness of the documented ranges.
+    """
+    q = p * p
+    moves = []
+    for cls, length in _class_lengths(v):
+        for i in range(length):
+            for j in range(i + 1, length):
+                moves.append(Move(MoveKind.PERMUTE, cls, i, index2=j))
+    for cls, length in _class_lengths(v):
+        for i in range(length):
+            moves.append(Move(MoveKind.SPIN, cls, i))
+    for i in range(v.s):
+        for amount in range(q):
+            moves.append(Move(MoveKind.TWIST, GenClass.BC, i, amount=amount))
+    for i in range(v.m):
+        for amount in range(p):
+            moves.append(Move(MoveKind.TWIST, GenClass.EF, i, amount=amount))
+    for i in range(v.r):
+        for src in slide_sources(v, i):
+            for amount in range(q):
+                moves.append(
+                    Move(MoveKind.SLIDE, GenClass.A, i, amount=amount, source=src)
+                )
+    return moves
 
 
 def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) -> int:

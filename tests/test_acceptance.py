@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 import orbit_reference as ref
 from bfs_oracle import bfs_labels
-from oracles import brute_count_nondecreasing, check_move_closure, count_C_jl
+from oracles import brute_count_nondecreasing, check_move_closure, count_C_jl, full_move_alphabet
 
 from handlebody_census.counting import count_A
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
 from handlebody_census.theorem_counts import census, count_for_tuple, count_kernel, pools
 from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples
 from handlebody_census.verification.canonical import enumerate_canonical
-from handlebody_census.verification.moves import apply_move, full_move_alphabet, inverse_move
+from handlebody_census.verification.moves import apply_move, inverse_move
 from handlebody_census.verification.orbits import _Space, orbit_count, orbit_partition
 from handlebody_census.verification.states import unflatten
 

@@ -21,8 +21,9 @@ import census_reference as ref
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
-# (p, genera): includes (3, 2) with no rows and (5, 26) with its two flags.
-CASES = [(3, range(1, 41)), (5, range(1, 80, 3)), (5, [26]), (7, range(1, 200, 7))]
+# (p, genera): includes (3, 2) with no rows, (5, 26) with its two flags, and
+# (3, 100), whose r reaches two digits only in its last runs.
+CASES = [(3, range(1, 41)), (3, [100]), (5, range(1, 80, 3)), (5, [26]), (7, range(1, 200, 7))]
 PAIRS = [(p, g) for p, genera in CASES for g in genera]
 
 
@@ -121,6 +122,22 @@ def test_canonical_list_csv_matches_csv_writer(capsys, p, shape):
     assert listed
     out = run_cli(capsys, "canonical", "--p", p, "--tuple", shape, "--list", "--format", "csv")
     assert out == "index,state\n" + _csv_writer_dump(listed)
+
+
+@pytest.mark.parametrize("listed", [["1||||", "2||||", "4||||"], ["|1,0|||", "|2,0|||"], []])
+def test_json_states_matches_json_dumps(listed):
+    obj = {"p": 3, "tuple": [0, 1, 0, 0, 0], "count": str(len(listed))}
+    want = json.dumps({**obj, "states": listed}, indent=2)
+    assert "".join(cli._json_states(obj, listed)) == want
+
+
+@pytest.mark.parametrize("p,shape", [(3, "0,1,0,0,0"), (5, "0,0,0,2,0"), (13, "0,2,1,0,0")])
+def test_canonical_list_json_matches_json_dumps(capsys, p, shape):
+    table = run_cli(capsys, "canonical", "--p", p, "--tuple", shape, "--list", "--no-header")
+    out = run_cli(capsys, "canonical", "--p", p, "--tuple", shape, "--list", "--format", "json")
+    obj = json.loads(out)
+    assert obj["states"] == table.splitlines()[2:]
+    assert out == json.dumps(obj, indent=2) + "\n"
 
 
 RECORDED = json.loads(EXPECTED.read_text())

@@ -312,15 +312,32 @@ def test_census_of_100151058_shapes_runs_under_256_mib():
 
 
 def test_census_csv_streams_1374562_rows_under_256_mib():
-    argv = ("census", "--p", "3", "--genus", "1000")
-    table = _run_capped(*argv, "--no-header", cap_mib=256)
+    argv = ("census", "--p", "3", "--genus", "1000", "--no-header")
+    table = _run_capped(*argv, "--per-tuple", cap_mib=256)
     assert table.returncode == 0, table.stderr
-    total, shapes = re.fullmatch(rb"total (\d+) \((\d+) shapes\)\n", table.stdout).groups()
-    proc = _run_capped(*argv, "--format", "csv", "--no-header", cap_mib=256)
+    body, last = table.stdout.rsplit(b"\n", 2)[:2]
+    total, shapes = re.fullmatch(rb"total (\d+) \((\d+) shapes\)", last).groups()
+    proc = _run_capped(*argv, "--format", "csv", cap_mib=256)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
     assert len(rows) == int(shapes) == 1374562
     assert sum(int(row.split(b",")[6]) for row in rows) == int(total)
+    del rows
+    # No row has flags, so each table row holds its CSV row's cells but the
+    # empty flag cell.
+    assert re.sub(rb" +", b",", body + b"\n") == proc.stdout.replace(b",\n", b"\n")
+
+
+def test_tuples_table_streams_1374562_rows_under_256_mib():
+    argv = ("tuples", "--p", "3", "--genus", "1000", "--no-header")
+    table = _run_capped(*argv, cap_mib=256)
+    assert table.returncode == 0, table.stderr
+    body, last = table.stdout.rsplit(b"\n", 2)[:2]
+    assert last == b"1374562 admissible shape(s) for p=3 genus=1000"
+    proc = _run_capped(*argv, "--format", "csv", cap_mib=256)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(b"\n") == 1374562
+    assert re.sub(rb" +", b",", body + b"\n") == proc.stdout
 
 
 def test_verify_single_tuple(capsys):

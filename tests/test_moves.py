@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import is_valid_state
+from oracles import full_move_alphabet, is_valid_state
 
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.moves import (
@@ -15,7 +15,6 @@ from handlebody_census.verification.moves import (
     Move,
     MoveKind,
     apply_move,
-    full_move_alphabet,
     generator_moves,
     inverse_move,
 )
