@@ -565,4 +565,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # A reader that stops early (``| head``) ends the process as it ends
+    # ``cat``: by SIGPIPE's default action, with no traceback.  Imported
+    # here, so that importing the module for ``main`` does not load it.
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

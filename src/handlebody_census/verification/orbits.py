@@ -10,7 +10,7 @@ The table is :func:`apply_move` on a state holding, in the :mod:`.states`
 layout, the domain values of the touched coordinates as an open grid; it
 is checked to stay in every domain.  Each round gathers the labels
 through every move with that table, along the touched axes (one
-``np.take`` when they are adjacent, chunked flat offsets when they are
+``np.take`` when they are adjacent, one indexed assignment when they are
 not), so no successor array of the raw size is ever built.  Validity
 (surjectivity) is broadcast the same way, as the OR of per-coordinate unit
 masks.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from typing import ClassVar
 
 import numpy as np
@@ -136,7 +135,10 @@ class _Space:
         return valid
 
     def state_row(self, state: State) -> int:
-        """Raw index of one state; -1 if any image leaves its domain."""
+        """Raw index of one state; -1 if it has another shape or any image
+        leaves its domain."""
+        if tuple(map(len, state)) != tuple(self.v):
+            return -1
         row = 0
         for c, x in enumerate(flatten(state)):
             pos = int(self.luts[c, x]) if 0 <= x < self.q else -1
@@ -192,24 +194,20 @@ def _index_dtype(raw: int):
     return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
 
 
-#: Most elements per offset array of a gather across non-adjacent columns.
-_CHUNK = 1 << 16
-
-
 class _Gather:
     """One move as a gather: ``out[x] = src[succ(x)]`` for every raw index
-    x, where ``succ`` is the move's successor, with no array of raw size.
+    x, where ``succ`` is the move's successor, with no index array of raw
+    size.
 
     The raw index is viewed in :meth:`_Space.layout` over the columns the
     move touches, so ``succ`` changes the positions on the touched axes
     only, by a table over them.  When the move touches one run of adjacent
-    columns (spins, twists, interchanges of neighbouring entries) the
-    gather is one ``np.take`` along that axis.  Otherwise (slides, far
-    interchanges) the element to gather is ``x + delta``, where ``delta``
-    depends on the touched positions only: the tables' change of position
-    times their axes' strides.  ``x + delta`` is built and taken over
-    consecutive ranges of at most ``_CHUNK`` raw indices, each a slice of
-    one axis under fixed indices on the axes before it.
+    columns (spins, twists, interchanges, slides from a neighbouring
+    column) the gather is one ``np.take`` along that axis.  Otherwise (a
+    slide from a column further off) it is one indexed assignment: every
+    touched axis indexed by its run's old positions on the left and its
+    new positions on the right, every other axis whole; the right side is
+    a short-lived gathered copy of ``src``.
     """
 
     def __init__(self, space: _Space, move: Move):
@@ -228,37 +226,24 @@ class _Gather:
             return np.broadcast_to(table, grid).reshape([shape[a] for a in touched])
 
         if len(runs) == 1:
-            self.table, self.blocks = run_table(runs[0], new_pos), None
+            self.table, self.old = run_table(runs[0], new_pos), None
             return
-        strides = [math.prod(shape[a + 1:]) for a in range(len(shape))]
-        delta = sum(
-            (run_table(run, new_pos) - run_table(run, pos)) * strides[a]
-            for run, a in zip(runs, touched)
-        )
-        sub = [size if a in touched else 1 for a, size in enumerate(shape)]
-        delta = np.broadcast_to(delta.reshape(sub), shape)
-        # the first axis whose slices of `step` entries hold at most _CHUNK
-        # indices; the axes before it are walked one index at a time
-        lead = next(a for a, stride in enumerate(strides) if stride <= _CHUNK)
-        step = max(1, _CHUNK // strides[lead])
-        self.blocks = []
-        for prefix in np.ndindex(*shape[:lead]):
-            base = sum(k * stride for k, stride in zip(prefix, strides))
-            for i in range(0, shape[lead], step):
-                stop = min(i + step, shape[lead])
-                block = delta[prefix + (slice(i, stop),)]
-                self.blocks.append((block, base + i * strides[lead], base + stop * strides[lead]))
+
+        def index(positions):
+            axes = [slice(None)] * len(shape)
+            for run, a in zip(runs, touched):
+                axes[a] = run_table(run, positions)
+            return tuple(axes)
+
+        self.old, self.new = index(pos), index(new_pos)
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
         """Write ``src`` gathered through the move into ``out``."""
-        if self.blocks is None:
-            view, dest = src.reshape(self.shape), out.reshape(self.shape)
+        view, dest = src.reshape(self.shape), out.reshape(self.shape)
+        if self.old is None:
             np.take(view, self.table, axis=1, out=dest, mode="clip")
-            return
-        for block, start, stop in self.blocks:
-            index = np.arange(start, stop).reshape(block.shape)
-            index += block
-            np.take(src, index.reshape(-1), out=out[start:stop], mode="clip")
+        else:
+            dest[self.old] = view[self.new]
 
 
 def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -234,12 +235,38 @@ def _run_capped(*argv, cap_mib=512):
         "from handlebody_census.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv], capture_output=True, env=_child_env(), timeout=120,
+    )
+
+
+def _child_env():
+    """This environment with the package's source first on PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, env=env, timeout=120,
+    return env
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--p", "3", "--genus", "500", "--format", "csv"],
+        ["canonical", "--p", "11", "--tuple", "0,2,1,0,0", "--list"],
+    ],
+)
+def test_a_reader_closing_stdout_early_ends_the_process_by_sigpipe(argv):
+    # each output is over 1 MB, far past a pipe's buffer
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "handlebody_census", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    assert stderr == b""
 
 
 def test_orbits_refuses_a_large_prime_before_allocating():

@@ -128,17 +128,27 @@ def _assert_successors_match_the_decode_reference(p, v):
         assert np.array_equal(got, want), (v, move)
 
 
-def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes(monkeypatch):
-    # offset gathers in ranges of 64 indices, so most of them cut an axis
-    monkeypatch.setattr(orbits, "_CHUNK", 64)
+def test_successor_arrays_match_the_decode_reference_on_small_p3_shapes():
     shapes = ref.small_p3_shapes(limit=20_000)
     assert len(shapes) > 200
     for v in shapes:
         _assert_successors_match_the_decode_reference(3, v)
 
 
-def test_successor_arrays_match_the_decode_reference_at_p5():
-    _assert_successors_match_the_decode_reference(5, Tuple5(0, 0, 0, 3, 0))
+@pytest.mark.parametrize(
+    "p,v",
+    [
+        (5, (0, 0, 0, 3, 0)),
+        # slides with free, unit and order-p sources, from before and after
+        # the target, adjacent and not (a2 over a0)
+        (5, (3, 0, 0, 0, 1)),
+        (5, (1, 1, 0, 0, 0)),
+        (7, (1, 0, 1, 0, 1)),
+        (7, (1, 0, 0, 1, 0)),
+    ],
+)
+def test_successor_arrays_match_the_decode_reference_beyond_p3(p, v):
+    _assert_successors_match_the_decode_reference(p, Tuple5(*v))
 
 
 def test_engine_moves_double_each_twist_and_keep_the_generators_orbits():
@@ -186,6 +196,11 @@ def test_state_index_round_trip():
         assert part.state_index(state) == i
     with pytest.raises(KeyError):
         part.state_index(State(a=(), bc=(), d=(), ef=((3, 0),), g=()))  # not surjective
+    # states of other shapes: fewer and more ef pairs than (0,0,0,2,0) holds
+    part = orbit_partition(3, Tuple5(0, 0, 0, 2, 0))
+    for ef in [((3, 1),), ((3, 1), (3, 1), (3, 1))]:
+        with pytest.raises(KeyError):
+            part.state_index(State(a=(), bc=(), d=(), ef=ef, g=()))
 
 
 def test_orbit_count_ignores_admissibility():
