@@ -85,8 +85,12 @@ def count_kernel(
 
 
 def count_for_tuple(p: int, v: Shape) -> int:
-    """Evaluate the counting branch matching the shape's case tag."""
-    return count_kernel(pools(p), *v)[1]
+    """Evaluate the counting branch matching the shape's case tag.
+
+    ``v`` may be a plain tuple; it is checked as :class:`Tuple5` checks it,
+    so one with components it rejects raises ``ValueError``.
+    """
+    return count_kernel(pools(p), *Tuple5(*v))[1]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -122,11 +122,13 @@ def shape_case(v: Shape) -> CaseTag:
 def genus_of(p: int, v: Shape) -> int:
     """Genus forced by a shape: 1 + p^2(r+s+m-1) + (p^2-1)t + (p^2-p)n.
 
-    Raises :class:`InadmissibleTupleError` when the formula lands below 1,
-    which can only happen for r+s+m = 0 with t, n small.
+    ``v`` may be a plain tuple; it is checked as :class:`Tuple5` checks it,
+    so one with components it rejects raises ``ValueError``.  Raises
+    :class:`InadmissibleTupleError` when the formula lands below 1, which
+    can only happen for r+s+m = 0 with t, n small.
     """
     require_odd_prime(p)
-    r, s, t, m, n = v
+    r, s, t, m, n = Tuple5(*v)
     q = p * p
     g = 1 + q * (r + s + m - 1) + (q - 1) * t + (q - p) * n
     if g < 1:

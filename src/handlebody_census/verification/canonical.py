@@ -29,8 +29,8 @@ from typing import Iterator
 
 from ..errors import BudgetExceededError
 from ..theorem_counts import count_kernel, pools
-from ..tuples import CaseTag, Tuple5, genus_of, require_odd_prime
-from .states import State
+from ..tuples import CaseTag, Shape, Tuple5, genus_of, require_odd_prime
+from .states import LAYOUT, State
 
 DEFAULT_STATE_BUDGET = 1_000_000
 
@@ -46,10 +46,9 @@ def low_order_p_values(p: int) -> tuple[int, ...]:
     return tuple(range(p, ((p - 1) // 2) * p + 1, p))
 
 
-# How each class's image tuple reads as a flat run of residues: bc and ef
-# hold (finite, free) pairs.
-_PAIRS = itertools.chain.from_iterable
-_FLATTEN = (iter, _PAIRS, iter, _PAIRS, iter)
+# How each class's image tuple reads as a flat run of residues: a class of
+# pairs is chained.
+_FLATTEN = [itertools.chain.from_iterable if len(kinds) > 1 else iter for kinds in LAYOUT]
 
 
 class NormalForms:
@@ -95,7 +94,7 @@ class NormalForms:
 
 
 def enumerate_canonical(
-    p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET
+    p: int, v: Shape, budget: int = DEFAULT_STATE_BUDGET
 ) -> NormalForms:
     """The normal forms of an admissible shape, as per-class pools.
 
@@ -111,10 +110,14 @@ def enumerate_canonical(
     any pool is built, and again from the pool sizes once the pools are
     built, before any state is produced, so a wrong closed form can only
     show as a refusal.  The returned length never comes from the closed
-    form.  Propagates the genus error for inadmissible shapes.
+    form.  ``v`` is checked as :class:`Tuple5` checks it, so a plain tuple
+    works and one with components it rejects raises ``ValueError``; an
+    inadmissible one raises the genus error.
     """
     require_odd_prime(p)
+    v = Tuple5(*v)
     genus_of(p, v)  # raises for shapes that force genus < 1
+    r, s, t, m, n = v
 
     def refuse(required):
         return BudgetExceededError(
@@ -133,26 +136,26 @@ def enumerate_canonical(
     pairs = tuple((e, f) for e in orderp for f in range(p))
     cwr = itertools.combinations_with_replacement
     empty = [()]
-    zeros_a = [(0,) * v.r]
-    g_sets = list(cwr(orderp, v.n))
+    zeros_a = [(0,) * r]
+    g_sets = list(cwr(orderp, n))
 
     def pinned_pair_branch(a_sets):
         # Some free pair image is a unit: pin the first pair, sort the rest.
-        if not v.m:
+        if not m:
             return []
         ef_sets = [
-            ((e, f),) + rest for e in orderp for f in range(1, p) for rest in cwr(pairs, v.m - 1)
+            ((e, f),) + rest for e in orderp for f in range(1, p) for rest in cwr(pairs, m - 1)
         ]
         return [(a_sets, empty, empty, ef_sets, g_sets)]
 
     if case is CaseTag.CASE_ST:
-        bc_sets = [tuple((b, 0) for b in bs) for bs in cwr(units, v.s)]
-        branches = [(zeros_a, bc_sets, list(cwr(units, v.t)), list(cwr(pairs, v.m)), g_sets)]
+        bc_sets = [tuple((b, 0) for b in bs) for bs in cwr(units, s)]
+        branches = [(zeros_a, bc_sets, list(cwr(units, t)), list(cwr(pairs, m)), g_sets)]
     elif case is CaseTag.CASE_R:
         # Branch 1 zeroes the handles; branch 2 (no free pair image is a
         # unit) pins the first handle image to a unit instead.
-        a_pinned = [(a1,) + (0,) * (v.r - 1) for a1 in units]
-        ef_zero = [tuple((e, 0) for e in es) for es in cwr(orderp, v.m)]
+        a_pinned = [(a1,) + (0,) * (r - 1) for a1 in units]
+        ef_zero = [tuple((e, 0) for e in es) for es in cwr(orderp, m)]
         branches = pinned_pair_branch(zeros_a) + [(a_pinned, empty, empty, ef_zero, g_sets)]
     else:  # CASE_M: the pinned-pair branch alone, with no handles to zero
         branches = pinned_pair_branch(empty)

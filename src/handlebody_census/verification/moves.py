@@ -21,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 
-from ..tuples import Tuple5
-from .states import State
+from ..tuples import Shape
+from .states import LAYOUT, State
 
 
 class MoveKind(enum.Enum):
@@ -33,6 +33,8 @@ class MoveKind(enum.Enum):
 
 
 class GenClass(enum.Enum):
+    """The generator classes, in the state order of :data:`~.states.LAYOUT`."""
+
     A = "a"
     BC = "bc"
     D = "d"
@@ -41,7 +43,7 @@ class GenClass(enum.Enum):
 
 
 #: classes holding (finite-order, free) generator pairs
-PAIRED = frozenset({GenClass.BC, GenClass.EF})
+PAIRED = frozenset(cls for cls, kinds in zip(GenClass, LAYOUT) if len(kinds) > 1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -176,37 +178,21 @@ def inverse_move(p: int, move: Move) -> Move:
     raise ValueError(f"unknown move kind {move.kind!r}")
 
 
-def _class_lengths(v: Tuple5):
+def slide_sources(v: Shape, target_index: int) -> list[GenRef]:
+    """Every single generator of a factor other than the target handle's,
+    for a checked shape ``v``."""
     return [
-        (GenClass.A, v.r),
-        (GenClass.BC, v.s),
-        (GenClass.D, v.t),
-        (GenClass.EF, v.m),
-        (GenClass.G, v.n),
+        GenRef(cls, j, part)
+        for cls, kinds, length in zip(GenClass, LAYOUT, v)
+        for j in range(length)
+        if (cls, j) != (GenClass.A, target_index)
+        for part in range(len(kinds))
     ]
 
 
-def slide_sources(v: Tuple5, target_index: int) -> list[GenRef]:
-    """Every single generator of a factor other than the target handle's."""
-    sources = []
-    for j in range(v.r):
-        if j != target_index:
-            sources.append(GenRef(GenClass.A, j))
-    for j in range(v.s):
-        sources.append(GenRef(GenClass.BC, j, 0))
-        sources.append(GenRef(GenClass.BC, j, 1))
-    for j in range(v.t):
-        sources.append(GenRef(GenClass.D, j))
-    for j in range(v.m):
-        sources.append(GenRef(GenClass.EF, j, 0))
-        sources.append(GenRef(GenClass.EF, j, 1))
-    for j in range(v.n):
-        sources.append(GenRef(GenClass.G, j))
-    return sources
-
-
-def generator_moves(p: int, v: Tuple5) -> list[Move]:
-    """A finite generating set whose closure matches the full alphabet's.
+def generator_moves(p: int, v: Shape) -> list[Move]:
+    """A finite generating set whose closure matches the full alphabet's,
+    for a checked shape ``v``.
 
     Adjacent interchanges generate all permutations, unit twists generate
     all twist amounts, and unit slides generate all multipliers, so orbits
@@ -214,18 +200,19 @@ def generator_moves(p: int, v: Tuple5) -> list[Move]:
     interchange, spin, twist amount and slide multiplier (the tests build it
     as ``oracles.full_move_alphabet``).
     """
+    r, s, _, m, _ = v
     moves = []
-    for cls, length in _class_lengths(v):
+    for cls, length in zip(GenClass, v):
         for i in range(length - 1):
             moves.append(Move(MoveKind.PERMUTE, cls, i, index2=i + 1))
-    for cls, length in _class_lengths(v):
+    for cls, length in zip(GenClass, v):
         for i in range(length):
             moves.append(Move(MoveKind.SPIN, cls, i))
-    for i in range(v.s):
+    for i in range(s):
         moves.append(Move(MoveKind.TWIST, GenClass.BC, i, amount=1))
-    for i in range(v.m):
+    for i in range(m):
         moves.append(Move(MoveKind.TWIST, GenClass.EF, i, amount=1))
-    for i in range(v.r):
+    for i in range(r):
         for src in slide_sources(v, i):
             moves.append(Move(MoveKind.SLIDE, GenClass.A, i, amount=1, source=src))
     return moves

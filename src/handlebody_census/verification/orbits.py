@@ -46,7 +46,7 @@ import numpy as np
 
 from ..errors import BudgetExceededError, stop_reason
 from ..theorem_counts import count_for_tuple
-from ..tuples import Tuple5, CaseTag, genus_of, require_odd_prime, shape_case
+from ..tuples import CaseTag, Shape, Tuple5, genus_of, require_odd_prime, shape_case
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .moves import (
     PAIRED,
@@ -73,9 +73,10 @@ class _Space:
     row order is lexicographic on image vectors and matches
     :func:`iter_valid_states`.  Indices are int64, so the raw size must
     fit that range; :func:`_check_budget` refuses any that does not.
+    ``v`` is a checked shape.
     """
 
-    def __init__(self, p: int, v: Tuple5):
+    def __init__(self, p: int, v: Shape):
         self.p, self.q, self.v = p, p * p, v
         doms = coordinate_domains(p, v)
         self.ncols = len(doms)
@@ -125,7 +126,8 @@ class _Space:
         broadcast.  With s+t > 0 some domain holds units only, so every raw
         index is valid.
         """
-        if self.v.s + self.v.t > 0:
+        _, s, t, _, _ = self.v
+        if s + t > 0:
             return np.ones(self.raw, dtype=bool)
         valid = np.zeros(self.raw, dtype=bool)
         for c, dom in enumerate(self.dom_arrays):
@@ -277,7 +279,7 @@ def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
             return labels, rounds
 
 
-def _engine_moves(p: int, v: Tuple5) -> list[Move]:
+def _engine_moves(p: int, v: Shape) -> list[Move]:
     """The generating set with inverses, each unit twist replaced by the
     twist amounts 1, 2, 4, ... below its order (p^2 for bc, p for ef).
 
@@ -348,9 +350,9 @@ class Partition:
         raise KeyError(f"state {state} is not a valid state of shape {self.v}")
 
 
-def _check_budget(p: int, v: Tuple5, budget: int) -> int:
-    """The raw size of a shape's space, once it fits ``budget`` and the int64
-    indices of :class:`_Space`."""
+def _check_budget(p: int, v: Shape, budget: int) -> int:
+    """The raw size of a checked shape's space, once it fits ``budget`` and
+    the int64 indices of :class:`_Space`."""
     raw = raw_state_count(p, v)
     index_max = int(np.iinfo(np.int64).max)
     if raw > min(budget, index_max):
@@ -365,18 +367,21 @@ def _check_budget(p: int, v: Tuple5, budget: int) -> int:
 
 def orbit_partition(
     p: int,
-    v: Tuple5,
+    v: Shape,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> Partition:
     """Partition the valid states of a shape into move orbits.
 
-    Admissibility is not required: any well-formed shape has a state space.  Raises
+    Admissibility is not required: any well-formed shape has a state space.
+    ``v`` is checked as :class:`Tuple5` checks it, so a plain tuple works
+    and one with components it rejects raises ``ValueError``.  Raises
     :class:`BudgetExceededError` when the raw space is over ``budget``, and
     :class:`AssertionError` when a move leaves a coordinate's domain or an
     orbit holds both valid and invalid states, either of which would mean a
     move left the valid state space.
     """
     require_odd_prime(p)
+    v = Tuple5(*v)
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
@@ -413,7 +418,7 @@ class OrbitStats:
 
 def orbit_count(
     p: int,
-    v: Tuple5,
+    v: Shape,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> OrbitStats:
     """Count move orbits of the valid states; see :func:`orbit_partition`."""
@@ -452,11 +457,13 @@ class Comparison:
 
 def compare(
     p: int,
-    v: Tuple5,
+    v: Shape,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> Comparison:
-    """Compare the formula count, normal-form count, and orbit count."""
+    """Compare the formula count, normal-form count, and orbit count; ``v``
+    is checked as in :func:`orbit_partition`."""
     require_odd_prime(p)
+    v = Tuple5(*v)
     genus_of(p, v)
     theorem = count_for_tuple(p, v)
     errors: list[str] = []

@@ -7,14 +7,27 @@ images, ``bc`` the s (finite, free) pairs whose finite part must be a unit,
 must have order p, and ``g`` the n order-p images.  A state is valid when
 those order constraints hold and the images generate the whole group, which
 for a cyclic group of order p^2 means at least one image is a unit.
+
+:data:`LAYOUT` is the one table of that layout: the functions here, the
+paired classes and slide sources of :mod:`.moves` and the per-class
+flattening of :mod:`.canonical` all read it.  Shapes are plain
+``(r, s, t, m, n)`` tuples, taken as checked: the verification entry points
+check them as :class:`~..tuples.Tuple5` does.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, NamedTuple
 
-from ..tuples import Tuple5, require_odd_prime
+from ..tuples import Shape, require_odd_prime
+
+#: Per class in state order (a, bc, d, ef, g, counted by r, s, t, m, n), the
+#: domain kind of each coordinate of one entry: ``free`` ranges over all of
+#: [0, p^2), ``unit`` over the units and ``order_p`` over the residues of
+#: order p.  A class with two coordinates an entry holds (finite, free) pairs.
+LAYOUT = (("free",), ("unit", "free"), ("unit",), ("order_p", "free"), ("order_p",))
 
 
 class State(NamedTuple):
@@ -40,63 +53,40 @@ def order_p_values(p: int) -> tuple[int, ...]:
 
 
 def flatten(state: State) -> tuple[int, ...]:
-    """All images in class order: a, then b,c pairs, d, e,f pairs, g."""
-    out = list(state.a)
-    for b, c in state.bc:
-        out.append(b)
-        out.append(c)
-    out.extend(state.d)
-    for e, f in state.ef:
-        out.append(e)
-        out.append(f)
-    out.extend(state.g)
+    """All images in class order, each pair as its finite then its free image."""
+    out: list[int] = []
+    for entries, kinds in zip(state, LAYOUT):
+        out += itertools.chain.from_iterable(entries) if len(kinds) > 1 else entries
     return tuple(out)
 
 
-def unflatten(v: Tuple5, coords) -> State:
-    """Rebuild a state from its flat image vector."""
+def unflatten(v: Shape, coords) -> State:
+    """Rebuild a state of shape ``v`` from its flat image vector."""
     coords = tuple(coords)
-    r, s, t, m, n = v
-    if len(coords) != r + 2 * s + t + 2 * m + n:
-        raise ValueError(f"expected {r + 2 * s + t + 2 * m + n} images for {v}, got {len(coords)}")
-    pos = 0
-    a = coords[pos : pos + r]
-    pos += r
-    bc = tuple((coords[pos + 2 * i], coords[pos + 2 * i + 1]) for i in range(s))
-    pos += 2 * s
-    d = coords[pos : pos + t]
-    pos += t
-    ef = tuple((coords[pos + 2 * i], coords[pos + 2 * i + 1]) for i in range(m))
-    pos += 2 * m
-    g = coords[pos : pos + n]
-    return State(a=a, bc=bc, d=d, ef=ef, g=g)
+    size = sum(len(kinds) * length for kinds, length in zip(LAYOUT, v))
+    if len(coords) != size:
+        raise ValueError(f"expected {size} images for {v}, got {len(coords)}")
+    classes, pos = [], 0
+    for kinds, length in zip(LAYOUT, v):
+        run = coords[pos : pos + len(kinds) * length]
+        classes.append(tuple(zip(run[::2], run[1::2])) if len(kinds) > 1 else run)
+        pos += len(run)
+    return State(*classes)
 
 
-def coordinate_domains(p: int, v: Tuple5) -> list[tuple[int, ...]]:
+def coordinate_domains(p: int, v: Shape) -> list[tuple[int, ...]]:
     """Per-coordinate value domains, flattened in class order.
 
-    Finite-order coordinates carry their constrained domains (units for b
-    and d, order-p residues for e and g); free coordinates (a, c, f) range
-    over all of [0, p^2).
+    Each coordinate's domain is that of its :data:`LAYOUT` kind: units for
+    b and d, order-p residues for e and g, and all of [0, p^2) for the free
+    coordinates a, c and f.
     """
     require_odd_prime(p)
-    units = unit_values(p)
-    orderp = order_p_values(p)
-    free = tuple(range(p * p))
-    doms: list[tuple[int, ...]] = []
-    doms.extend([free] * v.r)
-    for _ in range(v.s):
-        doms.append(units)
-        doms.append(free)
-    doms.extend([units] * v.t)
-    for _ in range(v.m):
-        doms.append(orderp)
-        doms.append(free)
-    doms.extend([orderp] * v.n)
-    return doms
+    values = {"free": tuple(range(p * p)), "unit": unit_values(p), "order_p": order_p_values(p)}
+    return [values[kind] for kinds, length in zip(LAYOUT, v) for _ in range(length) for kind in kinds]
 
 
-def raw_state_count(p: int, v: Tuple5) -> int:
+def raw_state_count(p: int, v: Shape) -> int:
     """Size of the image-vector space before the surjectivity filter.
 
     The product of the :func:`coordinate_domains` sizes, computed without
@@ -105,18 +95,20 @@ def raw_state_count(p: int, v: Tuple5) -> int:
     """
     require_odd_prime(p)
     q = p * p
-    return q ** (v.r + v.s + v.m) * (q - p) ** (v.s + v.t) * (p - 1) ** (v.m + v.n)
+    sizes = {"free": q, "unit": q - p, "order_p": p - 1}
+    return math.prod(sizes[kind] ** length for kinds, length in zip(LAYOUT, v) for kind in kinds)
 
 
-def iter_valid_states(p: int, v: Tuple5) -> Iterator[State]:
+def iter_valid_states(p: int, v: Shape) -> Iterator[State]:
     """All valid states, in lexicographic image-vector order.
 
     The per-coordinate domains already enforce the order constraints, so
     only the surjectivity filter is applied; with s+t > 0 it never fires
     because every b and d image is a unit.
     """
+    _, s, t, _, _ = v
     doms = coordinate_domains(p, v)
-    need_unit = v.s == 0 and v.t == 0
+    need_unit = s == 0 and t == 0
     for coords in itertools.product(*doms):
         if need_unit and not any(x % p for x in coords):
             continue

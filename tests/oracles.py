@@ -35,7 +35,6 @@ from handlebody_census.verification.moves import (
     GenClass,
     Move,
     MoveKind,
-    _class_lengths,
     slide_sources,
 )
 from handlebody_census.verification.orbits import _check_budget, _move_table, _Space
@@ -211,11 +210,11 @@ def full_move_alphabet(p: int, v: Tuple5) -> list[Move]:
     """
     q = p * p
     moves = []
-    for cls, length in _class_lengths(v):
+    for cls, length in zip(GenClass, v):
         for i in range(length):
             for j in range(i + 1, length):
                 moves.append(Move(MoveKind.PERMUTE, cls, i, index2=j))
-    for cls, length in _class_lengths(v):
+    for cls, length in zip(GenClass, v):
         for i in range(length):
             moves.append(Move(MoveKind.SPIN, cls, i))
     for i in range(v.s):
