@@ -38,7 +38,7 @@ from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .counting import count_A
-from .errors import BudgetExceededError, InadmissibleTupleError, stop_reason
+from .errors import BudgetExceededError, stop_reason
 from .theorem_counts import CountReport, census
 from .tuples import (
     Tuple5,
@@ -555,7 +555,7 @@ def main(argv=None) -> int:
         what = _REFUSALS.get(args.command, f"{args.command} incomplete")
         print(f"{what}: {stop_reason(exc)}", file=sys.stderr)
         return EXIT_INCOMPLETE
-    except (ValueError, InadmissibleTupleError) as exc:
+    except ValueError as exc:
         print(f"handlebody-census {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -1,28 +1,28 @@
 """Class counts per shape and the census for one (prime, genus).
 
-Each shape's count is a product, or a two-term sum of products, of the
-nondecreasing-tuple counts from :mod:`.counting`, taken over pools whose
-sizes depend only on p:
+Each shape's count is one product of the nondecreasing-tuple counts of
+:mod:`.counting`, taken over pools whose sizes depend only on p:
 
-* units mod p^2 in the lower half-range, p(p-1)/2 of them,
-* multiples of p in the same range, (p-1)/2 of them,
-* pinned (order-p, unit) image pairs, (p-1)^2/2 of them.
+* units mod p^2 in the lower half-range, k = p(p-1)/2 of them,
+* multiples of p in the same range, kn = (p-1)/2 of them,
+* pinned (order-p, unit) image pairs, kp = (p-1)^2/2 of them.
 
-:func:`pools` gives the three sizes.  All three branches live in one
-plain-integer kernel, :func:`count_kernel`, which :func:`count_for_tuple`
-(so ``compare``), the normal-form refusal and the published-census flags
-call.
+:func:`pools` gives the three sizes.  A shape (r, s, t, m, n) counts
+A(k,s) A(k,t) M(m) A(kn,n), where only the factor M of m, :func:`m_factor`,
+depends on the shape's case (cases r and m have s = t = 0, and A(k,0) is
+1).  :func:`count_kernel` is that product, for
+:func:`count_for_tuple` (so ``compare``), the normal-form refusal and the
+published-census flags.
 
 The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
-:meth:`CountReport.iter_runs` streams the rows in lexicographic order from
-:func:`census_rows`, the kernel factored per run of the shape walk
-(:func:`~.tuples.shape_runs`) into lookups in per-census tables.  A run is
-one plain tuple, ``(r, s, t, case, ms, ns, counts, flags)``, with one entry
-of ``ms``, ``ns``, ``counts`` and ``flags`` per row;
-:meth:`CountReport.iter_rows` flattens the runs into plain row tuples
-``(r, s, t, m, n, case, count, flags)``.  The rows are checked against the
-closed form when they have all been read.
+:meth:`CountReport.iter_runs` streams the rows in lexicographic order, a
+run of the shape walk (:func:`~.tuples.shape_runs`) at a time, from tables
+built once per census.  A run is one plain tuple, ``(r, s, t, case, ms, ns,
+counts, flags)``, with one entry of ``ms``, ``ns``, ``counts`` and ``flags``
+per row; :meth:`CountReport.iter_rows` flattens the runs into plain row
+tuples ``(r, s, t, m, n, case, count, flags)``.  The rows are checked
+against the closed form when they have all been read.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -44,8 +44,9 @@ from .tuples import (
     Tuple5,
     genus_blocks,
     require_odd_prime,
-    shape_runs,
+    shape_case,
     shape_count,
+    shape_runs,
 )
 
 Pools = tuple[int, int, int]
@@ -62,35 +63,42 @@ def pools(p: int) -> Pools:
     return p * h, h, (p - 1) * h
 
 
+def m_factor(pool_sizes: Pools, case: CaseTag, m: int) -> int:
+    """The factor M(m) of a shape's count in its case, from the :func:`pools`
+    of p:
+
+    * case st: A(k,m);
+    * case m: the pinned-pair branch kp A(k,m-1), which pins one (order-p,
+      unit) pair, or 0 at m = 0, with nothing to pin;
+    * case r: that branch plus the pinned-handle branch k A(kn,m).
+    """
+    k, kn, kp = pool_sizes
+    if case is CaseTag.CASE_ST:
+        return count_A(k, m)
+    pinned_pair = kp * count_A(k, m - 1) if m else 0
+    if case is CaseTag.CASE_R:
+        return pinned_pair + k * count_A(kn, m)
+    return pinned_pair
+
+
 def count_kernel(
     pool_sizes: Pools, r: int, s: int, t: int, m: int, n: int
 ) -> tuple[CaseTag, int]:
-    """The case tag of a shape and its count, from the :func:`pools` of p.
-
-    * s+t > 0 (case st): A(k,s) A(k,t) A(k,m) A(kn,n), a product of four
-      tuple counts.
-    * otherwise the pinned-pair branch kp A(k,m-1) A(kn,n) pins one
-      (order-p, unit) pair; with m = 0 there is nothing to pin and the term
-      is 0.  With r > 0 (case r) the pinned-handle branch k A(kn,m) A(kn,n)
-      is added; with r = 0 (case m, so m > 0) the pinned-pair branch is the
-      count.
-    """
-    k, kn, kp = pool_sizes
-    if s + t:
-        return CaseTag.CASE_ST, count_A(k, s) * count_A(k, t) * count_A(k, m) * count_A(kn, n)
-    pinned_pair = kp * count_A(k, m - 1) * count_A(kn, n) if m else 0
-    if r:
-        return CaseTag.CASE_R, pinned_pair + k * count_A(kn, m) * count_A(kn, n)
-    return CaseTag.CASE_M, pinned_pair
+    """The case tag of a shape (:func:`shape_case`) and its count
+    A(k,s) A(k,t) M(m) A(kn,n), M the case's :func:`m_factor`, from the
+    :func:`pools` of p."""
+    k, kn, _ = pool_sizes
+    case = shape_case((r, s, t, m, n))
+    return case, count_A(k, s) * count_A(k, t) * m_factor(pool_sizes, case, m) * count_A(kn, n)
 
 
 def count_for_tuple(p: int, v: Shape) -> int:
-    """Evaluate the counting branch matching the shape's case tag.
+    """The class count of a shape, as :func:`count_kernel` gives it.
 
     ``v`` may be a plain tuple; it is checked as :class:`Tuple5` checks it,
     so one with components it rejects raises ``ValueError``.
     """
-    return count_kernel(pools(p), *Tuple5(*v))[1]
+    return count_kernel(pools(p), *Tuple5._make(v))[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,10 +112,8 @@ class Flag:
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
-#: One run of census rows with no flags: r, s, t, the case, and per row m,
-#: n and the count.
-CountRun = tuple[int, int, int, CaseTag, range, range, list[int]]
-#: One run of census rows: a :data:`CountRun` and the flags of each row.
+#: One run of census rows: r, s, t, the case, and per row m, n, the count
+#: and the flags.
 CensusRun = tuple[int, int, int, CaseTag, range, range, list[int], list[tuple[Flag, ...]]]
 
 
@@ -132,18 +138,36 @@ class CountReport:
         return [flag for flags in self.shape_flags.values() for flag in flags]
 
     def iter_runs(self) -> Iterator[CensusRun]:
-        """The rows a run of :func:`census_rows` at a time, in lexicographic
-        order, computed as they are read: ``(r, s, t, case, ms, ns, counts,
-        flags)``, where row i is ``(r, s, t, ms[i], ns[i])`` with count
-        ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
+        """The rows a run of :func:`~.tuples.shape_runs` at a time, in
+        lexicographic order, computed as they are read: ``(r, s, t, case, ms,
+        ns, counts, flags)``, where row i is ``(r, s, t, ms[i], ns[i])`` with
+        count ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
+        A row's count is :func:`count_kernel`'s, factored per run as
+        ``A(k,s) A(k,t) * by_m[m] * A(kn,n)``, from tables of :func:`count_A`
+        and of each case's :func:`m_factor` (by_m) built once per census.
 
         Once every run has been read, their number of rows and their sum are
         held to ``shape_count`` and ``total``; a difference raises
         :class:`AssertionError`, also under ``python -O``.
         """
-        shape_flags = self.shape_flags
+        p, g, shape_flags = self.p, self.g, self.shape_flags
+        pool_sizes = pools(p)
+        k, kn, _ = pool_sizes
+        q = p * p
+        top = g - 1 + q
+        A_k = [count_A(k, j) for j in range(top // (q - 1) + 1)]  # j = s, t
+        A_kn = [count_A(kn, j) for j in range(top // (q - p) + 1)]  # j = n
+        # per case: the tag and its by_m, for m = 0 .. top // q
+        in_st, in_r, in_m = (
+            (case, [m_factor(pool_sizes, case, m) for m in range(top // q + 1)])
+            for case in (CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M)
+        )
         count = total = 0
-        for r, s, t, case, ms, ns, counts in census_rows(self.p, self.g):
+        for r, s, t, ms, ns in shape_runs(p, g):
+            # shape_case's rule, inline: s+t > 0 wins, then r > 0, else m > 0
+            case, by_m = in_st if s + t else in_r if r else in_m
+            f = A_k[s] * A_k[t]
+            counts = [f * by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
             count += len(counts)
             total += sum(counts)
             if shape_flags:
@@ -153,7 +177,7 @@ class CountReport:
             yield r, s, t, case, ms, ns, counts, flags
         if (count, total) != (self.shape_count, self.total):
             raise AssertionError(
-                f"census p={self.p} g={self.g}: the rows give {count} shapes and total {total}, "
+                f"census p={p} g={g}: the rows give {count} shapes and total {total}, "
                 f"the closed form {self.shape_count} and {self.total}"
             )
 
@@ -183,37 +207,6 @@ PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Tuple5, int]]] = {
         },
     ),
 }
-
-
-def census_rows(p: int, g: int) -> Iterator[CountRun]:
-    """The census rows with no flags, one :data:`CountRun` per run of
-    :func:`shape_runs`, in lexicographic order.
-
-    This is :func:`count_kernel` factored per run: a row's count is
-    ``f * by_m[m] * A(kn, n)``, where the run fixes the factor f and the
-    table by_m, both looked up in tables of :func:`count_A` built once per
-    census.
-
-    * case st: f = A(k,s) A(k,t) and by_m[m] = A(k,m);
-    * case m: f = 1 and by_m[m] = kp A(k,m-1), the pinned-pair branch (0 at
-      m = 0, where there is nothing to pin);
-    * case r: f = 1 and by_m[m] = kp A(k,m-1) + k A(kn,m), both branches.
-    """
-    k, kn, kp = pools(p)
-    q = p * p
-    A_k = [count_A(k, j) for j in range((g - 1 + q) // (q - 1) + 1)]  # j = s, t, m
-    A_kn = [count_A(kn, j) for j in range((g - 1 + q) // (q - p) + 1)]  # j = m, n
-    pinned = [0] + [kp * a for a in A_k[: (g - 1 + q) // q]]  # m = 0 .. top // q
-    handle = [x + k * a for x, a in zip(pinned, A_kn)]
-    case_st, case_r, case_m = CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M
-    for r, s, t, ms, ns in shape_runs(p, g):
-        if s + t:
-            case, f, by_m = case_st, A_k[s] * A_k[t], A_k
-        elif r:
-            case, f, by_m = case_r, 1, handle
-        else:  # m > 0: shape_runs emits no shape with r+s+t+m = 0
-            case, f, by_m = case_m, 1, pinned
-        yield r, s, t, case, ms, ns, [f * by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
 
 
 def census(p: int, g: int) -> CountReport:

@@ -61,7 +61,9 @@ class Tuple5(_Fields):
     A ``Tuple5`` is its plain tuple ``(r, s, t, m, n)``: equal to it, hashed
     and sorted like it.  Every way of building one (the constructor,
     ``_make``, ``_replace``) runs the same checks, which raise
-    ``ValueError``, also under ``python -O``.
+    ``ValueError``, also under ``python -O``.  ``_make``, which the entry
+    points call on a plain shape, also raises it when the shape does not
+    have five components.
     """
 
     __slots__ = ()
@@ -82,7 +84,10 @@ class Tuple5(_Fields):
 
     @classmethod
     def _make(cls, iterable) -> "Tuple5":
-        return cls(*iterable)
+        parts = tuple(iterable)
+        if len(parts) != 5:
+            raise ValueError(f"expected five components r,s,t,m,n, got {parts!r}")
+        return cls(*parts)
 
     @classmethod
     def parse(cls, text: str) -> "Tuple5":
@@ -128,7 +133,7 @@ def genus_of(p: int, v: Shape) -> int:
     can only happen for r+s+m = 0 with t, n small.
     """
     require_odd_prime(p)
-    r, s, t, m, n = Tuple5(*v)
+    r, s, t, m, n = Tuple5._make(v)
     q = p * p
     g = 1 + q * (r + s + m - 1) + (q - 1) * t + (q - p) * n
     if g < 1:

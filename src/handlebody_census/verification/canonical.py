@@ -10,9 +10,13 @@ so their number is the one the closed-form counts claim to compute;
 checking that equality is the point of the comparison harness.
 
 A shape's normal forms are a few branches, each the product of five
-per-class pools.  :class:`NormalForms` keeps the pools, not the product:
-its length is the sum of the pool-size products, its iteration builds the
-states, and its dump lines join per-entry texts without building any.
+per-class pools.  The bc, d and g pools are common to every branch; the
+branches differ only in the handle and ef pools, as the closed-form count
+A(k,s) A(k,t) M(m) A(kn,n) differs by case only in M, but no code is
+shared with the count.  :class:`NormalForms` keeps the pools, not the
+product: its length is the sum of the pool-size products, its iteration
+builds the states, and its dump lines join per-entry texts without
+building any.
 
 Pair ordering: (e, f) pairs are sorted lexicographically.  In the branch
 that pins a unit free image, the first pair is held fixed and only the
@@ -115,7 +119,7 @@ def enumerate_canonical(
     inadmissible one raises the genus error.
     """
     require_odd_prime(p)
-    v = Tuple5(*v)
+    v = Tuple5._make(v)
     genus_of(p, v)  # raises for shapes that force genus < 1
     r, s, t, m, n = v
 
@@ -135,30 +139,25 @@ def enumerate_canonical(
     orderp = low_order_p_values(p)
     pairs = tuple((e, f) for e in orderp for f in range(p))
     cwr = itertools.combinations_with_replacement
-    empty = [()]
-    zeros_a = [(0,) * r]
+    # Common to every branch; a class with no entries has the one entry ().
+    bc_sets = [tuple((b, 0) for b in bs) for bs in cwr(units, s)]
+    d_sets = list(cwr(units, t))
     g_sets = list(cwr(orderp, n))
-
-    def pinned_pair_branch(a_sets):
-        # Some free pair image is a unit: pin the first pair, sort the rest.
-        if not m:
-            return []
-        ef_sets = [
-            ((e, f),) + rest for e in orderp for f in range(1, p) for rest in cwr(pairs, m - 1)
-        ]
-        return [(a_sets, empty, empty, ef_sets, g_sets)]
-
+    zeros_a = [(0,) * r]
     if case is CaseTag.CASE_ST:
-        bc_sets = [tuple((b, 0) for b in bs) for bs in cwr(units, s)]
-        branches = [(zeros_a, bc_sets, list(cwr(units, t)), list(cwr(pairs, m)), g_sets)]
-    elif case is CaseTag.CASE_R:
-        # Branch 1 zeroes the handles; branch 2 (no free pair image is a
-        # unit) pins the first handle image to a unit instead.
-        a_pinned = [(a1,) + (0,) * (r - 1) for a1 in units]
-        ef_zero = [tuple((e, 0) for e in es) for es in cwr(orderp, m)]
-        branches = pinned_pair_branch(zeros_a) + [(a_pinned, empty, empty, ef_zero, g_sets)]
-    else:  # CASE_M: the pinned-pair branch alone, with no handles to zero
-        branches = pinned_pair_branch(empty)
+        a_ef = [(zeros_a, list(cwr(pairs, m)))]
+    else:
+        # Pinned pair (handles 0): the first free pair image is a unit, the
+        # rest are sorted; with m = 0 there is none.  Pinned handle, in
+        # case r (no free pair image a unit): the first handle is a unit.
+        a_ef = []
+        if m:
+            ef_pinned = [((e, f),) + rest for e in orderp for f in range(1, p) for rest in cwr(pairs, m - 1)]
+            a_ef.append((zeros_a, ef_pinned))
+        if case is CaseTag.CASE_R:
+            a_pinned = [(a1,) + (0,) * (r - 1) for a1 in units]
+            a_ef.append((a_pinned, [tuple((e, 0) for e in es) for es in cwr(orderp, m)]))
+    branches = [(a_sets, bc_sets, d_sets, ef_sets, g_sets) for a_sets, ef_sets in a_ef]
 
     forms = NormalForms(branches)
     if len(forms) > budget:

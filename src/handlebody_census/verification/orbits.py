@@ -381,7 +381,7 @@ def orbit_partition(
     move left the valid state space.
     """
     require_odd_prime(p)
-    v = Tuple5(*v)
+    v = Tuple5._make(v)
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
@@ -463,7 +463,7 @@ def compare(
     """Compare the formula count, normal-form count, and orbit count; ``v``
     is checked as in :func:`orbit_partition`."""
     require_odd_prime(p)
-    v = Tuple5(*v)
+    v = Tuple5._make(v)
     genus_of(p, v)
     theorem = count_for_tuple(p, v)
     errors: list[str] = []

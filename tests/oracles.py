@@ -8,7 +8,10 @@ column sums must reproduce
 
 Census: the list-and-sort census that the streamed one replaced, with
 every shape listed from the (t, n) compositions, sorted, and counted by
-:func:`handlebody_census.theorem_counts.count_kernel` one at a time.
+:func:`handlebody_census.theorem_counts.count_kernel` one at a time; and
+the census totals of every genus up to a bound at once, as the
+coefficients of a rational generating series built from truncated
+products, with no shape, block or per-shape count.
 
 States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
@@ -144,6 +147,60 @@ def listed_census(p: int, g: int) -> list[tuple]:
     each counted by ``count_kernel``."""
     pool_sizes = pools(p)
     return [(*v, *count_kernel(pool_sizes, *v)) for v in listed_shapes(p, g)]
+
+
+def census_totals_by_series(p: int, G: int) -> list[int]:
+    """The census total of every genus g <= G, at index g (index 0 is 0).
+
+    With q = p^2, k = p(p-1)/2, h = (p-1)/2, kp = (p-1)h and X = x^q,
+    Y = x^(q-1), Z = x^(q-p), the total at genus g is the coefficient of
+    x^(g-1+q) in
+
+        (1-Z)^-h (1-X)^-1 [ (1-X)^-2k (1-Y)^-k - (1-X)^-k
+                            + kp X (1-X)^-k + k X (1-X)^-h ].
+
+    A shape (r, s, t, m, n) has degree q(r+s+m) + (q-1)t + (q-p)n; r
+    contributes (1-X)^-1 and n with its A(h,n) contributes (1-Z)^-h.  The
+    bracket is the rest: case st (every s, t, m less the s = t = 0 part),
+    the pinned-pair term of m > 0 and the pinned-handle term of r > 0.
+    Each factor (1-x^a)^-e has the coefficient C(e+j-1, j) at x^(aj).
+    """
+    require_odd_prime(p)
+    q = p * p
+    k = p * (p - 1) // 2
+    h = (p - 1) // 2
+    kp = (p - 1) * h
+    top = G - 1 + q
+
+    def inverse_power(a, e, scale=1, shift=0):
+        """scale * x^shift * (1-x^a)^-e, truncated after x^top."""
+        series = [0] * (top + 1)
+        for j in range((top - shift) // a + 1):
+            series[shift + a * j] = scale * math.comb(e + j - 1, j)
+        return series
+
+    def times(f, g):
+        out = [0] * (top + 1)
+        g_terms = [(j, y) for j, y in enumerate(g) if y]
+        for i, x in enumerate(f):
+            if x:
+                for j, y in g_terms:
+                    if i + j > top:
+                        break
+                    out[i + j] += x * y
+        return out
+
+    bracket = [
+        a - b + c + d
+        for a, b, c, d in zip(
+            times(inverse_power(q, 2 * k), inverse_power(q - 1, k)),
+            inverse_power(q, k),
+            inverse_power(q, k, scale=kp, shift=q),
+            inverse_power(q, h, scale=k, shift=q),
+        )
+    ]
+    series = times(times(inverse_power(q - p, h), inverse_power(q, 1)), bracket)
+    return [0] + series[q:]
 
 
 def is_unit(x: int, p: int) -> bool:

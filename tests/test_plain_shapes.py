@@ -38,10 +38,12 @@ ENTRY_POINTS = [genus_of, count_for_tuple, enumerate_canonical, orbit_partition,
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("plain", [(-1, 0, 0, 2, 0), (0, 0, 0, 0, 5)], ids=str)
+@pytest.mark.parametrize(
+    "plain", [(-1, 0, 0, 2, 0), (0, 0, 0, 0, 5), (0, 0, 2, 0), (0, 0, 0, 2, 0, 1)], ids=str
+)
 def test_a_shape_tuple5_rejects_raises_at_every_entry_point(entry, plain):
     with pytest.raises(ValueError) as first:
-        Tuple5(*plain)
+        Tuple5._make(plain)
     with pytest.raises(ValueError) as got:
         entry(P, plain)
     assert str(got.value) == str(first.value)
