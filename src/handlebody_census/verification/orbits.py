@@ -1,45 +1,71 @@
 """Exhaustive orbit counting under the move alphabet.
 
 One engine computes the partition: min-label union-find (Shiloach and
-Vishkin, J. Algorithms 1982) over the raw mixed-radix index of a shape's
-state space.  The raw space is the full product of the per-coordinate
-domains, and a move reads and writes at most four coordinates, so with the
-raw index viewed as an array with one axis per run of touched columns, a
-move changes the positions on those axes only, by a small table over them.
-The table is :func:`apply_move` on a state holding, in the :mod:`.states`
-layout, the domain values of the touched coordinates as an open grid; it
-is checked to stay in every domain.  Each round gathers the labels
-through every move with that table, along the touched axes (one
-``np.take`` when they are adjacent, one indexed assignment when they are
-not), so no successor array of the raw size is ever built.  Validity
-(surjectivity) is broadcast the same way, as the OR of per-coordinate unit
-masks.
-Min-label hooking and pointer jumping then run to a fixpoint that labels
-each component by its smallest raw index.
+Vishkin, J. Algorithms 1982) over the coset quotient of a shape's state
+space.
 
-The moves are the generating set and its inverses, except that each unit
-twist is replaced by the twist amounts 1, 2, 4, ... below its order.
-Those are alphabet moves too, so the orbits do not change; applied one
-after another within a round they take every state to the minimum over
-its whole twist cycle, so twist-driven shapes settle in one or two rounds.
+The quotient.  :func:`.states.coset_moduli` gives each image a k whose
+multiples the alphabet can add to it with every other image fixed: a
+twist adds any multiple of the unit b to c (k = 1) and of e, which
+generates pZ/p^2, to f (k = p); a slide adds any multiple of a unit b or d
+to a free handle (k = 1 when s+t > 0), or else of an order-p e or g (k = p
+when m+n > 0).  The other images, and the handles of a handle-only shape,
+keep k = p^2.  The multiples of each image's k form a subgroup H of the
+image vectors, and the engine runs on the cosets x + H, each represented
+by its least member: x with every image reduced mod its k.  That is exact:
 
-The engine runs over every raw index, valid or not.  Moves preserve
-validity, so invalid states form components of their own; a component that
-mixes the two raises, and the labels of valid states are mapped to their
-rank among valid states.  State order is lexicographic on image vectors,
-so a label is the least valid-state index of its orbit.
+* a coset lies inside one orbit, since the moves above join its members;
+* every move is linear on image vectors and maps H into H, so it maps
+  cosets to cosets.  Interchanges and spins permute or negate images of
+  equal k; a twist adds a multiple of b or e, which H leaves fixed; a
+  slide adds to a handle a multiple of another image, whose k the
+  handle's k divides (a c source means s > 0, an f source m > 0);
+* validity is constant on a coset.  k is 1 only where s+t > 0, so every
+  state is valid; otherwise reducing mod p or p^2 keeps a unit a unit.
+
+So each orbit of the quotient is the set of cosets of one raw orbit.  The
+counts agree, every raw orbit holds the same number of raw states per
+coset (the fiber, raw size over quotient size), and the least raw state
+of an orbit is its least representative, since each image of a
+representative is the least of its coset.
+
+The engine.  Representatives are rows of a mixed-radix index over each
+image's representative values, and a move reads and writes at most four
+coordinates, so with the index viewed as an array with one axis per run
+of touched columns, a move changes the positions on those axes only, by a
+small table over them.  The table is :func:`apply_move` on a state
+holding, in the :mod:`.states` layout, the representative values of the
+touched coordinates as an open grid; every image it writes is checked to
+stay in its raw domain, and is then looked up as the position of its own
+representative.  A move whose table is the identity is skipped: every
+twist, and every slide that only adds multiples of its handle's k (onto a
+handle reduced to 0, from a c, or from an e or g onto a handle reduced
+mod p).
+Each round gathers the labels through every other move with its table,
+along the touched axes (one ``np.take`` when they are adjacent, one
+indexed assignment when they are not), so no successor array is ever
+built.  Validity (surjectivity) is broadcast the same way, as the OR of
+per-coordinate unit masks.  Min-label hooking and pointer jumping then
+run to a fixpoint that labels each component by its smallest row.
+
+The engine runs over every row, valid or not.  Moves preserve validity,
+so invalid states form components of their own; a component that mixes
+the two raises.  Nothing of raw size is built for the counts; the labels
+of individual raw states are lifted from the quotient's on request.
 
 The tests hold a reference for this engine: breadth-first search over
-:func:`apply_move`, from individual states, which must reach the same
-labels.  That search shares the move rule with the engine, so the check of
-the rule and the layout rests on ``tests/orbit_reference.py``, whose own
-update rule and column map must give every move's successor array.
+:func:`apply_move`, from individual raw states, which must reach the
+lifted labels.  That search shares the move rule with the engine, so the
+check of the rule, the layout and the reduction rests on
+``tests/orbit_reference.py``, whose own update rule, column map and
+moduli must give every move's successor array.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from typing import ClassVar
 
 import numpy as np
@@ -60,44 +86,55 @@ from .moves import (
 from .states import (
     State,
     coordinate_domains,
+    coset_moduli,
     flatten,
     raw_state_count,
     unflatten,
 )
 
 
-class _Space:
-    """Vectorized view of one shape's state space.
+def _radix(doms) -> tuple[np.ndarray, np.ndarray, int]:
+    """Sizes, strides and size of the mixed-radix index over ``doms``,
+    last coordinate fastest."""
+    sizes = np.array([len(dom) for dom in doms], dtype=np.int64)
+    strides = np.ones(len(doms), dtype=np.int64)
+    for c in range(len(doms) - 2, -1, -1):
+        strides[c] = strides[c + 1] * sizes[c + 1]
+    return sizes, strides, math.prod(sizes.tolist())
 
-    States are rows of a mixed-radix index (last coordinate fastest), so
-    row order is lexicographic on image vectors and matches
-    :func:`iter_valid_states`.  Indices are int64, so the raw size must
-    fit that range; :func:`_check_budget` refuses any that does not.
-    ``v`` is a checked shape.
+
+class _Space:
+    """Vectorized view of one shape's state space on the coset quotient.
+
+    Each image runs over its representatives: the values of its raw
+    domain (:func:`coordinate_domains`) reduced mod its
+    :func:`coset_moduli` k, ascending.  Representative states are the rows
+    of a mixed-radix index over those (last coordinate fastest), so row
+    order is lexicographic on image vectors, as raw order is.  ``luts``
+    maps every raw value to the position of its representative, and to -1
+    outside the raw domain, so every state read through it is reduced.
+    The raw index (``raw_doms``, ``raw_strides``, ``raw``) is kept for
+    lifting.  Indices are int64, so the raw size must fit that range;
+    :func:`_check_budget` refuses any that does not.  ``v`` is a checked
+    shape.
     """
 
     def __init__(self, p: int, v: Shape):
         self.p, self.q, self.v = p, p * p, v
-        doms = coordinate_domains(p, v)
-        self.ncols = len(doms)
+        self.raw_doms = [np.asarray(dom, dtype=np.int64) for dom in coordinate_domains(p, v)]
+        moduli = coset_moduli(p, v)
+        self.ncols = len(moduli)
         # the state whose images are their own column numbers
         self.columns = unflatten(v, range(self.ncols))
-
-        sizes = [len(dom) for dom in doms]
-        strides = np.ones(self.ncols, dtype=np.int64)
-        for c in range(self.ncols - 2, -1, -1):
-            strides[c] = strides[c + 1] * sizes[c + 1]
-        self.sizes = np.asarray(sizes, dtype=np.int64)
-        self.strides = strides
-        self.raw = int(strides[0] * sizes[0])
-        # value -> in-domain position, -1 outside the domain
+        self.dom_arrays = [np.unique(dom % k) for dom, k in zip(self.raw_doms, moduli)]
+        self.sizes, self.strides, self.size = _radix(self.dom_arrays)
+        _, self.raw_strides, self.raw = _radix(self.raw_doms)
         self.luts = np.full((self.ncols, self.q), -1, dtype=np.int64)
-        for c, dom in enumerate(doms):
-            self.luts[c, list(dom)] = np.arange(len(dom))
-        self.dom_arrays = [np.asarray(dom, dtype=np.int64) for dom in doms]
+        for c, (dom, k) in enumerate(zip(self.raw_doms, moduli)):
+            self.luts[c, dom] = np.searchsorted(self.dom_arrays[c], dom % k)
 
     def layout(self, cols) -> tuple[list[int], list[list[int]]]:
-        """The raw index's shape with each run of adjacent ``cols`` merged
+        """The row index's shape with each run of adjacent ``cols`` merged
         into one axis, and those runs.
 
         ``cols`` is ascending.  Axes alternate between a run of other
@@ -119,17 +156,17 @@ class _Space:
         return shape + [other], runs
 
     def valid_mask(self) -> np.ndarray:
-        """Which raw indices are valid states.
+        """Which rows are valid states.
 
         The domains already enforce the order constraints, so validity is
         surjectivity alone: the OR over columns of each domain's unit mask,
-        broadcast.  With s+t > 0 some domain holds units only, so every raw
-        index is valid.
+        broadcast.  With s+t > 0 some domain holds units only, so every row
+        is valid.
         """
         _, s, t, _, _ = self.v
         if s + t > 0:
-            return np.ones(self.raw, dtype=bool)
-        valid = np.zeros(self.raw, dtype=bool)
+            return np.ones(self.size, dtype=bool)
+        valid = np.zeros(self.size, dtype=bool)
         for c, dom in enumerate(self.dom_arrays):
             shape, _ = self.layout([c])
             view = valid.reshape(shape)
@@ -137,8 +174,8 @@ class _Space:
         return valid
 
     def state_row(self, state: State) -> int:
-        """Raw index of one state; -1 if it has another shape or any image
-        leaves its domain."""
+        """Row of one state's representative; -1 if the state has another
+        shape or any image leaves its raw domain."""
         if tuple(map(len, state)) != tuple(self.v):
             return -1
         row = 0
@@ -148,6 +185,30 @@ class _Space:
                 return -1
             row += pos * int(self.strides[c])
         return row
+
+    def raw_row(self, state: State) -> int:
+        """Raw index of one state; -1 where :meth:`state_row` is."""
+        if self.state_row(state) < 0:
+            return -1
+        images = zip(self.raw_doms, flatten(state), self.raw_strides.tolist())
+        return sum(int(np.searchsorted(dom, x)) * stride for dom, x, stride in images)
+
+    def representatives(self) -> np.ndarray:
+        """The row of every raw state's representative, in raw order: an
+        array of raw size."""
+        rows = np.zeros(self.raw, dtype=_index_dtype(self.size))
+        for c, dom in enumerate(self.raw_doms):
+            view = rows.reshape(-1, len(dom), int(self.raw_strides[c]))
+            view += (self.luts[c, dom] * self.strides[c]).astype(rows.dtype).reshape(-1, 1)
+        return rows
+
+    def raw_indices(self) -> np.ndarray:
+        """The raw index of every representative, in row order."""
+        index = np.zeros(self.size, dtype=np.int64)
+        for c, dom in enumerate(self.dom_arrays):
+            view = index.reshape(-1, len(dom), int(self.strides[c]))
+            view += (np.searchsorted(self.raw_doms[c], dom) * self.raw_strides[c]).reshape(-1, 1)
+        return index
 
 
 def _move_cols(space: _Space, move: Move) -> list[int]:
@@ -166,15 +227,15 @@ def _move_cols(space: _Space, move: Move) -> list[int]:
 
 
 def _move_table(space: _Space, move: Move):
-    """A move on every combination of its columns' domain values.
+    """A move on every combination of its columns' representative values.
 
     Returns the columns, their values as an open grid (one axis per column)
     and the checked (column, new values) updates.  :func:`apply_move` acts
     on a state holding the grid in these columns and ``None`` in every
     other; a column is updated when the move put a new object in it.
-    Raises :class:`AssertionError` if a new value leaves its column's
-    domain.  The raw space is the full product of the domains, so the grid
-    covers every state's restriction to these columns.
+    Raises :class:`AssertionError` if a new value leaves its column's raw
+    domain.  The quotient is the full product of the representative
+    domains, so the grid covers every row's restriction to these columns.
     """
     cols = _move_cols(space, move)
     grid = np.meshgrid(*(space.dom_arrays[c] for c in cols), indexing="ij", sparse=True)
@@ -191,19 +252,21 @@ def _move_table(space: _Space, move: Move):
     return cols, values, updates
 
 
-def _index_dtype(raw: int):
-    """int32 when every raw index fits, halving the engine's index arrays."""
-    return np.int32 if raw <= np.iinfo(np.int32).max else np.int64
+def _index_dtype(size: int):
+    """int32 when every index below ``size`` fits, halving the engine's
+    index arrays."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
 class _Gather:
-    """One move as a gather: ``out[x] = src[succ(x)]`` for every raw index
-    x, where ``succ`` is the move's successor, with no index array of raw
-    size.
+    """One move as a gather: ``out[x] = src[succ(x)]`` for every row x,
+    where ``succ`` is the move's successor on the quotient, with no index
+    array of the quotient's size.
 
-    The raw index is viewed in :meth:`_Space.layout` over the columns the
+    The row index is viewed in :meth:`_Space.layout` over the columns the
     move touches, so ``succ`` changes the positions on the touched axes
-    only, by a table over them.  When the move touches one run of adjacent
+    only, by a table over them.  ``identity`` is set when that table
+    changes no position.  When the move touches one run of adjacent
     columns (spins, twists, interchanges, slides from a neighbouring
     column) the gather is one ``np.take`` along that axis.  Otherwise (a
     slide from a column further off) it is one indexed assignment: every
@@ -216,6 +279,7 @@ class _Gather:
         cols, values, updates = _move_table(space, move)
         pos = {c: space.luts[c, values[c]] for c in cols}
         new_pos = {**pos, **{c: space.luts[c, new_values] for c, new_values in updates}}
+        self.identity = all((new_pos[c] == pos[c]).all() for c in cols)
         shape, runs = space.layout(cols)
         self.shape = tuple(shape)
         touched = list(range(1, len(shape), 2))
@@ -249,15 +313,15 @@ class _Gather:
 
 
 def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
-    """Orbit labels as the least state index per component, and the rounds.
+    """Orbit labels as the least row per component, and the rounds.
 
     Each round takes, move by move, the min of the labels and the labels
     gathered through the move, then chases labels through themselves
     (pointer jumping) until nothing changes; the last round is the one
-    that changes nothing.  Labels are always indices of smaller states in
-    the same component, so the fixpoint assigns every state its
-    component's minimum; min is order-independent, which is what makes the
-    result deterministic.
+    that changes nothing.  Labels are always smaller rows in the same
+    component, so the fixpoint assigns every row its component's minimum;
+    min is order-independent, which is what makes the result
+    deterministic.
     """
     labels = np.arange(n, dtype=_index_dtype(n))
     if n == 0:
@@ -280,31 +344,29 @@ def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
 
 
 def _engine_moves(p: int, v: Shape) -> list[Move]:
-    """The generating set with inverses, each unit twist replaced by the
-    twist amounts 1, 2, 4, ... below its order (p^2 for bc, p for ef).
+    """The generating set with inverses, each move once.
 
-    Every twist amount is an alphabet move, so the orbits are those of the
-    generating set; applied in turn, the doubled amounts take a state to
-    the minimum over its whole twist cycle within one round.
+    The twists are among them, and the engine skips them with every other
+    move that is the identity on the quotient.
     """
-    moves: list[Move] = []
-    for move in generator_moves(p, v):
-        if move.kind is MoveKind.TWIST:
-            order = p * p if move.cls is GenClass.BC else p
-            moves += [dataclasses.replace(move, amount=1 << k) for k in range((order - 1).bit_length())]
-        else:
-            moves += [move, inverse_move(p, move)]
+    moves = [each for move in generator_moves(p, v) for each in (move, inverse_move(p, move))]
     return list(dict.fromkeys(moves))
 
 
 @dataclasses.dataclass
 class Partition:
-    """Orbit labels for every valid state of one shape.
+    """Move orbits of the valid states of one shape.
 
-    ``labels[i]`` is the least state index in the orbit of state i; state
-    order is lexicographic on image vectors.  ``moves`` is the number of
-    moves the engine applied per round and ``rounds`` the number of
-    fixpoint rounds, the last of which changed nothing.
+    The engine ran on the coset quotient (see the module docstring): the
+    ``quotient`` representatives, each standing for ``fiber`` raw states
+    of its orbit.  Every count and size is in raw states.  ``labels[i]``
+    is the least state index in the orbit of valid state i, state order
+    being lexicographic on image vectors; ``labels`` and
+    :meth:`state_index` are lifted to raw states on first use, with arrays
+    of raw size.  ``moves`` is the number of moves the engine applied per
+    round (those that are not the identity on the quotient) and
+    ``rounds`` the number of fixpoint rounds, the last of which changed
+    nothing.
     """
 
     #: The engine that computed the labels; there is only one.
@@ -313,22 +375,28 @@ class Partition:
     p: int
     v: Tuple5
     raw: int
-    labels: np.ndarray
+    quotient: int
     moves: int
     rounds: int
     _space: _Space
-    _rank: np.ndarray  # raw index -> valid-state index, -1 for invalid
+    _valid: np.ndarray  # row -> whether the representative is valid
+    _least: np.ndarray  # row -> least row of its orbit
+
+    @property
+    def fiber(self) -> int:
+        """Raw states per representative."""
+        return self.raw // self.quotient
 
     @property
     def valid_count(self) -> int:
-        return len(self.labels)
+        return int(np.count_nonzero(self._valid)) * self.fiber
 
     @functools.cached_property
     def _sizes(self) -> np.ndarray:
-        # a label is its orbit's least member, so the orbits are the states
-        # labelled with themselves; one count, with no sort
-        roots = self.labels == np.arange(self.valid_count)
-        return np.bincount(self.labels, minlength=self.valid_count)[roots]
+        # a label is its orbit's least member, so the orbits are the valid
+        # rows labelled with themselves; one count, with no sort
+        roots = self._valid & (self._least == np.arange(self.quotient))
+        return np.bincount(self._least[self._valid], minlength=self.quotient)[roots] * self.fiber
 
     @property
     def orbit_count(self) -> int:
@@ -342,9 +410,29 @@ class Partition:
     def largest_orbit(self) -> int:
         return int(self._sizes.max()) if self.valid_count else 0
 
+    @functools.cached_property
+    def _rows(self) -> np.ndarray:
+        # raw index -> row of its representative
+        return self._space.representatives()
+
+    @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        # raw index -> valid-state index, -1 for invalid
+        valid = self._valid[self._rows]
+        rank = np.cumsum(valid, dtype=_index_dtype(self.raw)) - 1
+        rank[~valid] = -1
+        return rank
+
+    @functools.cached_property
+    def labels(self) -> np.ndarray:
+        """Per valid state, the valid-state index of its orbit's least
+        member: the least representative of its orbit, lifted."""
+        least = self._space.raw_indices()[self._least]
+        return self._rank[least[self._rows[self._rank >= 0]]]
+
     def state_index(self, state: State) -> int:
         """Position of a valid state in the space's lexicographic order."""
-        row = self._space.state_row(state)
+        row = self._space.raw_row(state)
         if row >= 0 and self._rank[row] >= 0:
             return int(self._rank[row])
         raise KeyError(f"state {state} is not a valid state of shape {self.v}")
@@ -385,24 +473,23 @@ def orbit_partition(
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
-    moves = _engine_moves(p, v)
-    gathers = [_Gather(space, move) for move in moves]
-    labels, rounds = _min_label_components(raw, gathers)
-    if not np.array_equal(valid[labels], valid):
+    gathers = [_Gather(space, move) for move in _engine_moves(p, v)]
+    gathers = [gather for gather in gathers if not gather.identity]
+    least, rounds = _min_label_components(space.size, gathers)
+    if not np.array_equal(valid[least], valid):
         raise AssertionError(
             f"an orbit of shape {v} at p={p} mixes valid and invalid states"
         )
-    rank = np.cumsum(valid, dtype=labels.dtype) - 1
-    rank[~valid] = -1
     return Partition(
         p=p,
         v=v,
         raw=raw,
-        labels=rank[labels[valid]],
-        moves=len(moves),
+        quotient=space.size,
+        moves=len(gathers),
         rounds=rounds,
         _space=space,
-        _rank=rank,
+        _valid=valid,
+        _least=least,
     )
 
 

@@ -86,6 +86,32 @@ def coordinate_domains(p: int, v: Shape) -> list[tuple[int, ...]]:
     return [values[kind] for kinds, length in zip(LAYOUT, v) for _ in range(length) for kind in kinds]
 
 
+def coset_moduli(p: int, v: Shape) -> list[int]:
+    """Per coordinate, flattened in class order, the k whose multiples the
+    move alphabet can add to that image with every other image fixed.
+
+    An image of kind ``unit`` generates Z_{p^2} (k = 1) and one of kind
+    ``order_p`` generates pZ_{p^2} (k = p).  A twist adds any multiple of
+    a pair's finite image to its free image, so the free image of a pair
+    gets its partner's k: 1 for c, p for f.  A slide adds any multiple of
+    any image of another factor to a free handle, so a handle gets the
+    least k of the finite kinds the shape holds, and k = p^2 (nothing)
+    when it holds none.  The finite images themselves keep k = p^2.
+
+    Reducing each image mod its k maps every state to the least member of
+    its coset, which lies in its orbit; :mod:`.orbits` runs on those.
+    """
+    q = p * p
+    generates = {"unit": 1, "order_p": p}
+    held = [generates[kind] for kinds, length in zip(LAYOUT, v) if length for kind in kinds if kind != "free"]
+    handle = min(held, default=q)
+    moduli = []
+    for kinds, length in zip(LAYOUT, v):
+        free = generates[kinds[0]] if len(kinds) > 1 else handle
+        moduli += [free if kind == "free" else q for kind in kinds] * length
+    return moduli
+
+
 def raw_state_count(p: int, v: Shape) -> int:
     """Size of the image-vector space before the surjectivity filter.
 

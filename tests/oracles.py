@@ -20,7 +20,8 @@ raw index must follow; and the per-state renderer of the ``canonical
 
 Moves: the full alphabet, every single move with every amount, and the
 closure check, which runs each of its moves over every combination of its
-columns' domain values through the orbit engine's move tables.
+columns' raw domain values, as the orbit engine builds its move tables
+over their representatives.
 """
 
 import functools
@@ -40,8 +41,9 @@ from handlebody_census.verification.moves import (
     MoveKind,
     slide_sources,
 )
-from handlebody_census.verification.orbits import _check_budget, _move_table, _Space
-from handlebody_census.verification.states import State, flatten
+from handlebody_census.verification import orbits
+from handlebody_census.verification.orbits import _check_budget, _move_cols, _Space
+from handlebody_census.verification.states import State, coordinate_domains, flatten, unflatten
 
 #: Cap on brute-force enumeration, roughly seconds of work when hit.
 DEFAULT_ENUMERATION_BUDGET = 5_000_000
@@ -292,25 +294,38 @@ def full_move_alphabet(p: int, v: Tuple5) -> list[Move]:
 def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) -> int:
     """Check that every alphabet move maps every valid state into the valid set.
 
-    Each move is applied to every combination of the domain values of the
-    columns it touches, which covers every state's restriction to them.
-    Domain membership is checked per changed column.  With s+t > 0 every
+    Each move is applied to every combination of the raw domain values
+    (:func:`coordinate_domains`) of the columns it touches, which covers
+    every state's restriction to them.  The move is the ``apply_move`` the
+    orbit engine builds its tables from, looked up on
+    ``handlebody_census.verification.orbits`` at call time.  Every image
+    it writes must lie in its column's raw domain.  With s+t > 0 every
     state is surjective; otherwise no combination holding a unit may lose
-    every unit.  That is exact, because every other column's domain holds a
-    non-unit, so some valid state has no unit outside these columns.
+    every unit.  That is exact, because every other column's domain holds
+    a non-unit, so some valid state has no unit outside these columns.
     Raises :class:`AssertionError` on a failure; returns the number of
     (valid state, move) pairs covered.
     """
     require_odd_prime(p)
     raw = _check_budget(p, v, budget)
-    space = _Space(p, v)
+    doms = [np.asarray(dom) for dom in coordinate_domains(p, v)]
+    space = _Space(p, v)  # for the columns each move touches
     need_unit = v.s + v.t == 0
     valid = raw
     if need_unit:
-        valid -= math.prod(int((dom % p == 0).sum()) for dom in space.dom_arrays)
+        valid -= math.prod(int((dom % p == 0).sum()) for dom in doms)
     alphabet = full_move_alphabet(p, v)
     for move in alphabet:
-        cols, values, updates = _move_table(space, move)
+        cols = _move_cols(space, move)
+        values = dict(zip(cols, np.meshgrid(*(doms[c] for c in cols), indexing="ij", sparse=True)))
+        state = unflatten(v, [values.get(c) for c in range(len(doms))])
+        moved = flatten(orbits.apply_move(p, state, move))
+        updates = [(c, moved[c]) for c in cols if moved[c] is not values[c]]
+        for col, new in updates:
+            if not np.isin(new, doms[col]).all():
+                raise AssertionError(
+                    f"move {move} left the per-generator domain on column {col} of shape {v}"
+                )
         if not need_unit:
             continue
         new_values = {**values, **dict(updates)}

@@ -1,14 +1,18 @@
 """Reference pieces for the orbit engine's tests.
 
-The engine gathers labels through each move with a table over the few
-columns the move touches; gathering ``arange(raw)`` that way gives the
-move's successor array.  Earlier engines decoded every raw index into a
+The engine runs on the coset quotient of a shape's state space: each
+image reduced mod the k whose multiples the alphabet can add to it.  It
+gathers labels through each move with a table over the few columns the
+move touches; gathering ``arange`` of the quotient's size that way gives
+the move's successor array.  Earlier engines decoded every index into a
 matrix of image values and stepped each row through per-column lookup
 tables; that construction is kept here, row by row and chunk by chunk, as
 the reference those successor arrays must equal.  The engine builds its
-tables through :func:`apply_move` over the ``states`` layout; this module
-has its own copy of the image-level move updates and its own column map,
-so a slip in either of those shows.
+tables through :func:`apply_move` over the ``states`` layout and reduces
+through its own lookup tables; this module has its own copy of the
+image-level move updates, its own column map and its own moduli, and it
+looks representatives up in the engine's domains by value, so a slip in
+any of those shows.
 
 Also here: the small p=3 shapes the exhaustive sweeps run over, and two
 deliberately broken versions of :func:`apply_move` for the closure check's
@@ -60,27 +64,49 @@ def ref_col(v: Tuple5, ref: GenRef) -> int:
     return entry_cols(v, ref.cls, ref.index)[ref.part]
 
 
-def decode(space, rows: np.ndarray) -> np.ndarray:
-    """Image values (len(rows) x ncols) of the given raw indices."""
-    out = np.empty((len(rows), space.ncols), dtype=np.int64)
+def moduli(p: int, v: Tuple5) -> list[int]:
+    """Per flat column, the modulus its image is reduced by on the quotient.
+
+    c goes to 0 (the unit b twists it through everything), f mod p (e
+    twists it through pZ/p^2), a handle to 0 beside a b or d, mod p beside
+    only e or g images and whole in a handle-only shape; b, d, e and g stay
+    whole.
+    """
+    q = p * p
+    _, s, t, m, n = v
+    handle = 1 if s + t else p if m + n else q
+    per_entry = {GenClass.A: [handle], GenClass.BC: [q, 1], GenClass.D: [q], GenClass.EF: [q, p], GenClass.G: [q]}
+    return [k for (cls, _), length in zip(CLASS_WIDTHS, v) for k in per_entry[cls] * length]
+
+
+def reduce(p: int, v: Tuple5, images) -> list[int]:
+    """Flat images reduced to their coset's least member."""
+    return [x % k for x, k in zip(images, moduli(p, v))]
+
+
+def decode(doms, rows: np.ndarray) -> np.ndarray:
+    """Image values (len(rows) x len(doms)) of the given indices of the
+    mixed-radix index over ``doms``, last coordinate fastest."""
+    out = np.empty((len(rows), len(doms)), dtype=np.int64)
     rem = np.asarray(rows, dtype=np.int64).copy()
-    for c in range(space.ncols - 1, -1, -1):
-        k = int(space.sizes[c])
-        out[:, c] = space.dom_arrays[c][rem % k]
-        rem //= k
+    for c in range(len(doms) - 1, -1, -1):
+        out[:, c] = doms[c][rem % len(doms[c])]
+        rem //= len(doms[c])
     return out
 
 
-def digits(space) -> tuple[np.ndarray, np.ndarray]:
-    """Image values of every raw index, and which raw indices are valid."""
-    dig = np.empty((space.raw, space.ncols), dtype=np.int64)
-    valid = np.ones(space.raw, dtype=bool)
-    need_unit = space.v.s == 0 and space.v.t == 0
-    for start in range(0, space.raw, CHUNK):
-        stop = min(start + CHUNK, space.raw)
-        dig[start:stop] = decode(space, np.arange(start, stop, dtype=np.int64))
+def digits(p: int, v: Tuple5, doms) -> tuple[np.ndarray, np.ndarray]:
+    """Image values of every index over ``doms`` (the engine's
+    representatives, or the raw domains), and which are valid states."""
+    size = int(np.prod([len(dom) for dom in doms]))
+    dig = np.empty((size, len(doms)), dtype=np.int64)
+    valid = np.ones(size, dtype=bool)
+    need_unit = v.s == 0 and v.t == 0
+    for start in range(0, size, CHUNK):
+        stop = min(start + CHUNK, size)
+        dig[start:stop] = decode(doms, np.arange(start, stop, dtype=np.int64))
         if need_unit:
-            valid[start:stop] = ((dig[start:stop] % space.p) != 0).any(axis=1)
+            valid[start:stop] = ((dig[start:stop] % p) != 0).any(axis=1)
     return dig, valid
 
 
@@ -108,26 +134,31 @@ def move_updates(space, dig: np.ndarray, move: Move):
 
 
 def successor_rows(space, dig: np.ndarray, rows: np.ndarray, move: Move) -> np.ndarray:
-    """Raw successor index per row, via per-column position deltas."""
+    """Successor row per row, via per-column position deltas: each new
+    image reduced by :func:`moduli` and looked up in the engine's
+    representatives by value."""
     out = np.asarray(rows, dtype=np.int64).copy()
+    col_moduli = moduli(space.p, space.v)
     for col, new_values in move_updates(space, dig, move):
-        new_pos = space.luts[col, new_values]
-        if (new_pos < 0).any():
+        reps = space.dom_arrays[col]
+        reduced = new_values % col_moduli[col]
+        new_pos = np.searchsorted(reps, reduced)
+        if (reps[np.minimum(new_pos, len(reps) - 1)] != reduced).any():
             raise AssertionError(f"move {move} left the per-generator domain on column {col}")
-        old_pos = space.luts[col, dig[:, col]]
+        old_pos = np.searchsorted(reps, dig[:, col])
         out += (new_pos - old_pos) * int(space.strides[col])
     return out
 
 
 def successor_arrays(space, moves) -> list[np.ndarray]:
-    """One raw successor-index array per move, int32 when the raw space fits."""
-    dig, _ = digits(space)
-    dtype = np.int32 if space.raw <= np.iinfo(np.int32).max else np.int64
+    """One successor-row array per move, int32 when the quotient fits."""
+    dig, _ = digits(space.p, space.v, space.dom_arrays)
+    dtype = np.int32 if space.size <= np.iinfo(np.int32).max else np.int64
     arrays = []
     for move in moves:
-        out = np.empty(space.raw, dtype=dtype)
-        for lo in range(0, space.raw, CHUNK):
-            hi = min(lo + CHUNK, space.raw)
+        out = np.empty(space.size, dtype=dtype)
+        for lo in range(0, space.size, CHUNK):
+            hi = min(lo + CHUNK, space.size)
             rows = np.arange(lo, hi, dtype=np.int64)
             out[lo:hi] = successor_rows(space, dig[lo:hi], rows, move)
         arrays.append(out)

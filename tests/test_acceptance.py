@@ -22,8 +22,8 @@ from handlebody_census.theorem_counts import census, count_for_tuple, count_kern
 from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.moves import apply_move, inverse_move
-from handlebody_census.verification.orbits import _Space, orbit_count, orbit_partition
-from handlebody_census.verification.states import unflatten
+from handlebody_census.verification.orbits import orbit_count, orbit_partition
+from handlebody_census.verification.states import coordinate_domains, unflatten
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -140,13 +140,13 @@ def test_criterion_7_orbit_oracle_spot_checks():
 def _sampled_valid_states(p, v):
     """The states ``list(iter_valid_states(p, v))[:: max(1, n // 6)]`` holds.
 
-    Decodes only the sampled raw indices, through the test-side decode,
-    instead of building every state.
+    Decodes only the sampled raw indices, through the test-side decode
+    over the raw domains, instead of building every state.
     """
-    space = _Space(p, v)
-    rows = np.flatnonzero(ref.digits(space)[1])
+    doms = [np.asarray(dom) for dom in coordinate_domains(p, v)]
+    rows = np.flatnonzero(ref.digits(p, v, doms)[1])
     rows = rows[:: max(1, len(rows) // 6)]
-    return [unflatten(v, images) for images in ref.decode(space, rows).tolist()]
+    return [unflatten(v, images) for images in ref.decode(doms, rows).tolist()]
 
 
 def test_criterion_8_property_suite_exhaustive():

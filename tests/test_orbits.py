@@ -1,8 +1,10 @@
 """Orbit engine: frozen counts, agreement with BFS, determinism, compare."""
 
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,21 +18,28 @@ from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition
 from handlebody_census.verification import orbits
-from handlebody_census.verification.moves import GenClass, MoveKind, apply_move
+from handlebody_census.verification.moves import MoveKind, apply_move
 from handlebody_census.verification.orbits import (
     _Gather,
     _Space,
     _engine_moves,
     _index_dtype,
 )
-from handlebody_census.verification.states import State, iter_valid_states
+from handlebody_census.verification.states import (
+    State,
+    coordinate_domains,
+    flatten,
+    iter_valid_states,
+    unflatten,
+)
 
 TESTS_DIR = Path(__file__).resolve().parent
 
 
 def _successor_arrays(space, moves):
-    """Each move's raw successor array: ``arange(raw)`` gathered through it."""
-    rows = np.arange(space.raw, dtype=_index_dtype(space.raw))
+    """Each move's successor array on the quotient: ``arange`` of its size
+    gathered through it."""
+    rows = np.arange(space.size, dtype=_index_dtype(space.size))
     arrays = []
     for move in moves:
         succ = np.empty_like(rows)
@@ -56,6 +65,22 @@ def test_frozen_orbit_counts(p, v, expected):
     assert orbit_count(p, v).orbits == expected
 
 
+def test_orbit_stats_equal_the_raw_engine_record():
+    record = json.loads((TESTS_DIR / "orbit_stats_record.json").read_text())
+    rows = [(p, Tuple5(*v), stats) for p, v, stats in record["rows"]]
+    # the sweep reduces a handle to 0, mod p and not at all, and c and f,
+    # at every prime
+    for p in (3, 5, 7, 11):
+        shapes = [v for q, v, _ in rows if q == p]
+        assert any(v.r and v.s + v.t for v in shapes), p
+        assert any(v.r and not v.s + v.t and v.m + v.n for v in shapes), p
+        assert any(v.r and not v.s + v.t + v.m + v.n for v in shapes), p
+        assert any(v.s for v in shapes) and any(v.m for v in shapes), p
+    for p, v, stats in rows:
+        got = orbit_count(p, v)
+        assert [got.orbits, got.state_space_size, got.valid_states, got.largest_orbit] == stats, (p, v)
+
+
 def test_orbit_stats_fields():
     stats = orbit_count(3, Tuple5(0, 1, 0, 0, 0))
     assert stats.orbits == 3
@@ -79,6 +104,11 @@ def test_methods_and_workers_produce_identical_labels():
         (3, Tuple5(1, 0, 0, 1, 0)),
         (3, Tuple5(1, 1, 0, 0, 0)),
         (5, Tuple5(0, 0, 0, 1, 0)),
+        # lifted from the quotient: a and f mod p; a and c to 0; r >= 2
+        # with a mod p
+        (5, Tuple5(1, 0, 0, 1, 0)),
+        (5, Tuple5(1, 1, 0, 0, 0)),
+        (7, Tuple5(2, 0, 0, 0, 1)),
     ]:
         assert np.array_equal(bfs_labels(p, v), orbit_partition(p, v).labels), (p, v)
 
@@ -101,26 +131,32 @@ def test_budget_error_names_required_states():
 
 
 def test_vectorized_successors_match_apply_move():
+    # the valid rows are the valid states reduced by the reference's own
+    # moduli, and each gathered successor is apply_move's, reduced
     for p, v in [
         (3, Tuple5(0, 1, 0, 0, 0)),
         (3, Tuple5(1, 0, 0, 1, 0)),
         (3, Tuple5(0, 0, 0, 2, 0)),
         (3, Tuple5(2, 0, 0, 0, 0)),
         (3, Tuple5(1, 1, 0, 0, 0)),
+        (5, Tuple5(1, 0, 0, 0, 1)),
     ]:
         space = _Space(p, v)
         rows = np.flatnonzero(space.valid_mask())
-        states = list(iter_valid_states(p, v))
-        assert [space.state_row(s) for s in states] == rows.tolist()
+        reps = sorted({tuple(ref.reduce(p, v, flatten(s))) for s in iter_valid_states(p, v)})
+        assert [tuple(x) for x in ref.decode(space.dom_arrays, rows).tolist()] == reps
+        states = [unflatten(v, rep) for rep in reps]
         moves = _engine_moves(p, v)
         for move, succ in zip(moves, _successor_arrays(space, moves)):
-            scalar = [space.state_row(apply_move(p, s, move)) for s in states]
-            assert succ[rows].tolist() == scalar, (p, v, move)
+            scalar = [ref.reduce(p, v, flatten(apply_move(p, s, move))) for s in states]
+            assert ref.decode(space.dom_arrays, succ[rows]).tolist() == scalar, (p, v, move)
 
 
 def _assert_successors_match_the_decode_reference(p, v):
     space = _Space(p, v)
-    assert np.array_equal(space.valid_mask(), ref.digits(space)[1]), v
+    reps = [sorted({x % k for x in dom}) for dom, k in zip(coordinate_domains(p, v), ref.moduli(p, v))]
+    assert [dom.tolist() for dom in space.dom_arrays] == reps, v
+    assert np.array_equal(space.valid_mask(), ref.digits(p, v, space.dom_arrays)[1]), v
     moves = _engine_moves(p, v)
     expected = ref.successor_arrays(space, moves)
     for move, got, want in zip(moves, _successor_arrays(space, moves), expected):
@@ -151,29 +187,55 @@ def test_successor_arrays_match_the_decode_reference_beyond_p3(p, v):
     _assert_successors_match_the_decode_reference(p, Tuple5(*v))
 
 
-def test_engine_moves_double_each_twist_and_keep_the_generators_orbits():
-    p, v = 5, Tuple5(1, 1, 0, 1, 0)
+@pytest.mark.parametrize("p,v", [(7, (0, 1, 0, 0, 0)), (3, (0, 1, 0, 1, 0)), (3, (2, 0, 0, 1, 0))])
+def test_every_twist_gather_is_the_identity_and_skipped(p, v):
+    v = Tuple5(*v)
+    space = _Space(p, v)
     moves = _engine_moves(p, v)
-    twists = {(m.cls, m.amount) for m in moves if m.kind is MoveKind.TWIST}
-    assert twists == {(GenClass.BC, a) for a in (1, 2, 4, 8, 16)} | {
-        (GenClass.EF, a) for a in (1, 2, 4)
-    }
-    others = [m for m in moves if m.kind is not MoveKind.TWIST]
-    assert len(set(others)) == len(others)
-    assert set(others) == {m for m in generators_and_inverses(p, v) if m.kind is not MoveKind.TWIST}
+    assert len(set(moves)) == len(moves)
+    assert set(moves) == set(generators_and_inverses(p, v))
+    gathers = [_Gather(space, move) for move in moves]
+    twists = [g for move, g in zip(moves, gathers) if move.kind is MoveKind.TWIST]
+    assert len(twists) == 2 * (v.s + v.m)
+    assert all(g.identity for g in twists)
+    for gather, succ in zip(gathers, _successor_arrays(space, moves)):
+        assert gather.identity == np.array_equal(succ, np.arange(space.size))
+    part = orbit_partition(p, v)
+    assert part.moves == sum(not g.identity for g in gathers)
+    assert np.array_equal(part.labels, bfs_labels(p, v))
 
 
-def test_twist_cycles_close_in_one_round():
-    # 16 rounds when each round stepped a twist and its inverse once
+def test_the_quotient_of_one_bc_pair_keeps_the_units():
+    # c reduces to 0: the 2058 raw states of p=7 (0,1,0,0,0) are 42 units b,
+    # each standing for 49 states, and the spin pairs b with -b
     part = orbit_partition(7, Tuple5(0, 1, 0, 0, 0))
-    assert part.raw == 2058
+    assert (part.raw, part.quotient, part.fiber) == (2058, 42, 49)
+    assert part.moves == 1
     assert part.rounds == 2
-    assert part.moves == len(_engine_moves(7, Tuple5(0, 1, 0, 0, 0))) == 7
-    assert np.array_equal(part.labels, bfs_labels(7, Tuple5(0, 1, 0, 0, 0)))
+    assert part.orbit_count == 21 and part.largest_orbit == 2 * 49
+
+
+def test_counts_build_nothing_of_raw_size():
+    # p=7 (2,0,1,0,1): 605,052 raw states, 252 on the quotient; the lifted
+    # labels are the first thing that takes memory per raw state
+    tracemalloc.start()
+    try:
+        part = orbit_partition(7, Tuple5(2, 0, 1, 0, 1))
+        counts = (part.orbit_count, part.valid_count, part.largest_orbit, int(part.orbit_sizes().sum()))
+        _, counted = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        part.labels
+        _, lifted = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (part.raw, part.quotient) == (605052, 252)
+    assert counts == (63, 605052, 9604, 605052)
+    assert counted < part.raw // 4
+    assert lifted > part.raw
 
 
 def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
-    # raw row 1 is (e, f) = (3, 1), a valid state; row 0 is (3, 0), not surjective
+    # row 1 is (e, f) = (3, 1), a valid state; row 0 is (3, 0), not surjective
     v = Tuple5(0, 0, 0, 1, 0)
     valid = _Space(3, v).valid_mask()
     assert valid[1] and not valid[0]
@@ -189,13 +251,15 @@ def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
 
 
 def test_state_index_round_trip():
-    v = Tuple5(0, 0, 0, 1, 0)
-    part = orbit_partition(3, v)
-    states = list(iter_valid_states(3, v))
-    for i, state in enumerate(states):
-        assert part.state_index(state) == i
+    for p, v in [(3, Tuple5(0, 0, 0, 1, 0)), (5, Tuple5(1, 1, 0, 0, 0))]:
+        part = orbit_partition(p, v)
+        for i, state in enumerate(iter_valid_states(p, v)):
+            assert part.state_index(state) == i
+    part = orbit_partition(3, Tuple5(0, 0, 0, 1, 0))
     with pytest.raises(KeyError):
         part.state_index(State(a=(), bc=(), d=(), ef=((3, 0),), g=()))  # not surjective
+    with pytest.raises(KeyError):
+        part.state_index(State(a=(), bc=(), d=(), ef=((1, 1),), g=()))  # e of order p^2
     # states of other shapes: fewer and more ef pairs than (0,0,0,2,0) holds
     part = orbit_partition(3, Tuple5(0, 0, 0, 2, 0))
     for ef in [((3, 1),), ((3, 1), (3, 1), (3, 1))]:
@@ -231,6 +295,13 @@ def test_check_move_closure_catches_a_broken_move(monkeypatch, case):
     monkeypatch.setattr(orbits, "apply_move", getattr(ref, patch)(orbits.apply_move))
     with pytest.raises(AssertionError, match=message):
         check_move_closure(3, Tuple5(*shape))
+
+
+def test_orbit_partition_catches_a_move_that_leaves_the_domain(monkeypatch):
+    patch, shape, message = BROKEN_MOVES["domain"]
+    monkeypatch.setattr(orbits, "apply_move", getattr(ref, patch)(orbits.apply_move))
+    with pytest.raises(AssertionError, match=message):
+        orbit_partition(3, Tuple5(*shape))
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_MOVES))
