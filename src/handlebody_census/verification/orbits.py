@@ -27,7 +27,10 @@ So each orbit of the quotient is the set of cosets of one raw orbit.  The
 counts agree, every raw orbit holds the same number of raw states per
 coset (the fiber, raw size over quotient size), and the least raw state
 of an orbit is its least representative, since each image of a
-representative is the least of its coset.
+representative is the least of its coset.  So every answer comes from
+the quotient: counts are its counts times the fiber, and the least state
+of any state's orbit is the least representative of its own
+representative's orbit.
 
 The engine.  Representatives are rows of a mixed-radix index over each
 image's representative values, and a move reads and writes at most four
@@ -50,15 +53,15 @@ run to a fixpoint that labels each component by its smallest row.
 
 The engine runs over every row, valid or not.  Moves preserve validity,
 so invalid states form components of their own; a component that mixes
-the two raises.  Nothing of raw size is built for the counts; the labels
-of individual raw states are lifted from the quotient's on request.
+the two raises.  Nothing of raw size is built.
 
 The tests hold a reference for this engine: breadth-first search over
-:func:`apply_move`, from individual raw states, which must reach the
-lifted labels.  That search shares the move rule with the engine, so the
-check of the rule, the layout and the reduction rests on
-``tests/orbit_reference.py``, whose own update rule, column map and
-moduli must give every move's successor array.
+:func:`apply_move`, from individual raw states, whose least state per
+component must be :meth:`Partition.least` of every state in it.  That
+search shares the move rule with the engine, so the check of the rule,
+the layout and the reduction rests on ``tests/orbit_reference.py``, whose
+own update rule, column map and moduli must give every move's successor
+array.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 from typing import ClassVar
 
 import numpy as np
@@ -113,24 +117,22 @@ class _Space:
     order is lexicographic on image vectors, as raw order is.  ``luts``
     maps every raw value to the position of its representative, and to -1
     outside the raw domain, so every state read through it is reduced.
-    The raw index (``raw_doms``, ``raw_strides``, ``raw``) is kept for
-    lifting.  Indices are int64, so the raw size must fit that range;
-    :func:`_check_budget` refuses any that does not.  ``v`` is a checked
-    shape.
+    Nothing here has the raw size, but the raw size must still fit int64,
+    and :func:`_check_budget` refuses any that does not: orbit sizes are
+    int64 quotient counts times the fiber.  ``v`` is a checked shape.
     """
 
     def __init__(self, p: int, v: Shape):
         self.p, self.q, self.v = p, p * p, v
-        self.raw_doms = [np.asarray(dom, dtype=np.int64) for dom in coordinate_domains(p, v)]
+        raw_doms = [np.asarray(dom, dtype=np.int64) for dom in coordinate_domains(p, v)]
         moduli = coset_moduli(p, v)
         self.ncols = len(moduli)
         # the state whose images are their own column numbers
         self.columns = unflatten(v, range(self.ncols))
-        self.dom_arrays = [np.unique(dom % k) for dom, k in zip(self.raw_doms, moduli)]
+        self.dom_arrays = [np.unique(dom % k) for dom, k in zip(raw_doms, moduli)]
         self.sizes, self.strides, self.size = _radix(self.dom_arrays)
-        _, self.raw_strides, self.raw = _radix(self.raw_doms)
         self.luts = np.full((self.ncols, self.q), -1, dtype=np.int64)
-        for c, (dom, k) in enumerate(zip(self.raw_doms, moduli)):
+        for c, (dom, k) in enumerate(zip(raw_doms, moduli)):
             self.luts[c, dom] = np.searchsorted(self.dom_arrays[c], dom % k)
 
     def layout(self, cols) -> tuple[list[int], list[list[int]]]:
@@ -175,40 +177,22 @@ class _Space:
 
     def state_row(self, state: State) -> int:
         """Row of one state's representative; -1 if the state has another
-        shape or any image leaves its raw domain."""
-        if tuple(map(len, state)) != tuple(self.v):
+        shape or nesting, or any image that is no integer (a bool reads as
+        its int) or leaves its raw domain."""
+        try:
+            shaped = tuple(map(len, state)) == tuple(self.v)
+            images = [operator.index(x) for x in flatten(state)]
+        except TypeError:  # an entry that is no sequence, or no integer
+            return -1
+        if not shaped or len(images) != self.ncols:
             return -1
         row = 0
-        for c, x in enumerate(flatten(state)):
+        for c, x in enumerate(images):
             pos = int(self.luts[c, x]) if 0 <= x < self.q else -1
             if pos < 0:
                 return -1
             row += pos * int(self.strides[c])
         return row
-
-    def raw_row(self, state: State) -> int:
-        """Raw index of one state; -1 where :meth:`state_row` is."""
-        if self.state_row(state) < 0:
-            return -1
-        images = zip(self.raw_doms, flatten(state), self.raw_strides.tolist())
-        return sum(int(np.searchsorted(dom, x)) * stride for dom, x, stride in images)
-
-    def representatives(self) -> np.ndarray:
-        """The row of every raw state's representative, in raw order: an
-        array of raw size."""
-        rows = np.zeros(self.raw, dtype=_index_dtype(self.size))
-        for c, dom in enumerate(self.raw_doms):
-            view = rows.reshape(-1, len(dom), int(self.raw_strides[c]))
-            view += (self.luts[c, dom] * self.strides[c]).astype(rows.dtype).reshape(-1, 1)
-        return rows
-
-    def raw_indices(self) -> np.ndarray:
-        """The raw index of every representative, in row order."""
-        index = np.zeros(self.size, dtype=np.int64)
-        for c, dom in enumerate(self.dom_arrays):
-            view = index.reshape(-1, len(dom), int(self.strides[c]))
-            view += (np.searchsorted(self.raw_doms[c], dom) * self.raw_strides[c]).reshape(-1, 1)
-        return index
 
 
 def _move_cols(space: _Space, move: Move) -> list[int]:
@@ -266,7 +250,8 @@ class _Gather:
     The row index is viewed in :meth:`_Space.layout` over the columns the
     move touches, so ``succ`` changes the positions on the touched axes
     only, by a table over them.  ``identity`` is set when that table
-    changes no position.  When the move touches one run of adjacent
+    changes no position; such a gather builds nothing more, and applying it
+    copies.  When the move touches one run of adjacent
     columns (spins, twists, interchanges, slides from a neighbouring
     column) the gather is one ``np.take`` along that axis.  Otherwise (a
     slide from a column further off) it is one indexed assignment: every
@@ -280,6 +265,8 @@ class _Gather:
         pos = {c: space.luts[c, values[c]] for c in cols}
         new_pos = {**pos, **{c: space.luts[c, new_values] for c, new_values in updates}}
         self.identity = all((new_pos[c] == pos[c]).all() for c in cols)
+        if self.identity:
+            return
         shape, runs = space.layout(cols)
         self.shape = tuple(shape)
         touched = list(range(1, len(shape), 2))
@@ -305,6 +292,9 @@ class _Gather:
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
         """Write ``src`` gathered through the move into ``out``."""
+        if self.identity:
+            np.copyto(out, src)
+            return
         view, dest = src.reshape(self.shape), out.reshape(self.shape)
         if self.old is None:
             np.take(view, self.table, axis=1, out=dest, mode="clip")
@@ -359,11 +349,10 @@ class Partition:
 
     The engine ran on the coset quotient (see the module docstring): the
     ``quotient`` representatives, each standing for ``fiber`` raw states
-    of its orbit.  Every count and size is in raw states.  ``labels[i]``
-    is the least state index in the orbit of valid state i, state order
-    being lexicographic on image vectors; ``labels`` and
-    :meth:`state_index` are lifted to raw states on first use, with arrays
-    of raw size.  ``moves`` is the number of moves the engine applied per
+    of its orbit.  Every count and size is in raw states, and
+    :meth:`least` names a state's orbit by its least state, state order
+    being lexicographic on image vectors; both are read off the quotient.
+    ``moves`` is the number of moves the engine applied per
     round (those that are not the identity on the quotient) and
     ``rounds`` the number of fixpoint rounds, the last of which changed
     nothing.
@@ -410,37 +399,23 @@ class Partition:
     def largest_orbit(self) -> int:
         return int(self._sizes.max()) if self.valid_count else 0
 
-    @functools.cached_property
-    def _rows(self) -> np.ndarray:
-        # raw index -> row of its representative
-        return self._space.representatives()
-
-    @functools.cached_property
-    def _rank(self) -> np.ndarray:
-        # raw index -> valid-state index, -1 for invalid
-        valid = self._valid[self._rows]
-        rank = np.cumsum(valid, dtype=_index_dtype(self.raw)) - 1
-        rank[~valid] = -1
-        return rank
-
-    @functools.cached_property
-    def labels(self) -> np.ndarray:
-        """Per valid state, the valid-state index of its orbit's least
-        member: the least representative of its orbit, lifted."""
-        least = self._space.raw_indices()[self._least]
-        return self._rank[least[self._rows[self._rank >= 0]]]
-
-    def state_index(self, state: State) -> int:
-        """Position of a valid state in the space's lexicographic order."""
-        row = self._space.raw_row(state)
-        if row >= 0 and self._rank[row] >= 0:
-            return int(self._rank[row])
-        raise KeyError(f"state {state} is not a valid state of shape {self.v}")
+    def least(self, state: State) -> State:
+        """The least state of a valid state's orbit: the least
+        representative of its representative's orbit.  Raises
+        :class:`KeyError` for anything that is not a valid state of the
+        shape."""
+        row = self._space.state_row(state)
+        if row < 0 or not self._valid[row]:
+            raise KeyError(f"state {state} is not a valid state of shape {self.v}")
+        positions = np.unravel_index(int(self._least[row]), self._space.sizes)
+        images = (int(dom[i]) for dom, i in zip(self._space.dom_arrays, positions))
+        return unflatten(self.v, images)
 
 
 def _check_budget(p: int, v: Shape, budget: int) -> int:
     """The raw size of a checked shape's space, once it fits ``budget`` and
-    the int64 indices of :class:`_Space`."""
+    int64: orbit sizes are int64 quotient counts times the fiber, each at
+    most the raw size."""
     raw = raw_state_count(p, v)
     index_max = int(np.iinfo(np.int64).max)
     if raw > min(budget, index_max):

@@ -1,11 +1,11 @@
 """Reference orbit labels by breadth-first search over ``apply_move``.
 
-The production engine is min-label union-find on the raw index
-(:func:`handlebody_census.orbit_partition`).  This oracle reaches the same
-partition from individual states, so the tests can compare the two label
-for label.  It steps through the paper's generating set and the inverses of
-its moves, built here from the public move functions, not through the
-engine's own move list.
+The production engine is min-label union-find on the coset quotient of
+the state space (:func:`handlebody_census.orbit_partition`).  This oracle
+reaches the same partition from individual raw states, so the tests can
+compare the two state by state.  It steps through the paper's generating
+set and the inverses of its moves, built here from the public move
+functions, not through the engine's own move list.
 """
 
 import numpy as np
@@ -51,3 +51,12 @@ def bfs_labels(p, v) -> np.ndarray:
                         next_frontier.append(succ)
             frontier = next_frontier
     return labels
+
+
+def assert_least_matches_bfs(part, p, v) -> None:
+    """Hold a partition to :func:`bfs_labels`, label for label: every valid
+    state's ``part.least`` is the state its BFS label indexes."""
+    states = list(iter_valid_states(p, v))
+    assert part.valid_count == len(states), (p, v)
+    for state, label in zip(states, bfs_labels(p, v).tolist()):
+        assert part.least(state) == states[label], (p, v, state)

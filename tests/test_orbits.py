@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import orbit_reference as ref
 import pytest
-from bfs_oracle import bfs_labels, generators_and_inverses
+from bfs_oracle import assert_least_matches_bfs, generators_and_inverses
 from oracles import check_move_closure
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
@@ -61,7 +61,7 @@ def _successor_arrays(space, moves):
 )
 def test_frozen_orbit_counts(p, v, expected):
     v = Tuple5(*v)
-    assert np.array_equal(orbit_partition(p, v).labels, bfs_labels(p, v))
+    assert_least_matches_bfs(orbit_partition(p, v), p, v)
     assert orbit_count(p, v).orbits == expected
 
 
@@ -104,22 +104,24 @@ def test_methods_and_workers_produce_identical_labels():
         (3, Tuple5(1, 0, 0, 1, 0)),
         (3, Tuple5(1, 1, 0, 0, 0)),
         (5, Tuple5(0, 0, 0, 1, 0)),
-        # lifted from the quotient: a and f mod p; a and c to 0; r >= 2
-        # with a mod p
+        # read off the quotient: a and f mod p; a and c to 0; r >= 2 with
+        # a mod p
         (5, Tuple5(1, 0, 0, 1, 0)),
         (5, Tuple5(1, 1, 0, 0, 0)),
         (7, Tuple5(2, 0, 0, 0, 1)),
     ]:
-        assert np.array_equal(bfs_labels(p, v), orbit_partition(p, v).labels), (p, v)
+        assert_least_matches_bfs(orbit_partition(p, v), p, v)
 
 
-def test_labels_are_least_member_indices():
-    part = orbit_partition(3, Tuple5(0, 0, 0, 1, 0))
-    labels = part.labels
-    for rep in np.unique(labels):
-        members = np.nonzero(labels == rep)[0]
-        assert members.min() == rep
-    assert part.orbit_count == len(np.unique(labels))
+def test_least_is_the_first_member_of_each_orbit():
+    p, v = 3, Tuple5(0, 0, 0, 1, 0)
+    part = orbit_partition(p, v)
+    states = list(iter_valid_states(p, v))  # lexicographic order
+    least = [part.least(state) for state in states]
+    for rep in set(least):
+        members = [state for state, label in zip(states, least) if label == rep]
+        assert members[0] == rep
+    assert part.orbit_count == len(set(least))
     assert part.orbit_sizes().sum() == part.valid_count
 
 
@@ -202,7 +204,7 @@ def test_every_twist_gather_is_the_identity_and_skipped(p, v):
         assert gather.identity == np.array_equal(succ, np.arange(space.size))
     part = orbit_partition(p, v)
     assert part.moves == sum(not g.identity for g in gathers)
-    assert np.array_equal(part.labels, bfs_labels(p, v))
+    assert_least_matches_bfs(part, p, v)
 
 
 def test_the_quotient_of_one_bc_pair_keeps_the_units():
@@ -216,22 +218,24 @@ def test_the_quotient_of_one_bc_pair_keeps_the_units():
 
 
 def test_counts_build_nothing_of_raw_size():
-    # p=7 (2,0,1,0,1): 605,052 raw states, 252 on the quotient; the lifted
-    # labels are the first thing that takes memory per raw state
+    # p=7 (2,0,1,0,1): 605,052 raw states, 252 on the quotient
+    v = Tuple5(2, 0, 1, 0, 1)
+    canon = list(enumerate_canonical(7, v))
+    # numpy imports numpy.ma (about 1 MB) on the first np.unique; a small
+    # shape first keeps that import out of the trace
+    orbit_partition(3, Tuple5(0, 1, 0, 0, 0))
     tracemalloc.start()
     try:
-        part = orbit_partition(7, Tuple5(2, 0, 1, 0, 1))
+        part = orbit_partition(7, v)
         counts = (part.orbit_count, part.valid_count, part.largest_orbit, int(part.orbit_sizes().sum()))
-        _, counted = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        part.labels
-        _, lifted = tracemalloc.get_traced_memory()
+        least = {part.least(state) for state in canon}
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (part.raw, part.quotient) == (605052, 252)
     assert counts == (63, 605052, 9604, 605052)
-    assert counted < part.raw // 4
-    assert lifted > part.raw
+    assert len(least) == part.orbit_count
+    assert peak < part.raw // 4
 
 
 def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
@@ -250,21 +254,39 @@ def test_an_orbit_mixing_valid_and_invalid_states_raises(monkeypatch):
         orbit_partition(3, v)
 
 
-def test_state_index_round_trip():
+def test_least_round_trip():
     for p, v in [(3, Tuple5(0, 0, 0, 1, 0)), (5, Tuple5(1, 1, 0, 0, 0))]:
         part = orbit_partition(p, v)
-        for i, state in enumerate(iter_valid_states(p, v)):
-            assert part.state_index(state) == i
+        least = set()
+        for state in iter_valid_states(p, v):
+            rep = part.least(state)
+            assert flatten(rep) <= flatten(state)
+            least.add(rep)
+        assert len(least) == part.orbit_count
+        for rep in least:
+            assert part.least(rep) == rep
     part = orbit_partition(3, Tuple5(0, 0, 0, 1, 0))
     with pytest.raises(KeyError):
-        part.state_index(State(a=(), bc=(), d=(), ef=((3, 0),), g=()))  # not surjective
+        part.least(State(a=(), bc=(), d=(), ef=((3, 0),), g=()))  # not surjective
     with pytest.raises(KeyError):
-        part.state_index(State(a=(), bc=(), d=(), ef=((1, 1),), g=()))  # e of order p^2
+        part.least(State(a=(), bc=(), d=(), ef=((1, 1),), g=()))  # e of order p^2
+    with pytest.raises(KeyError):
+        part.least(State(a=(), bc=(), d=(), ef=((3, 1.0),), g=()))  # no integer
+    # a bool is its int, as State equality has it
+    assert part.least(State(a=(), bc=(), d=(), ef=((3, True),), g=())) == part.least(
+        State(a=(), bc=(), d=(), ef=((3, 1),), g=())
+    )
+    # other nestings: a bare image for a pair, and a pair of another length
+    # whose first images would be valid
+    with pytest.raises(KeyError):
+        part.least(State(a=(), bc=(), d=(), ef=(3,), g=()))
+    with pytest.raises(KeyError):
+        orbit_partition(3, Tuple5(0, 1, 0, 0, 0)).least(State(a=(), bc=((1,),), d=(), ef=(), g=()))
     # states of other shapes: fewer and more ef pairs than (0,0,0,2,0) holds
     part = orbit_partition(3, Tuple5(0, 0, 0, 2, 0))
     for ef in [((3, 1),), ((3, 1), (3, 1), (3, 1))]:
         with pytest.raises(KeyError):
-            part.state_index(State(a=(), bc=(), d=(), ef=ef, g=()))
+            part.least(State(a=(), bc=(), d=(), ef=ef, g=()))
 
 
 def test_orbit_count_ignores_admissibility():
@@ -381,8 +403,7 @@ def test_orbit_never_exceeds_canonical_on_samples():
         canon = enumerate_canonical(p, v)
         assert part.orbit_count <= len(canon)
         # every orbit contains at least one normal form
-        reps = {int(part.labels[part.state_index(s)]) for s in canon}
-        assert reps == set(np.unique(part.labels).tolist())
+        assert len({part.least(s) for s in canon}) == part.orbit_count
 
 
 def test_theorem_canonical_orbit_consistency_when_no_slides_or_pins():
