@@ -172,10 +172,12 @@ def inverse_move(p: int, move: Move) -> Move:
         return move
     if move.kind is MoveKind.TWIST:
         bound = q if move.cls is GenClass.BC else p
-        return dataclasses.replace(move, amount=(-move.amount) % bound)
-    if move.kind is MoveKind.SLIDE:
-        return dataclasses.replace(move, amount=(-move.amount) % q)
-    raise ValueError(f"unknown move kind {move.kind!r}")
+    elif move.kind is MoveKind.SLIDE:
+        bound = q
+    else:
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    amount = (-move.amount) % bound
+    return Move(move.kind, move.cls, move.index, index2=move.index2, amount=amount, source=move.source)
 
 
 def slide_sources(v: Shape, target_index: int) -> list[GenRef]:

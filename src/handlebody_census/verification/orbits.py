@@ -40,10 +40,10 @@ small table over them.  The table is :func:`apply_move` on a state
 holding, in the :mod:`.states` layout, the representative values of the
 touched coordinates as an open grid; every image it writes is checked to
 stay in its raw domain, and is then looked up as the position of its own
-representative.  A move whose table is the identity is skipped: every
-twist, and every slide that only adds multiples of its handle's k (onto a
-handle reduced to 0, from a c, or from an e or g onto a handle reduced
-mod p).
+representative.  A move whose table is the identity, every column it
+writes keeping its positions, is skipped: every twist, and every slide
+that only adds multiples of its handle's k (onto a handle reduced to 0,
+from a c, or from an e or g onto a handle reduced mod p).
 Each round gathers the labels through every other move with its table,
 along the touched axes (one ``np.take`` when they are adjacent, one
 indexed assignment when they are not), so no successor array is ever
@@ -110,30 +110,41 @@ def _radix(doms) -> tuple[np.ndarray, np.ndarray, int]:
 class _Space:
     """Vectorized view of one shape's state space on the coset quotient.
 
-    Each image runs over its representatives: the values of its raw
-    domain (:func:`coordinate_domains`) reduced mod its
-    :func:`coset_moduli` k, ascending.  Representative states are the rows
-    of a mixed-radix index over those (last coordinate fastest), so row
-    order is lexicographic on image vectors, as raw order is.  ``luts``
-    maps every raw value to the position of its representative, and to -1
-    outside the raw domain, so every state read through it is reduced.
-    Nothing here has the raw size, but the raw size must still fit int64,
-    and :func:`_check_budget` refuses any that does not: orbit sizes are
-    int64 quotient counts times the fiber.  ``v`` is a checked shape.
+    Each image runs over its representatives: the residues mod its
+    :func:`coset_moduli` k that its raw domain (:func:`coordinate_domains`)
+    meets, ascending.  They are read off a count of the residues
+    (``np.bincount``), not found by ``np.unique``, whose first call in a
+    process imports ``numpy.ma``.  Columns with one domain and one k share
+    their arrays.  Representative states are the rows of a mixed-radix
+    index over the representatives (last coordinate fastest), so row order
+    is lexicographic on image vectors, as raw order is.  ``luts`` holds per
+    column a row mapping every raw value to the position of its
+    representative, and to -1 outside the raw domain, so every state read
+    through it is reduced.  Nothing here has the raw size, but the raw size
+    must still fit int64, and :func:`_check_budget` refuses any that does
+    not: orbit sizes are int64 quotient counts times the fiber.  ``v`` is a
+    checked shape.
     """
 
     def __init__(self, p: int, v: Shape):
         self.p, self.q, self.v = p, p * p, v
-        raw_doms = [np.asarray(dom, dtype=np.int64) for dom in coordinate_domains(p, v)]
         moduli = coset_moduli(p, v)
         self.ncols = len(moduli)
         # the state whose images are their own column numbers
         self.columns = unflatten(v, range(self.ncols))
-        self.dom_arrays = [np.unique(dom % k) for dom, k in zip(raw_doms, moduli)]
+        keys = list(zip(coordinate_domains(p, v), moduli))
+        shared = {key: self._representatives(*key) for key in dict.fromkeys(keys)}
+        self.dom_arrays = [shared[key][0] for key in keys]
+        self.luts = [shared[key][1] for key in keys]
         self.sizes, self.strides, self.size = _radix(self.dom_arrays)
-        self.luts = np.full((self.ncols, self.q), -1, dtype=np.int64)
-        for c, (dom, k) in enumerate(zip(raw_doms, moduli)):
-            self.luts[c, dom] = np.searchsorted(self.dom_arrays[c], dom % k)
+
+    def _representatives(self, dom, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The representatives of one raw domain mod k, and its ``luts`` row."""
+        raw = np.asarray(dom, dtype=np.int64)
+        reps = np.flatnonzero(np.bincount(raw % k))
+        lut = np.full(self.q, -1, dtype=np.int64)
+        lut[raw] = np.searchsorted(reps, raw % k)
+        return reps, lut
 
     def layout(self, cols) -> tuple[list[int], list[list[int]]]:
         """The row index's shape with each run of adjacent ``cols`` merged
@@ -188,7 +199,7 @@ class _Space:
             return -1
         row = 0
         for c, x in enumerate(images):
-            pos = int(self.luts[c, x]) if 0 <= x < self.q else -1
+            pos = int(self.luts[c][x]) if 0 <= x < self.q else -1
             if pos < 0:
                 return -1
             row += pos * int(self.strides[c])
@@ -210,30 +221,41 @@ def _move_cols(space: _Space, move: Move) -> list[int]:
     return sorted(cols)
 
 
+def _axis(array: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``array`` laid along one axis of an open grid of ``ndim`` axes."""
+    return array.reshape((1,) * axis + (-1,) + (1,) * (ndim - 1 - axis))
+
+
 def _move_table(space: _Space, move: Move):
     """A move on every combination of its columns' representative values.
 
-    Returns the columns, their values as an open grid (one axis per column)
-    and the checked (column, new values) updates.  :func:`apply_move` acts
-    on a state holding the grid in these columns and ``None`` in every
-    other; a column is updated when the move put a new object in it.
-    Raises :class:`AssertionError` if a new value leaves its column's raw
-    domain.  The quotient is the full product of the representative
-    domains, so the grid covers every row's restriction to these columns.
+    Returns the columns, ascending, and for each column the move writes the
+    position of its new value's representative at every point of an open
+    grid with one axis per column.  :func:`apply_move` acts on a state
+    holding each column's representative values along its own axis and
+    ``None`` in every other column; a column is written when the move put a
+    new object in it.  Raises :class:`AssertionError` if a new value leaves
+    its column's raw domain.  The quotient is the full product of the
+    representative domains, so the grid covers every row's restriction to
+    these columns.
     """
     cols = _move_cols(space, move)
-    grid = np.meshgrid(*(space.dom_arrays[c] for c in cols), indexing="ij", sparse=True)
-    values = dict(zip(cols, grid))
-    coords = [values.get(c) for c in range(space.ncols)]
+    coords = [None] * space.ncols
+    for axis, c in enumerate(cols):
+        coords[c] = _axis(space.dom_arrays[c], axis, len(cols))
     moved = flatten(apply_move(space.p, unflatten(space.v, coords), move))
-    updates = [(c, moved[c]) for c in cols if moved[c] is not values[c]]
-    for col, new_values in updates:
-        if (space.luts[col, new_values] < 0).any():
+    written = {}
+    for c in cols:
+        if moved[c] is coords[c]:
+            continue
+        positions = space.luts[c][moved[c]]
+        if (positions < 0).any():
             raise AssertionError(
-                f"move {move} left the per-generator domain on column {col} "
+                f"move {move} left the per-generator domain on column {c} "
                 f"of shape {space.v}"
             )
-    return cols, values, updates
+        written[c] = positions
+    return cols, written
 
 
 def _index_dtype(size: int):
@@ -261,22 +283,24 @@ class _Gather:
     """
 
     def __init__(self, space: _Space, move: Move):
-        cols, values, updates = _move_table(space, move)
-        pos = {c: space.luts[c, values[c]] for c in cols}
-        new_pos = {**pos, **{c: space.luts[c, new_values] for c, new_values in updates}}
-        self.identity = all((new_pos[c] == pos[c]).all() for c in cols)
+        cols, written = _move_table(space, move)
+        # a representative's position is its index, so before the move
+        # each column's positions run along its own axis
+        pos = {c: _axis(np.arange(space.sizes[c]), axis, len(cols)) for axis, c in enumerate(cols)}
+        self.identity = all((written[c] == pos[c]).all() for c in written)
         if self.identity:
             return
+        new_pos = {**pos, **written}
         shape, runs = space.layout(cols)
         self.shape = tuple(shape)
         touched = list(range(1, len(shape), 2))
         grid = [len(space.dom_arrays[c]) for c in cols]
 
         def run_table(run, positions):
-            table = np.zeros((), dtype=np.int64)
+            table = np.zeros(grid, dtype=np.int64)
             for c in run:
                 table = table * int(space.sizes[c]) + positions[c]
-            return np.broadcast_to(table, grid).reshape([shape[a] for a in touched])
+            return table.reshape([shape[a] for a in touched])
 
         if len(runs) == 1:
             self.table, self.old = run_table(runs[0], new_pos), None
@@ -358,7 +382,7 @@ class Partition:
     nothing.
     """
 
-    #: The engine that computed the labels; there is only one.
+    #: The engine that computed the partition; there is only one.
     method: ClassVar[str] = "union-find"
 
     p: int

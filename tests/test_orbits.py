@@ -1,5 +1,6 @@
 """Orbit engine: frozen counts, agreement with BFS, determinism, compare."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition
 from handlebody_census.verification import orbits
-from handlebody_census.verification.moves import MoveKind, apply_move
+from handlebody_census.verification.moves import MoveKind, apply_move, generator_moves, inverse_move
 from handlebody_census.verification.orbits import (
     _Gather,
     _Space,
@@ -207,6 +208,37 @@ def test_every_twist_gather_is_the_identity_and_skipped(p, v):
     assert_least_matches_bfs(part, p, v)
 
 
+def test_engine_moves_are_the_generators_each_followed_by_its_inverse():
+    record = json.loads((TESTS_DIR / "orbit_stats_record.json").read_text())
+    for p, v, _ in record["rows"]:
+        v = Tuple5(*v)
+        pairs = [(move, inverse_move(p, move)) for move in generator_moves(p, v)]
+        for move, inverse in pairs:
+            assert dataclasses.replace(inverse, amount=move.amount) == move, (p, v, move)
+        expected = list(dict.fromkeys(each for pair in pairs for each in pair))
+        assert _engine_moves(p, v) == expected, (p, v)
+
+
+def test_verify_and_orbits_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call in a process, which
+    # would add its import time to every command-line run
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from handlebody_census import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [\n"
+        "        cli.main(['orbits', '--p', '5', '--tuple', '0,0,0,3,0', '--format', 'json']),\n"
+        "        cli.main(['verify', '--p', '5', '--genus', '26', '--format', 'json']),\n"
+        "    ]\n"
+        "print(json.dumps({'codes': codes, 'numpy.ma': 'numpy.ma' in sys.modules}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(TESTS_DIR.parent / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"codes": [0, 0], "numpy.ma": False}
+
+
 def test_the_quotient_of_one_bc_pair_keeps_the_units():
     # c reduces to 0: the 2058 raw states of p=7 (0,1,0,0,0) are 42 units b,
     # each standing for 49 states, and the spin pairs b with -b
@@ -221,9 +253,6 @@ def test_counts_build_nothing_of_raw_size():
     # p=7 (2,0,1,0,1): 605,052 raw states, 252 on the quotient
     v = Tuple5(2, 0, 1, 0, 1)
     canon = list(enumerate_canonical(7, v))
-    # numpy imports numpy.ma (about 1 MB) on the first np.unique; a small
-    # shape first keeps that import out of the trace
-    orbit_partition(3, Tuple5(0, 1, 0, 0, 0))
     tracemalloc.start()
     try:
         part = orbit_partition(7, v)
