@@ -40,16 +40,23 @@ small table over them.  The table is :func:`apply_move` on a state
 holding, in the :mod:`.states` layout, the representative values of the
 touched coordinates as an open grid; every image it writes is checked to
 stay in its raw domain, and is then looked up as the position of its own
-representative.  A move whose table is the identity, every column it
-writes keeping its positions, is skipped: every twist, and every slide
-that only adds multiples of its handle's k (onto a handle reduced to 0,
-from a c, or from an e or g onto a handle reduced mod p).
-Each round gathers the labels through every other move with its table,
-along the touched axes (one ``np.take`` when they are adjacent, one
-indexed assignment when they are not), so no successor array is ever
-built.  Validity (surjectivity) is broadcast the same way, as the OR of
-per-coordinate unit masks.  Min-label hooking and pointer jumping then
-run to a fixpoint that labels each component by its smallest row.
+representative.  The moves are :func:`generator_moves`, each walked
+forward only: no inverse is built.  A move whose table is the identity,
+every column it writes keeping its positions, is skipped: every twist,
+and every slide that only adds multiples of its handle's k (onto a handle
+reduced to 0, from a c, or from an e or g onto a handle reduced mod p).
+Each round gathers the labels through every other move g with its table,
+``labels[x] = min(labels[x], labels[g(x)])`` along the touched axes (one
+``np.take`` when they are adjacent, one indexed assignment when they are
+not), so no successor array is ever built.  Validity (surjectivity) is
+broadcast the same way, as the OR of per-coordinate unit masks.
+Min-label hooking and pointer jumping then run to a fixpoint that labels
+each component by its smallest row.  Every move is a bijection of the
+finite quotient, so the inverses add nothing: at the fixpoint
+``labels[x] <= labels[g(x)]`` for every x and g, and around a g-cycle
+that chain of inequalities returns to its start, so labels are constant
+on each cycle, each edge and each component (see
+:func:`_min_label_components`).
 
 The engine runs over every row, valid or not.  Moves preserve validity,
 so invalid states form components of their own; a component that mixes
@@ -78,15 +85,7 @@ from ..errors import BudgetExceededError, stop_reason
 from ..theorem_counts import count_for_tuple
 from ..tuples import CaseTag, Shape, Tuple5, genus_of, require_odd_prime, shape_case
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
-from .moves import (
-    PAIRED,
-    GenClass,
-    Move,
-    MoveKind,
-    apply_move,
-    generator_moves,
-    inverse_move,
-)
+from .moves import PAIRED, GenClass, Move, MoveKind, apply_move, generator_moves
 from .states import (
     State,
     coordinate_domains,
@@ -272,9 +271,9 @@ class _Gather:
     The row index is viewed in :meth:`_Space.layout` over the columns the
     move touches, so ``succ`` changes the positions on the touched axes
     only, by a table over them.  ``identity`` is set when that table
-    changes no position; such a gather builds nothing more, and applying it
-    copies.  When the move touches one run of adjacent
-    columns (spins, twists, interchanges, slides from a neighbouring
+    changes no position (every twist's does); such a gather builds nothing
+    more, and applying it copies.  When the move touches one run of
+    adjacent columns (spins, interchanges, slides from a neighbouring
     column) the gather is one ``np.take`` along that axis.  Otherwise (a
     slide from a column further off) it is one indexed assignment: every
     touched axis indexed by its run's old positions on the left and its
@@ -329,17 +328,23 @@ class _Gather:
 def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
     """Orbit labels as the least row per component, and the rounds.
 
-    Each round takes, move by move, the min of the labels and the labels
-    gathered through the move, then chases labels through themselves
+    Each round takes, gather by gather, the min of the labels and the
+    labels gathered through it, then chases labels through themselves
     (pointer jumping) until nothing changes; the last round is the one
-    that changes nothing.  Labels are always smaller rows in the same
-    component, so the fixpoint assigns every row its component's minimum;
-    min is order-independent, which is what makes the result
-    deterministic.
+    that changes nothing.  Each gather g is a permutation of the rows, and
+    its inverse is never applied.  That suffices.  Every step only lowers
+    labels, so the loop stops only when no step changed any, that is when
+    ``labels[x] <= labels[g(x)]`` for every row x and every gather g.
+    Following a g-cycle, ``labels[x] <= labels[g(x)] <= ... <= labels[x]``,
+    so labels are constant on each g-cycle, hence on each edge and on each
+    component.  A label is always a row of the same component, at most
+    its own row: it starts as the row itself, and a min or a chase only
+    replaces it by a smaller label of a row in the same component.  So the
+    constant on a component is one of its rows and at most each of them:
+    its least row.  min is order-independent, which is what makes the
+    result deterministic.
     """
     labels = np.arange(n, dtype=_index_dtype(n))
-    if n == 0:
-        return labels, 0
     buf, before = np.empty_like(labels), np.empty_like(labels)
     rounds = 0
     while True:
@@ -357,16 +362,6 @@ def _min_label_components(n: int, gathers) -> tuple[np.ndarray, int]:
             return labels, rounds
 
 
-def _engine_moves(p: int, v: Shape) -> list[Move]:
-    """The generating set with inverses, each move once.
-
-    The twists are among them, and the engine skips them with every other
-    move that is the identity on the quotient.
-    """
-    moves = [each for move in generator_moves(p, v) for each in (move, inverse_move(p, move))]
-    return list(dict.fromkeys(moves))
-
-
 @dataclasses.dataclass
 class Partition:
     """Move orbits of the valid states of one shape.
@@ -376,7 +371,7 @@ class Partition:
     of its orbit.  Every count and size is in raw states, and
     :meth:`least` names a state's orbit by its least state, state order
     being lexicographic on image vectors; both are read off the quotient.
-    ``moves`` is the number of moves the engine applied per
+    ``moves`` is the number of generators the engine applied per
     round (those that are not the identity on the quotient) and
     ``rounds`` the number of fixpoint rounds, the last of which changed
     nothing.
@@ -472,7 +467,7 @@ def orbit_partition(
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
-    gathers = [_Gather(space, move) for move in _engine_moves(p, v)]
+    gathers = [_Gather(space, move) for move in generator_moves(p, v)]
     gathers = [gather for gather in gathers if not gather.identity]
     least, rounds = _min_label_components(space.size, gathers)
     if not np.array_equal(valid[least], valid):

@@ -41,15 +41,18 @@ class State(NamedTuple):
 
 
 def unit_values(p: int) -> tuple[int, ...]:
-    """All units mod p^2, ascending."""
-    q = p * p
-    return tuple(x for x in range(1, q) if x % p)
+    """All units mod p^2, ascending: every residue but the multiples of p."""
+    return tuple(itertools.chain.from_iterable(range(k * p + 1, (k + 1) * p) for k in range(p)))
 
 
 def order_p_values(p: int) -> tuple[int, ...]:
     """All residues of exact order p, ascending."""
     q = p * p
     return tuple(range(p, q, p))
+
+
+#: Per :data:`LAYOUT` kind, its values as a function of p.
+_KIND_VALUES = {"free": lambda p: tuple(range(p * p)), "unit": unit_values, "order_p": order_p_values}
 
 
 def flatten(state: State) -> tuple[int, ...]:
@@ -79,11 +82,13 @@ def coordinate_domains(p: int, v: Shape) -> list[tuple[int, ...]]:
 
     Each coordinate's domain is that of its :data:`LAYOUT` kind: units for
     b and d, order-p residues for e and g, and all of [0, p^2) for the free
-    coordinates a, c and f.
+    coordinates a, c and f.  Only the kinds the shape holds are built, each
+    once.
     """
     require_odd_prime(p)
-    values = {"free": tuple(range(p * p)), "unit": unit_values(p), "order_p": order_p_values(p)}
-    return [values[kind] for kinds, length in zip(LAYOUT, v) for _ in range(length) for kind in kinds]
+    kinds = [kind for kinds, length in zip(LAYOUT, v) for _ in range(length) for kind in kinds]
+    values = {kind: _KIND_VALUES[kind](p) for kind in set(kinds)}
+    return [values[kind] for kind in kinds]
 
 
 def coset_moduli(p: int, v: Shape) -> list[int]:

@@ -21,7 +21,8 @@ raw index must follow; and the per-state renderer of the ``canonical
 Moves: the full alphabet, every single move with every amount, and the
 closure check, which runs each of its moves over every combination of its
 columns' raw domain values, as the orbit engine builds its move tables
-over their representatives.
+over their representatives.  The columns come from the column map of
+``orbit_reference``, not from the engine's.
 """
 
 import functools
@@ -29,6 +30,7 @@ import itertools
 import math
 
 import numpy as np
+import orbit_reference as ref
 
 from handlebody_census.counting import _require_kj
 from handlebody_census.errors import BudgetExceededError
@@ -42,7 +44,7 @@ from handlebody_census.verification.moves import (
     slide_sources,
 )
 from handlebody_census.verification import orbits
-from handlebody_census.verification.orbits import _check_budget, _move_cols, _Space
+from handlebody_census.verification.orbits import _check_budget
 from handlebody_census.verification.states import State, coordinate_domains, flatten, unflatten
 
 #: Cap on brute-force enumeration, roughly seconds of work when hit.
@@ -309,14 +311,17 @@ def check_move_closure(p: int, v: Tuple5, budget: int = DEFAULT_STATE_BUDGET) ->
     require_odd_prime(p)
     raw = _check_budget(p, v, budget)
     doms = [np.asarray(dom) for dom in coordinate_domains(p, v)]
-    space = _Space(p, v)  # for the columns each move touches
     need_unit = v.s + v.t == 0
     valid = raw
     if need_unit:
         valid -= math.prod(int((dom % p == 0).sum()) for dom in doms)
     alphabet = full_move_alphabet(p, v)
     for move in alphabet:
-        cols = _move_cols(space, move)
+        cols = ref.entry_cols(v, move.cls, move.index)
+        if move.kind is MoveKind.PERMUTE:
+            cols += ref.entry_cols(v, move.cls, move.index2)
+        elif move.kind is MoveKind.SLIDE:
+            cols.append(ref.ref_col(v, move.source))
         values = dict(zip(cols, np.meshgrid(*(doms[c] for c in cols), indexing="ij", sparse=True)))
         state = unflatten(v, [values.get(c) for c in range(len(doms))])
         moved = flatten(orbits.apply_move(p, state, move))

@@ -28,7 +28,8 @@ def test_every_traced_name_resolves():
     tables = [spans.SPANS, spans.LEAVES, spans.GENERATORS, spans.COUNTERS]
     assert all(tables)
     targets = [target for table in tables for target in table.values()]
-    # _moves_with_inverses counts the engine's moves from these two
+    # _moves_with_inverses counts the generators and their inverses from
+    # these two, though the engine applies the generators only
     targets += [
         ("handlebody_census.verification.moves", "generator_moves"),
         ("handlebody_census.verification.moves", "inverse_move"),
