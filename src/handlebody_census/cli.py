@@ -206,6 +206,8 @@ def _run_rows(template: str, runs: Iterable[tuple[tuple, tuple]]) -> Iterator[st
 
 # Shape rows, rendered a run at a time (_run_rows): the run fills in r, s, t
 # and the case, so what each row fills in (m, n, ...) is written %%d, %%s.
+# A census run also fills in the flag field (_census_runs): the text of no
+# flags when none of its rows has one, else %s for a text per row.
 # A JSON row is its object as json.dumps(..., indent=2) prints it inside
 # "rows", after the ",\n" that separates it from the row before.
 _SHAPE_JSON_RUN = """,
@@ -221,16 +223,16 @@ _SHAPE_JSON_RUN = """,
 _TUPLES_JSON_RUN = _SHAPE_JSON_RUN + "\n    }"
 _CENSUS_JSON_RUN = _SHAPE_JSON_RUN + """,
       "count": "%%d",
-      "flags": %%s
+      "flags": %s
     }"""
 # In CSV only the census flag cell can need quoting, and it comes quoted by
 # _csv_cell.
 _TUPLES_CSV_RUN = "%d,%d,%d,%%d,%%d,%s\n"
-_CENSUS_CSV_RUN = "%d,%d,%d,%%d,%%d,%s,%%d,%%s\n"
+_CENSUS_CSV_RUN = "%d,%d,%d,%%d,%%d,%s,%%d,%s\n"
 # Aligned table rows: str.format puts in the column widths first.  The last
 # column is never padded, since every row is right-stripped (_aligned).
 _TUPLES_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %s"
-_CENSUS_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %-{}s  %%-{}d  %%s"
+_CENSUS_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %-{}s  %%-{}d  %s"
 
 
 def _aligned(header: list[str], widths: list[int], template: str, runs, no_header: bool) -> Iterator[str]:
@@ -251,7 +253,7 @@ def _aligned(header: list[str], widths: list[int], template: str, runs, no_heade
 def _shape_runs(p: int, g: int):
     """Per run of :func:`shape_runs`: ``((r, s, t, case), (ms, ns))``."""
     for r, s, t, ms, ns in shape_runs(p, g):
-        yield (r, s, t, shape_case((r, s, t, ms[0], ns[0])).value), (ms, ns)
+        yield (r, s, t, shape_case((r, s, t, ms[0], ns[0])).text), (ms, ns)
 
 
 def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
@@ -282,11 +284,20 @@ def _per_flags(report: CountReport, render) -> dict:
 
 
 def _census_runs(report: CountReport, render):
-    """Per run of the census: ``((r, s, t, case), (ms, ns, counts, texts))``,
-    with ``texts`` the ``render(flags)`` of each row's flags (:func:`_per_flags`)."""
+    """Per run of the census: ``((r, s, t, case, flag field), columns)``.
+
+    A run with no flagged row carries ``render(())``, its ``%`` doubled, as
+    its flag field and ``(ms, ns, counts)`` as its columns.  Any other run
+    carries ``"%s"`` there and adds a column of each row's ``render(flags)``
+    (:func:`_per_flags`).
+    """
     texts = _per_flags(report, render)
+    unflagged = texts[()].replace("%", "%%")
     for r, s, t, case, ms, ns, counts, flags in report.iter_runs():
-        yield (r, s, t, case.value), (ms, ns, counts, map(texts.__getitem__, flags))
+        if any(flags):
+            yield (r, s, t, case.text, "%s"), (ms, ns, counts, map(texts.__getitem__, flags))
+        else:
+            yield (r, s, t, case.text, unflagged), (ms, ns, counts)
 
 
 def _census_json(report: CountReport) -> Iterator[str]:
@@ -312,7 +323,7 @@ def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iter
         top, cases = (0,) * 6, set()  # the largest r, s, t, m, n and count
         for r, s, t, case, ms, ns, counts, _ in report.iter_runs():
             top = tuple(map(max, top, (r, s, t, ms[-1], ns[0], max(counts))))
-            cases.add(case.value)
+            cases.add(case.text)
         *widths, count = (len(str(x)) for x in top)
         widths += [max(map(len, cases), default=0), count]
         runs = _census_runs(report, _flag_cell)

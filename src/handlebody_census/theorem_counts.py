@@ -17,12 +17,15 @@ published-census flags.
 The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
 :meth:`CountReport.iter_runs` streams the rows in lexicographic order, a
-run of the shape walk (:func:`~.tuples.shape_runs`) at a time, from tables
-built once per census.  A run is one plain tuple, ``(r, s, t, case, ms, ns,
-counts, flags)``, with one entry of ``ms``, ``ns``, ``counts`` and ``flags``
-per row; :meth:`CountReport.iter_rows` flattens the runs into plain row
-tuples ``(r, s, t, m, n, case, count, flags)``.  The rows are checked
-against the closed form when they have all been read.
+run of the shape walk (:func:`~.tuples.shape_runs`) at a time.  The walk
+builds each run's (t, ms, ns) once per value of r+s, and the census builds
+the list of M(m) A(kn,n) over a run once per case and (ms, ns); a run then
+costs one multiplication a row, by A(k,s) A(k,t).  A run is one plain
+tuple, ``(r, s, t, case, ms, ns, counts, flags)``, with one entry of
+``ms``, ``ns``, ``counts`` and ``flags`` per row, and a ``counts`` list of
+its own; :meth:`CountReport.iter_rows` flattens the runs into plain row
+tuples ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are
+checked against the closed form when they have all been read.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -143,12 +146,15 @@ class CountReport:
         ns, counts, flags)``, where row i is ``(r, s, t, ms[i], ns[i])`` with
         count ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
         A row's count is :func:`count_kernel`'s, factored per run as
-        ``A(k,s) A(k,t) * by_m[m] * A(kn,n)``, from tables of :func:`count_A`
-        and of each case's :func:`m_factor` (by_m) built once per census.
+        ``A(k,s) A(k,t) * (by_m[m] A(kn,n))``, with by_m each case's
+        :func:`m_factor`.  The list of ``by_m[m] A(kn,n)`` over the run is
+        built once per case and (ms, ns), on first use, and shared by every
+        later run with the same ones; each run then costs one multiplication
+        a row, into a ``counts`` list of its own.
 
-        Once every run has been read, their number of rows and their sum are
-        held to ``shape_count`` and ``total``; a difference raises
-        :class:`AssertionError`, also under ``python -O``.
+        Once every run has been read, the number of rows and the sum of the
+        counts yielded are held to ``shape_count`` and ``total``; a
+        difference raises :class:`AssertionError`, also under ``python -O``.
         """
         p, g, shape_flags = self.p, self.g, self.shape_flags
         pool_sizes = pools(p)
@@ -157,17 +163,21 @@ class CountReport:
         top = g - 1 + q
         A_k = [count_A(k, j) for j in range(top // (q - 1) + 1)]  # j = s, t
         A_kn = [count_A(kn, j) for j in range(top // (q - p) + 1)]  # j = n
-        # per case: the tag and its by_m, for m = 0 .. top // q
+        # per case: the tag, its by_m for m = 0 .. top // q, and its
+        # by_m[m] A(kn,n) lists by (ms, ns)
         in_st, in_r, in_m = (
-            (case, [m_factor(pool_sizes, case, m) for m in range(top // q + 1)])
+            (case, [m_factor(pool_sizes, case, m) for m in range(top // q + 1)], {})
             for case in (CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M)
         )
         count = total = 0
         for r, s, t, ms, ns in shape_runs(p, g):
             # shape_case's rule, inline: s+t > 0 wins, then r > 0, else m > 0
-            case, by_m = in_st if s + t else in_r if r else in_m
+            case, by_m, shared = in_st if s + t else in_r if r else in_m
+            factors = shared.get((ms, ns))
+            if factors is None:
+                factors = shared[ms, ns] = [by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
             f = A_k[s] * A_k[t]
-            counts = [f * by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
+            counts = [f * x for x in factors]
             count += len(counts)
             total += sum(counts)
             if shape_flags:

@@ -107,11 +107,18 @@ class Tuple5(_Fields):
 
 
 class CaseTag(enum.Enum):
-    """Which counting branch applies to a shape; exactly one tag per shape."""
+    """Which counting branch applies to a shape; exactly one tag per shape.
+
+    ``text`` is the value as a plain attribute, for code that reads it once
+    a run: ``Enum.value`` is a Python-level property.
+    """
 
     CASE_ST = "st"
     CASE_R = "r"
     CASE_M = "m"
+
+    def __init__(self, text: str):
+        self.text = text
 
 
 def shape_case(v: Shape) -> CaseTag:
@@ -154,6 +161,13 @@ def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
     with no list of shapes and no sort.  Shapes with r+s+t+m = 0 are never
     emitted.
 
+    A run's ``(t, ms, ns)`` depends on r+s alone, so each value of r+s has
+    one table of them, built as the r = 0 pass first reaches that value and
+    read again by every later (r, s) with the same sum; those share the
+    ``ms`` and ``ns`` objects.  The tables are built lazily, so the first run
+    comes after one table, and together they never hold more entries than
+    there are runs with r = 0.
+
     At the end the number of shapes is held to :func:`shape_count`; a
     difference raises :class:`AssertionError`, also under ``python -O``.
     """
@@ -161,19 +175,27 @@ def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
     require_genus(g)
     q = p * p
     top = g - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
+    # per value u of r+s: its runs' (t, ms, ns) and their number of shapes
+    tables: list[tuple[list[tuple[int, range, range]], int]] = []
     count = 0
     for r in range(top // q + 1):
-        for s in range(top // q - r + 1):
-            rest = top - q * (r + s)  # (q-1)*t + R
-            for t in range(-rest % p, rest // (q - 1) + 1, p):
-                reduced = (rest - (q - 1) * t) // p  # R'
-                ms = range(reduced % (p - 1), reduced // p + 1, p - 1)
-                if r + s + t == 0 and ms and ms[0] == 0:
-                    ms = ms[1:]
-                if ms:
-                    n = (reduced - p * ms[0]) // (p - 1)
-                    count += len(ms)
-                    yield r, s, t, ms, range(n, n - p * len(ms), -p)
+        for u in range(r, top // q + 1):
+            if u == len(tables):  # r = 0, and u is new
+                rest = top - q * u  # (q-1)*t + R
+                runs, shapes = [], 0
+                for t in range(-rest % p, rest // (q - 1) + 1, p):
+                    reduced = (rest - (q - 1) * t) // p  # R'
+                    ms = range(reduced % (p - 1), reduced // p + 1, p - 1)
+                    if u + t == 0 and ms and ms[0] == 0:
+                        ms = ms[1:]
+                    if ms:
+                        n = (reduced - p * ms[0]) // (p - 1)
+                        runs.append((t, ms, range(n, n - p * len(ms), -p)))
+                        shapes += len(ms)
+                tables.append((runs, shapes))
+            runs, shapes = tables[u]
+            count += shapes
+            yield from map((r, u - r).__add__, runs)
     expected = shape_count(p, g)
     if count != expected:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")

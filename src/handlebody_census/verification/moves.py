@@ -33,7 +33,13 @@ class MoveKind(enum.Enum):
 
 
 class GenClass(enum.Enum):
-    """The generator classes, in the state order of :data:`~.states.LAYOUT`."""
+    """The generator classes, in the state order of :data:`~.states.LAYOUT`.
+
+    Each member carries two plain attributes, read once or more per move:
+    ``field``, the :class:`State` field holding the class (its value), and
+    ``paired``, whether its entries are (finite-order, free) pairs.
+    ``Enum.value`` and an enum's hash are Python-level calls.
+    """
 
     A = "a"
     BC = "bc"
@@ -41,9 +47,13 @@ class GenClass(enum.Enum):
     EF = "ef"
     G = "g"
 
+    def __init__(self, field: str):
+        self.field = field
+        self.paired = len(LAYOUT[State._fields.index(field)]) > 1
+
 
 #: classes holding (finite-order, free) generator pairs
-PAIRED = frozenset(cls for cls, kinds in zip(GenClass, LAYOUT) if len(kinds) > 1)
+PAIRED = frozenset(cls for cls in GenClass if cls.paired)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +76,7 @@ class Move:
 
 
 def _class_values(state: State, cls: GenClass):
-    return getattr(state, cls.value)
+    return getattr(state, cls.field)
 
 
 def _class_len(state: State, cls: GenClass) -> int:
@@ -78,7 +88,7 @@ def _check_index(state: State, cls: GenClass, index, what: str) -> None:
         raise ValueError(f"{what} must be an integer index, got {index!r}")
     if not 0 <= index < _class_len(state, cls):
         raise ValueError(
-            f"{what} {index} out of range for class {cls.value!r} "
+            f"{what} {index} out of range for class {cls.field!r} "
             f"of length {_class_len(state, cls)}"
         )
 
@@ -86,17 +96,17 @@ def _check_index(state: State, cls: GenClass, index, what: str) -> None:
 def _ref_value(state: State, ref: GenRef) -> int:
     _check_index(state, ref.cls, ref.index, "slide source index")
     entry = _class_values(state, ref.cls)[ref.index]
-    if ref.cls in PAIRED:
+    if ref.cls.paired:
         if ref.part not in (0, 1):
             raise ValueError(f"pair slot must be 0 or 1, got {ref.part}")
         return entry[ref.part]
     if ref.part != 0:
-        raise ValueError(f"class {ref.cls.value!r} has no pair slot {ref.part}")
+        raise ValueError(f"class {ref.cls.field!r} has no pair slot {ref.part}")
     return entry
 
 
 def _replace(state: State, cls: GenClass, values) -> State:
-    return state._replace(**{cls.value: tuple(values)})
+    return state._replace(**{cls.field: tuple(values)})
 
 
 def apply_move(p: int, state: State, move: Move) -> State:
@@ -126,20 +136,20 @@ def apply_move(p: int, state: State, move: Move) -> State:
 
     if move.kind is MoveKind.SPIN:
         entry = values[move.index]
-        if move.cls in PAIRED:
+        if move.cls.paired:
             values[move.index] = ((-entry[0]) % q, (-entry[1]) % q)
         else:
             values[move.index] = (-entry) % q
         return _replace(state, move.cls, values)
 
     if move.kind is MoveKind.TWIST:
-        if move.cls not in PAIRED:
-            raise ValueError(f"twist acts on paired classes, not {move.cls.value!r}")
+        if not move.cls.paired:
+            raise ValueError(f"twist acts on paired classes, not {move.cls.field!r}")
         bound = q if move.cls is GenClass.BC else p
         if not 0 <= move.amount < bound:
             raise ValueError(
                 f"twist amount must lie in [0, {bound}) for class "
-                f"{move.cls.value!r}, got {move.amount}"
+                f"{move.cls.field!r}, got {move.amount}"
             )
         finite, free = values[move.index]
         values[move.index] = (finite, (free + move.amount * finite) % q)

@@ -85,7 +85,7 @@ from ..errors import BudgetExceededError, stop_reason
 from ..theorem_counts import count_for_tuple
 from ..tuples import CaseTag, Shape, Tuple5, genus_of, require_odd_prime, shape_case
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
-from .moves import PAIRED, GenClass, Move, MoveKind, apply_move, generator_moves
+from .moves import GenClass, Move, MoveKind, apply_move, generator_moves
 from .states import (
     State,
     coordinate_domains,
@@ -209,8 +209,8 @@ def _move_cols(space: _Space, move: Move) -> list[int]:
     """The columns a move reads or writes, ascending; at most four."""
 
     def entry(cls: GenClass, index: int) -> list[int]:
-        cols = getattr(space.columns, cls.value)[index]
-        return list(cols) if cls in PAIRED else [cols]
+        cols = getattr(space.columns, cls.field)[index]
+        return list(cols) if cls.paired else [cols]
 
     cols = entry(move.cls, move.index)
     if move.kind is MoveKind.PERMUTE:

@@ -233,6 +233,21 @@ def test_runs_flatten_to_the_rows_and_the_listed_census(group):
         assert [row[:7] for row in flat] == listed_census(p, g), (p, g)
 
 
+@pytest.mark.parametrize("p,g", [(3, 150), (5, 300)])
+def test_counts_yielded_are_not_handed_out_again(p, g):
+    # Runs with the same (ms, ns) share one list of by_m[m] A(kn,n); each run
+    # must still get a counts list of its own, so writing into every yielded
+    # list changes no run read later.
+    rows, seen, shared = [], set(), 0
+    for r, s, t, case, ms, ns, counts, _ in census(p, g).iter_runs():
+        rows += [(r, s, t, m, n, case, count) for m, n, count in zip(ms, ns, counts)]
+        shared += (ms, ns) in seen
+        seen.add((ms, ns))
+        counts[:] = [-1] * len(counts)
+    assert rows == listed_census(p, g)
+    assert shared > 0
+
+
 def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
     report = census(5, 26)
     runs = len(list(report.iter_runs()))

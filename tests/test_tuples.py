@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,20 @@ def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatc
     assert len([next(shapes) for _ in range(6)]) == 6
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
         next(shapes)
+
+
+def test_the_walk_reaches_its_first_run_lazily():
+    # At p=101, g=10^8 the runs with r = 0 number about 5*10^5; building the
+    # table of every r+s before the first run would take seconds and over
+    # 100 MiB, one table takes a few entries.
+    tracemalloc.start()
+    try:
+        first = next(tuples.shape_runs(101, 10**8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first[:2] == (0, 0)
+    assert peak < 1 << 20
 
 
 def test_tuple5_rejects_bad_components():
