@@ -17,6 +17,7 @@ carry no action and are rejected.  The shape walk (:func:`shape_runs`,
 from __future__ import annotations
 
 import enum
+import sys
 from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
@@ -56,7 +57,8 @@ class _Fields(NamedTuple):
 
 
 class Tuple5(_Fields):
-    """Factor counts (r, s, t, m, n); at least one of r, s, t, m is positive.
+    """Factor counts (r, s, t, m, n), each at most ``sys.maxsize``; at least
+    one of r, s, t, m is positive.
 
     A ``Tuple5`` is its plain tuple ``(r, s, t, m, n)``: equal to it, hashed
     and sorted like it.  Every way of building one (the constructor,
@@ -74,6 +76,11 @@ class Tuple5(_Fields):
             if not isinstance(x, int) or isinstance(x, bool) or x < 0:
                 raise ValueError(
                     f"shape components must be nonnegative integers, got {parts}"
+                )
+            if x > sys.maxsize:
+                raise ValueError(
+                    f"shape components must be at most sys.maxsize = {sys.maxsize}, "
+                    f"got {parts}: no state holds more images of one class"
                 )
         if r + s + t + m == 0:
             raise ValueError(

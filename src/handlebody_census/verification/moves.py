@@ -52,10 +52,6 @@ class GenClass(enum.Enum):
         self.paired = len(LAYOUT[State._fields.index(field)]) > 1
 
 
-#: classes holding (finite-order, free) generator pairs
-PAIRED = frozenset(cls for cls in GenClass if cls.paired)
-
-
 @dataclasses.dataclass(frozen=True)
 class GenRef:
     """One concrete generator: class, index, and pair slot (0 finite, 1 free)."""

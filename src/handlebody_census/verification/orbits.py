@@ -32,20 +32,22 @@ the quotient: counts are its counts times the fiber, and the least state
 of any state's orbit is the least representative of its own
 representative's orbit.
 
-The engine.  Representatives are rows of a mixed-radix index over each
-image's representative values, and a move reads and writes at most four
-coordinates, so with the index viewed as an array with one axis per run
-of touched columns, a move changes the positions on those axes only, by a
-small table over them.  The table is :func:`apply_move` on a state
-holding, in the :mod:`.states` layout, the representative values of the
-touched coordinates as an open grid; every image it writes is checked to
-stay in its raw domain, and is then looked up as the position of its own
-representative.  The moves are :func:`generator_moves`, each walked
-forward only: no inverse is built.  A move whose table is the identity,
-every column it writes keeping its positions, is skipped: every twist,
-and every slide that only adds multiples of its handle's k (onto a handle
-reduced to 0, from a c, or from an e or g onto a handle reduced mod p).
-Each round gathers the labels through every other move g with its table,
+The engine.  Representatives are the rows of an index over each image's
+representative values in numpy's C order (last coordinate fastest), and a
+move reads and writes at most four coordinates, so with the index viewed
+as an array with one axis per run of touched columns, a move changes the
+positions on those axes only, by a small table over them.  One
+constructor, :class:`_Gather`, turns a move into that table: it applies
+:func:`apply_move` to a state holding, in the :mod:`.states` layout, the
+representative values of the touched coordinates as an open grid, checks
+that every image it writes stays in its raw domain, and looks each up as
+the position of its own representative.  The moves are
+:func:`generator_moves`, each walked forward only: no inverse is built.
+A move whose table is the identity, every column it writes keeping its
+positions, is dropped: every twist, and every slide that only adds
+multiples of its handle's k (onto a handle reduced to 0, from a c, or
+from an e or g onto a handle reduced mod p).  Each round gathers the
+labels through every other move g with its table,
 ``labels[x] = min(labels[x], labels[g(x)])`` along the touched axes (one
 ``np.take`` when they are adjacent, one indexed assignment when they are
 not), so no successor array is ever built.  Validity (surjectivity) is
@@ -96,16 +98,6 @@ from .states import (
 )
 
 
-def _radix(doms) -> tuple[np.ndarray, np.ndarray, int]:
-    """Sizes, strides and size of the mixed-radix index over ``doms``,
-    last coordinate fastest."""
-    sizes = np.array([len(dom) for dom in doms], dtype=np.int64)
-    strides = np.ones(len(doms), dtype=np.int64)
-    for c in range(len(doms) - 2, -1, -1):
-        strides[c] = strides[c + 1] * sizes[c + 1]
-    return sizes, strides, math.prod(sizes.tolist())
-
-
 class _Space:
     """Vectorized view of one shape's state space on the coset quotient.
 
@@ -114,9 +106,10 @@ class _Space:
     meets, ascending.  They are read off a count of the residues
     (``np.bincount``), not found by ``np.unique``, whose first call in a
     process imports ``numpy.ma``.  Columns with one domain and one k share
-    their arrays.  Representative states are the rows of a mixed-radix
-    index over the representatives (last coordinate fastest), so row order
-    is lexicographic on image vectors, as raw order is.  ``luts`` holds per
+    their arrays.  Representative states are the rows of the index over
+    the representatives in numpy's C order over ``sizes`` (last coordinate
+    fastest), so row order is lexicographic on image vectors, as raw order
+    is.  ``luts`` holds per
     column a row mapping every raw value to the position of its
     representative, and to -1 outside the raw domain, so every state read
     through it is reduced.  Nothing here has the raw size, but the raw size
@@ -135,7 +128,8 @@ class _Space:
         shared = {key: self._representatives(*key) for key in dict.fromkeys(keys)}
         self.dom_arrays = [shared[key][0] for key in keys]
         self.luts = [shared[key][1] for key in keys]
-        self.sizes, self.strides, self.size = _radix(self.dom_arrays)
+        self.sizes = tuple(len(dom) for dom in self.dom_arrays)
+        self.size = math.prod(self.sizes)
 
     def _representatives(self, dom, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The representatives of one raw domain mod k, and its ``luts`` row."""
@@ -155,7 +149,7 @@ class _Space:
         axes however many columns the space has.
         """
         shape, runs, other = [], [], 1
-        for c, size in enumerate(self.sizes.tolist()):
+        for c, size in enumerate(self.sizes):
             if c not in cols:
                 other *= size
             elif runs and runs[-1][-1] == c - 1:
@@ -172,12 +166,9 @@ class _Space:
 
         The domains already enforce the order constraints, so validity is
         surjectivity alone: the OR over columns of each domain's unit mask,
-        broadcast.  With s+t > 0 some domain holds units only, so every row
-        is valid.
+        broadcast.  With s+t > 0 some domain holds units only, and the OR
+        is true on every row.
         """
-        _, s, t, _, _ = self.v
-        if s + t > 0:
-            return np.ones(self.size, dtype=bool)
         valid = np.zeros(self.size, dtype=bool)
         for c, dom in enumerate(self.dom_arrays):
             shape, _ = self.layout([c])
@@ -197,11 +188,11 @@ class _Space:
         if not shaped or len(images) != self.ncols:
             return -1
         row = 0
-        for c, x in enumerate(images):
-            pos = int(self.luts[c][x]) if 0 <= x < self.q else -1
+        for x, lut, size in zip(images, self.luts, self.sizes):
+            pos = int(lut[x]) if 0 <= x < self.q else -1
             if pos < 0:
                 return -1
-            row += pos * int(self.strides[c])
+            row = row * size + pos
         return row
 
 
@@ -225,38 +216,6 @@ def _axis(array: np.ndarray, axis: int, ndim: int) -> np.ndarray:
     return array.reshape((1,) * axis + (-1,) + (1,) * (ndim - 1 - axis))
 
 
-def _move_table(space: _Space, move: Move):
-    """A move on every combination of its columns' representative values.
-
-    Returns the columns, ascending, and for each column the move writes the
-    position of its new value's representative at every point of an open
-    grid with one axis per column.  :func:`apply_move` acts on a state
-    holding each column's representative values along its own axis and
-    ``None`` in every other column; a column is written when the move put a
-    new object in it.  Raises :class:`AssertionError` if a new value leaves
-    its column's raw domain.  The quotient is the full product of the
-    representative domains, so the grid covers every row's restriction to
-    these columns.
-    """
-    cols = _move_cols(space, move)
-    coords = [None] * space.ncols
-    for axis, c in enumerate(cols):
-        coords[c] = _axis(space.dom_arrays[c], axis, len(cols))
-    moved = flatten(apply_move(space.p, unflatten(space.v, coords), move))
-    written = {}
-    for c in cols:
-        if moved[c] is coords[c]:
-            continue
-        positions = space.luts[c][moved[c]]
-        if (positions < 0).any():
-            raise AssertionError(
-                f"move {move} left the per-generator domain on column {c} "
-                f"of shape {space.v}"
-            )
-        written[c] = positions
-    return cols, written
-
-
 def _index_dtype(size: int):
     """int32 when every index below ``size`` fits, halving the engine's
     index arrays."""
@@ -268,37 +227,58 @@ class _Gather:
     where ``succ`` is the move's successor on the quotient, with no index
     array of the quotient's size.
 
-    The row index is viewed in :meth:`_Space.layout` over the columns the
-    move touches, so ``succ`` changes the positions on the touched axes
-    only, by a table over them.  ``identity`` is set when that table
-    changes no position (every twist's does); such a gather builds nothing
-    more, and applying it copies.  When the move touches one run of
-    adjacent columns (spins, interchanges, slides from a neighbouring
-    column) the gather is one ``np.take`` along that axis.  Otherwise (a
-    slide from a column further off) it is one indexed assignment: every
-    touched axis indexed by its run's old positions on the left and its
-    new positions on the right, every other axis whole; the right side is
-    a short-lived gathered copy of ``src``.
+    The constructor applies :func:`apply_move` once, to a state holding
+    each touched column's representative values along its own axis of an
+    open grid (``None`` elsewhere), and looks each written image up as its
+    representative's position, raising :class:`AssertionError` if one
+    leaves its column's raw domain.  A column the move does not write
+    keeps its positions, its representatives' own indices.  The quotient
+    is the full product of the representative domains, so the grid covers
+    every row's restriction to these columns.  ``identity`` is set when no
+    position changes (every twist's table); such a gather builds nothing
+    more, and :func:`orbit_partition` drops it.
+
+    The row index is viewed in :meth:`_Space.layout` over the touched
+    columns, so ``succ`` changes the positions on the touched axes only.
+    When the move touches one run of adjacent columns (spins,
+    interchanges, slides from a neighbouring column) the gather is one
+    ``np.take`` along that axis.  Otherwise (a slide from a column further
+    off) it is one indexed assignment: every touched axis indexed by its
+    run's old positions on the left and its new positions on the right,
+    every other axis whole; the right side is a short-lived gathered copy
+    of ``src``.
     """
 
     def __init__(self, space: _Space, move: Move):
-        cols, written = _move_table(space, move)
-        # a representative's position is its index, so before the move
-        # each column's positions run along its own axis
-        pos = {c: _axis(np.arange(space.sizes[c]), axis, len(cols)) for axis, c in enumerate(cols)}
-        self.identity = all((written[c] == pos[c]).all() for c in written)
+        cols = _move_cols(space, move)
+        coords = [None] * space.ncols
+        pos = {}
+        for axis, c in enumerate(cols):
+            coords[c] = _axis(space.dom_arrays[c], axis, len(cols))
+            pos[c] = _axis(np.arange(space.sizes[c]), axis, len(cols))
+        moved = flatten(apply_move(space.p, unflatten(space.v, coords), move))
+        new_pos = dict(pos)
+        for c in cols:
+            if moved[c] is coords[c]:
+                continue
+            new_pos[c] = space.luts[c][moved[c]]
+            if (new_pos[c] < 0).any():
+                raise AssertionError(
+                    f"move {move} left the per-generator domain on column {c} "
+                    f"of shape {space.v}"
+                )
+        self.identity = all(new_pos[c] is pos[c] or (new_pos[c] == pos[c]).all() for c in cols)
         if self.identity:
             return
-        new_pos = {**pos, **written}
         shape, runs = space.layout(cols)
         self.shape = tuple(shape)
         touched = list(range(1, len(shape), 2))
-        grid = [len(space.dom_arrays[c]) for c in cols]
+        grid = [space.sizes[c] for c in cols]
 
         def run_table(run, positions):
             table = np.zeros(grid, dtype=np.int64)
             for c in run:
-                table = table * int(space.sizes[c]) + positions[c]
+                table = table * space.sizes[c] + positions[c]
             return table.reshape([shape[a] for a in touched])
 
         if len(runs) == 1:
@@ -314,10 +294,8 @@ class _Gather:
         self.old, self.new = index(pos), index(new_pos)
 
     def apply(self, src: np.ndarray, out: np.ndarray) -> None:
-        """Write ``src`` gathered through the move into ``out``."""
-        if self.identity:
-            np.copyto(out, src)
-            return
+        """Write ``src`` gathered through the move into ``out``; not for an
+        ``identity`` gather."""
         view, dest = src.reshape(self.shape), out.reshape(self.shape)
         if self.old is None:
             np.take(view, self.table, axis=1, out=dest, mode="clip")

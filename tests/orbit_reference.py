@@ -10,9 +10,9 @@ tables; that construction is kept here, row by row and chunk by chunk, as
 the reference those successor arrays must equal.  The engine builds its
 tables through :func:`apply_move` over the ``states`` layout and reduces
 through its own lookup tables; this module has its own copy of the
-image-level move updates, its own column map and its own moduli, and it
-looks representatives up in the engine's domains by value, so a slip in
-any of those shows.
+image-level move updates, its own column map, its own moduli and its own
+place values, and it looks representatives up in the engine's domains by
+value, so a slip in any of those shows.
 
 Also here: the small p=3 shapes the exhaustive sweeps run over, and two
 deliberately broken versions of :func:`apply_move` for the closure check's
@@ -22,12 +22,13 @@ negative tests.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.states import raw_state_count
-from handlebody_census.verification.moves import PAIRED, GenClass, GenRef, Move, MoveKind
+from handlebody_census.verification.moves import GenClass, GenRef, Move, MoveKind
 
 #: Rows per decode or successor step; bounds the int64 temporaries.
 CHUNK = 1 << 16
@@ -136,9 +137,11 @@ def move_updates(space, dig: np.ndarray, move: Move):
 def successor_rows(space, dig: np.ndarray, rows: np.ndarray, move: Move) -> np.ndarray:
     """Successor row per row, via per-column position deltas: each new
     image reduced by :func:`moduli` and looked up in the engine's
-    representatives by value."""
+    representatives by value, and weighted by the column's own place
+    value, the product of the representative counts after it."""
     out = np.asarray(rows, dtype=np.int64).copy()
     col_moduli = moduli(space.p, space.v)
+    counts = [len(dom) for dom in space.dom_arrays]
     for col, new_values in move_updates(space, dig, move):
         reps = space.dom_arrays[col]
         reduced = new_values % col_moduli[col]
@@ -146,7 +149,7 @@ def successor_rows(space, dig: np.ndarray, rows: np.ndarray, move: Move) -> np.n
         if (reps[np.minimum(new_pos, len(reps) - 1)] != reduced).any():
             raise AssertionError(f"move {move} left the per-generator domain on column {col}")
         old_pos = np.searchsorted(reps, dig[:, col])
-        out += (new_pos - old_pos) * int(space.strides[col])
+        out += (new_pos - old_pos) * math.prod(counts[col + 1 :])
     return out
 
 
@@ -169,7 +172,7 @@ def _zero_the_spun_entry(state, move: Move):
     """``state`` with the entry ``move`` spins set to 0, image by image."""
     entries = list(getattr(state, move.cls.value))
     entry = entries[move.index]
-    entries[move.index] = tuple(x * 0 for x in entry) if move.cls in PAIRED else entry * 0
+    entries[move.index] = tuple(x * 0 for x in entry) if move.cls.paired else entry * 0
     return state._replace(**{move.cls.value: tuple(entries)})
 
 

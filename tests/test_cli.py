@@ -448,6 +448,24 @@ def test_negative_tuple_reaches_the_tuple_parser(capsys, command, tuple_args):
     assert "shape components must be nonnegative integers, got (-1, 0, 0, 1, 0)" in err
 
 
+@pytest.mark.parametrize(
+    "command,shape",
+    [
+        ("canonical", "100000000000000000000,0,0,0,0"),
+        ("verify", "100000000000000000000,0,0,0,0"),
+        ("canonical", "1,0,0,0,100000000000000000000"),
+        ("orbits", "100000000000000000000,0,0,0,0"),
+        ("verify", "0,100000000000000000000,0,0,0"),
+    ],
+)
+def test_a_component_past_sys_maxsize_is_a_usage_error(capsys, command, shape):
+    # refused when the shape is built: no overflow, and no q**r computed
+    code, out, err = run_cli(capsys, command, "--p", "3", "--tuple", shape)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "shape components must be at most sys.maxsize" in err
+
+
 def test_json_outputs_are_deterministic(capsys):
     args = ("verify", "--p", "3", "--genus", "10", "--format", "json")
     _, first, _ = run_cli(capsys, *args)

@@ -38,12 +38,13 @@ TESTS_DIR = Path(__file__).resolve().parent
 
 def _successor_arrays(space, moves):
     """Each move's successor array on the quotient: ``arange`` of its size
-    gathered through it."""
+    gathered through it, or copied where the gather is the identity."""
     rows = np.arange(space.size, dtype=_index_dtype(space.size))
     arrays = []
     for move in moves:
-        succ = np.empty_like(rows)
-        _Gather(space, move).apply(rows, succ)
+        gather, succ = _Gather(space, move), rows.copy()
+        if not gather.identity:
+            gather.apply(rows, succ)
         arrays.append(succ)
     return arrays
 

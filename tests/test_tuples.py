@@ -167,6 +167,10 @@ def test_tuple5_rejects_bad_components():
         Tuple5(0, 0, 0, 0, 3)  # no finite-order or handle factor at all
     with pytest.raises(ValueError):
         Tuple5(0, 0, 0, 0, 0)
+    # no state, normal form or row holds more than sys.maxsize images of one class
+    with pytest.raises(ValueError, match="at most sys.maxsize"):
+        Tuple5(sys.maxsize + 1, 0, 0, 0, 0)
+    assert Tuple5(sys.maxsize, 0, 0, 0, 0) == (sys.maxsize, 0, 0, 0, 0)
 
 
 def test_tuple5_rejects_bad_components_on_every_route():
