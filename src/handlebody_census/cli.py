@@ -17,7 +17,9 @@ format (:class:`Output`), and :func:`_render` writes the asked one; nothing
 is rendered for the other two.  The census rows and the shapes stream from
 the same per-run records in every format, and an aligned table makes one
 extra pass over the runs for its column widths.  A normal-form listing is
-one list of dump lines in every format.
+one join of its dump lines in table and JSON output, made a shared prefix
+at a time (:meth:`~.verification.canonical.NormalForms.joined`), and a list
+of them in CSV, which numbers each line.
 
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  ``akj`` prints its
@@ -50,6 +52,7 @@ from .tuples import (
     shape_runs,
 )
 from .verification import DEFAULT_STATE_BUDGET, compare, enumerate_canonical, orbit_count
+from .verification.canonical import NormalForms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -355,25 +358,33 @@ def _cmd_canonical(args) -> Output:
     if not args.list:
         header = _SHAPE_COLUMNS + list(fields)
         return Output(_dumps(obj), header, [_csv_line([*v, *fields.values()])], _lines([summary]))
-    listed = forms.lines()
-    table = _lines([summary, f"p={p} v={','.join(map(str, v))}", *listed])
-    return Output(_json_states(obj, listed), ["index", "state"], _dump_csv(listed), table)
+    heading = _lines([summary, f"p={p} v={','.join(map(str, v))}"])
+    return Output(_json_states(obj, forms), ["index", "state"], _dump_csv(forms), _states_table(heading, forms))
 
 
-def _json_states(obj: dict, listed: list[str]) -> Iterator[str]:
-    """``obj`` with ``"states": listed`` added, as ``json.dumps(obj, indent=2)``
-    prints it.  A dump line holds only digits, ``,`` and ``|``, so it needs no
-    escaping, and the array is one join of the listing."""
+def _states_table(heading: list[str], forms: NormalForms) -> Iterator[str]:
+    """The table of a state dump: ``heading``, then one dump line a form."""
+    yield from heading
+    if len(forms):
+        yield forms.joined("\n")
+        yield "\n"
+
+
+def _json_states(obj: dict, forms: NormalForms) -> Iterator[str]:
+    """``obj`` with ``"states"``, the dump lines of ``forms``, added, as
+    ``json.dumps(obj, indent=2)`` prints it.  A dump line holds only digits,
+    ``,`` and ``|``, so it needs no escaping, and the array is one join of
+    the listing."""
     yield json.dumps(obj, indent=2)[: -len("\n}")]
     yield ',\n  "states": ['
-    if listed:
+    if len(forms):
         yield '\n    "'
-        yield '",\n    "'.join(listed)
+        yield forms.joined('",\n    "')
         yield '"\n  '
     yield "]\n}"
 
 
-def _dump_csv(listed: list[str]) -> Iterator[str]:
+def _dump_csv(forms: NormalForms) -> Iterator[str]:
     """The CSV body of a state dump, ``index,state`` a line, as :mod:`csv`
     writes it.
 
@@ -382,8 +393,9 @@ def _dump_csv(listed: list[str]) -> Iterator[str]:
     number of residues in each class, so either every line holds a comma or
     none does, and one template serves the whole listing.
     """
+    listed = forms.lines()
     template = '%d,"%s"\n' if listed and "," in listed[0] else "%d,%s\n"
-    return map(template.__mod__, enumerate(listed))
+    yield from map(template.__mod__, enumerate(listed))
 
 
 def _cmd_orbits(args) -> Output:

@@ -17,10 +17,13 @@ published-census flags.
 The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
 :meth:`CountReport.iter_runs` streams the rows in lexicographic order, a
-run of the shape walk (:func:`~.tuples.shape_runs`) at a time.  The walk
-builds each run's (t, ms, ns) once per value of r+s, and the census builds
-the list of M(m) A(kn,n) over a run once per case and (ms, ns); a run then
-costs one multiplication a row, by A(k,s) A(k,t).  A run is one plain
+table of the shape walk (:func:`~.tuples.shape_tables`) at a time.  The
+walk builds one table of runs (t, ms, ns) per value of r+s and hands it to
+every (r, s) with that sum.  The census builds case st's list of
+M(m) A(kn,n) over a run once per (ms, ns), gathers those lists per table
+when the table is first read, and zips each table with its lists after
+that; a run then costs one list comprehension, one multiplication a row
+by A(k,s) A(k,t), and no lookup.  A run is one plain
 tuple, ``(r, s, t, case, ms, ns, counts, flags)``, with one entry of
 ``ms``, ``ns``, ``counts`` and ``flags`` per row, and a ``counts`` list of
 its own; :meth:`CountReport.iter_rows` flattens the runs into plain row
@@ -49,7 +52,7 @@ from .tuples import (
     require_odd_prime,
     shape_case,
     shape_count,
-    shape_runs,
+    shape_tables,
 )
 
 Pools = tuple[int, int, int]
@@ -147,9 +150,16 @@ class CountReport:
         count ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
         A row's count is :func:`count_kernel`'s, factored per run as
         ``A(k,s) A(k,t) * (by_m[m] A(kn,n))``, with by_m each case's
-        :func:`m_factor`.  The list of ``by_m[m] A(kn,n)`` over the run is
-        built once per case and (ms, ns), on first use, and shared by every
-        later run with the same ones; each run then costs one multiplication
+        :func:`m_factor`.
+
+        The runs come a table of :func:`~.tuples.shape_tables` at a time.
+        Case st's list of ``by_m[m] A(kn,n)`` over a run is built once per
+        (ms, ns), and shared by every table that holds those columns; when
+        a table is first read, the lists of its runs are gathered into one
+        list beside it, which every later (r, s) with the same r+s zips
+        with the runs.  Only a run with s = t = 0, the first of its table at
+        most, is in case r or m, and only one (r, s) reads it, so its list
+        is built where it is read.  Each run then costs one multiplication
         a row, into a ``counts`` list of its own.
 
         Once every run has been read, the number of rows and the sum of the
@@ -163,28 +173,38 @@ class CountReport:
         top = g - 1 + q
         A_k = [count_A(k, j) for j in range(top // (q - 1) + 1)]  # j = s, t
         A_kn = [count_A(kn, j) for j in range(top // (q - p) + 1)]  # j = n
-        # per case: the tag, its by_m for m = 0 .. top // q, and its
-        # by_m[m] A(kn,n) lists by (ms, ns)
-        in_st, in_r, in_m = (
-            (case, [m_factor(pool_sizes, case, m) for m in range(top // q + 1)], {})
-            for case in (CaseTag.CASE_ST, CaseTag.CASE_R, CaseTag.CASE_M)
-        )
+        # per case: its by_m for m = 0 .. top // q
+        by_m = {case: [m_factor(pool_sizes, case, m) for m in range(top // q + 1)] for case in CaseTag}
+        st, by_st = CaseTag.CASE_ST, by_m[CaseTag.CASE_ST]
+        # case st's by_m[m] A(kn,n) lists by (ms, ns), and per value of r+s
+        # the list of them for its table's runs
+        by_columns: dict[tuple[range, range], list[int]] = {}
+        by_table: dict[int, list[list[int]]] = {}
         count = total = 0
-        for r, s, t, ms, ns in shape_runs(p, g):
-            # shape_case's rule, inline: s+t > 0 wins, then r > 0, else m > 0
-            case, by_m, shared = in_st if s + t else in_r if r else in_m
-            factors = shared.get((ms, ns))
-            if factors is None:
-                factors = shared[ms, ns] = [by_m[m] * A_kn[n] for m, n in zip(ms, ns)]
-            f = A_k[s] * A_k[t]
-            counts = [f * x for x in factors]
-            count += len(counts)
-            total += sum(counts)
-            if shape_flags:
-                flags = [shape_flags.get((r, s, t, m, n), ()) for m, n in zip(ms, ns)]
-            else:
-                flags = [()] * len(counts)
-            yield r, s, t, case, ms, ns, counts, flags
+        for r, s, runs in shape_tables(p, g):
+            table = by_table.get(r + s)
+            if table is None:
+                table = by_table[r + s] = []
+                for _, ms, ns in runs:
+                    factors = by_columns.get((ms, ns))
+                    if factors is None:
+                        factors = by_columns[ms, ns] = [by_st[m] * A_kn[n] for m, n in zip(ms, ns)]
+                    table.append(factors)
+            A_s = A_k[s]
+            for (t, ms, ns), factors in zip(runs, table):
+                case = st
+                if not s + t:  # shape_case's rule, inline: r > 0, else m > 0
+                    case = CaseTag.CASE_R if r else CaseTag.CASE_M
+                    factors = [by_m[case][m] * A_kn[n] for m, n in zip(ms, ns)]
+                f = A_s * A_k[t]
+                counts = [f * x for x in factors]
+                count += len(counts)
+                total += sum(counts)
+                if shape_flags:
+                    flags = [shape_flags.get((r, s, t, m, n), ()) for m, n in zip(ms, ns)]
+                else:
+                    flags = [()] * len(counts)
+                yield r, s, t, case, ms, ns, counts, flags
         if (count, total) != (self.shape_count, self.total):
             raise AssertionError(
                 f"census p={p} g={g}: the rows give {count} shapes and total {total}, "

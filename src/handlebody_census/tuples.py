@@ -9,8 +9,9 @@ solutions of that equation.
 
 There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
 with named fields and a check at construction: shapes with r+s+t+m = 0
-carry no action and are rejected.  The shape walk (:func:`shape_runs`,
-:func:`iter_shapes`) yields plain tuples and builds no :class:`Tuple5`;
+carry no action and are rejected.  The shape walk (:func:`shape_tables`,
+flattened by :func:`shape_runs` and :func:`iter_shapes`) yields plain
+tuples and builds no :class:`Tuple5`;
 :func:`shape_case` and :func:`genus_of` take either.
 """
 
@@ -155,25 +156,24 @@ def genus_of(p: int, v: Shape) -> int:
     return g
 
 
-def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
-    """Every shape acting on genus g, as runs ``(r, s, t, ms, ns)`` in
-    lexicographic order: the run's shapes are ``(r, s, t, m, n)`` for
-    ``m, n`` in ``zip(ms, ns)``.
+def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[tuple[int, range, range]]]]:
+    """Every shape acting on genus g, as ``(r, s, runs)`` in lexicographic
+    order of (r, s): the shapes are ``(r, s, t, m, n)`` for each ``(t, ms,
+    ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, sorted.
 
     The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n = g-1+q, with
     q = p^2.  Fixing (r, s, t) fixes q*m + (q-p)*n =: R.  A solution needs
     R = p*R' (so t runs through one residue class mod p, as q-1 = -1 mod p)
     and m = R' mod p-1 (as p = 1 mod p-1); from one solution to the next m
-    rises by p-1 while n falls by p.  So the runs come out already sorted,
+    rises by p-1 while n falls by p.  So the shapes come out already sorted,
     with no list of shapes and no sort.  Shapes with r+s+t+m = 0 are never
     emitted.
 
-    A run's ``(t, ms, ns)`` depends on r+s alone, so each value of r+s has
-    one table of them, built as the r = 0 pass first reaches that value and
-    read again by every later (r, s) with the same sum; those share the
-    ``ms`` and ``ns`` objects.  The tables are built lazily, so the first run
-    comes after one table, and together they never hold more entries than
-    there are runs with r = 0.
+    ``runs`` depends on r+s alone, so each value of r+s has one table, built
+    as the r = 0 pass first reaches that value and yielded again, the same
+    list, by every later (r, s) with the same sum.  The tables are built
+    lazily, so the first comes after one table is built, and together they
+    never hold more entries than there are runs with r = 0.
 
     At the end the number of shapes is held to :func:`shape_count`; a
     difference raises :class:`AssertionError`, also under ``python -O``.
@@ -202,10 +202,20 @@ def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
                 tables.append((runs, shapes))
             runs, shapes = tables[u]
             count += shapes
-            yield from map((r, u - r).__add__, runs)
+            yield r, u - r, runs
     expected = shape_count(p, g)
     if count != expected:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
+
+
+def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
+    """Every shape acting on genus g, as runs ``(r, s, t, ms, ns)`` in
+    lexicographic order: the run's shapes are ``(r, s, t, m, n)`` for
+    ``m, n`` in ``zip(ms, ns)``.  The tables of :func:`shape_tables`,
+    flattened, with the same check at the end; runs with the same r+s share
+    their ``ms`` and ``ns`` objects."""
+    for r, s, runs in shape_tables(p, g):
+        yield from map((r, s).__add__, runs)
 
 
 def iter_shapes(p: int, g: int) -> Iterator[Shape]:

@@ -15,8 +15,12 @@ branches differ only in the handle and ef pools, as the closed-form count
 A(k,s) A(k,t) M(m) A(kn,n) differs by case only in M, but no code is
 shared with the count.  :class:`NormalForms` keeps the pools, not the
 product: its length is the sum of the pool-size products, its iteration
-builds the states, and its dump lines join per-entry texts without
-building any.
+builds the states, and its dump text joins per-entry texts without
+building any state.  A branch's dump lines are split at its last pool with
+more than one entry into a head, one per combination of the pools before
+it, and a tail, rendered once per branch; :meth:`NormalForms.joined` joins
+each head's lines in one ``str.join``, so a listing holds no string per
+form, and :meth:`NormalForms.lines` adds head and tail.
 
 Pair ordering: (e, f) pairs are sorted lexicographically.  In the branch
 that pins a unit free image, the first pair is held fixed and only the
@@ -62,8 +66,8 @@ class NormalForms:
     each a list of that class's image tuples in lexicographic order.  The
     forms are the branches' products, branch by branch, in image-vector
     order.  ``len()`` is counted from the pool sizes; iteration yields
-    :class:`State` objects; :meth:`lines` gives the dump text of each form
-    without building any.
+    :class:`State` objects; :meth:`lines` and :meth:`joined` give the dump
+    text of the forms without building any.
     """
 
     __slots__ = ("branches", "_count")
@@ -83,18 +87,44 @@ class NormalForms:
         for branch in self.branches:
             yield from map(make, itertools.product(*branch))
 
-    def lines(self) -> list[str]:
-        """The dump text of every form, in iteration order (see README,
-        "State dump format"): each pool entry is rendered once, and a line
-        is the ``|``-join of one text per class."""
-        out: list[str] = []
+    def _split(self) -> Iterator[tuple[list[str], list[str]]]:
+        """Per branch that holds forms, its dump lines split in two:
+        ``(heads, tails)``, each line a head followed by a tail, heads
+        outermost.
+
+        A branch splits at its last pool with more than one entry (its
+        first pool when there is none).  A head is the texts of the pools
+        before the split, one product entry each, ended by ``|``; a tail is
+        one text of the split pool followed by the texts of the one-entry
+        pools after it.  Each pool entry is rendered once.
+        """
         for branch in self.branches:
+            if not all(map(len, branch)):
+                continue
             texts = [
                 [",".join(map(str, flat(entry))) for entry in pool]
                 for pool, flat in zip(branch, _FLATTEN)
             ]
-            out += map("|".join, itertools.product(*texts))
+            cut = max((i for i, pool in enumerate(texts) if len(pool) > 1), default=0)
+            heads = [head + "|" for head in map("|".join, itertools.product(*texts[:cut]))] if cut else [""]
+            rest = "".join("|" + pool[0] for pool in texts[cut + 1 :])
+            yield heads, [text + rest for text in texts[cut]]
+
+    def lines(self) -> list[str]:
+        """The dump text of every form, in iteration order (see README,
+        "State dump format")."""
+        out: list[str] = []
+        for heads, tails in self._split():
+            for head in heads:
+                out += map(head.__add__, tails)
         return out
+
+    def joined(self, sep: str) -> str:
+        """``sep.join(self.lines())``, one join per head instead of one
+        string per form."""
+        return sep.join(
+            head + (sep + head).join(tails) for heads, tails in self._split() for head in heads
+        )
 
 
 def enumerate_canonical(

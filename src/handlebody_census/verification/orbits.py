@@ -94,6 +94,7 @@ from .states import (
     coset_moduli,
     flatten,
     raw_state_count,
+    raw_state_powers,
     unflatten,
 )
 
@@ -409,20 +410,44 @@ class Partition:
         return unflatten(self.v, images)
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _check_budget(p: int, v: Shape, budget: int) -> int:
     """The raw size of a checked shape's space, once it fits ``budget`` and
     int64: orbit sizes are int64 quotient counts times the fiber, each at
-    most the raw size."""
-    raw = raw_state_count(p, v)
-    index_max = int(np.iinfo(np.int64).max)
-    if raw > min(budget, index_max):
-        limit = f"the budget of {budget}" if raw > budget else f"the int64 index range of {index_max}"
-        raise BudgetExceededError(
-            f"shape {v} at p={p} has a raw state space of {raw} states, over {limit}",
-            required=raw,
-            budget=budget,
+    most the raw size.
+
+    Whether it fits is first bounded from the bit lengths of the bases of
+    :func:`raw_state_powers`: a base b is at least 2^(bit_length(b) - 1).
+    Only when that bound leaves the size within reach of the larger limit is
+    it computed, so a shape with a million handles is refused at once.  A
+    refused size past int64 is named by its powers, ``2^30*9^30``, and the
+    error's ``required`` is ``None`` when it was not computed.
+    """
+    powers = raw_state_powers(p, v).items()
+    # 2^low <= raw < 2^(2*low), as every base b has 2 <= 2^(bit_length(b) - 1) <= b
+    low = sum(exponent * (base.bit_length() - 1) for base, exponent in powers)
+    raw = None
+    if low < max(budget, _INT64_MAX).bit_length():
+        raw = math.prod(base**exponent for base, exponent in powers)
+    if raw is not None and raw <= min(budget, _INT64_MAX):
+        return raw
+    if raw is not None and raw <= _INT64_MAX:
+        size = str(raw)
+    else:
+        size = "*".join(
+            f"{base}^{exponent}" if exponent > 1 else str(base)
+            for base, exponent in sorted(powers)
+            if exponent
         )
-    return raw
+    # raw is None only when it is past the budget and int64 both
+    limit = f"the budget of {budget}" if raw is None or raw > budget else f"the int64 index range of {_INT64_MAX}"
+    raise BudgetExceededError(
+        f"shape {v} at p={p} has a raw state space of {size} states, over {limit}",
+        required=raw,
+        budget=budget,
+    )
 
 
 def orbit_partition(

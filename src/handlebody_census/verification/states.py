@@ -117,17 +117,29 @@ def coset_moduli(p: int, v: Shape) -> list[int]:
     return moduli
 
 
+def raw_state_powers(p: int, v: Shape) -> dict[int, int]:
+    """Size of the image-vector space as ``{base: exponent}``, one base per
+    domain kind of :func:`coordinate_domains`, in this order: p^2 free
+    values, p^2 - p units and p - 1 order-p residues.  Nothing is raised to
+    a power."""
+    require_odd_prime(p)
+    q = p * p
+    sizes = {"free": q, "unit": q - p, "order_p": p - 1}
+    powers = dict.fromkeys(sizes.values(), 0)
+    for kinds, length in zip(LAYOUT, v):
+        for kind in kinds:
+            powers[sizes[kind]] += length
+    return powers
+
+
 def raw_state_count(p: int, v: Shape) -> int:
     """Size of the image-vector space before the surjectivity filter.
 
     The product of the :func:`coordinate_domains` sizes, computed without
-    building them, so a budget can be checked before anything of size p^2
-    exists: p^2 free values, p^2 - p units and p - 1 order-p residues.
+    building them (:func:`raw_state_powers`), so a budget can be checked
+    before anything of size p^2 exists.
     """
-    require_odd_prime(p)
-    q = p * p
-    sizes = {"free": q, "unit": q - p, "order_p": p - 1}
-    return math.prod(sizes[kind] ** length for kinds, length in zip(LAYOUT, v) for kind in kinds)
+    return math.prod(base**exponent for base, exponent in raw_state_powers(p, v).items())
 
 
 def iter_valid_states(p: int, v: Shape) -> Iterator[State]:

@@ -18,6 +18,8 @@ from handlebody_census.verification.canonical import (
 from handlebody_census.verification.states import State, flatten
 
 ORDER_BUDGET = 5_000
+# The separators the CLI joins a listing with: table lines and JSON strings.
+SEPARATORS = ["\n", '",\n    "']
 
 
 def _closed_form(p, v):
@@ -142,6 +144,32 @@ def test_template_format_state_equals_the_join_formatter():
         joined = [_join_format(state) for state in forms]
         assert [format_state(state) for state in forms] == joined, (p, v)
         assert forms.lines() == joined, (p, v)
+        for sep in SEPARATORS:
+            assert forms.joined(sep) == sep.join(joined), (p, v)
+
+
+def test_joined_listing_equals_the_joined_lines_across_branches():
+    # both branches of case r, then hand-built branches: one whose pools all
+    # hold one entry, one with an empty pool, and none at all
+    forms = enumerate_canonical(3, Tuple5(1, 0, 0, 1, 0))
+    assert len(forms.branches) == 2
+    lines = [_join_format(state) for state in forms]
+    assert forms.lines() == lines
+    for sep in SEPARATORS:
+        assert forms.joined(sep) == sep.join(lines)
+    single = ([(0,)], [((1, 0),)], [()], [()], [(3,)])
+    empty = ([(0,)], [], [()], [()], [()])
+    for branches, want in [
+        ([single], ["0|1,0|||3"]),
+        ([single, empty, *forms.branches, single], ["0|1,0|||3", *lines, "0|1,0|||3"]),
+        ([empty], []),
+        ([], []),
+    ]:
+        listing = NormalForms(branches)
+        assert len(listing) == len(want)
+        assert listing.lines() == want
+        for sep in SEPARATORS:
+            assert listing.joined(sep) == sep.join(want)
 
 
 def test_a_count_past_sys_maxsize_is_an_allocation_failure():

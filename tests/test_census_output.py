@@ -3,11 +3,13 @@ renderers, the recorded benchmark outputs, and
 no per-shape objects on the CLI path; and the CSV of a state dump against
 :mod:`csv`."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import pytest
 from handlebody_census import cli
 from handlebody_census.theorem_counts import Flag, census
 from handlebody_census.tuples import Tuple5
+from handlebody_census.verification.canonical import NormalForms
 from handlebody_census.cli import main
 
 import census_reference as ref
@@ -103,12 +106,26 @@ def _csv_writer_dump(listed):
     return buf.getvalue()
 
 
+def _forms(listed):
+    """:class:`NormalForms` whose dump lines are ``listed``: one branch per
+    line, each pool holding that line's one entry of its class."""
+
+    def entry(text, paired):
+        values = tuple(map(int, text.split(","))) if text else ()
+        return tuple(zip(values[::2], values[1::2])) if paired else values
+
+    paired = [False, True, False, True, False]
+    return NormalForms([[[entry(text, pair)] for text, pair in zip(line.split("|"), paired)] for line in listed])
+
+
 @pytest.mark.parametrize(
     "listed",
     [["1||||", "2||||", "4||||"], ["0||1||3"], ["|1,0|||", "|2,0|||"], ["4|||3,0|"], []],
 )
 def test_dump_csv_template_matches_csv_writer(listed):
-    assert "".join(cli._dump_csv(listed)) == _csv_writer_dump(listed)
+    forms = _forms(listed)
+    assert forms.lines() == listed
+    assert "".join(cli._dump_csv(forms)) == _csv_writer_dump(listed)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +145,7 @@ def test_canonical_list_csv_matches_csv_writer(capsys, p, shape):
 def test_json_states_matches_json_dumps(listed):
     obj = {"p": 3, "tuple": [0, 1, 0, 0, 0], "count": str(len(listed))}
     want = json.dumps({**obj, "states": listed}, indent=2)
-    assert "".join(cli._json_states(obj, listed)) == want
+    assert "".join(cli._json_states(obj, _forms(listed))) == want
 
 
 @pytest.mark.parametrize("p,shape", [(3, "0,1,0,0,0"), (5, "0,0,0,2,0"), (13, "0,2,1,0,0")])
@@ -138,6 +155,35 @@ def test_canonical_list_json_matches_json_dumps(capsys, p, shape):
     obj = json.loads(out)
     assert obj["states"] == table.splitlines()[2:]
     assert out == json.dumps(obj, indent=2) + "\n"
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def writelines(self, chunks):
+        for text in chunks:
+            self.write(text)
+
+
+def test_canonical_listing_peaks_at_a_few_times_its_output():
+    # the listing is joined once per shared head, not held as one string
+    # per form beside its join
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["canonical", "--p", "13", "--tuple", "0,1,2,0,0", "--list", "--no-header"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 3_000_000
+    assert peak <= 3 * sink.chars
 
 
 RECORDED = json.loads(EXPECTED.read_text())

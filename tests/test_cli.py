@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,6 +318,20 @@ def test_orbit_spaces_past_int64_and_out_of_memory_exit_two():
         assert row["canonical_count"] == row["theorem_count"]
         (error,) = row["errors"]
         assert error.startswith("orbits: ") and reason in error
+
+
+def test_a_million_handles_are_refused_at_once_in_one_short_line():
+    # 9^1000000 takes 0.1 s to compute and about 10 s to print in decimal:
+    # the refusal is decided from bit-length bounds and names the size by
+    # its powers
+    start = time.perf_counter()
+    proc = _run_capped("orbits", "--p", "3", "--tuple", "1000000,0,0,0,0")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr[:200]
+    assert proc.stdout == b""
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
+    assert b" 9^1000000 states, over the budget of 1000000" in proc.stderr
+    assert elapsed < 2
 
 
 def test_orbits_of_a_589824_state_space_run_under_256_mib():

@@ -1,10 +1,12 @@
 """Orbit engine: frozen counts, agreement with BFS, determinism, compare."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from handlebody_census.verification.moves import MoveKind, apply_move, generator
 from handlebody_census.verification.orbits import (
     _Gather,
     _Space,
+    _check_budget,
     _index_dtype,
     _min_label_components,
 )
@@ -30,6 +33,8 @@ from handlebody_census.verification.states import (
     coordinate_domains,
     flatten,
     iter_valid_states,
+    raw_state_count,
+    raw_state_powers,
     unflatten,
 )
 
@@ -114,6 +119,23 @@ def test_methods_and_workers_produce_identical_labels():
         assert_least_matches_bfs(orbit_partition(p, v), p, v)
 
 
+def test_the_bfs_oracle_fails_a_partition_with_one_wrong_least():
+    # holds under python -O too: the helper module's asserts are rewritten
+    p, v = 3, Tuple5(0, 0, 0, 1, 0)
+    part = orbit_partition(p, v)
+    assert_least_matches_bfs(part, p, v)
+    last = list(iter_valid_states(p, v))[-1]
+    assert part.least(last) != last
+    wrong = types.SimpleNamespace(
+        valid_count=part.valid_count, least=lambda state: state if state == last else part.least(state)
+    )
+    with pytest.raises(AssertionError):
+        assert_least_matches_bfs(wrong, p, v)
+    short = types.SimpleNamespace(valid_count=part.valid_count - 1, least=part.least)
+    with pytest.raises(AssertionError):
+        assert_least_matches_bfs(short, p, v)
+
+
 def test_least_is_the_first_member_of_each_orbit():
     p, v = 3, Tuple5(0, 0, 0, 1, 0)
     part = orbit_partition(p, v)
@@ -124,6 +146,31 @@ def test_least_is_the_first_member_of_each_orbit():
         assert members[0] == rep
     assert part.orbit_count == len(set(least))
     assert part.orbit_sizes().sum() == part.valid_count
+
+
+def test_budget_check_decides_as_the_exact_size_does():
+    # the bound-first check refuses exactly the sizes over min(budget, int64)
+    # and names each size as a decimal within int64, by its powers past it
+    index_max = 2**63 - 1
+    for p in (3, 5, 7):
+        for comps in itertools.product((0, 1, 7, 30), repeat=5):
+            if not any(comps[:4]):
+                continue
+            v = Tuple5(*comps)
+            raw = raw_state_count(p, v)
+            powers = "*".join(
+                f"{b}^{e}" if e > 1 else str(b) for b, e in sorted(raw_state_powers(p, v).items()) if e
+            )
+            for budget in (0, 10, 10**6, index_max, 10**40):
+                if raw <= min(budget, index_max):
+                    assert _check_budget(p, v, budget) == raw
+                    continue
+                with pytest.raises(BudgetExceededError) as excinfo:
+                    _check_budget(p, v, budget)
+                size = str(raw) if raw <= index_max else powers
+                limit = f"the budget of {budget}" if raw > budget else f"the int64 index range of {index_max}"
+                assert str(excinfo.value).endswith(f" {size} states, over {limit}"), (p, v, budget)
+                assert excinfo.value.required in (raw, None)
 
 
 def test_budget_error_names_required_states():
