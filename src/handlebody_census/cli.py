@@ -14,12 +14,16 @@ for ``orbits``, both per shape for ``verify``.  A negative budget, like a
 
 Each subcommand answers with three lazy streams of text chunks, one per
 format (:class:`Output`), and :func:`_render` writes the asked one; nothing
-is rendered for the other two.  The census rows and the shapes stream from
-the same per-run records in every format, and an aligned table makes one
-extra pass over the runs for its column widths.  A normal-form listing is
-one join of its dump lines in table and JSON output, made a shared prefix
-at a time (:meth:`~.verification.canonical.NormalForms.joined`), and a list
-of them in CSV, which numbers each line.
+is rendered for the other two.  The census rows and the shapes are rendered
+an (r, s) table at a time in every format (:func:`_shape_rows`): the text
+of each row's m and n once per (ms, ns) columns of a run, that of t once
+per table, then one template per (r, s) and case, applied to each row's
+texts and count.  An aligned table makes
+one extra pass over the tables for its column widths.  A normal-form
+listing is one join of its dump lines in table and JSON output, made a
+shared prefix at a time (:meth:`~.verification.canonical.NormalForms.joined`),
+and in CSV, which numbers each line, one template per prefix, filled in
+with each line's index and the rest of the line.
 
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  ``akj`` prints its
@@ -36,20 +40,22 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
-from itertools import chain
+from itertools import chain, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .counting import count_A
 from .errors import BudgetExceededError, stop_reason
-from .theorem_counts import CountReport, census
+from .theorem_counts import CensusTable, CountReport, census
 from .tuples import (
+    CaseTag,
     Tuple5,
     admissible_tuples,
+    head_rows,
     require_genus,
     require_odd_prime,
     shape_case,
     shape_count,
-    shape_runs,
+    shape_tables,
 )
 from .verification import DEFAULT_STATE_BUDGET, compare, enumerate_canonical, orbit_count
 from .verification.canonical import NormalForms
@@ -194,79 +200,142 @@ def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) ->
     return chain.from_iterable(pieces())
 
 
-def _run_rows(template: str, runs: Iterable[tuple[tuple, tuple]]) -> Iterator[str]:
-    """Rows rendered a run at a time, one string a row.
+_ST, _R, _M = CaseTag.CASE_ST.text, CaseTag.CASE_R.text, CaseTag.CASE_M.text
 
-    For each ``(head, columns)`` of ``runs``, ``template % head`` fills in
-    what the run fixes, and a C-level ``map`` applies the result to each
-    tuple of ``zip(*columns)``.  A run is not joined into one string: rows
-    stay small objects, and the peak RSS with them.
+
+def _shape_rows(
+    tables: Iterable[CensusTable], cells: tuple[str, str], row: str, render=None, plain: str | None = None
+) -> Iterator[str]:
+    """Shape rows rendered an (r, s) table at a time, one string a row.
+
+    ``tables`` yields ``(r, s, runs, head, counts, flags)`` as
+    :meth:`CountReport.iter_tables` does; shapes without counts come with
+    ``counts`` and ``flags`` ``None`` (:func:`_bare_tables`).  ``cells``
+    holds the templates of a row's t and of its m and n.  The text of each
+    t of a table is made when the table first comes, that of m and n once
+    per (ms, ns) columns of a run, shared by every table that holds them.
+    Per (r, s) and case, ``row % (r, s, case)`` is applied by a C-level
+    ``map`` to each row's two texts, and its count after them.
+
+    With ``render``, ``row`` also takes the flag field: for a row with no
+    flags ``render(())``, its ``%`` doubled, and for a row with flags
+    ``"%s"``, filled in with ``render(flags)``.  ``plain``, when given,
+    takes (r, s, case) for a row with no flags instead: an aligned row with
+    no flags ends unpadded at its count.  Rows are not joined: they stay
+    small objects, and the peak RSS with them.
     """
-    return chain.from_iterable(
-        map((template % head).__mod__, zip(*columns)) for head, columns in runs
-    )
+    by_columns: dict[tuple[range, range], list[str]] = {}
+    # per value u of r+s: the t text and the number of rows of each run of
+    # its table, and the runs' m, n texts from by_columns
+    by_table: list[tuple[list[str], list[int], list[list[str]]]] = []
+    t_cell, mn_cells = cells
+    unflagged = None if render is None else render(()).replace("%", "%%")
+
+    def parts():
+        for r, s, runs, head, counts, flags in tables:
+            if r + s == len(by_table):  # r = 0, and the table is new
+                texts = []
+                for _, ms, ns in runs:
+                    text = by_columns.get((ms, ns))
+                    if text is None:
+                        text = by_columns[ms, ns] = list(map(mn_cells.__mod__, zip(ms, ns)))
+                    texts.append(text)
+                by_table.append(([t_cell % t for t, _, _ in runs], [len(ms) for _, ms, _ in runs], texts))
+            ts, lens, texts = by_table[r + s]
+            columns = [chain.from_iterable(map(repeat, ts, lens)), chain.from_iterable(texts)]
+            rows = zip(*columns) if counts is None else zip(*columns, counts)
+            cases = [(_ST, rows)]
+            if head:  # the first rows, those with s = t = 0, are in case r or m
+                cases.insert(0, (_R if r else _M, islice(rows, head)))
+            marks = iter(flags or ())
+            for case, part in cases:
+                if render is None:
+                    template = row % (r, s, case)
+                else:
+                    template = plain % (r, s, case) if plain else row % (r, s, case, unflagged)
+                if flags is None:
+                    yield map(template.__mod__, part)
+                else:
+                    mark = row % (r, s, case, "%s")
+                    yield [mark % (*x, render(f)) if f else template % x for x, f in zip(part, marks)]
+
+    return chain.from_iterable(parts())
 
 
-# Shape rows, rendered a run at a time (_run_rows): the run fills in r, s, t
-# and the case, so what each row fills in (m, n, ...) is written %%d, %%s.
-# A census run also fills in the flag field (_census_runs): the text of no
-# flags when none of its rows has one, else %s for a text per row.
+def _bare_tables(p: int, g: int) -> Iterator[CensusTable]:
+    """The tables of :func:`shape_tables` as :func:`_shape_rows` reads them,
+    with no counts and no flags."""
+    for r, s, runs in shape_tables(p, g):
+        yield r, s, runs, head_rows(s, runs), None, None
+
+
+# Shape row templates (_shape_rows).  The cells templates render t, with
+# the separator after it, and m and n; a row template takes r, s and the
+# case, then the flag field for a census row, so what each row fills in is
+# written %%s (its two cells texts, and the flags text of a flagged row)
+# and %%d (its count).
 # A JSON row is its object as json.dumps(..., indent=2) prints it inside
 # "rows", after the ",\n" that separates it from the row before.
-_SHAPE_JSON_RUN = """,
+_JSON_CELLS = ("%d,\n        ", "%d,\n        %d")
+_SHAPE_JSON_ROW = """,
     {
       "tuple": [
         %d,
         %d,
-        %d,
-        %%d,
-        %%d
+        %%s%%s
       ],
       "case": "%s\""""
-_TUPLES_JSON_RUN = _SHAPE_JSON_RUN + "\n    }"
-_CENSUS_JSON_RUN = _SHAPE_JSON_RUN + """,
-      "count": "%%d",
-      "flags": %s
-    }"""
+_TUPLES_JSON_ROW = _SHAPE_JSON_ROW + "\n    }"
+_CENSUS_JSON_ROW = _SHAPE_JSON_ROW + ',\n      "count": "%%d",\n      "flags": %s\n    }'
 # In CSV only the census flag cell can need quoting, and it comes quoted by
 # _csv_cell.
-_TUPLES_CSV_RUN = "%d,%d,%d,%%d,%%d,%s\n"
-_CENSUS_CSV_RUN = "%d,%d,%d,%%d,%%d,%s,%%d,%s\n"
-# Aligned table rows: str.format puts in the column widths first.  The last
-# column is never padded, since every row is right-stripped (_aligned).
-_TUPLES_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %s"
-_CENSUS_TABLE_RUN = "%-{}d  %-{}d  %-{}d  %%-{}d  %%-{}d  %-{}s  %%-{}d  %s"
+_CSV_CELLS = ("%d,", "%d,%d")
+_TUPLES_CSV_ROW = "%d,%d,%%s%%s,%s\n"
+_CENSUS_CSV_ROW = "%d,%d,%%s%%s,%s,%%d,%s\n"
+# Aligned table rows: str.format puts in the column widths first.  A row
+# ends at its last nonempty cell, unpadded, as a right-stripped row does: a
+# census row with no flags ends at its count.
+_TABLE_CELLS = ("%-{}d  ", "%-{}d  %-{}d")
+_TUPLES_TABLE_ROW = "%-{}d  %-{}d  %%s%%s  %s\n"
+_CENSUS_TABLE_ROW = "%-{}d  %-{}d  %%s%%s  %-{}s  %%-{}d  %s\n"
+_CENSUS_TABLE_PLAIN = "%-{}d  %-{}d  %%s%%s  %-{}s  %%d\n"
 
 
-def _aligned(header: list[str], widths: list[int], template: str, runs, no_header: bool) -> Iterator[str]:
-    """Rows of ``runs`` (:func:`_run_rows` records) aligned under ``header``,
-    as ``ljust`` aligns cells: two spaces between columns, each row
-    right-stripped and ended by ``"\n"``.
+def _widths(tables: Iterable[CensusTable]) -> tuple[list[int], set[str]]:
+    """The widest cell of each column r, s, t, m, n and count of ``tables``
+    (the count column as if it held 0 when they have no counts), and the
+    texts of the cases they hold."""
+    top, cases = [0] * 6, set()  # the largest r, s, t, m, n and count
+    for r, s, runs, head, counts, _ in tables:
+        if runs:
+            m = max(ms[-1] for _, ms, _ in runs)
+            n = max(ns[0] for _, _, ns in runs)
+            top = list(map(max, top, (r, s, runs[-1][0], m, n, max(counts) if counts else 0)))
+            if head:
+                cases.add(_R if r else _M)
+            if head < sum(len(ms) for _, ms, _ in runs):
+                cases.add(_ST)
+    return [len(str(x)) for x in top], cases
 
-    ``widths`` holds the widest cell of each column but the last; the header
-    widens them only when it is printed.
-    """
-    if not no_header:
-        widths = list(map(max, widths, map(len, header)))
-        yield "  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"
-    rows = _run_rows(template.format(*widths), runs)
-    yield from map("%s\n".__mod__, map(str.rstrip, rows))
 
-
-def _shape_runs(p: int, g: int):
-    """Per run of :func:`shape_runs`: ``((r, s, t, case), (ms, ns))``."""
-    for r, s, t, ms, ns in shape_runs(p, g):
-        yield (r, s, t, shape_case((r, s, t, ms[0], ns[0])).text), (ms, ns)
+def _header_line(header: list[str], widths: list[int], no_header: bool) -> tuple[list[str], list[int]]:
+    """The table's header line unless ``no_header``, and ``widths`` (of every
+    column but the last) widened to the header's when it is printed, as
+    ``ljust`` aligns cells with two spaces between columns."""
+    if no_header:
+        return [], widths
+    widths = list(map(max, widths, map(len, header)))
+    return ["  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"], widths
 
 
 def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
-    """The shapes aligned under their header, a run at a time, after a
-    first pass over :func:`shape_runs` for the column widths."""
-    top = (0,) * 5  # the largest r, s, t, m, n
-    for r, s, t, ms, ns in shape_runs(p, g):
-        top = tuple(map(max, top, (r, s, t, ms[-1], ns[0])))
-    widths = [len(str(x)) for x in top]
-    yield from _aligned(_TUPLES_HEADER, widths, _TUPLES_TABLE_RUN, _shape_runs(p, g), no_header)
+    """The shapes aligned under their header, an (r, s) table at a time,
+    after a first pass over :func:`shape_tables` for the column widths."""
+    widths = _widths(_bare_tables(p, g))[0][:5]
+    heading, (wr, ws, wt, wm, wn) = _header_line(_TUPLES_HEADER, widths, no_header)
+    yield from heading
+    cells = (_TABLE_CELLS[0].format(wt), _TABLE_CELLS[1].format(wm, wn))
+    yield from _shape_rows(_bare_tables(p, g), cells, _TUPLES_TABLE_ROW.format(wr, ws))
     yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
 
 
@@ -274,38 +343,17 @@ def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
     return Output(
-        json=_json_rows(p, g, _run_rows(_TUPLES_JSON_RUN, _shape_runs(p, g))),
+        json=_json_rows(p, g, _shape_rows(_bare_tables(p, g), _JSON_CELLS, _TUPLES_JSON_ROW)),
         header=_TUPLES_HEADER,
-        csv=_run_rows(_TUPLES_CSV_RUN, _shape_runs(p, g)),
+        csv=_shape_rows(_bare_tables(p, g), _CSV_CELLS, _TUPLES_CSV_ROW),
         table=_tuples_table(p, g, args.no_header),
     )
 
 
-def _per_flags(report: CountReport, render) -> dict:
-    """``render(flags)`` for every flags tuple a census row can carry."""
-    return {flags: render(flags) for flags in [(), *report.shape_flags.values()]}
-
-
-def _census_runs(report: CountReport, render):
-    """Per run of the census: ``((r, s, t, case, flag field), columns)``.
-
-    A run with no flagged row carries ``render(())``, its ``%`` doubled, as
-    its flag field and ``(ms, ns, counts)`` as its columns.  Any other run
-    carries ``"%s"`` there and adds a column of each row's ``render(flags)``
-    (:func:`_per_flags`).
-    """
-    texts = _per_flags(report, render)
-    unflagged = texts[()].replace("%", "%%")
-    for r, s, t, case, ms, ns, counts, flags in report.iter_runs():
-        if any(flags):
-            yield (r, s, t, case.text, "%s"), (ms, ns, counts, map(texts.__getitem__, flags))
-        else:
-            yield (r, s, t, case.text, unflagged), (ms, ns, counts)
-
-
 def _census_json(report: CountReport) -> Iterator[str]:
-    """The census as ``json.dumps(obj, indent=2)`` prints it, a run at a time."""
-    rows = _run_rows(_CENSUS_JSON_RUN, _census_runs(report, functools.partial(_json_flags, indent=6)))
+    """The census as ``json.dumps(obj, indent=2)`` prints it, an (r, s)
+    table at a time."""
+    rows = _shape_rows(report.iter_tables(), _JSON_CELLS, _CENSUS_JSON_ROW, functools.partial(_json_flags, indent=6))
     tail = [',\n  "total": "%d"' % report.total]
     if report.reference_total is not None:
         tail.append(',\n  "reference_total": "%d"' % report.reference_total)
@@ -314,23 +362,23 @@ def _census_json(report: CountReport) -> Iterator[str]:
 
 
 def _census_csv(report: CountReport) -> Iterator[str]:
-    """The census CSV body, a run at a time."""
-    return _run_rows(_CENSUS_CSV_RUN, _census_runs(report, lambda flags: _csv_cell(_flag_cell(flags))))
+    """The census CSV body, an (r, s) table at a time."""
+    return _shape_rows(report.iter_tables(), _CSV_CELLS, _CENSUS_CSV_ROW, lambda flags: _csv_cell(_flag_cell(flags)))
 
 
 def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iterator[str]:
     """The census table: with ``per_tuple`` its rows aligned under their
-    header, a run at a time, after a first pass over
-    :meth:`CountReport.iter_runs` for the column widths; then the total."""
+    header, an (r, s) table at a time, after a first pass over
+    :meth:`CountReport.iter_tables` for the column widths; then the total."""
     if per_tuple:
-        top, cases = (0,) * 6, set()  # the largest r, s, t, m, n and count
-        for r, s, t, case, ms, ns, counts, _ in report.iter_runs():
-            top = tuple(map(max, top, (r, s, t, ms[-1], ns[0], max(counts))))
-            cases.add(case.text)
-        *widths, count = (len(str(x)) for x in top)
+        (*widths, count), cases = _widths(report.iter_tables())
         widths += [max(map(len, cases), default=0), count]
-        runs = _census_runs(report, _flag_cell)
-        yield from _aligned(_CENSUS_HEADER, widths, _CENSUS_TABLE_RUN, runs, no_header)
+        heading, (wr, ws, wt, wm, wn, wcase, wcount) = _header_line(_CENSUS_HEADER, widths, no_header)
+        yield from heading
+        row = _CENSUS_TABLE_ROW.format(wr, ws, wcase, wcount)
+        plain = _CENSUS_TABLE_PLAIN.format(wr, ws, wcase)
+        cells = (_TABLE_CELLS[0].format(wt), _TABLE_CELLS[1].format(wm, wn))
+        yield from _shape_rows(report.iter_tables(), cells, row, _flag_cell, plain)
     yield f"total {report.total} ({report.shape_count} shapes)\n"
     if report.reference_total is not None:
         yield f"published reference total {report.reference_total}\n"
@@ -386,16 +434,25 @@ def _json_states(obj: dict, forms: NormalForms) -> Iterator[str]:
 
 def _dump_csv(forms: NormalForms) -> Iterator[str]:
     """The CSV body of a state dump, ``index,state`` a line, as :mod:`csv`
-    writes it.
+    writes it, a head of :meth:`NormalForms.split` at a time: one template
+    per head, filled in with the index and the tail of each line.
 
     A dump line holds only digits, ``,`` and ``|``, so :mod:`csv` quotes it
-    exactly when it holds a comma.  Every line of one listing has the same
-    number of residues in each class, so either every line holds a comma or
-    none does, and one template serves the whole listing.
+    exactly when it holds a comma, and it holds no ``%``.  Every line of one
+    listing has the same number of residues in each class, so either every
+    line holds a comma or none does.
     """
-    listed = forms.lines()
-    template = '%d,"%s"\n' if listed and "," in listed[0] else "%d,%s\n"
-    yield from map(template.__mod__, enumerate(listed))
+
+    def parts():
+        start, quote = 0, None
+        for heads, tails in forms.split():
+            if quote is None:
+                quote = '"' if "," in heads[0] + tails[0] else ""
+            for head in heads:
+                yield map(f"%d,{quote}{head}%s{quote}\n".__mod__, enumerate(tails, start))
+                start += len(tails)
+
+    return chain.from_iterable(parts())
 
 
 def _cmd_orbits(args) -> Output:

@@ -32,3 +32,15 @@ def count_A(k: int, j: int) -> int:
     """
     _require_kj(k, j)
     return math.comb(k + j - 1, j)
+
+
+def count_A_list(k: int, top: int) -> list[int]:
+    """``[count_A(k, j) for j in range(top + 1)]``, each entry from the one
+    before by the one-step ratio A(k,j+1) = A(k,j) (k+j) / (j+1), a division
+    that is exact: one product and one quotient by a small integer per
+    entry, not one binomial each."""
+    _require_kj(k, top)
+    values = [1]
+    for j in range(top):
+        values.append(values[-1] * (k + j) // (j + 1))
+    return values

@@ -16,19 +16,20 @@ published-census flags.
 
 The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
-:meth:`CountReport.iter_runs` streams the rows in lexicographic order, a
-table of the shape walk (:func:`~.tuples.shape_tables`) at a time.  The
-walk builds one table of runs (t, ms, ns) per value of r+s and hands it to
-every (r, s) with that sum.  The census builds case st's list of
-M(m) A(kn,n) over a run once per (ms, ns), gathers those lists per table
-when the table is first read, and zips each table with its lists after
-that; a run then costs one list comprehension, one multiplication a row
-by A(k,s) A(k,t), and no lookup.  A run is one plain
-tuple, ``(r, s, t, case, ms, ns, counts, flags)``, with one entry of
-``ms``, ``ns``, ``counts`` and ``flags`` per row, and a ``counts`` list of
-its own; :meth:`CountReport.iter_rows` flattens the runs into plain row
-tuples ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are
-checked against the closed form when they have all been read.
+:meth:`CountReport.iter_tables` streams the rows in lexicographic order, an
+(r, s) table of the shape walk (:func:`~.tuples.shape_tables`) at a time.
+The walk builds one table of runs (t, ms, ns) per value of r+s and hands it
+to every (r, s) with that sum.  The census builds case st's list of
+M(m) A(kn,n) over a run once per (ms, ns), with factors from
+:func:`factor_lists`, and gathers those lists per table when the table is
+first read; an (r, s) then costs one list comprehension over its table and
+one multiplication a row by A(k,s) A(k,t).
+:meth:`CountReport.iter_runs` cuts the tables into runs, plain tuples
+``(r, s, t, case, ms, ns, counts, flags)`` with one entry of ``ms``,
+``ns``, ``counts`` and ``flags`` per row, and :meth:`CountReport.iter_rows`
+flattens the runs into plain row tuples ``(r, s, t, m, n, case, count,
+flags)``.  The counts yielded are checked against the closed form when
+they have all been read.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -39,16 +40,19 @@ its place.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from itertools import chain, repeat
 from typing import Iterator
 
-from .counting import count_A
+from .counting import count_A, count_A_list
 from .tuples import (
     CaseTag,
     Shape,
     Tuple5,
     genus_blocks,
+    head_rows,
+    require_genus,
     require_odd_prime,
     shape_case,
     shape_count,
@@ -69,7 +73,7 @@ def pools(p: int) -> Pools:
     return p * h, h, (p - 1) * h
 
 
-def m_factor(pool_sizes: Pools, case: CaseTag, m: int) -> int:
+def m_factor(pool_sizes: Pools, case: CaseTag, m: int, A_k=None, A_kn=None) -> int:
     """The factor M(m) of a shape's count in its case, from the :func:`pools`
     of p:
 
@@ -77,13 +81,19 @@ def m_factor(pool_sizes: Pools, case: CaseTag, m: int) -> int:
     * case m: the pinned-pair branch kp A(k,m-1), which pins one (order-p,
       unit) pair, or 0 at m = 0, with nothing to pin;
     * case r: that branch plus the pinned-handle branch k A(kn,m).
+
+    ``A_k`` and ``A_kn`` map j to A(k,j) and A(kn,j); :func:`factor_lists`
+    passes its lists', and without them :func:`~.counting.count_A` computes
+    each.
     """
     k, kn, kp = pool_sizes
+    if A_k is None:
+        A_k, A_kn = functools.partial(count_A, k), functools.partial(count_A, kn)
     if case is CaseTag.CASE_ST:
-        return count_A(k, m)
-    pinned_pair = kp * count_A(k, m - 1) if m else 0
+        return A_k(m)
+    pinned_pair = kp * A_k(m - 1) if m else 0
     if case is CaseTag.CASE_R:
-        return pinned_pair + k * count_A(kn, m)
+        return pinned_pair + k * A_kn(m)
     return pinned_pair
 
 
@@ -96,6 +106,23 @@ def count_kernel(
     k, kn, _ = pool_sizes
     case = shape_case((r, s, t, m, n))
     return case, count_A(k, s) * count_A(k, t) * m_factor(pool_sizes, case, m) * count_A(kn, n)
+
+
+def factor_lists(p: int, g: int) -> tuple[list[int], list[int], dict[CaseTag, list[int]]]:
+    """The factors of the counts of the shapes acting on genus g, as lists
+    indexed by a shape component: A(k,j) for every s and t, A(kn,j) for
+    every n, and per case its :func:`m_factor` for every m.  Built from the
+    one-step ratios of :func:`~.counting.count_A_list`; at p=101, g=10^8 one
+    binomial per entry took seconds."""
+    pool_sizes = pools(p)
+    k, kn, _ = pool_sizes
+    q = p * p
+    top = require_genus(g) - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
+    A_k = count_A_list(k, top // (q - 1))  # j = s, t or m
+    A_kn = count_A_list(kn, top // (q - p))  # j = n or m
+    ms = range(top // q + 1)
+    by_m = {case: [m_factor(pool_sizes, case, m, A_k.__getitem__, A_kn.__getitem__) for m in ms] for case in CaseTag}
+    return A_k, A_kn, by_m
 
 
 def count_for_tuple(p: int, v: Shape) -> int:
@@ -118,6 +145,10 @@ class Flag:
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
+#: One census table: r, s, the shape walk's runs (t, ms, ns) for r+s, the
+#: number of leading rows in case r or m, and per row the count, and the
+#: flags when some row has any.
+CensusTable = tuple[int, int, list[tuple[int, range, range]], int, list[int], list[tuple[Flag, ...]] | None]
 #: One run of census rows: r, s, t, the case, and per row m, n, the count
 #: and the flags.
 CensusRun = tuple[int, int, int, CaseTag, range, range, list[int], list[tuple[Flag, ...]]]
@@ -143,73 +174,84 @@ class CountReport:
     def flags(self) -> list[Flag]:
         return [flag for flags in self.shape_flags.values() for flag in flags]
 
-    def iter_runs(self) -> Iterator[CensusRun]:
-        """The rows a run of :func:`~.tuples.shape_runs` at a time, in
-        lexicographic order, computed as they are read: ``(r, s, t, case, ms,
-        ns, counts, flags)``, where row i is ``(r, s, t, ms[i], ns[i])`` with
-        count ``counts[i]`` and flags ``flags[i]`` (``()`` when it has none).
-        A row's count is :func:`count_kernel`'s, factored per run as
-        ``A(k,s) A(k,t) * (by_m[m] A(kn,n))``, with by_m each case's
-        :func:`m_factor`.
+    def iter_tables(self) -> Iterator[CensusTable]:
+        """The rows a table of :func:`~.tuples.shape_tables` at a time, one
+        per (r, s), in lexicographic order, computed as they are read:
+        ``(r, s, runs, head, counts, flags)``.  The rows are ``(r, s, t, m, n)``
+        for each ``(t, ms, ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``,
+        row i with count ``counts[i]``.  The first ``head`` rows (the run
+        with s = t = 0, so at most one run and only when s = 0) are in case
+        r when r > 0, else in case m; every other row is in case st.
+        ``flags`` is ``None`` when no row has a flag, else each row's flags
+        (``()`` when it has none).
 
-        The runs come a table of :func:`~.tuples.shape_tables` at a time.
-        Case st's list of ``by_m[m] A(kn,n)`` over a run is built once per
-        (ms, ns), and shared by every table that holds those columns; when
-        a table is first read, the lists of its runs are gathered into one
-        list beside it, which every later (r, s) with the same r+s zips
-        with the runs.  Only a run with s = t = 0, the first of its table at
-        most, is in case r or m, and only one (r, s) reads it, so its list
-        is built where it is read.  Each run then costs one multiplication
-        a row, into a ``counts`` list of its own.
+        A row's count is :func:`count_kernel`'s, factored as ``A(k,s) A(k,t)
+        * (M(m) A(kn,n))`` with M case st's :func:`m_factor`.  The list of
+        ``M(m) A(kn,n)`` over a run is built once per (ms, ns) and shared by
+        every table that holds those columns, and each table gathers its
+        runs' lists when it is first read.  An (r, s) then costs one list
+        comprehension over its table, one multiplication a row; only the
+        ``head`` rows get values of their own.  ``runs`` is the walk's, the
+        same list for every (r, s) with the same r+s: treat it as read-only.
 
-        Once every run has been read, the number of rows and the sum of the
-        counts yielded are held to ``shape_count`` and ``total``; a
+        What is kept is one factor per row of the distinct columns, about
+        g^2 of them, where a list per table would hold one per row with
+        r = 0, about g^3.
+
+        Once every table has been read, the number of rows and the sum of
+        the counts yielded are held to ``shape_count`` and ``total``; a
         difference raises :class:`AssertionError`, also under ``python -O``.
         """
         p, g, shape_flags = self.p, self.g, self.shape_flags
-        pool_sizes = pools(p)
-        k, kn, _ = pool_sizes
-        q = p * p
-        top = g - 1 + q
-        A_k = [count_A(k, j) for j in range(top // (q - 1) + 1)]  # j = s, t
-        A_kn = [count_A(kn, j) for j in range(top // (q - p) + 1)]  # j = n
-        # per case: its by_m for m = 0 .. top // q
-        by_m = {case: [m_factor(pool_sizes, case, m) for m in range(top // q + 1)] for case in CaseTag}
-        st, by_st = CaseTag.CASE_ST, by_m[CaseTag.CASE_ST]
-        # case st's by_m[m] A(kn,n) lists by (ms, ns), and per value of r+s
-        # the list of them for its table's runs
+        A_k, A_kn, by_m = factor_lists(p, g)
+        by_st = by_m[CaseTag.CASE_ST]
+        flagged = {v[:2] for v in shape_flags}
+        # case st's M(m) A(kn,n) lists by (ms, ns), and per value of r+s the
+        # list of them for its table's runs
         by_columns: dict[tuple[range, range], list[int]] = {}
-        by_table: dict[int, list[list[int]]] = {}
+        by_table: list[list[list[int]]] = []
         count = total = 0
         for r, s, runs in shape_tables(p, g):
-            table = by_table.get(r + s)
-            if table is None:
-                table = by_table[r + s] = []
+            if r + s == len(by_table):  # r = 0, and the table is new
+                table = []
                 for _, ms, ns in runs:
                     factors = by_columns.get((ms, ns))
                     if factors is None:
                         factors = by_columns[ms, ns] = [by_st[m] * A_kn[n] for m, n in zip(ms, ns)]
                     table.append(factors)
-            A_s = A_k[s]
-            for (t, ms, ns), factors in zip(runs, table):
-                case = st
-                if not s + t:  # shape_case's rule, inline: r > 0, else m > 0
-                    case = CaseTag.CASE_R if r else CaseTag.CASE_M
-                    factors = [by_m[case][m] * A_kn[n] for m, n in zip(ms, ns)]
-                f = A_s * A_k[t]
-                counts = [f * x for x in factors]
-                count += len(counts)
-                total += sum(counts)
-                if shape_flags:
-                    flags = [shape_flags.get((r, s, t, m, n), ()) for m, n in zip(ms, ns)]
-                else:
-                    flags = [()] * len(counts)
-                yield r, s, t, case, ms, ns, counts, flags
+                by_table.append(table)
+            A_s, head = A_k[s], head_rows(s, runs)
+            run_factors = [A_s * A_k[t] for t, _, _ in runs]
+            counts = [f * x for f, factors in zip(run_factors, by_table[r + s]) for x in factors]
+            if head:  # s = t = 0, so A(k,s) A(k,t) = 1
+                _, ms, ns = runs[0]
+                by_case = by_m[CaseTag.CASE_R if r else CaseTag.CASE_M]
+                counts[:head] = [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
+            flags = None
+            if (r, s) in flagged:
+                flags = [shape_flags.get((r, s, t, m, n), ()) for t, ms, ns in runs for m, n in zip(ms, ns)]
+            count += len(counts)
+            total += sum(counts)
+            yield r, s, runs, head, counts, flags
         if (count, total) != (self.shape_count, self.total):
             raise AssertionError(
                 f"census p={p} g={g}: the rows give {count} shapes and total {total}, "
                 f"the closed form {self.shape_count} and {self.total}"
             )
+
+    def iter_runs(self) -> Iterator[CensusRun]:
+        """The rows of :meth:`iter_tables` a run at a time, with the same
+        check at the end: ``(r, s, t, case, ms, ns, counts, flags)``, where
+        row i is ``(r, s, t, ms[i], ns[i])`` with count ``counts[i]`` and
+        flags ``flags[i]`` (``()`` when it has none).  Each run has a
+        ``counts`` and a ``flags`` list of its own."""
+        for r, s, runs, head, counts, flags in self.iter_tables():
+            i = 0
+            for t, ms, ns in runs:
+                j = i + len(ms)
+                case = CaseTag.CASE_ST if i >= head else CaseTag.CASE_R if r else CaseTag.CASE_M
+                yield r, s, t, case, ms, ns, counts[i:j], flags[i:j] if flags else [()] * (j - i)
+                i = j
 
     def iter_rows(self) -> Iterator[CensusRow]:
         """The rows of :meth:`iter_runs` as plain tuples ``(r, s, t, m, n,

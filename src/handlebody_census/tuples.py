@@ -208,6 +208,14 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[tuple[int, ran
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
 
 
+def head_rows(s: int, runs: list[tuple[int, range, range]]) -> int:
+    """How many rows of a table ``(r, s, runs)`` of :func:`shape_tables`
+    come before its first one in case st: those of its run with s = t = 0,
+    in case r or m (:func:`shape_case`).  Only an s = 0 table has that
+    run, and it is the table's first."""
+    return len(runs[0][1]) if not s and runs and not runs[0][0] else 0
+
+
 def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
     """Every shape acting on genus g, as runs ``(r, s, t, ms, ns)`` in
     lexicographic order: the run's shapes are ``(r, s, t, m, n)`` for

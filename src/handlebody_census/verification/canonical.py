@@ -67,7 +67,8 @@ class NormalForms:
     forms are the branches' products, branch by branch, in image-vector
     order.  ``len()`` is counted from the pool sizes; iteration yields
     :class:`State` objects; :meth:`lines` and :meth:`joined` give the dump
-    text of the forms without building any.
+    text of the forms without building any, from its split into heads and
+    tails (:meth:`split`).
     """
 
     __slots__ = ("branches", "_count")
@@ -87,7 +88,7 @@ class NormalForms:
         for branch in self.branches:
             yield from map(make, itertools.product(*branch))
 
-    def _split(self) -> Iterator[tuple[list[str], list[str]]]:
+    def split(self) -> Iterator[tuple[list[str], list[str]]]:
         """Per branch that holds forms, its dump lines split in two:
         ``(heads, tails)``, each line a head followed by a tail, heads
         outermost.
@@ -114,7 +115,7 @@ class NormalForms:
         """The dump text of every form, in iteration order (see README,
         "State dump format")."""
         out: list[str] = []
-        for heads, tails in self._split():
+        for heads, tails in self.split():
             for head in heads:
                 out += map(head.__add__, tails)
         return out
@@ -123,7 +124,7 @@ class NormalForms:
         """``sep.join(self.lines())``, one join per head instead of one
         string per form."""
         return sep.join(
-            head + (sep + head).join(tails) for heads, tails in self._split() for head in heads
+            head + (sep + head).join(tails) for heads, tails in self.split() for head in heads
         )
 
 

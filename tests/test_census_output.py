@@ -100,6 +100,42 @@ def test_flags_stay_per_row_inside_a_multi_row_run(capsys, monkeypatch):
     assert f"synthetic flag on {middle}" in out
 
 
+def _split_targets(report):
+    """Per case, the shape on the second row of a run where
+    :meth:`CountReport.iter_tables` splits or walks a table: ``"r"`` in the
+    run that leads an s = 0 table with r > 0, ``"m"`` in the run that leads
+    the table at r = s = 0, ``"st"`` in the second run of an s > 0 table."""
+    targets = {}
+    for r, s, runs, head, _, _ in report.iter_tables():
+        if not s and head >= 2:
+            t, ms, ns = runs[0]
+            targets.setdefault("r" if r else "m", (r, s, t, ms[1], ns[1]))
+        elif s and len(runs) >= 2 and len(runs[1][1]) >= 2:
+            t, ms, ns = runs[1]
+            targets.setdefault("st", (r, s, t, ms[1], ns[1]))
+    return targets
+
+
+@pytest.mark.parametrize("case", ["r", "m", "st"])
+def test_flags_stay_per_row_where_a_table_splits(capsys, monkeypatch, case):
+    # (3, 43) has all three places, each in a run of at least two rows
+    report = census(3, 43)
+    shape = _split_targets(report)[case]
+    flag = Flag(location=f"synthetic flag on {shape}", paper_value=1, computed_value=2)
+    flagged = dataclasses.replace(report, shape_flags={shape: (flag,)})
+    rows = [row for row in flagged.iter_rows() if row[7]]
+    assert [(row[:5], row[5].value, row[7]) for row in rows] == [(shape, case, (flag,))]
+    monkeypatch.setattr(cli, "census", lambda p, g: flagged)
+    common = ("census", "--p", 3, "--genus", 43)
+    assert run_cli(capsys, *common, "--format", "json") == ref.census_json(flagged)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(flagged, False)
+    out = run_cli(capsys, *common, "--per-tuple", "--no-header")
+    assert out == ref.census_table(flagged, True, True)
+    assert f"synthetic flag on {shape}" in out
+    rest = run_cli(capsys, *common, "--per-tuple").split("\n", 1)[1]
+    assert rest == ref.census_table(flagged, True, False)
+
+
 def _csv_writer_dump(listed):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(enumerate(listed))
@@ -170,20 +206,59 @@ class _CountingSink:
             self.write(text)
 
 
-def test_canonical_listing_peaks_at_a_few_times_its_output():
-    # the listing is joined once per shared head, not held as one string
-    # per form beside its join
+def _listing_peak(*argv):
+    """The characters a ``canonical --list`` run writes, and its tracemalloc peak."""
     sink = _CountingSink()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(sink):
-            code = main(["canonical", "--p", "13", "--tuple", "0,1,2,0,0", "--list", "--no-header"])
+            code = main(["canonical", "--p", "13", "--list", "--no-header", *argv])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert sink.chars > 3_000_000
-    assert peak <= 3 * sink.chars
+    return sink.chars, peak
+
+
+def test_canonical_listing_peaks_at_a_few_times_its_output():
+    # the listing is joined once per shared head, not held as one string
+    # per form beside its join
+    chars, peak = _listing_peak("--tuple", "0,1,2,0,0")
+    assert chars > 3_000_000
+    assert peak <= 3 * chars
+
+
+def test_canonical_csv_listing_peaks_below_half_its_output():
+    # the CSV lines are made a head at a time and written one by one, never
+    # held together: one string per form held in a list peaked at three
+    # times the output
+    chars, peak = _listing_peak("--tuple", "0,2,1,0,0", "--format", "csv")
+    assert chars > 5_000_000
+    assert peak <= chars // 2
+
+
+def _held_after_the_r0_pass(p, g):
+    """What a census CSV stream holds, by tracemalloc, once it has written
+    every row with r = 0: the texts and factors it keeps for the later
+    passes."""
+    report = census(p, g)
+    tracemalloc.start()
+    try:
+        rows = cli._census_csv(report)
+        for row in rows:
+            if row.startswith("1,"):
+                return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_what_a_census_keeps_grows_as_the_square_of_the_genus():
+    # The texts and factors are kept per (ms, ns) columns of a run, about
+    # g^2 entries (1.6 and 6.0 MiB at genus 1000 and 2000), not per row of
+    # each table, about g^3 entries (5.1 and 37 MiB).
+    small, large = _held_after_the_r0_pass(3, 1000), _held_after_the_r0_pass(3, 2000)
+    assert large <= 5 * small
+    assert large < 12 << 20
 
 
 RECORDED = json.loads(EXPECTED.read_text())

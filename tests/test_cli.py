@@ -226,19 +226,23 @@ def test_orbits_budget_exit_code(capsys):
     assert "10000" in err
 
 
-def _run_capped(*argv, cap_mib=512):
-    """Run the CLI in a child process that caps its own address space at
-    ``cap_mib`` MiB, so a budget check that comes too late fails with
-    MemoryError there instead of exhausting the machine."""
+def _capped(*argv, cap_mib=512):
+    """The command line of a child process that caps its own address space
+    at ``cap_mib`` MiB and runs the CLI on ``argv``."""
     child = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({cap_mib} << 20, {cap_mib} << 20))\n"
         "from handlebody_census.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    return subprocess.run(
-        [sys.executable, "-c", child, *argv], capture_output=True, env=_child_env(), timeout=120,
-    )
+    return [sys.executable, "-c", child, *argv]
+
+
+def _run_capped(*argv, cap_mib=512):
+    """Run the CLI in a child process that caps its own address space at
+    ``cap_mib`` MiB, so a budget check that comes too late fails with
+    MemoryError there instead of exhausting the machine."""
+    return subprocess.run(_capped(*argv, cap_mib=cap_mib), capture_output=True, env=_child_env(), timeout=120)
 
 
 def _child_env():
@@ -368,6 +372,27 @@ def test_census_csv_streams_1374562_rows_under_256_mib():
     # No row has flags, so each table row holds its CSV row's cells but the
     # empty flag cell.
     assert re.sub(rb" +", b",", body + b"\n") == proc.stdout.replace(b",\n", b"\n")
+
+
+def test_census_json_streams_1374562_rows_under_256_mib():
+    # The child keeps the text of each row's t, m and n once per value of
+    # r+s, not per row.  Its 217 MB of output are read here a block at a
+    # time, counting the rows by the line that opens each one.
+    argv = _capped("census", "--p", "3", "--genus", "1000", "--format", "json", cap_mib=256)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    opening = b"\n    {\n"
+    head = proc.stdout.read(64)
+    rows, data = 0, head
+    while block := proc.stdout.read(1 << 20):
+        data = data[-len(opening) + 1 :] + block
+        rows += data.count(opening)
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0, stderr
+    rows += head.count(opening)
+    report = census(3, 1000)
+    assert head.startswith(b'{\n  "p": 3,\n  "g": 1000,\n  "rows": [\n    {\n      "tuple": [')
+    assert rows == report.shape_count == 1374562
+    assert data.endswith(b'\n  ],\n  "total": "%d",\n  "flags": []\n}\n' % report.total)
 
 
 def test_tuples_table_streams_1374562_rows_under_256_mib():

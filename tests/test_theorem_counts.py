@@ -1,6 +1,7 @@
 """Per-shape counts, the census, and discrepancy flagging."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,18 @@ from pathlib import Path
 import pytest
 from oracles import listed_census
 
-from handlebody_census.counting import count_A
-from handlebody_census.theorem_counts import census, count_for_tuple, count_kernel, pools
-from handlebody_census.tuples import CaseTag, Tuple5, iter_shapes, shape_case
+from handlebody_census import cli
+from handlebody_census.counting import count_A, count_A_list
+from handlebody_census.theorem_counts import (
+    CountReport,
+    census,
+    count_for_tuple,
+    count_kernel,
+    factor_lists,
+    m_factor,
+    pools,
+)
+from handlebody_census.tuples import CaseTag, Tuple5, genus_of, iter_shapes, shape_case
 from handlebody_census.verification.canonical import low_order_p_values, low_unit_values
 
 
@@ -55,6 +65,46 @@ def test_census_rows_agree_with_the_kernel_and_shape_case():
             assert count_kernel(pools(p), *v) == (case, count)
             assert count_for_tuple(p, Tuple5(*v)) == count
             assert shape_case(Tuple5(*v)) is case
+
+
+def test_count_A_list_steps_exactly_to_every_binomial():
+    for k in (1, 2, 3, 10, 21, 5050):
+        assert count_A_list(k, 60) == [count_A(k, j) for j in range(61)], k
+    assert count_A_list(4, 0) == [1]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_lists_are_count_A_and_m_factor(p):
+    pool_sizes = pools(p)
+    k, kn, _ = pool_sizes
+    q = p * p
+    for g in (1, 2, 26, q + 1, 500, 2001):
+        top = g - 1 + q
+        A_k, A_kn, by_m = factor_lists(p, g)
+        assert A_k == [count_A(k, j) for j in range(top // (q - 1) + 1)], (p, g)
+        assert A_kn == [count_A(kn, j) for j in range(top // (q - p) + 1)], (p, g)
+        for case in CaseTag:
+            assert by_m[case] == [m_factor(pool_sizes, case, m) for m in range(top // q + 1)], (p, g, case)
+
+
+def test_the_first_row_at_a_large_prime_and_genus_takes_no_binomial(monkeypatch):
+    # At p=101, g=10^8 the factor lists run to about 10^4 entries of
+    # thousands of digits: one binomial each took 11 s, one step each
+    # (count_A_list) a fraction of a second.  No binomial is computed up to
+    # the first table.  The closed forms of census() take seconds of their
+    # own here and are read only after the last row, so the report is
+    # built without them and the stream is closed after its first table.
+    report = CountReport(p=101, g=10**8, total=0, shape_count=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(math, "comb", lambda *args: pytest.fail(f"math.comb{args} computed"))
+        tables = report.iter_tables()
+        r, s, runs, head, counts, flags = next(tables)
+        tables.close()
+    t, ms, ns = runs[0]
+    first = (r, s, t, ms[0], ns[0])
+    assert first[:3] == (0, 0, 0) and head == len(ms) and flags is None
+    assert genus_of(101, first) == 10**8
+    assert counts[0] == count_kernel(pools(101), *first)[1]
 
 
 @pytest.mark.parametrize(
@@ -251,6 +301,7 @@ def test_counts_yielded_are_not_handed_out_again(p, g):
 def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
     report = census(5, 26)
     runs = len(list(report.iter_runs()))
+    tables = len(list(report.iter_tables()))
     for wrong in (
         dataclasses.replace(report, total=report.total + 1),
         dataclasses.replace(report, shape_count=report.shape_count - 1),
@@ -263,6 +314,18 @@ def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
         assert sum(len(next(run_iter)[6]) for _ in range(runs)) == 6
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
             next(run_iter)
+        table_iter = wrong.iter_tables()
+        assert sum(len(next(table_iter)[4]) for _ in range(tables)) == 6
+        with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
+            next(table_iter)
+
+
+def test_the_cli_raises_when_its_rows_disagree_with_the_closed_form(monkeypatch):
+    report = census(5, 26)
+    monkeypatch.setattr(cli, "census", lambda p, g: dataclasses.replace(report, total=report.total + 1))
+    for fmt in ("json", "csv", "table"):
+        with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
+            cli.main(["census", "--p", "5", "--genus", "26", "--per-tuple", "--format", fmt])
 
 
 def test_runs_that_disagree_with_the_closed_form_raise_under_python_O():
@@ -271,14 +334,17 @@ def test_runs_that_disagree_with_the_closed_form_raise_under_python_O():
         "from handlebody_census.theorem_counts import census\n"
         "report = census(5, 26)\n"
         "wrong = dataclasses.replace(report, total=report.total + 1)\n"
-        "runs = list(report.iter_runs())\n"
-        "run_iter = wrong.iter_runs()\n"
-        "read = [next(run_iter) for _ in runs]\n"
-        "try:\n"
-        "    next(run_iter)\n"
-        "except AssertionError as exc:\n"
-        "    raise SystemExit(0 if 'the rows give 6 shapes and total 283' in str(exc) else str(exc))\n"
-        "raise SystemExit('the runs ended with no error')\n"
+        "for stream in ('iter_runs', 'iter_tables'):\n"
+        "    records = list(getattr(report, stream)())\n"
+        "    record_iter = getattr(wrong, stream)()\n"
+        "    read = [next(record_iter) for _ in records]\n"
+        "    try:\n"
+        "        next(record_iter)\n"
+        "    except AssertionError as exc:\n"
+        "        if 'the rows give 6 shapes and total 283' not in str(exc):\n"
+        "            raise SystemExit(str(exc))\n"
+        "    else:\n"
+        "        raise SystemExit(f'{stream} ended with no error')\n"
     )
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,0 +1,121 @@
+"""Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
+
+    python3 tools/bench_pairs.py --base DIR --head DIR --out BENCH_N.json
+
+Each checkout runs its own ``perfbench/run.py --trace 0``, so the tool
+first checks that both hold the same benchmark, ``perfbench/`` and
+``BENCHMARK.json`` byte for byte, and refuses to run when they differ.  It
+then byte-compiles both source trees.  For each workload, pair i (i = 1 to
+10) runs seed i on both sides for 15 s, the base first in odd pairs and the
+head first in even ones.  Per workload and end-to-end metric the file holds
+every run's value, each side's median and quartiles, and how many pairs the
+head won.  A gain holds when the head wins at least nine pairs in ten and
+the medians differ by more than the base's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from datetime import datetime, timezone
+from pathlib import Path
+
+PAIRS = 10
+SECONDS = 15
+WORKLOADS = ("census-and-normal-forms", "verify-and-orbits")
+METRICS = {  # name: whether lower is better
+    "setup_s": True,
+    "wall_s": True,
+    "cpu_s": True,
+    "peak_rss_mb": True,
+    "success_rate": False,
+}
+
+
+def benchmark_files(root: Path) -> dict[str, bytes]:
+    """The files that make up the benchmark of the checkout at ``root``,
+    by path relative to it, bytecode caches left out."""
+    files = [root / "BENCHMARK.json", *(root / "perfbench").rglob("*")]
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in files
+        if path.is_file() and "__pycache__" not in path.parts
+    }
+
+
+def run_once(root: Path, workload: str, seed: int) -> dict:
+    """The metrics of one benchmark run of the checkout at ``root``."""
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=root, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{root}: {workload} seed {seed} printed a wrong answer")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summary(base: list[dict], head: list[dict]) -> dict:
+    out = {}
+    for name, lower in METRICS.items():
+        b, h = [run[name] for run in base], [run[name] for run in head]
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
+        sides = {"base": quartiles(b), "head": quartiles(h)}
+        gain = abs(sides["head"]["median"] - sides["base"]["median"]) > sides["base"]["iqr"]
+        better = (sides["head"]["median"] < sides["base"]["median"]) == lower
+        out[name] = {
+            "base_runs": b,
+            "head_runs": h,
+            **sides,
+            "head_wins": wins,
+            "pairs": len(b),
+            "gain_holds": wins * 10 >= 9 * len(b) and gain and better,
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--base", type=Path, required=True)
+    parser.add_argument("--head", type=Path, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+    base_root, head_root = args.base.resolve(), args.head.resolve()
+    if benchmark_files(base_root) != benchmark_files(head_root):
+        raise SystemExit("the two checkouts hold different benchmarks (perfbench/ or BENCHMARK.json)")
+    for root in (base_root, head_root):
+        if not compileall.compile_dir(root / "src", quiet=1):
+            raise SystemExit(f"{root / 'src'} does not byte-compile")
+    record = {
+        "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
+        "seconds_per_run": SECONDS,
+        "seeds": list(range(1, PAIRS + 1)),
+        "order": "base first in odd pairs, head first in even pairs",
+        "workloads": {},
+    }
+    for workload in WORKLOADS:
+        base, head = [], []
+        for seed in record["seeds"]:
+            sides = [(base_root, base), (head_root, head)]
+            for root, runs in sides if seed % 2 else sides[::-1]:
+                runs.append(run_once(root, workload, seed))
+            print(f"{workload} seed {seed}: wall_s base {base[-1]['wall_s']:.4f} head {head[-1]['wall_s']:.4f}",
+                  file=sys.stderr)
+        record["workloads"][workload] = summary(base, head)
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
