@@ -16,10 +16,12 @@ Each subcommand answers with three lazy streams of text chunks, one per
 format (:class:`Output`), and :func:`_render` writes the asked one; nothing
 is rendered for the other two.  The census rows and the shapes are rendered
 an (r, s) table at a time in every format (:func:`_shape_rows`): the text
-of each row's m and n once per (ms, ns) columns of a run, that of t once
-per table, then one template per (r, s) and case, applied to each row's
-texts and count.  An aligned table makes
-one extra pass over the tables for its column widths.  A normal-form
+of each row's m and n, with its case, once per (ms, ns) columns of a run,
+that of t once per table, then one join per (r, s) of a list of the
+table's pieces, filled a piece kind at a time by slice assignment, with
+no template per row.  The tables are written in chunks of about 1 MiB.
+An aligned table first makes a pass over the shapes for its column widths
+and one over the tables for the largest count.  A normal-form
 listing is one join of its dump lines in table and JSON output, made a
 shared prefix at a time (:meth:`~.verification.canonical.NormalForms.joined`),
 and in CSV, which numbers each line, one template per prefix, filled in
@@ -40,8 +42,8 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
-from itertools import chain, islice, repeat
-from typing import Iterable, Iterator, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .counting import count_A
 from .errors import BudgetExceededError, stop_reason
@@ -202,64 +204,86 @@ def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) ->
 
 _ST, _R, _M = CaseTag.CASE_ST.text, CaseTag.CASE_R.text, CaseTag.CASE_M.text
 
+# The census and the shapes are written in chunks of at least this many
+# characters, each a whole number of (r, s) tables.  A writer that gathers
+# stdout in an io.StringIO peaks higher with smaller or larger chunks, by
+# where the heap puts them: at p=3, g=492 a chunk per table (about 9 KB)
+# raised the process's peak RSS by 10 MB, and chunks of 64-512 KiB or
+# 2 MiB by 2-7 MB in some source directories; 1 MiB in none tried.
+_CHUNK = 1 << 20
+
 
 def _shape_rows(
-    tables: Iterable[CensusTable], cells: tuple[str, str], row: str, render=None, plain: str | None = None
+    tables: Iterable[CensusTable], cells: tuple[str, str, str, str], ends=None, width: int = 0
 ) -> Iterator[str]:
-    """Shape rows rendered an (r, s) table at a time, one string a row.
+    """Shape rows rendered an (r, s) table at a time, written in chunks of
+    about :data:`_CHUNK` characters.
 
     ``tables`` yields ``(r, s, runs, head, counts, flags)`` as
     :meth:`CountReport.iter_tables` does; shapes without counts come with
     ``counts`` and ``flags`` ``None`` (:func:`_bare_tables`).  ``cells``
-    holds the templates of a row's t and of its m and n.  The text of each
-    t of a table is made when the table first comes, that of m and n once
-    per (ms, ns) columns of a run, shared by every table that holds them.
-    Per (r, s) and case, ``row % (r, s, case)`` is applied by a C-level
-    ``map`` to each row's two texts, and its count after them.
+    holds the templates of a row's pieces: the start, which takes r and s;
+    t; m and n; and the case, with the text between it and the count.  A
+    census row then ends with its count and the text after it: with
+    ``ends = (end, mark)``, ``end`` for a row with no flags and
+    ``mark(flags)`` for one with some, whose count is padded to ``width``.
 
-    With ``render``, ``row`` also takes the flag field: for a row with no
-    flags ``render(())``, its ``%`` doubled, and for a row with flags
-    ``"%s"``, filled in with ``render(flags)``.  ``plain``, when given,
-    takes (r, s, case) for a row with no flags instead: an aligned row with
-    no flags ends unpadded at its count.  Rows are not joined: they stay
-    small objects, and the peak RSS with them.
+    A table is one ``"".join`` over a list of its pieces, ``k`` a row (3,
+    or 4 with the count): every row's separator slot (the end of the row
+    before and this row's start) is filled at once, then the t texts, the
+    m, n texts and the counts each by one slice assignment.  The text of
+    each t of a table is made when the table first comes, that of m and n
+    with case st's case text once per (ms, ns) columns of a run, shared by
+    every table that holds them; the ``head`` rows, in case r or m, get
+    texts of their own.  A flagged row overwrites its count slot and the
+    separator slot after it.
     """
     by_columns: dict[tuple[range, range], list[str]] = {}
     # per value u of r+s: the t text and the number of rows of each run of
-    # its table, and the runs' m, n texts from by_columns
-    by_table: list[tuple[list[str], list[int], list[list[str]]]] = []
-    t_cell, mn_cells = cells
-    unflagged = None if render is None else render(()).replace("%", "%%")
-
-    def parts():
-        for r, s, runs, head, counts, flags in tables:
-            if r + s == len(by_table):  # r = 0, and the table is new
-                texts = []
-                for _, ms, ns in runs:
-                    text = by_columns.get((ms, ns))
-                    if text is None:
-                        text = by_columns[ms, ns] = list(map(mn_cells.__mod__, zip(ms, ns)))
-                    texts.append(text)
-                by_table.append(([t_cell % t for t, _, _ in runs], [len(ms) for _, ms, _ in runs], texts))
-            ts, lens, texts = by_table[r + s]
-            columns = [chain.from_iterable(map(repeat, ts, lens)), chain.from_iterable(texts)]
-            rows = zip(*columns) if counts is None else zip(*columns, counts)
-            cases = [(_ST, rows)]
-            if head:  # the first rows, those with s = t = 0, are in case r or m
-                cases.insert(0, (_R if r else _M, islice(rows, head)))
-            marks = iter(flags or ())
-            for case, part in cases:
-                if render is None:
-                    template = row % (r, s, case)
-                else:
-                    template = plain % (r, s, case) if plain else row % (r, s, case, unflagged)
-                if flags is None:
-                    yield map(template.__mod__, part)
-                else:
-                    mark = row % (r, s, case, "%s")
-                    yield [mark % (*x, render(f)) if f else template % x for x, f in zip(part, marks)]
-
-    return chain.from_iterable(parts())
+    # its table, the runs' m, n texts from by_columns, and the rows in all
+    by_table: list[tuple[list[str], list[int], list[list[str]], int]] = []
+    start_cell, t_cell, mn_cell, case_cell = cells
+    st_cell = mn_cell + (case_cell % _ST).replace("%", "%%")
+    end, mark = ends or ("", None)
+    k = 3 if ends is None else 4
+    chunk, size = [], 0
+    for r, s, runs, head, counts, flags in tables:
+        if r + s == len(by_table):  # r = 0, and the table is new
+            texts = []
+            for _, ms, ns in runs:
+                text = by_columns.get((ms, ns))
+                if text is None:
+                    text = by_columns[ms, ns] = list(map(st_cell.__mod__, zip(ms, ns)))
+                texts.append(text)
+            lens = [len(ms) for _, ms, _ in runs]
+            by_table.append(([t_cell % t for t, _, _ in runs], lens, texts, sum(lens)))
+        ts, lens, texts, rows = by_table[r + s]
+        if not rows:
+            continue
+        start = start_cell % (r, s)
+        pieces = [end + start] * (k * rows)
+        pieces[0] = start
+        pieces[1::k] = chain.from_iterable(map(repeat, ts, lens))
+        pieces[2::k] = chain.from_iterable(texts)
+        if head:  # the first rows, those with s = t = 0, are in case r or m
+            _, ms, ns = runs[0]
+            head_cell = mn_cell + (case_cell % (_R if r else _M)).replace("%", "%%")
+            pieces[2 : k * head : k] = map(head_cell.__mod__, zip(ms, ns))
+        if counts is not None:
+            pieces[3::k] = map(str, counts)
+        pieces.append(end)
+        for i, f in enumerate(flags or ()):
+            if f:  # the row's count, then its end and the next row's start
+                pieces[k * i + 3] = str(counts[i]).ljust(width)
+                pieces[k * i + k] = mark(f) + pieces[k * i + k][len(end) :]
+        text = "".join(pieces)
+        chunk.append(text)
+        size += len(text)
+        if size >= _CHUNK:
+            yield "".join(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield "".join(chunk)
 
 
 def _bare_tables(p: int, g: int) -> Iterator[CensusTable]:
@@ -269,51 +293,46 @@ def _bare_tables(p: int, g: int) -> Iterator[CensusTable]:
         yield r, s, runs, head_rows(s, runs), None, None
 
 
-# Shape row templates (_shape_rows).  The cells templates render t, with
-# the separator after it, and m and n; a row template takes r, s and the
-# case, then the flag field for a census row, so what each row fills in is
-# written %%s (its two cells texts, and the flags text of a flagged row)
-# and %%d (its count).
+# Shape row pieces (_shape_rows).  The cells templates render a row's start
+# (its r and s, after the end of the row before), its t with the separator
+# after it, its m and n, and its case with the text between it and the
+# count; a census row's end holds its flag field.
 # A JSON row is its object as json.dumps(..., indent=2) prints it inside
 # "rows", after the ",\n" that separates it from the row before.
-_JSON_CELLS = ("%d,\n        ", "%d,\n        %d")
-_SHAPE_JSON_ROW = """,
-    {
-      "tuple": [
-        %d,
-        %d,
-        %%s%%s
-      ],
-      "case": "%s\""""
-_TUPLES_JSON_ROW = _SHAPE_JSON_ROW + "\n    }"
-_CENSUS_JSON_ROW = _SHAPE_JSON_ROW + ',\n      "count": "%%d",\n      "flags": %s\n    }'
+_JSON_CELLS = (',\n    {\n      "tuple": [\n        %d,\n        %d,\n        ', "%d,\n        ", "%d,\n        %d")
+_TUPLES_JSON_CELLS = (*_JSON_CELLS, '\n      ],\n      "case": "%s"\n    }')
+_CENSUS_JSON_CELLS = (*_JSON_CELLS, '\n      ],\n      "case": "%s",\n      "count": "')
+_CENSUS_JSON_END = '",\n      "flags": %s\n    }'
 # In CSV only the census flag cell can need quoting, and it comes quoted by
 # _csv_cell.
-_CSV_CELLS = ("%d,", "%d,%d")
-_TUPLES_CSV_ROW = "%d,%d,%%s%%s,%s\n"
-_CENSUS_CSV_ROW = "%d,%d,%%s%%s,%s,%%d,%s\n"
+_TUPLES_CSV_CELLS = ("%d,%d,", "%d,", "%d,%d", ",%s\n")
+_CENSUS_CSV_CELLS = ("%d,%d,", "%d,", "%d,%d", ",%s,")
+_CENSUS_CSV_END = ",%s\n"
 # Aligned table rows: str.format puts in the column widths first.  A row
 # ends at its last nonempty cell, unpadded, as a right-stripped row does: a
 # census row with no flags ends at its count.
-_TABLE_CELLS = ("%-{}d  ", "%-{}d  %-{}d")
-_TUPLES_TABLE_ROW = "%-{}d  %-{}d  %%s%%s  %s\n"
-_CENSUS_TABLE_ROW = "%-{}d  %-{}d  %%s%%s  %-{}s  %%-{}d  %s\n"
-_CENSUS_TABLE_PLAIN = "%-{}d  %-{}d  %%s%%s  %-{}s  %%d\n"
+_TABLE_CELLS = ("%-{}d  %-{}d  ", "%-{}d  ", "%-{}d  %-{}d")
+_TUPLES_TABLE_CASE = "  %s\n"
+_CENSUS_TABLE_CASE = "  %-{}s  "
 
 
-def _widths(tables: Iterable[CensusTable]) -> tuple[list[int], set[str]]:
-    """The widest cell of each column r, s, t, m, n and count of ``tables``
-    (the count column as if it held 0 when they have no counts), and the
-    texts of the cases they hold."""
-    top, cases = [0] * 6, set()  # the largest r, s, t, m, n and count
-    for r, s, runs, head, counts, _ in tables:
-        if runs:
-            m = max(ms[-1] for _, ms, _ in runs)
-            n = max(ns[0] for _, _, ns in runs)
-            top = list(map(max, top, (r, s, runs[-1][0], m, n, max(counts) if counts else 0)))
+def _widths(p: int, g: int) -> tuple[list[int], set[str]]:
+    """The widest cell of each column r, s, t, m, n of the shapes of (p, g),
+    and the texts of the cases they hold."""
+    top, cases = [0] * 5, set()  # the largest r, s, t, m and n
+    # per value of r+s: the largest t, m and n of its table, and its rows
+    by_table: list[tuple[int, int, int, int]] = []
+    for r, s, runs, head, _, _ in _bare_tables(p, g):
+        if r + s == len(by_table):  # r = 0, and the table is new
+            m = max((ms[-1] for _, ms, _ in runs), default=0)
+            n = max((ns[0] for _, _, ns in runs), default=0)
+            by_table.append((runs[-1][0] if runs else 0, m, n, sum(len(ms) for _, ms, _ in runs)))
+        t, m, n, rows = by_table[r + s]
+        if rows:
+            top = list(map(max, top, (r, s, t, m, n)))
             if head:
                 cases.add(_R if r else _M)
-            if head < sum(len(ms) for _, ms, _ in runs):
+            if head < rows:
                 cases.add(_ST)
     return [len(str(x)) for x in top], cases
 
@@ -328,14 +347,20 @@ def _header_line(header: list[str], widths: list[int], no_header: bool) -> tuple
     return ["  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"], widths
 
 
+def _table_cells(widths: list[int]) -> tuple[str, str, str]:
+    """The start, t and m, n templates of an aligned row, with the column
+    widths r, s, t, m, n put in."""
+    wr, ws, wt, wm, wn = widths
+    start, t, mn = _TABLE_CELLS
+    return start.format(wr, ws), t.format(wt), mn.format(wm, wn)
+
+
 def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
     """The shapes aligned under their header, an (r, s) table at a time,
     after a first pass over :func:`shape_tables` for the column widths."""
-    widths = _widths(_bare_tables(p, g))[0][:5]
-    heading, (wr, ws, wt, wm, wn) = _header_line(_TUPLES_HEADER, widths, no_header)
+    heading, widths = _header_line(_TUPLES_HEADER, _widths(p, g)[0], no_header)
     yield from heading
-    cells = (_TABLE_CELLS[0].format(wt), _TABLE_CELLS[1].format(wm, wn))
-    yield from _shape_rows(_bare_tables(p, g), cells, _TUPLES_TABLE_ROW.format(wr, ws))
+    yield from _shape_rows(_bare_tables(p, g), (*_table_cells(widths), _TUPLES_TABLE_CASE))
     yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
 
 
@@ -343,17 +368,24 @@ def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
     return Output(
-        json=_json_rows(p, g, _shape_rows(_bare_tables(p, g), _JSON_CELLS, _TUPLES_JSON_ROW)),
+        json=_json_rows(p, g, _shape_rows(_bare_tables(p, g), _TUPLES_JSON_CELLS)),
         header=_TUPLES_HEADER,
-        csv=_shape_rows(_bare_tables(p, g), _CSV_CELLS, _TUPLES_CSV_ROW),
+        csv=_shape_rows(_bare_tables(p, g), _TUPLES_CSV_CELLS),
         table=_tuples_table(p, g, args.no_header),
     )
+
+
+def _flag_ends(end: str, render) -> tuple[str, Callable]:
+    """The ends of a census row (:func:`_shape_rows`) whose end is the
+    template ``end`` filled in with ``render(flags)``."""
+    return end % render(()), lambda flags: end % render(flags)
 
 
 def _census_json(report: CountReport) -> Iterator[str]:
     """The census as ``json.dumps(obj, indent=2)`` prints it, an (r, s)
     table at a time."""
-    rows = _shape_rows(report.iter_tables(), _JSON_CELLS, _CENSUS_JSON_ROW, functools.partial(_json_flags, indent=6))
+    ends = _flag_ends(_CENSUS_JSON_END, functools.partial(_json_flags, indent=6))
+    rows = _shape_rows(report.iter_tables(), _CENSUS_JSON_CELLS, ends)
     tail = [',\n  "total": "%d"' % report.total]
     if report.reference_total is not None:
         tail.append(',\n  "reference_total": "%d"' % report.reference_total)
@@ -363,22 +395,24 @@ def _census_json(report: CountReport) -> Iterator[str]:
 
 def _census_csv(report: CountReport) -> Iterator[str]:
     """The census CSV body, an (r, s) table at a time."""
-    return _shape_rows(report.iter_tables(), _CSV_CELLS, _CENSUS_CSV_ROW, lambda flags: _csv_cell(_flag_cell(flags)))
+    ends = _flag_ends(_CENSUS_CSV_END, lambda flags: _csv_cell(_flag_cell(flags)))
+    return _shape_rows(report.iter_tables(), _CENSUS_CSV_CELLS, ends)
 
 
 def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iterator[str]:
     """The census table: with ``per_tuple`` its rows aligned under their
-    header, an (r, s) table at a time, after a first pass over
-    :meth:`CountReport.iter_tables` for the column widths; then the total."""
+    header, an (r, s) table at a time, after a pass over the shapes for the
+    column widths (:func:`_widths`) and one over the tables for the largest
+    count (:meth:`CountReport.largest_count`); then the total."""
     if per_tuple:
-        (*widths, count), cases = _widths(report.iter_tables())
-        widths += [max(map(len, cases), default=0), count]
-        heading, (wr, ws, wt, wm, wn, wcase, wcount) = _header_line(_CENSUS_HEADER, widths, no_header)
+        widths, cases = _widths(report.p, report.g)
+        widths += [max(map(len, cases), default=0), len(str(report.largest_count()))]
+        heading, widths = _header_line(_CENSUS_HEADER, widths, no_header)
         yield from heading
-        row = _CENSUS_TABLE_ROW.format(wr, ws, wcase, wcount)
-        plain = _CENSUS_TABLE_PLAIN.format(wr, ws, wcase)
-        cells = (_TABLE_CELLS[0].format(wt), _TABLE_CELLS[1].format(wm, wn))
-        yield from _shape_rows(report.iter_tables(), cells, row, _flag_cell, plain)
+        *widths, wcase, wcount = widths
+        cells = (*_table_cells(widths), _CENSUS_TABLE_CASE.format(wcase))
+        ends = ("\n", lambda flags: "  %s\n" % _flag_cell(flags))
+        yield from _shape_rows(report.iter_tables(), cells, ends, wcount)
     yield f"total {report.total} ({report.shape_count} shapes)\n"
     if report.reference_total is not None:
         yield f"published reference total {report.reference_total}\n"

@@ -29,7 +29,8 @@ one multiplication a row by A(k,s) A(k,t).
 ``ns``, ``counts`` and ``flags`` per row, and :meth:`CountReport.iter_rows`
 flattens the runs into plain row tuples ``(r, s, t, m, n, case, count,
 flags)``.  The counts yielded are checked against the closed form when
-they have all been read.
+they have all been read.  :meth:`CountReport.largest_count` gives the
+largest count from each table's largest factors, without the rows.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -143,6 +144,17 @@ class Flag:
     computed_value: int
 
 
+def _head_counts(
+    r: int, runs: list[tuple[int, range, range]], by_m: dict[CaseTag, list[int]], A_kn: list[int]
+) -> list[int]:
+    """The counts of the ``head`` rows (:func:`~.tuples.head_rows`) of a
+    table with s = 0, whose first run has t = 0: case r's or case m's M(m)
+    A(kn,n), as A(k,s) A(k,t) = 1."""
+    _, ms, ns = runs[0]
+    by_case = by_m[CaseTag.CASE_R if r else CaseTag.CASE_M]
+    return [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
+
+
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
 #: One census table: r, s, the shape walk's runs (t, ms, ns) for r+s, the
@@ -223,10 +235,8 @@ class CountReport:
             A_s, head = A_k[s], head_rows(s, runs)
             run_factors = [A_s * A_k[t] for t, _, _ in runs]
             counts = [f * x for f, factors in zip(run_factors, by_table[r + s]) for x in factors]
-            if head:  # s = t = 0, so A(k,s) A(k,t) = 1
-                _, ms, ns = runs[0]
-                by_case = by_m[CaseTag.CASE_R if r else CaseTag.CASE_M]
-                counts[:head] = [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
+            if head:
+                counts[:head] = _head_counts(r, runs, by_m, A_kn)
             flags = None
             if (r, s) in flagged:
                 flags = [shape_flags.get((r, s, t, m, n), ()) for t, ms, ns in runs for m, n in zip(ms, ns)]
@@ -238,6 +248,36 @@ class CountReport:
                 f"census p={p} g={g}: the rows give {count} shapes and total {total}, "
                 f"the closed form {self.shape_count} and {self.total}"
             )
+
+    def largest_count(self) -> int:
+        """The largest count of any row, 0 when there are none, without the
+        count of each row: per (r, s), A(k,s) times the largest of A(k,t)
+        times the largest of case st's ``M(m) A(kn,n)`` over each run of its
+        table, that found once per (ms, ns) columns and the table's largest
+        once per r+s, and the ``head`` rows' own counts.  Every factor is
+        nonnegative, so the largest product has the largest factors."""
+        A_k, A_kn, by_m = factor_lists(self.p, self.g)
+        by_st = by_m[CaseTag.CASE_ST]
+        by_columns: dict[tuple[range, range], int] = {}
+        # per value of r+s: the largest count over its table's runs at
+        # A(k,s) = 1, and the same over the runs after the first
+        by_table: list[tuple[int, int]] = []
+        top = 0
+        for r, s, runs in shape_tables(self.p, self.g):
+            if r + s == len(by_table):  # r = 0, and the table is new
+                tops = []
+                for t, ms, ns in runs:
+                    largest = by_columns.get((ms, ns))
+                    if largest is None:
+                        largest = by_columns[ms, ns] = max(by_st[m] * A_kn[n] for m, n in zip(ms, ns))
+                    tops.append(A_k[t] * largest)
+                by_table.append((max(tops, default=0), max(tops[1:], default=0)))
+            every, after_first = by_table[r + s]
+            if head_rows(s, runs):
+                top = max(top, A_k[s] * after_first, *_head_counts(r, runs, by_m, A_kn))
+            else:
+                top = max(top, A_k[s] * every)
+        return top
 
     def iter_runs(self) -> Iterator[CensusRun]:
         """The rows of :meth:`iter_tables` a run at a time, with the same

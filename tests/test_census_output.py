@@ -10,12 +10,13 @@ import hashlib
 import io
 import json
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from handlebody_census import cli
-from handlebody_census.theorem_counts import Flag, census
+from handlebody_census.theorem_counts import CountReport, Flag, census
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import NormalForms
 from handlebody_census.cli import main
@@ -194,12 +195,13 @@ def test_canonical_list_json_matches_json_dumps(capsys, p, shape):
 
 
 class _CountingSink:
-    """A stdout that keeps only the number of characters written."""
+    """A stdout that keeps only the number of characters written and of writes."""
 
-    chars = 0
+    chars = writes = 0
 
     def write(self, text):
         self.chars += len(text)
+        self.writes += 1
 
     def writelines(self, chunks):
         for text in chunks:
@@ -238,27 +240,86 @@ def test_canonical_csv_listing_peaks_below_half_its_output():
 
 
 def _held_after_the_r0_pass(p, g):
-    """What a census CSV stream holds, by tracemalloc, once it has written
-    every row with r = 0: the texts and factors it keeps for the later
-    passes."""
+    """What a census CSV stream holds, by tracemalloc, when it has rendered
+    every row with r = 0 and reads the first table with r = 1: the texts and
+    factors it keeps for the later passes, and the chunk it is filling."""
     report = census(p, g)
+    held = []
+
+    def tables():
+        for table in CountReport.iter_tables(report):
+            if table[0] == 1 and not held:
+                held.append(tracemalloc.get_traced_memory()[0])
+            yield table
+
+    report.iter_tables = tables
     tracemalloc.start()
     try:
-        rows = cli._census_csv(report)
-        for row in rows:
-            if row.startswith("1,"):
-                return tracemalloc.get_traced_memory()[0]
+        for _ in cli._census_csv(report):
+            if held:
+                return held[0]
     finally:
         tracemalloc.stop()
 
 
 def test_what_a_census_keeps_grows_as_the_square_of_the_genus():
     # The texts and factors are kept per (ms, ns) columns of a run, about
-    # g^2 entries (1.6 and 6.0 MiB at genus 1000 and 2000), not per row of
-    # each table, about g^3 entries (5.1 and 37 MiB).
+    # g^2 entries (2.8 and 7.6 MiB at genus 1000 and 2000, with the chunk
+    # being filled), not per row of each table, about g^3 entries (5.1 and
+    # 37 MiB).
     small, large = _held_after_the_r0_pass(3, 1000), _held_after_the_r0_pass(3, 2000)
     assert large <= 5 * small
     assert large < 12 << 20
+
+
+def test_a_large_census_is_written_in_a_few_large_chunks():
+    # one write per chunk of whole (r, s) tables, not one per row: 87,437
+    # rows, 13.8 MB
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        assert main(["census", "--p", "3", "--genus", "492", "--format", "json"]) == 0
+    assert sink.chars > 13_000_000
+    assert sink.writes < 100
+
+
+def _row_ends(report, fmt, pieces):
+    """The numbers of rows written by the end of each chunk of ``pieces``
+    that ends inside the census (after its first row, before its last)."""
+    mark = '"tuple"' if fmt == "json" else "\n"
+    return {n for n in accumulate(piece.count(mark) for piece in pieces) if 0 < n < report.shape_count}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_flags_on_the_last_row_of_a_table_and_of_a_chunk(capsys, monkeypatch, fmt):
+    # A row's flag field is written into the slot after it, which for the
+    # last row of a table is the table's end, not a separator.  Flagged
+    # here: the last row of a table inside a chunk, the last row of the
+    # first chunk, and the last row of the census.
+    monkeypatch.setattr(cli, "_CHUNK", 1024)
+    report = census(3, 100)
+    streams = {
+        "json": cli._census_json,
+        "csv": cli._census_csv,
+        "table": lambda report: cli._census_table(report, True, True),
+    }
+    chunk_ends = _row_ends(report, fmt, streams[fmt](report))
+    table_ends = {n for n in accumulate(len(table[4]) for table in report.iter_tables()) if n < report.shape_count}
+    assert chunk_ends and chunk_ends <= table_ends and table_ends - chunk_ends
+    rows = list(report.iter_rows())
+    ends = [min(table_ends - chunk_ends), min(chunk_ends), report.shape_count]
+    shapes = [rows[n - 1][:5] for n in ends]
+    flags = {v: (Flag(location=f"synthetic flag on {v}", paper_value=1, computed_value=2),) for v in shapes}
+    flagged = dataclasses.replace(report, shape_flags=flags)
+    monkeypatch.setattr(cli, "census", lambda p, g: flagged)
+    common = ("census", "--p", 3, "--genus", 100)
+    if fmt == "json":
+        assert run_cli(capsys, *common, "--format", "json") == ref.census_json(flagged)
+    elif fmt == "csv":
+        assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(flagged, False)
+    else:
+        out = run_cli(capsys, *common, "--per-tuple", "--no-header")
+        assert out == ref.census_table(flagged, True, True)
+        assert all(f"synthetic flag on {v}" in out for v in shapes)
 
 
 RECORDED = json.loads(EXPECTED.read_text())

@@ -298,6 +298,14 @@ def test_counts_yielded_are_not_handed_out_again(p, g):
     assert shared > 0
 
 
+@pytest.mark.parametrize("p,g", [(3, 2), (3, 43), (3, 150), (5, 26), (5, 300), (7, 400), (11, 1000)])
+def test_largest_count_is_the_largest_count_the_tables_yield(p, g):
+    # the --per-tuple table's count column is as wide as this value
+    report = census(p, g)
+    largest = max((count for table in report.iter_tables() for count in table[4]), default=0)
+    assert report.largest_count() == largest
+
+
 def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
     report = census(5, 26)
     runs = len(list(report.iter_runs()))
