@@ -2,9 +2,10 @@
 
 For an odd prime p and a genus g, the package enumerates the admissible
 quotient shapes, evaluates the closed-form count of symmetry classes for
-each, and verifies those counts with two brute-force oracles: direct
-enumeration of normal-form image vectors, and orbit counting of the full
-state space under the realizable move alphabet.  Where the closed forms
+each, and checks those counts with two brute-force oracles: direct
+enumeration of normal-form image vectors, which follows the counts' own
+case split, and orbit counting of the full state space under the
+realizable move alphabet, the independent check.  Where the closed forms
 and the oracles (or a published reference value) disagree, reports carry
 the disagreement; nothing is silently corrected.
 

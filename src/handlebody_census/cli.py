@@ -14,14 +14,16 @@ for ``orbits``, both per shape for ``verify``.  A negative budget, like a
 
 Each subcommand answers with three lazy streams of text chunks, one per
 format (:class:`Output`), and :func:`_render` writes the asked one; nothing
-is rendered for the other two.  The census rows and the shapes are rendered
-an (r, s) table at a time in every format (:func:`_shape_rows`): the text
-of each row's m and n, with its case, once per (ms, ns) columns of a run,
-that of t once per table, then one join per (r, s) of a list of the
-table's pieces, filled a piece kind at a time by slice assignment, with
-no template per row.  The tables are written in chunks of about 1 MiB.
-An aligned table first makes a pass over the shapes for its column widths
-and one over the tables for the largest count.  A normal-form
+is rendered for the other two.  The census rows (the tables of
+:meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
+:func:`~.tuples.shape_tables`) are rendered an (r, s) table at a time in
+every format (:func:`_shape_rows`): the text of each row's m and n, with
+its case, once per (ms, ns) columns of a run, that of t once per value of
+r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a list of
+the table's pieces, filled a piece kind at a time by slice assignment,
+with no template per row.  The tables are written in chunks of about
+1 MiB.  An aligned table first makes a pass over the shape tables for its
+column widths and one over them for the largest count.  A normal-form
 listing is one join of its dump lines in table and JSON output, made a
 shared prefix at a time (:meth:`~.verification.canonical.NormalForms.joined`),
 and in CSV, which numbers each line, one template per prefix, filled in
@@ -50,9 +52,11 @@ from .errors import BudgetExceededError, stop_reason
 from .theorem_counts import CensusTable, CountReport, census
 from .tuples import (
     CaseTag,
+    Run,
     Tuple5,
     admissible_tuples,
     head_rows,
+    per_table,
     require_genus,
     require_odd_prime,
     shape_case,
@@ -232,32 +236,30 @@ def _shape_rows(
     or 4 with the count): every row's separator slot (the end of the row
     before and this row's start) is filled at once, then the t texts, the
     m, n texts and the counts each by one slice assignment.  The text of
-    each t of a table is made when the table first comes, that of m and n
-    with case st's case text once per (ms, ns) columns of a run, shared by
-    every table that holds them; the ``head`` rows, in case r or m, get
-    texts of their own.  A flagged row overwrites its count slot and the
-    separator slot after it.
+    each t of a table is made once per value of r+s
+    (:func:`~.tuples.per_table`), that of m and n with case st's case text
+    once per (ms, ns) columns of a run, shared by every table that holds
+    them; the ``head`` rows, in case r or m, get texts of their own.  A
+    flagged row overwrites its count slot and the separator slot after it.
     """
-    by_columns: dict[tuple[range, range], list[str]] = {}
-    # per value u of r+s: the t text and the number of rows of each run of
-    # its table, the runs' m, n texts from by_columns, and the rows in all
-    by_table: list[tuple[list[str], list[int], list[list[str]], int]] = []
     start_cell, t_cell, mn_cell, case_cell = cells
     st_cell = mn_cell + (case_cell % _ST).replace("%", "%%")
+
+    @functools.cache
+    def st_texts(ms: range, ns: range) -> list[str]:
+        """The m, n and case texts of a run's rows in case st."""
+        return list(map(st_cell.__mod__, zip(ms, ns)))
+
+    def table_texts(runs: list[Run]) -> tuple[list[str], list[int], list[list[str]], int]:
+        """The t text and the number of rows of each run of a table, the
+        runs' m, n texts, and the rows in all."""
+        lens = [len(ms) for _, ms, _ in runs]
+        return [t_cell % t for t, _, _ in runs], lens, [st_texts(ms, ns) for _, ms, ns in runs], sum(lens)
+
     end, mark = ends or ("", None)
     k = 3 if ends is None else 4
     chunk, size = [], 0
-    for r, s, runs, head, counts, flags in tables:
-        if r + s == len(by_table):  # r = 0, and the table is new
-            texts = []
-            for _, ms, ns in runs:
-                text = by_columns.get((ms, ns))
-                if text is None:
-                    text = by_columns[ms, ns] = list(map(st_cell.__mod__, zip(ms, ns)))
-                texts.append(text)
-            lens = [len(ms) for _, ms, _ in runs]
-            by_table.append(([t_cell % t for t, _, _ in runs], lens, texts, sum(lens)))
-        ts, lens, texts, rows = by_table[r + s]
+    for (r, s, runs, head, counts, flags), (ts, lens, texts, rows) in per_table(tables, table_texts):
         if not rows:
             continue
         start = start_cell % (r, s)
@@ -316,20 +318,21 @@ _TUPLES_TABLE_CASE = "  %s\n"
 _CENSUS_TABLE_CASE = "  %-{}s  "
 
 
+def _table_top(runs: list[Run]) -> tuple[int, int, int, int]:
+    """The largest t, m and n of a shape table's runs, and its rows."""
+    m = max((ms[-1] for _, ms, _ in runs), default=0)
+    n = max((ns[0] for _, _, ns in runs), default=0)
+    return runs[-1][0] if runs else 0, m, n, sum(len(ms) for _, ms, _ in runs)
+
+
 def _widths(p: int, g: int) -> tuple[list[int], set[str]]:
     """The widest cell of each column r, s, t, m, n of the shapes of (p, g),
     and the texts of the cases they hold."""
     top, cases = [0] * 5, set()  # the largest r, s, t, m and n
-    # per value of r+s: the largest t, m and n of its table, and its rows
-    by_table: list[tuple[int, int, int, int]] = []
-    for r, s, runs, head, _, _ in _bare_tables(p, g):
-        if r + s == len(by_table):  # r = 0, and the table is new
-            m = max((ms[-1] for _, ms, _ in runs), default=0)
-            n = max((ns[0] for _, _, ns in runs), default=0)
-            by_table.append((runs[-1][0] if runs else 0, m, n, sum(len(ms) for _, ms, _ in runs)))
-        t, m, n, rows = by_table[r + s]
+    for (r, s, runs), (t, m, n, rows) in per_table(shape_tables(p, g), _table_top):
         if rows:
             top = list(map(max, top, (r, s, t, m, n)))
+            head = head_rows(s, runs)
             if head:
                 cases.add(_R if r else _M)
             if head < rows:

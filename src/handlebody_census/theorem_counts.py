@@ -21,16 +21,14 @@ number of shapes in closed form, one term per (t, n) block, and
 The walk builds one table of runs (t, ms, ns) per value of r+s and hands it
 to every (r, s) with that sum.  The census builds case st's list of
 M(m) A(kn,n) over a run once per (ms, ns), with factors from
-:func:`factor_lists`, and gathers those lists per table when the table is
-first read; an (r, s) then costs one list comprehension over its table and
-one multiplication a row by A(k,s) A(k,t).
-:meth:`CountReport.iter_runs` cuts the tables into runs, plain tuples
-``(r, s, t, case, ms, ns, counts, flags)`` with one entry of ``ms``,
-``ns``, ``counts`` and ``flags`` per row, and :meth:`CountReport.iter_rows`
-flattens the runs into plain row tuples ``(r, s, t, m, n, case, count,
-flags)``.  The counts yielded are checked against the closed form when
-they have all been read.  :meth:`CountReport.largest_count` gives the
-largest count from each table's largest factors, without the rows.
+:func:`factor_lists`, and gathers those lists once per value of r+s
+(:func:`~.tuples.per_table`); an (r, s) then costs one list comprehension
+over its table and one multiplication a row by A(k,s) A(k,t).
+:meth:`CountReport.iter_rows` flattens the tables into plain row tuples
+``(r, s, t, m, n, case, count, flags)``.  The counts yielded are checked
+against the closed form when they have all been read.
+:meth:`CountReport.largest_count` gives the largest count from each
+table's largest factors, without the rows.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -49,10 +47,12 @@ from typing import Iterator
 from .counting import count_A, count_A_list
 from .tuples import (
     CaseTag,
+    Run,
     Shape,
     Tuple5,
     genus_blocks,
     head_rows,
+    per_table,
     require_genus,
     require_odd_prime,
     shape_case,
@@ -144,9 +144,7 @@ class Flag:
     computed_value: int
 
 
-def _head_counts(
-    r: int, runs: list[tuple[int, range, range]], by_m: dict[CaseTag, list[int]], A_kn: list[int]
-) -> list[int]:
+def _head_counts(r: int, runs: list[Run], by_m: dict[CaseTag, list[int]], A_kn: list[int]) -> list[int]:
     """The counts of the ``head`` rows (:func:`~.tuples.head_rows`) of a
     table with s = 0, whose first run has t = 0: case r's or case m's M(m)
     A(kn,n), as A(k,s) A(k,t) = 1."""
@@ -160,10 +158,7 @@ CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
 #: One census table: r, s, the shape walk's runs (t, ms, ns) for r+s, the
 #: number of leading rows in case r or m, and per row the count, and the
 #: flags when some row has any.
-CensusTable = tuple[int, int, list[tuple[int, range, range]], int, list[int], list[tuple[Flag, ...]] | None]
-#: One run of census rows: r, s, t, the case, and per row m, n, the count
-#: and the flags.
-CensusRun = tuple[int, int, int, CaseTag, range, range, list[int], list[tuple[Flag, ...]]]
+CensusTable = tuple[int, int, list[Run], int, list[int], list[tuple[Flag, ...]] | None]
 
 
 @dataclasses.dataclass
@@ -200,10 +195,10 @@ class CountReport:
         A row's count is :func:`count_kernel`'s, factored as ``A(k,s) A(k,t)
         * (M(m) A(kn,n))`` with M case st's :func:`m_factor`.  The list of
         ``M(m) A(kn,n)`` over a run is built once per (ms, ns) and shared by
-        every table that holds those columns, and each table gathers its
-        runs' lists when it is first read.  An (r, s) then costs one list
-        comprehension over its table, one multiplication a row; only the
-        ``head`` rows get values of their own.  ``runs`` is the walk's, the
+        every table that holds those columns, and each value of r+s gathers
+        its runs' lists once (:func:`~.tuples.per_table`).  An (r, s) then
+        costs one list comprehension over its table, one multiplication a
+        row; only the ``head`` rows get values of their own.  ``runs`` is the walk's, the
         same list for every (r, s) with the same r+s: treat it as read-only.
 
         What is kept is one factor per row of the distinct columns, about
@@ -218,23 +213,18 @@ class CountReport:
         A_k, A_kn, by_m = factor_lists(p, g)
         by_st = by_m[CaseTag.CASE_ST]
         flagged = {v[:2] for v in shape_flags}
-        # case st's M(m) A(kn,n) lists by (ms, ns), and per value of r+s the
-        # list of them for its table's runs
-        by_columns: dict[tuple[range, range], list[int]] = {}
-        by_table: list[list[list[int]]] = []
+
+        @functools.cache
+        def columns(ms: range, ns: range) -> list[int]:
+            """Case st's M(m) A(kn,n) over a run."""
+            return [by_st[m] * A_kn[n] for m, n in zip(ms, ns)]
+
         count = total = 0
-        for r, s, runs in shape_tables(p, g):
-            if r + s == len(by_table):  # r = 0, and the table is new
-                table = []
-                for _, ms, ns in runs:
-                    factors = by_columns.get((ms, ns))
-                    if factors is None:
-                        factors = by_columns[ms, ns] = [by_st[m] * A_kn[n] for m, n in zip(ms, ns)]
-                    table.append(factors)
-                by_table.append(table)
+        tables = per_table(shape_tables(p, g), lambda runs: [columns(ms, ns) for _, ms, ns in runs])
+        for (r, s, runs), table in tables:
             A_s, head = A_k[s], head_rows(s, runs)
             run_factors = [A_s * A_k[t] for t, _, _ in runs]
-            counts = [f * x for f, factors in zip(run_factors, by_table[r + s]) for x in factors]
+            counts = [f * x for f, factors in zip(run_factors, table) for x in factors]
             if head:
                 counts[:head] = _head_counts(r, runs, by_m, A_kn)
             flags = None
@@ -258,48 +248,41 @@ class CountReport:
         nonnegative, so the largest product has the largest factors."""
         A_k, A_kn, by_m = factor_lists(self.p, self.g)
         by_st = by_m[CaseTag.CASE_ST]
-        by_columns: dict[tuple[range, range], int] = {}
-        # per value of r+s: the largest count over its table's runs at
-        # A(k,s) = 1, and the same over the runs after the first
-        by_table: list[tuple[int, int]] = []
+
+        @functools.cache
+        def largest(ms: range, ns: range) -> int:
+            """The largest of case st's M(m) A(kn,n) over a run."""
+            return max(by_st[m] * A_kn[n] for m, n in zip(ms, ns))
+
+        def table_tops(runs: list[Run]) -> tuple[int, int]:
+            """The largest count over a table's runs at A(k,s) = 1, and the
+            same over the runs after the first."""
+            tops = [A_k[t] * largest(ms, ns) for t, ms, ns in runs]
+            return max(tops, default=0), max(tops[1:], default=0)
+
         top = 0
-        for r, s, runs in shape_tables(self.p, self.g):
-            if r + s == len(by_table):  # r = 0, and the table is new
-                tops = []
-                for t, ms, ns in runs:
-                    largest = by_columns.get((ms, ns))
-                    if largest is None:
-                        largest = by_columns[ms, ns] = max(by_st[m] * A_kn[n] for m, n in zip(ms, ns))
-                    tops.append(A_k[t] * largest)
-                by_table.append((max(tops, default=0), max(tops[1:], default=0)))
-            every, after_first = by_table[r + s]
+        for (r, s, runs), (every, after_first) in per_table(shape_tables(self.p, self.g), table_tops):
             if head_rows(s, runs):
                 top = max(top, A_k[s] * after_first, *_head_counts(r, runs, by_m, A_kn))
             else:
                 top = max(top, A_k[s] * every)
         return top
 
-    def iter_runs(self) -> Iterator[CensusRun]:
-        """The rows of :meth:`iter_tables` a run at a time, with the same
-        check at the end: ``(r, s, t, case, ms, ns, counts, flags)``, where
-        row i is ``(r, s, t, ms[i], ns[i])`` with count ``counts[i]`` and
-        flags ``flags[i]`` (``()`` when it has none).  Each run has a
-        ``counts`` and a ``flags`` list of its own."""
-        for r, s, runs, head, counts, flags in self.iter_tables():
-            i = 0
-            for t, ms, ns in runs:
-                j = i + len(ms)
-                case = CaseTag.CASE_ST if i >= head else CaseTag.CASE_R if r else CaseTag.CASE_M
-                yield r, s, t, case, ms, ns, counts[i:j], flags[i:j] if flags else [()] * (j - i)
-                i = j
-
     def iter_rows(self) -> Iterator[CensusRow]:
-        """The rows of :meth:`iter_runs` as plain tuples ``(r, s, t, m, n,
-        case, count, flags)``, with the same check at the end."""
-        return chain.from_iterable(
-            zip(repeat(r), repeat(s), repeat(t), ms, ns, repeat(case), counts, flags)
-            for r, s, t, case, ms, ns, counts, flags in self.iter_runs()
-        )
+        """The rows of :meth:`iter_tables` as plain tuples ``(r, s, t, m, n,
+        case, count, flags)``, with the same check at the end: a table's
+        first ``head`` rows in case r, or case m when r = 0, the rest in
+        case st; ``flags`` is ``()`` for a row with none."""
+
+        def table_rows():
+            for r, s, runs, head, counts, flags in self.iter_tables():
+                t_col = chain.from_iterable(repeat(t, len(ms)) for t, ms, _ in runs)
+                m_col = chain.from_iterable(ms for _, ms, _ in runs)
+                n_col = chain.from_iterable(ns for _, _, ns in runs)
+                cases = chain(repeat(CaseTag.CASE_R if r else CaseTag.CASE_M, head), repeat(CaseTag.CASE_ST))
+                yield zip(repeat(r), repeat(s), t_col, m_col, n_col, cases, counts, flags or repeat(()))
+
+        return chain.from_iterable(table_rows())
 
 
 # Published reference census: per-shape class counts and the printed total
@@ -323,7 +306,7 @@ PUBLISHED_CENSUS: dict[tuple[int, int], tuple[int, dict[Tuple5, int]]] = {
 
 def census(p: int, g: int) -> CountReport:
     """The census of (p, g): its total and shape count in closed form, its
-    rows on demand (:meth:`CountReport.iter_runs` and
+    rows on demand (:meth:`CountReport.iter_tables` and
     :meth:`CountReport.iter_rows`, lexicographic order).
 
     One term per (t, n) block of :func:`genus_blocks`, with K = r+s+m.  The

@@ -9,22 +9,25 @@ solutions of that equation.
 
 There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
 with named fields and a check at construction: shapes with r+s+t+m = 0
-carry no action and are rejected.  The shape walk (:func:`shape_tables`,
-flattened by :func:`shape_runs` and :func:`iter_shapes`) yields plain
-tuples and builds no :class:`Tuple5`;
-:func:`shape_case` and :func:`genus_of` take either.
+carry no action and are rejected.  The shape walk, :func:`shape_tables`,
+yields plain tuples, an (r, s) table of runs at a time, and builds no
+:class:`Tuple5`; :func:`per_table` pairs each of its tables with what a
+consumer builds once per value of r+s, and :func:`admissible_tuples`
+flattens it into :class:`Tuple5` shapes.  :func:`shape_case` and
+:func:`genus_of` take either.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import InadmissibleTupleError
 
 Shape = tuple[int, int, int, int, int]
+#: A run of shapes of one table: t, and the m and n of its rows.
+Run = tuple[int, range, range]
 
 
 def require_odd_prime(p: int) -> int:
@@ -156,7 +159,7 @@ def genus_of(p: int, v: Shape) -> int:
     return g
 
 
-def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[tuple[int, range, range]]]]:
+def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
     """Every shape acting on genus g, as ``(r, s, runs)`` in lexicographic
     order of (r, s): the shapes are ``(r, s, t, m, n)`` for each ``(t, ms,
     ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, sorted.
@@ -183,7 +186,7 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[tuple[int, ran
     q = p * p
     top = g - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
     # per value u of r+s: its runs' (t, ms, ns) and their number of shapes
-    tables: list[tuple[list[tuple[int, range, range]], int]] = []
+    tables: list[tuple[list[Run], int]] = []
     count = 0
     for r in range(top // q + 1):
         for u in range(r, top // q + 1):
@@ -208,7 +211,7 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[tuple[int, ran
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
 
 
-def head_rows(s: int, runs: list[tuple[int, range, range]]) -> int:
+def head_rows(s: int, runs: list[Run]) -> int:
     """How many rows of a table ``(r, s, runs)`` of :func:`shape_tables`
     come before its first one in case st: those of its run with s = t = 0,
     in case r or m (:func:`shape_case`).  Only an s = 0 table has that
@@ -216,23 +219,21 @@ def head_rows(s: int, runs: list[tuple[int, range, range]]) -> int:
     return len(runs[0][1]) if not s and runs and not runs[0][0] else 0
 
 
-def shape_runs(p: int, g: int) -> Iterator[tuple[int, int, int, range, range]]:
-    """Every shape acting on genus g, as runs ``(r, s, t, ms, ns)`` in
-    lexicographic order: the run's shapes are ``(r, s, t, m, n)`` for
-    ``m, n`` in ``zip(ms, ns)``.  The tables of :func:`shape_tables`,
-    flattened, with the same check at the end; runs with the same r+s share
-    their ``ms`` and ``ns`` objects."""
-    for r, s, runs in shape_tables(p, g):
-        yield from map((r, s).__add__, runs)
+def per_table(tables: Iterable[tuple], build: Callable[[list[Run]], object]) -> Iterator[tuple[tuple, object]]:
+    """Each table ``(r, s, runs, ...)`` of ``tables``, in the order of
+    :func:`shape_tables`, paired with ``build(runs)``.
 
-
-def iter_shapes(p: int, g: int) -> Iterator[Shape]:
-    """Every shape acting on genus g as a plain ``(r, s, t, m, n)``, sorted:
-    the runs of :func:`shape_runs`, flattened, with the same check at the
-    end."""
-    return chain.from_iterable(
-        zip(repeat(r), repeat(s), repeat(t), ms, ns) for r, s, t, ms, ns in shape_runs(p, g)
-    )
+    ``runs`` depends on r+s alone, so ``build`` is called once per value of
+    r+s, as the r = 0 pass first reaches that value, and every later (r, s)
+    with the same sum gets the same object.  Each call comes as its table
+    is read, so the first pair comes after one call.
+    """
+    built = []
+    for table in tables:
+        r, s, runs = table[:3]
+        if r + s == len(built):  # r = 0, and the table is new
+            built.append(build(runs))
+        yield table, built[r + s]
 
 
 def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
@@ -262,5 +263,9 @@ def shape_count(p: int, g: int) -> int:
 
 
 def admissible_tuples(p: int, g: int) -> list[Tuple5]:
-    """Every shape acting on genus g as a :class:`Tuple5`, sorted."""
-    return [Tuple5(*v) for v in iter_shapes(p, g)]
+    """Every shape acting on genus g as a :class:`Tuple5`, sorted: the
+    tables of :func:`shape_tables`, flattened, with the same check at the
+    end."""
+    return [
+        Tuple5(r, s, t, m, n) for r, s, runs in shape_tables(p, g) for t, ms, ns in runs for m, n in zip(ms, ns)
+    ]

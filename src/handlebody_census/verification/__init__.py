@@ -3,7 +3,10 @@
 States materialize the generator images that determine an epimorphism onto
 the cyclic group; moves are the image-level actions of the realizable
 homeomorphisms.  Counting normal forms and counting move orbits give two
-independent checks on every closed-form count.
+checks on every closed-form count.  They are not independent: the normal
+forms are listed case by case as the counts are, so their number equals
+the closed form by construction.  The orbit count is the independent
+check.
 
 The package exports what the command line and the top-level API use;
 everything else is imported from its module (``.canonical``, ``.moves``,

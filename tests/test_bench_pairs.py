@@ -1,0 +1,63 @@
+"""``tools/bench_pairs.py`` compares paired runs as its docstring says: the
+medians, the pairs won, whether a gain holds, and how far the head's median
+is worse than the base's against each metric's bound."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_of_synthetic_runs():
+    tool = _load_tool()
+    metrics = {
+        "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+        "success_rate": {"name": "success_rate", "better": "higher", "bound": 0.05},
+    }
+    base = [{"wall_s": w, "success_rate": 1.0} for w in (1.0, 1.1, 1.2, 1.3, 1.4)]
+    head = [{"wall_s": w, "success_rate": q} for w, q in zip((1.4, 1.5, 1.6, 1.7, 1.8), (1.0, 0.9, 0.9, 0.9, 1.0))]
+    out = tool.summary(base, head, metrics)
+    wall, success = out["wall_s"], out["success_rate"]
+    assert wall["base_runs"] == [1.0, 1.1, 1.2, 1.3, 1.4] and wall["pairs"] == 5
+    assert wall["base"]["median"] == pytest.approx(1.2) and wall["head"]["median"] == pytest.approx(1.6)
+    assert wall["head_wins"] == 0 and not wall["gain_holds"]
+    # lower is better: the head's median is a third above the base's
+    assert wall["head_worse_by"] == pytest.approx(1 / 3)
+    assert wall["bound"] == 0.25 and not wall["within_bound"]
+    # higher is better: the head's median is a tenth below the base's
+    assert success["head_worse_by"] == pytest.approx(0.1)
+    assert not success["within_bound"]
+
+    # the same runs the other way round: a gain on wall_s, no loss on success_rate
+    out = tool.summary(head, base, metrics)
+    wall, success = out["wall_s"], out["success_rate"]
+    assert wall["head_wins"] == 5 and wall["gain_holds"]
+    assert wall["head_worse_by"] == pytest.approx(-0.25) and wall["within_bound"]
+    assert success["head_worse_by"] == pytest.approx(-1 / 9) and success["within_bound"]
+    assert success["head_wins"] == 3 and not success["gain_holds"]  # medians a base IQR apart, no more
+
+
+def test_summary_within_the_bound():
+    tool = _load_tool()
+    metrics = {"peak_rss_mb": {"better": "lower", "bound": 0.05}}
+    base = [{"peak_rss_mb": 100.0} for _ in range(10)]
+    head = [{"peak_rss_mb": 104.0} for _ in range(10)]
+    out = tool.summary(base, head, metrics)["peak_rss_mb"]
+    assert out["head_worse_by"] == pytest.approx(0.04)
+    assert out["within_bound"] and not out["gain_holds"]
+
+
+def test_end_to_end_reads_every_metric_of_the_benchmark():
+    tool = _load_tool()
+    metrics = tool.end_to_end(ROOT)
+    assert set(metrics) == {"setup_s", "wall_s", "cpu_s", "peak_rss_mb", "success_rate"}
+    assert all(m["better"] in ("lower", "higher") and m["bound"] > 0 for m in metrics.values())

@@ -86,7 +86,9 @@ def test_flags_stay_per_row_inside_a_multi_row_run(capsys, monkeypatch):
     # At (5, 26) every flagged shape is alone in its run; here one flag sits
     # on the middle row of a run of three or more.
     report = census(3, 60)
-    r, s, t, _, ms, ns, _, _ = next(run for run in report.iter_runs() if len(run[4]) >= 3)
+    r, s, t, ms, ns = next(
+        (r, s, *run) for r, s, runs, *_ in report.iter_tables() for run in runs if len(run[1]) >= 3
+    )
     middle = (r, s, t, ms[1], ns[1])
     flag = Flag(location=f"synthetic flag on {middle}", paper_value=1, computed_value=2)
     flagged = dataclasses.replace(report, shape_flags={middle: (flag,)})

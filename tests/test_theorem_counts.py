@@ -21,7 +21,7 @@ from handlebody_census.theorem_counts import (
     m_factor,
     pools,
 )
-from handlebody_census.tuples import CaseTag, Tuple5, genus_of, iter_shapes, shape_case
+from handlebody_census.tuples import CaseTag, Tuple5, admissible_tuples, genus_of, shape_case
 from handlebody_census.verification.canonical import low_order_p_values, low_unit_values
 
 
@@ -262,7 +262,7 @@ def test_streamed_census_matches_the_listed_census(pairs):
         assert [row[:7] for row in rows] == want, (p, g)
         assert report.shape_count == len(want), (p, g)
         assert report.total == sum(row[6] for row in want), (p, g)
-        assert list(iter_shapes(p, g)) == [row[:5] for row in want], (p, g)
+        assert admissible_tuples(p, g) == [row[:5] for row in want], (p, g)
         flagged = {row[:5]: row[7] for row in rows if row[7]}
         assert flagged == report.shape_flags, (p, g)
 
@@ -271,28 +271,38 @@ def test_streamed_census_matches_the_listed_census(pairs):
 def test_runs_flatten_to_the_rows_and_the_listed_census(group):
     for p, g in ORACLE_SWEEP[group]:
         report = census(p, g)
-        runs = list(report.iter_runs())
+        tables = list(report.iter_tables())
         flat = []
-        for r, s, t, case, ms, ns, counts, flags in runs:
-            assert len(ms) == len(ns) == len(counts) == len(flags) > 0, (p, g)
-            assert shape_case((r, s, t, ms[0], ns[0])) is case, (p, g)
-            flat += [(r, s, t, m, n, case, count, f) for m, n, count, f in zip(ms, ns, counts, flags)]
-        # one run per (r, s, t)
-        assert len({run[:3] for run in runs}) == len(runs), (p, g)
+        for r, s, runs, head, counts, flags in tables:
+            shapes = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
+            assert len(shapes) == len(counts) == len(flags or shapes), (p, g)
+            assert all(len(ms) == len(ns) > 0 for _, ms, ns in runs), (p, g)
+            # one run per (r, s, t)
+            assert len({t for t, _, _ in runs}) == len(runs), (p, g)
+            for i, (v, count) in enumerate(zip(shapes, counts)):
+                case = shape_case(v)
+                # the first head rows, and only they, are in case r or m
+                assert (case is not CaseTag.CASE_ST) == (i < head), (p, g, v)
+                flat.append((*v, case, count, flags[i] if flags else ()))
+        # one table per (r, s)
+        assert len({table[:2] for table in tables}) == len(tables), (p, g)
         assert flat == list(report.iter_rows()), (p, g)
         assert [row[:7] for row in flat] == listed_census(p, g), (p, g)
 
 
 @pytest.mark.parametrize("p,g", [(3, 150), (5, 300)])
 def test_counts_yielded_are_not_handed_out_again(p, g):
-    # Runs with the same (ms, ns) share one list of by_m[m] A(kn,n); each run
-    # must still get a counts list of its own, so writing into every yielded
-    # list changes no run read later.
+    # Runs with the same (ms, ns) share one list of by_m[m] A(kn,n), and
+    # tables with the same r+s share their list of those; each table must
+    # still get a counts list of its own, so writing into every yielded list
+    # changes no table read later.
     rows, seen, shared = [], set(), 0
-    for r, s, t, case, ms, ns, counts, _ in census(p, g).iter_runs():
-        rows += [(r, s, t, m, n, case, count) for m, n, count in zip(ms, ns, counts)]
-        shared += (ms, ns) in seen
-        seen.add((ms, ns))
+    for r, s, runs, _, counts, _ in census(p, g).iter_tables():
+        shapes = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
+        rows += [(*v, shape_case(v), count) for v, count in zip(shapes, counts)]
+        for _, ms, ns in runs:
+            shared += (ms, ns) in seen
+            seen.add((ms, ns))
         counts[:] = [-1] * len(counts)
     assert rows == listed_census(p, g)
     assert shared > 0
@@ -308,7 +318,6 @@ def test_largest_count_is_the_largest_count_the_tables_yield(p, g):
 
 def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
     report = census(5, 26)
-    runs = len(list(report.iter_runs()))
     tables = len(list(report.iter_tables()))
     for wrong in (
         dataclasses.replace(report, total=report.total + 1),
@@ -318,10 +327,6 @@ def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
         assert len([next(rows) for _ in range(report.shape_count)]) == 6
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
             next(rows)
-        run_iter = wrong.iter_runs()
-        assert sum(len(next(run_iter)[6]) for _ in range(runs)) == 6
-        with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
-            next(run_iter)
         table_iter = wrong.iter_tables()
         assert sum(len(next(table_iter)[4]) for _ in range(tables)) == 6
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
@@ -342,7 +347,7 @@ def test_runs_that_disagree_with_the_closed_form_raise_under_python_O():
         "from handlebody_census.theorem_counts import census\n"
         "report = census(5, 26)\n"
         "wrong = dataclasses.replace(report, total=report.total + 1)\n"
-        "for stream in ('iter_runs', 'iter_tables'):\n"
+        "for stream in ('iter_rows', 'iter_tables'):\n"
         "    records = list(getattr(report, stream)())\n"
         "    record_iter = getattr(wrong, stream)()\n"
         "    read = [next(record_iter) for _ in records]\n"

@@ -139,11 +139,15 @@ def test_completeness_against_box_scan():
 
 
 def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatch):
+    count = len(list(tuples.shape_tables(5, 26)))
     monkeypatch.setattr(tuples, "shape_count", lambda p, g: 5)
-    shapes = tuples.iter_shapes(5, 26)
-    assert len([next(shapes) for _ in range(6)]) == 6
+    tables = tuples.shape_tables(5, 26)
+    read = [next(tables) for _ in range(count)]
+    assert sum(len(ms) for _, _, runs in read for _, ms, _ in runs) == 6
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
-        next(shapes)
+        next(tables)
+    with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
+        admissible_tuples(5, 26)
 
 
 def test_the_walk_reaches_its_first_run_lazily():
@@ -152,12 +156,40 @@ def test_the_walk_reaches_its_first_run_lazily():
     # 100 MiB, one table takes a few entries.
     tracemalloc.start()
     try:
-        first = next(tuples.shape_runs(101, 10**8))
+        first = next(tuples.shape_tables(101, 10**8))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert first[:2] == (0, 0)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p,g", [(3, 43), (5, 300)])
+def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
+    built = []
+
+    def build(runs):
+        built.append(runs)
+        return object()
+
+    # extra fields after (r, s, runs) pass through untouched
+    tables = [(r, s, runs, r * s) for r, s, runs in tuples.shape_tables(p, g)]
+    pairs = tuples.per_table(tables, build)
+    first = next(pairs)
+    # the first pair comes before any later table is built
+    assert first[0] is tables[0] and tables[0][:2] == (0, 0)
+    assert built == [tables[0][2]]
+    pairs = [first, *pairs]
+    assert [table for table, _ in pairs] == tables
+    sums = [r + s for r, s, _, _ in tables]
+    # one call per value of r+s, in increasing order, on that sum's runs
+    assert len(built) == len(set(sums)) == max(sums) + 1
+    assert all(built[r + s] is runs for r, s, runs, _ in tables)
+    # every (r, s) with the same sum gets the identical object
+    by_sum = {}
+    for (r, s, _, _), value in pairs:
+        assert by_sum.setdefault(r + s, value) is value
+    assert len(set(map(id, by_sum.values()))) == len(by_sum)
 
 
 def test_tuple5_rejects_bad_components():

@@ -7,10 +7,16 @@ first checks that both hold the same benchmark, ``perfbench/`` and
 ``BENCHMARK.json`` byte for byte, and refuses to run when they differ.  It
 then byte-compiles both source trees.  For each workload, pair i (i = 1 to
 10) runs seed i on both sides for 15 s, the base first in odd pairs and the
-head first in even ones.  Per workload and end-to-end metric the file holds
-every run's value, each side's median and quartiles, and how many pairs the
-head won.  A gain holds when the head wins at least nine pairs in ten and
-the medians differ by more than the base's interquartile range.
+head first in even ones.  The file names what it compared: each side's
+root path and the commit checked out there (``git rev-parse HEAD``, null
+outside git; uncommitted changes do not show in it).  Per workload and end-to-end metric of ``BENCHMARK.json`` it
+holds every run's value, each side's median and quartiles, and how many
+pairs the head won.  ``head_worse_by`` is how far the head's median is from
+the base's, as a share of the base's, in the metric's worse direction, and
+``within_bound`` says whether that stays within the metric's ``bound``, as
+``perfbench/summarize.py`` compares sets of runs.  A gain holds when the
+head wins at least nine pairs in ten and the medians differ by more than
+the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -29,13 +35,6 @@ from pathlib import Path
 PAIRS = 10
 SECONDS = 15
 WORKLOADS = ("census-and-normal-forms", "verify-and-orbits")
-METRICS = {  # name: whether lower is better
-    "setup_s": True,
-    "wall_s": True,
-    "cpu_s": True,
-    "peak_rss_mb": True,
-    "success_rate": False,
-}
 
 
 def benchmark_files(root: Path) -> dict[str, bytes]:
@@ -47,6 +46,24 @@ def benchmark_files(root: Path) -> dict[str, bytes]:
         for path in files
         if path.is_file() and "__pycache__" not in path.parts
     }
+
+
+def end_to_end(root: Path) -> dict[str, dict]:
+    """The end-to-end metrics of the benchmark at ``root``, by name, each
+    with its ``better`` direction and ``bound``."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
+
+
+def checkout(root: Path) -> dict:
+    """The root path of a checkout and its ``git rev-parse HEAD``, ``None``
+    when that fails (no git, or not a git checkout)."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True, text=True, cwd=root)
+    except OSError:
+        proc = None
+    commit = proc.stdout.strip() if proc is not None and proc.returncode == 0 else None
+    return {"root": str(root), "commit": commit}
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
@@ -65,21 +82,28 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summary(base: list[dict], head: list[dict]) -> dict:
+def summary(base: list[dict], head: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of ``metrics`` (as :func:`end_to_end` gives them), the
+    paired runs of both sides compared."""
     out = {}
-    for name, lower in METRICS.items():
+    for name, spec in metrics.items():
+        lower = spec["better"] == "lower"
         b, h = [run[name] for run in base], [run[name] for run in head]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(b, h))
         sides = {"base": quartiles(b), "head": quartiles(h)}
-        gain = abs(sides["head"]["median"] - sides["base"]["median"]) > sides["base"]["iqr"]
-        better = (sides["head"]["median"] < sides["base"]["median"]) == lower
+        base_median, head_median = sides["base"]["median"], sides["head"]["median"]
+        worse = (head_median - base_median) if lower else (base_median - head_median)
+        worse_by = worse / base_median
         out[name] = {
             "base_runs": b,
             "head_runs": h,
             **sides,
             "head_wins": wins,
             "pairs": len(b),
-            "gain_holds": wins * 10 >= 9 * len(b) and gain and better,
+            "gain_holds": wins * 10 >= 9 * len(b) and -worse > sides["base"]["iqr"],
+            "head_worse_by": worse_by,
+            "bound": spec["bound"],
+            "within_bound": worse_by <= spec["bound"],
         }
     return out
 
@@ -96,8 +120,11 @@ def main() -> int:
     for root in (base_root, head_root):
         if not compileall.compile_dir(root / "src", quiet=1):
             raise SystemExit(f"{root / 'src'} does not byte-compile")
+    metrics = end_to_end(head_root)
     record = {
         "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "base": checkout(base_root),
+        "head": checkout(head_root),
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
         "seconds_per_run": SECONDS,
         "seeds": list(range(1, PAIRS + 1)),
@@ -112,7 +139,7 @@ def main() -> int:
                 runs.append(run_once(root, workload, seed))
             print(f"{workload} seed {seed}: wall_s base {base[-1]['wall_s']:.4f} head {head[-1]['wall_s']:.4f}",
                   file=sys.stderr)
-        record["workloads"][workload] = summary(base, head)
+        record["workloads"][workload] = summary(base, head, metrics)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
