@@ -22,12 +22,13 @@ its case, once per (ms, ns) columns of a run, that of t once per value of
 r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a list of
 the table's pieces, filled a piece kind at a time by slice assignment,
 with no template per row.  The tables are written in chunks of about
-1 MiB.  An aligned table first makes a pass over the shape tables for its
-column widths and one over them for the largest count.  A normal-form
-listing is one join of its dump lines in table and JSON output, made a
-shared prefix at a time (:meth:`~.verification.canonical.NormalForms.joined`),
-and in CSV, which numbers each line, one template per prefix, filled in
-with each line's index and the rest of the line.
+1 MiB.  An aligned table takes its column widths and its largest count
+from the (t, n) blocks of :func:`~.tuples.genus_blocks`, with no pass over
+the shapes.  A normal-form listing is one join of its dump lines in table
+and JSON output, made a shared prefix at a time
+(:meth:`~.verification.canonical.NormalForms.joined`), and in CSV, which
+numbers each line, one template per prefix, filled in with each line's
+index and the rest of the line.
 
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  ``akj`` prints its
@@ -55,6 +56,7 @@ from .tuples import (
     Run,
     Tuple5,
     admissible_tuples,
+    genus_blocks,
     head_rows,
     per_table,
     require_genus,
@@ -318,26 +320,15 @@ _TUPLES_TABLE_CASE = "  %s\n"
 _CENSUS_TABLE_CASE = "  %-{}s  "
 
 
-def _table_top(runs: list[Run]) -> tuple[int, int, int, int]:
-    """The largest t, m and n of a shape table's runs, and its rows."""
-    m = max((ms[-1] for _, ms, _ in runs), default=0)
-    n = max((ns[0] for _, _, ns in runs), default=0)
-    return runs[-1][0] if runs else 0, m, n, sum(len(ms) for _, ms, _ in runs)
-
-
-def _widths(p: int, g: int) -> tuple[list[int], set[str]]:
-    """The widest cell of each column r, s, t, m, n of the shapes of (p, g),
-    and the texts of the cases they hold."""
-    top, cases = [0] * 5, set()  # the largest r, s, t, m and n
-    for (r, s, runs), (t, m, n, rows) in per_table(shape_tables(p, g), _table_top):
-        if rows:
-            top = list(map(max, top, (r, s, t, m, n)))
-            head = head_rows(s, runs)
-            if head:
-                cases.add(_R if r else _M)
-            if head < rows:
-                cases.add(_ST)
-    return [len(str(x)) for x in top], cases
+def _widths(p: int, g: int) -> list[int]:
+    """The widest cell of each column r, s, t, m, n and case of the shapes
+    of (p, g), from the :func:`~.tuples.genus_blocks` (t, n, K).  A block
+    holds (K,0,t,0,n), (0,K,t,0,n) and (0,0,t,K,n), so the largest r, s and
+    m are all the largest K; and it holds a shape in case st, whose text is
+    the widest case text."""
+    blocks = list(genus_blocks(p, g))
+    t, n, K = map(max, zip(*blocks or [(0, 0, 0)]))
+    return [len(str(x)) for x in (K, K, t, K, n)] + [len(_ST) if blocks else 0]
 
 
 def _header_line(header: list[str], widths: list[int], no_header: bool) -> tuple[list[str], list[int]]:
@@ -360,8 +351,8 @@ def _table_cells(widths: list[int]) -> tuple[str, str, str]:
 
 def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
     """The shapes aligned under their header, an (r, s) table at a time,
-    after a first pass over :func:`shape_tables` for the column widths."""
-    heading, widths = _header_line(_TUPLES_HEADER, _widths(p, g)[0], no_header)
+    in column widths from the (t, n) blocks (:func:`_widths`)."""
+    heading, widths = _header_line(_TUPLES_HEADER, _widths(p, g)[:5], no_header)
     yield from heading
     yield from _shape_rows(_bare_tables(p, g), (*_table_cells(widths), _TUPLES_TABLE_CASE))
     yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
@@ -404,12 +395,11 @@ def _census_csv(report: CountReport) -> Iterator[str]:
 
 def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iterator[str]:
     """The census table: with ``per_tuple`` its rows aligned under their
-    header, an (r, s) table at a time, after a pass over the shapes for the
-    column widths (:func:`_widths`) and one over the tables for the largest
-    count (:meth:`CountReport.largest_count`); then the total."""
+    header, an (r, s) table at a time, in column widths and a count width
+    taken from the (t, n) blocks (:func:`_widths` and
+    :meth:`CountReport.largest_count`); then the total."""
     if per_tuple:
-        widths, cases = _widths(report.p, report.g)
-        widths += [max(map(len, cases), default=0), len(str(report.largest_count()))]
+        widths = _widths(report.p, report.g) + [len(str(report.largest_count()))]
         heading, widths = _header_line(_CENSUS_HEADER, widths, no_header)
         yield from heading
         *widths, wcase, wcount = widths
@@ -561,6 +551,8 @@ def _cmd_verify(args) -> Output:
             f"orbits {row['orbit_count'] or '?'} [{verdict if r.complete else 'incomplete'}]"
         )
         lines += [f"  {err}" for err in r.errors]
+    if not shapes:
+        lines.append(f"0 admissible shape(s) for p={p} genus={args.genus}: nothing to verify")
     incomplete = any(not row["complete"] for row in rows)
     return Output(
         json=_dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}),

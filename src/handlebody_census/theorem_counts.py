@@ -27,8 +27,8 @@ over its table and one multiplication a row by A(k,s) A(k,t).
 :meth:`CountReport.iter_rows` flattens the tables into plain row tuples
 ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are checked
 against the closed form when they have all been read.
-:meth:`CountReport.largest_count` gives the largest count from each
-table's largest factors, without the rows.
+:meth:`CountReport.largest_count` gives the largest count in closed form,
+one term per (t, n) block, without the rows.
 
 The census always reports the literal formula value.  Where the published
 worked example this tool audits lists a different number, the published
@@ -240,33 +240,30 @@ class CountReport:
             )
 
     def largest_count(self) -> int:
-        """The largest count of any row, 0 when there are none, without the
-        count of each row: per (r, s), A(k,s) times the largest of A(k,t)
-        times the largest of case st's ``M(m) A(kn,n)`` over each run of its
-        table, that found once per (ms, ns) columns and the table's largest
-        once per r+s, and the ``head`` rows' own counts.  Every factor is
-        nonnegative, so the largest product has the largest factors."""
-        A_k, A_kn, by_m = factor_lists(self.p, self.g)
-        by_st = by_m[CaseTag.CASE_ST]
+        """The largest count of any row, 0 when there are none, in closed
+        form: the largest over the :func:`~.tuples.genus_blocks` (t, n, K)
+        of the case st count with r = 0 and s = max(K//2, [t = 0]).
 
-        @functools.cache
-        def largest(ms: range, ns: range) -> int:
-            """The largest of case st's M(m) A(kn,n) over a run."""
-            return max(by_st[m] * A_kn[n] for m, n in zip(ms, ns))
+        Every count of a block is A(kn,n) times a factor of its (r, s, m),
+        r+s+m = K.  In case st that factor is A(k,s) A(k,t) A(k,m), and
+        A(k,s) A(k,m) over s+m <= K is largest at r = 0, s = K//2: A(k,j)
+        rises with j, and log A(k,j) is concave, as the ratio
+        A(k,j+1)/A(k,j) = (k+j)/(j+1) falls as j grows.  At t = 0 case st
+        needs s >= 1, which only K = 1 changes.  The other cases have
+        t = 0, and each stays below a case st count of its block:
 
-        def table_tops(runs: list[Run]) -> tuple[int, int]:
-            """The largest count over a table's runs at A(k,s) = 1, and the
-            same over the runs after the first."""
-            tops = [A_k[t] * largest(ms, ns) for t, ms, ns in runs]
-            return max(tops, default=0), max(tops[1:], default=0)
-
-        top = 0
-        for (r, s, runs), (every, after_first) in per_table(shape_tables(self.p, self.g), table_tops):
-            if head_rows(s, runs):
-                top = max(top, A_k[s] * after_first, *_head_counts(r, runs, by_m, A_kn))
-            else:
-                top = max(top, A_k[s] * every)
-        return top
+        * case m, s = 0 and m = K: M(K) = kp A(k,K-1) < A(k,1) A(k,K-1),
+          as kp < k;
+        * case r, m <= K-1: M(m) <= M(K-1) <= k A(k,K-1) = A(k,1) A(k,K-1),
+          by Pascal's rule A(k,j) = A(k-1,j) + A(k,j-1) with kn <= k-1 and
+          kp < k; the two are equal at K = 1.
+        """
+        k, kn, _ = pools(self.p)
+        tops = []
+        for t, n, K in genus_blocks(self.p, self.g):
+            s = max(K // 2, 0 if t else 1)
+            tops.append(count_A(kn, n) * count_A(k, t) * count_A(k, s) * count_A(k, K - s))
+        return max(tops, default=0)
 
     def iter_rows(self) -> Iterator[CensusRow]:
         """The rows of :meth:`iter_tables` as plain tuples ``(r, s, t, m, n,

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from handlebody_census import cli
+from handlebody_census import cli, theorem_counts
 from handlebody_census.theorem_counts import CountReport, Flag, census
-from handlebody_census.tuples import Tuple5
+from handlebody_census.tuples import Tuple5, shape_tables
 from handlebody_census.verification.canonical import NormalForms
 from handlebody_census.cli import main
 
@@ -359,3 +359,19 @@ def test_cli_tuples_builds_no_shape_objects(capsys, monkeypatch):
     for fmt in ("json", "csv", "table"):
         run_cli(capsys, "tuples", "--p", 5, "--genus", 26, "--format", fmt)
         run_cli(capsys, "tuples", "--p", 3, "--genus", 120, "--format", fmt)
+
+
+@pytest.mark.parametrize("command", [["census", "--per-tuple"], ["tuples"]])
+def test_an_aligned_table_walks_the_shapes_once(capsys, monkeypatch, command):
+    # the widths and the largest count come from the (t, n) blocks, so the
+    # table walks the shapes only to write its rows
+    walks = []
+
+    def counted(p, g):
+        walks.append((p, g))
+        return shape_tables(p, g)
+
+    for module in (cli, theorem_counts):
+        monkeypatch.setattr(module, "shape_tables", counted)
+    run_cli(capsys, *command, "--p", 3, "--genus", 120)
+    assert walks == [(3, 120)]

@@ -50,6 +50,7 @@ COMMANDS = [
     ["orbits", "--p", "3", "--tuple", "0,0,0,2,0", "--workers", "2"],
     ["orbits", "--p", "5", "--tuple", "0,0,0,2,0", "--max-states", "10"],
     ["verify", "--p", "3", "--genus", "10"],
+    ["verify", "--p", "3", "--genus", "2"],
     ["verify", "--p", "3", "--genus", "10", "--workers", "2"],
     ["verify", "--p", "3", "--tuple", "0,1,0,0,0"],
     ["verify", "--p", "3", "--genus", "10", "--max-states", "50"],

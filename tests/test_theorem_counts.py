@@ -308,11 +308,27 @@ def test_counts_yielded_are_not_handed_out_again(p, g):
     assert shared > 0
 
 
-@pytest.mark.parametrize("p,g", [(3, 2), (3, 43), (3, 150), (5, 26), (5, 300), (7, 400), (11, 1000)])
+_LARGEST_PAIRS = [(3, 2), (3, 43), (3, 150), (5, 26), (5, 300), (7, 400), (11, 1000)]
+# Both are closed forms over the (t, n) blocks, so every genus up to 300 at
+# five primes, after the pairs above.
+_BLOCK_SWEEP = [(p, g) for p in (3, 5, 7, 11, 13) for g in range(1, 301) if (p, g) not in _LARGEST_PAIRS]
+
+
+@pytest.mark.parametrize("p,g", _LARGEST_PAIRS + _BLOCK_SWEEP)
 def test_largest_count_is_the_largest_count_the_tables_yield(p, g):
-    # the --per-tuple table's count column is as wide as this value
+    # the --per-tuple table's count column is as wide as this value, and its
+    # other columns as cli._widths says: as the widest cells of the walk
     report = census(p, g)
-    largest = max((count for table in report.iter_tables() for count in table[4]), default=0)
+    largest, top, cases = 0, [0] * 5, set()
+    for r, s, runs, head, counts, _ in report.iter_tables():
+        largest = max(largest, max(counts, default=0))
+        for t, ms, ns in runs:  # m rises and n falls along a run
+            top = list(map(max, top, (r, s, t, ms[-1], ns[0])))
+        if head:
+            cases.add("r" if r else "m")
+        if head < len(counts):
+            cases.add("st")
+    assert cli._widths(p, g) == [len(str(x)) for x in top] + [max(map(len, cases), default=0)]
     assert report.largest_count() == largest
 
 
