@@ -18,14 +18,14 @@ is rendered for the other two.  The census rows (the tables of
 :meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
 :func:`~.tuples.shape_tables`) are rendered an (r, s) table at a time in
 every format (:func:`_shape_rows`): the text of each row's m and n, with
-its case, once per (ms, ns) columns of a run, that of t once per value of
-r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a list of
-the table's pieces, filled a piece kind at a time by slice assignment,
-with no template per row.  The tables are written in chunks of about
-1 MiB.  An aligned table takes its column widths and its largest count
-from the (t, n) blocks of :func:`~.tuples.genus_blocks`, with no pass over
-the shapes.  A normal-form listing is one join of its dump lines in table
-and JSON output, made a shared prefix at a time
+its case, once per case and (ms, ns) columns of a run, that of t once per
+value of r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a
+list of the table's pieces, filled a piece kind at a time by slice
+assignment, with no template per row.  The tables are written in chunks
+of about 1 MiB.  An aligned table takes its column widths and its largest
+count from the (t, n) blocks of :func:`~.tuples.genus_blocks`, with no
+pass over the shapes.  A normal-form listing is one join of its dump
+lines in table and JSON output, made a shared prefix at a time
 (:meth:`~.verification.canonical.NormalForms.joined`), and in CSV, which
 numbers each line, one template per prefix, filled in with each line's
 index and the rest of the line.
@@ -208,8 +208,6 @@ def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) ->
     return chain.from_iterable(pieces())
 
 
-_ST, _R, _M = CaseTag.CASE_ST.text, CaseTag.CASE_R.text, CaseTag.CASE_M.text
-
 # The census and the shapes are written in chunks of at least this many
 # characters, each a whole number of (r, s) tables.  A writer that gathers
 # stdout in an io.StringIO peaks higher with smaller or larger chunks, by
@@ -239,24 +237,27 @@ def _shape_rows(
     before and this row's start) is filled at once, then the t texts, the
     m, n texts and the counts each by one slice assignment.  The text of
     each t of a table is made once per value of r+s
-    (:func:`~.tuples.per_table`), that of m and n with case st's case text
-    once per (ms, ns) columns of a run, shared by every table that holds
-    them; the ``head`` rows, in case r or m, get texts of their own.  A
-    flagged row overwrites its count slot and the separator slot after it.
+    (:func:`~.tuples.per_table`), that of m and n with the case text once
+    per case and (ms, ns) columns of a run, shared by every table that
+    holds them: the ``head`` rows, in case r or m
+    (:func:`~.tuples.shape_case` of the first row), overwrite their slice
+    with their case's texts.  A flagged row overwrites its count slot and
+    the separator slot after it.
     """
     start_cell, t_cell, mn_cell, case_cell = cells
-    st_cell = mn_cell + (case_cell % _ST).replace("%", "%%")
 
     @functools.cache
-    def st_texts(ms: range, ns: range) -> list[str]:
-        """The m, n and case texts of a run's rows in case st."""
-        return list(map(st_cell.__mod__, zip(ms, ns)))
+    def mn_texts(case: CaseTag, ms: range, ns: range) -> list[str]:
+        """The m, n and case texts of a run's rows in the case."""
+        cell = mn_cell + (case_cell % case.value).replace("%", "%%")
+        return list(map(cell.__mod__, zip(ms, ns)))
 
     def table_texts(runs: list[Run]) -> tuple[list[str], list[int], list[list[str]], int]:
         """The t text and the number of rows of each run of a table, the
         runs' m, n texts, and the rows in all."""
         lens = [len(ms) for _, ms, _ in runs]
-        return [t_cell % t for t, _, _ in runs], lens, [st_texts(ms, ns) for _, ms, ns in runs], sum(lens)
+        texts = [mn_texts(CaseTag.CASE_ST, ms, ns) for _, ms, ns in runs]
+        return [t_cell % t for t, _, _ in runs], lens, texts, sum(lens)
 
     end, mark = ends or ("", None)
     k = 3 if ends is None else 4
@@ -270,9 +271,8 @@ def _shape_rows(
         pieces[1::k] = chain.from_iterable(map(repeat, ts, lens))
         pieces[2::k] = chain.from_iterable(texts)
         if head:  # the first rows, those with s = t = 0, are in case r or m
-            _, ms, ns = runs[0]
-            head_cell = mn_cell + (case_cell % (_R if r else _M)).replace("%", "%%")
-            pieces[2 : k * head : k] = map(head_cell.__mod__, zip(ms, ns))
+            t, ms, ns = runs[0]
+            pieces[2 : k * head : k] = mn_texts(shape_case((r, s, t, ms[0], ns[0])), ms, ns)
         if counts is not None:
             pieces[3::k] = map(str, counts)
         pieces.append(end)
@@ -328,7 +328,7 @@ def _widths(p: int, g: int) -> list[int]:
     the widest case text."""
     blocks = list(genus_blocks(p, g))
     t, n, K = map(max, zip(*blocks or [(0, 0, 0)]))
-    return [len(str(x)) for x in (K, K, t, K, n)] + [len(_ST) if blocks else 0]
+    return [len(str(x)) for x in (K, K, t, K, n)] + [len(CaseTag.CASE_ST.value) if blocks else 0]
 
 
 def _header_line(header: list[str], widths: list[int], no_header: bool) -> tuple[list[str], list[int]]:

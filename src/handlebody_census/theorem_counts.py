@@ -19,11 +19,12 @@ number of shapes in closed form, one term per (t, n) block, and
 :meth:`CountReport.iter_tables` streams the rows in lexicographic order, an
 (r, s) table of the shape walk (:func:`~.tuples.shape_tables`) at a time.
 The walk builds one table of runs (t, ms, ns) per value of r+s and hands it
-to every (r, s) with that sum.  The census builds case st's list of
-M(m) A(kn,n) over a run once per (ms, ns), with factors from
-:func:`factor_lists`, and gathers those lists once per value of r+s
+to every (r, s) with that sum.  The census builds a run's list of
+M(m) A(kn,n) once per case and (ms, ns), with factors from
+:func:`factor_lists`, and gathers case st's lists once per value of r+s
 (:func:`~.tuples.per_table`); an (r, s) then costs one list comprehension
-over its table and one multiplication a row by A(k,s) A(k,t).
+over its table and one multiplication a row by A(k,s) A(k,t), and the rows
+of its run with s = t = 0, if any, take their case's list.
 :meth:`CountReport.iter_rows` flattens the tables into plain row tuples
 ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are checked
 against the closed form when they have all been read.
@@ -144,15 +145,6 @@ class Flag:
     computed_value: int
 
 
-def _head_counts(r: int, runs: list[Run], by_m: dict[CaseTag, list[int]], A_kn: list[int]) -> list[int]:
-    """The counts of the ``head`` rows (:func:`~.tuples.head_rows`) of a
-    table with s = 0, whose first run has t = 0: case r's or case m's M(m)
-    A(kn,n), as A(k,s) A(k,t) = 1."""
-    _, ms, ns = runs[0]
-    by_case = by_m[CaseTag.CASE_R if r else CaseTag.CASE_M]
-    return [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
-
-
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
 #: One census table: r, s, the shape walk's runs (t, ms, ns) for r+s, the
@@ -193,17 +185,19 @@ class CountReport:
         (``()`` when it has none).
 
         A row's count is :func:`count_kernel`'s, factored as ``A(k,s) A(k,t)
-        * (M(m) A(kn,n))`` with M case st's :func:`m_factor`.  The list of
-        ``M(m) A(kn,n)`` over a run is built once per (ms, ns) and shared by
-        every table that holds those columns, and each value of r+s gathers
-        its runs' lists once (:func:`~.tuples.per_table`).  An (r, s) then
-        costs one list comprehension over its table, one multiplication a
-        row; only the ``head`` rows get values of their own.  ``runs`` is the walk's, the
-        same list for every (r, s) with the same r+s: treat it as read-only.
+        * (M(m) A(kn,n))`` with M its case's :func:`m_factor`.  The list of
+        ``M(m) A(kn,n)`` over a run is built once per case and (ms, ns) and
+        shared by every table that holds those columns, and each value of
+        r+s gathers its runs' case st lists once (:func:`~.tuples.per_table`).
+        An (r, s) then costs one list comprehension over its table, one
+        multiplication a row; the ``head`` rows, where A(k,s) A(k,t) = 1,
+        take the list of their case (:func:`~.tuples.shape_case` of the
+        first row) from the same cache.  ``runs`` is the walk's, the same
+        list for every (r, s) with the same r+s: treat it as read-only.
 
-        What is kept is one factor per row of the distinct columns, about
-        g^2 of them, where a list per table would hold one per row with
-        r = 0, about g^3.
+        What is kept is one factor per row of the distinct cases and
+        columns, about g^2 of them, where a list per table would hold one
+        per row with r = 0, about g^3.
 
         Once every table has been read, the number of rows and the sum of
         the counts yielded are held to ``shape_count`` and ``total``; a
@@ -211,22 +205,23 @@ class CountReport:
         """
         p, g, shape_flags = self.p, self.g, self.shape_flags
         A_k, A_kn, by_m = factor_lists(p, g)
-        by_st = by_m[CaseTag.CASE_ST]
         flagged = {v[:2] for v in shape_flags}
 
         @functools.cache
-        def columns(ms: range, ns: range) -> list[int]:
-            """Case st's M(m) A(kn,n) over a run."""
-            return [by_st[m] * A_kn[n] for m, n in zip(ms, ns)]
+        def columns(case: CaseTag, ms: range, ns: range) -> list[int]:
+            """The case's M(m) A(kn,n) over a run."""
+            by_case = by_m[case]
+            return [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
 
         count = total = 0
-        tables = per_table(shape_tables(p, g), lambda runs: [columns(ms, ns) for _, ms, ns in runs])
+        tables = per_table(shape_tables(p, g), lambda runs: [columns(CaseTag.CASE_ST, ms, ns) for _, ms, ns in runs])
         for (r, s, runs), table in tables:
             A_s, head = A_k[s], head_rows(s, runs)
             run_factors = [A_s * A_k[t] for t, _, _ in runs]
             counts = [f * x for f, factors in zip(run_factors, table) for x in factors]
-            if head:
-                counts[:head] = _head_counts(r, runs, by_m, A_kn)
+            if head:  # A(k,s) A(k,t) = 1
+                t, ms, ns = runs[0]
+                counts[:head] = columns(shape_case((r, s, t, ms[0], ns[0])), ms, ns)
             flags = None
             if (r, s) in flagged:
                 flags = [shape_flags.get((r, s, t, m, n), ()) for t, ms, ns in runs for m, n in zip(ms, ns)]
@@ -267,16 +262,19 @@ class CountReport:
 
     def iter_rows(self) -> Iterator[CensusRow]:
         """The rows of :meth:`iter_tables` as plain tuples ``(r, s, t, m, n,
-        case, count, flags)``, with the same check at the end: a table's
-        first ``head`` rows in case r, or case m when r = 0, the rest in
-        case st; ``flags`` is ``()`` for a row with none."""
+        case, count, flags)``, with the same check at the end.  Each run's
+        rows are in the case of its first row (:func:`~.tuples.shape_case`):
+        a table's first ``head`` rows in case r, or case m when r = 0, the
+        rest in case st; ``flags`` is ``()`` for a row with none."""
 
         def table_rows():
-            for r, s, runs, head, counts, flags in self.iter_tables():
+            for r, s, runs, _, counts, flags in self.iter_tables():
                 t_col = chain.from_iterable(repeat(t, len(ms)) for t, ms, _ in runs)
                 m_col = chain.from_iterable(ms for _, ms, _ in runs)
                 n_col = chain.from_iterable(ns for _, _, ns in runs)
-                cases = chain(repeat(CaseTag.CASE_R if r else CaseTag.CASE_M, head), repeat(CaseTag.CASE_ST))
+                cases = chain.from_iterable(
+                    repeat(shape_case((r, s, t, ms[0], ns[0])), len(ms)) for t, ms, ns in runs
+                )
                 yield zip(repeat(r), repeat(s), t_col, m_col, n_col, cases, counts, flags or repeat(()))
 
         return chain.from_iterable(table_rows())

@@ -118,18 +118,13 @@ class Tuple5(_Fields):
 
 
 class CaseTag(enum.Enum):
-    """Which counting branch applies to a shape; exactly one tag per shape.
-
-    ``text`` is the value as a plain attribute, for code that reads it once
-    a run: ``Enum.value`` is a Python-level property.
-    """
+    """Which counting branch applies to a shape; exactly one tag per shape,
+    the one :func:`shape_case` gives.  The value is the case's text in the
+    CLI's output."""
 
     CASE_ST = "st"
     CASE_R = "r"
     CASE_M = "m"
-
-    def __init__(self, text: str):
-        self.text = text
 
 
 def shape_case(v: Shape) -> CaseTag:

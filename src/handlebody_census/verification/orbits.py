@@ -430,7 +430,7 @@ def _check_budget(p: int, v: Shape, budget: int) -> int:
     low = sum(exponent * (base.bit_length() - 1) for base, exponent in powers)
     raw = None
     if low < max(budget, _INT64_MAX).bit_length():
-        raw = math.prod(base**exponent for base, exponent in powers)
+        raw = raw_state_count(p, v)
     if raw is not None and raw <= min(budget, _INT64_MAX):
         return raw
     if raw is not None and raw <= _INT64_MAX:
@@ -522,7 +522,8 @@ class Comparison:
     ``agreement`` holds pairwise equality booleans (None where a side is
     missing); ``complete`` is False when a budget or a failed allocation
     stopped a computation, with the reasons in ``errors``.  Disagreement is
-    a finding, never an exception.
+    a finding, never an exception.  ``state_space_size`` is ``None`` when
+    the orbit budget check refused the shape without computing it.
     """
 
     p: int
@@ -531,7 +532,7 @@ class Comparison:
     theorem_count: int
     canonical_count: int | None
     orbit_count: int | None
-    state_space_size: int
+    state_space_size: int | None
     valid_states: int | None
     largest_orbit: int | None
     agreement: dict[str, bool | None]
@@ -564,9 +565,11 @@ def compare(
     largest: int | None
     try:
         part = orbit_partition(p, v, budget=budget)
-        orbits, valid, largest = part.orbit_count, part.valid_count, part.largest_orbit
+        raw, orbits, valid, largest = part.raw, part.orbit_count, part.valid_count, part.largest_orbit
     except (BudgetExceededError, MemoryError) as exc:
         orbits = valid = largest = None
+        # an allocation fails only past the budget check: the size fits int64
+        raw = exc.required if isinstance(exc, BudgetExceededError) else raw_state_count(p, v)
         errors.append(f"orbits: {stop_reason(exc)}")
 
     agreement = {
@@ -583,7 +586,7 @@ def compare(
         theorem_count=theorem,
         canonical_count=canonical,
         orbit_count=orbits,
-        state_space_size=raw_state_count(p, v),
+        state_space_size=raw,
         valid_states=valid,
         largest_orbit=largest,
         agreement=agreement,

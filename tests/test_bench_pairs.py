@@ -3,6 +3,7 @@ medians, the pairs won, whether a gain holds, and how far the head's median
 is worse than the base's against each metric's bound."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,14 @@ def test_end_to_end_reads_every_metric_of_the_benchmark():
     metrics = tool.end_to_end(ROOT)
     assert set(metrics) == {"setup_s", "wall_s", "cpu_s", "peak_rss_mb", "success_rate"}
     assert all(m["better"] in ("lower", "higher") and m["bound"] > 0 for m in metrics.values())
+
+
+def test_workloads_are_those_of_the_benchmark_in_its_order(tmp_path):
+    tool = _load_tool()
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert tool.workloads(ROOT) == [workload["name"] for workload in spec["workloads"]]
+    assert tool.workloads(ROOT) == ["census-and-normal-forms", "verify-and-orbits"]
+    # read from the file, not a list of the tool's own
+    spec["workloads"] = [{"name": "second", "why": ""}, {"name": "first", "why": ""}]
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    assert tool.workloads(tmp_path) == ["second", "first"]

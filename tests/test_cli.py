@@ -20,6 +20,7 @@ import handlebody_census
 from handlebody_census import Tuple5, census
 from handlebody_census.cli import main
 from handlebody_census.verification.canonical import enumerate_canonical
+from handlebody_census.verification.states import raw_state_count
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +321,8 @@ def test_orbit_spaces_past_int64_and_out_of_memory_exit_two():
         (row,) = json.loads(proc.stdout)["rows"]
         assert row["complete"] is False and row["orbit_count"] is None
         assert row["canonical_count"] == row["theorem_count"]
+        # each check computed the raw size; (0,0,0,12,0) passed it
+        assert row["state_space_size"] == raw_state_count(3, Tuple5.parse(shape))
         (error,) = row["errors"]
         assert error.startswith("orbits: ") and reason in error
 
@@ -336,6 +339,25 @@ def test_a_million_handles_are_refused_at_once_in_one_short_line():
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200
     assert b" 9^1000000 states, over the budget of 1000000" in proc.stderr
     assert elapsed < 2
+
+
+def test_verify_of_a_million_handles_prints_no_raw_size_its_check_did_not_compute():
+    # the budget check refuses 9^1000000 from bit lengths, so the row's
+    # state_space_size is null, not 954,243 digits that json.loads refuses
+    start = time.perf_counter()
+    proc = _run_capped("verify", "--p", "3", "--tuple", "1000000,0,0,0,0", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2, proc.stderr[:200]
+    assert len(proc.stdout) < 10_000 and elapsed < 2
+    (row,) = json.loads(proc.stdout)["rows"]
+    assert row["state_space_size"] is None and row["orbit_count"] is None
+    (error,) = row["errors"]
+    assert error.startswith("orbits: ") and " 9^1000000 states, over the budget of 1000000" in error
+
+    proc = _run_capped("verify", "--p", "3", "--tuple", "1000000,0,0,0,0", "--format", "csv", "--no-header")
+    assert proc.returncode == 2, proc.stderr[:200]
+    (cells,) = csv.reader(io.StringIO(proc.stdout.decode()))
+    assert cells[5:12] == ["r", "3", "3", "", "", "", ""]
 
 
 def test_orbits_of_a_589824_state_space_run_under_256_mib():

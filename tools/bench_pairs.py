@@ -5,18 +5,19 @@
 Each checkout runs its own ``perfbench/run.py --trace 0``, so the tool
 first checks that both hold the same benchmark, ``perfbench/`` and
 ``BENCHMARK.json`` byte for byte, and refuses to run when they differ.  It
-then byte-compiles both source trees.  For each workload, pair i (i = 1 to
-10) runs seed i on both sides for 15 s, the base first in odd pairs and the
-head first in even ones.  The file names what it compared: each side's
-root path and the commit checked out there (``git rev-parse HEAD``, null
-outside git; uncommitted changes do not show in it).  Per workload and end-to-end metric of ``BENCHMARK.json`` it
-holds every run's value, each side's median and quartiles, and how many
-pairs the head won.  ``head_worse_by`` is how far the head's median is from
-the base's, as a share of the base's, in the metric's worse direction, and
-``within_bound`` says whether that stays within the metric's ``bound``, as
-``perfbench/summarize.py`` compares sets of runs.  A gain holds when the
-head wins at least nine pairs in ten and the medians differ by more than
-the base's interquartile range.
+then byte-compiles both source trees.  For each workload of
+``BENCHMARK.json``, in its order, pair i (i = 1 to 10) runs seed i on both
+sides for 15 s, the base first in odd pairs and the head first in even
+ones.  The file names what it compared: each side's root path and the
+commit checked out there (``git rev-parse HEAD``, null outside git;
+uncommitted changes do not show in it).  Per workload and end-to-end
+metric of ``BENCHMARK.json`` it holds every run's value, each side's
+median and quartiles, and how many pairs the head won.  ``head_worse_by``
+is how far the head's median is from the base's, as a share of the base's,
+in the metric's worse direction, and ``within_bound`` says whether that
+stays within the metric's ``bound``, as ``perfbench/summarize.py`` compares
+sets of runs.  A gain holds when the head wins at least nine pairs in ten
+and the medians differ by more than the base's interquartile range.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from pathlib import Path
 
 PAIRS = 10
 SECONDS = 15
-WORKLOADS = ("census-and-normal-forms", "verify-and-orbits")
 
 
 def benchmark_files(root: Path) -> dict[str, bytes]:
@@ -46,6 +46,12 @@ def benchmark_files(root: Path) -> dict[str, bytes]:
         for path in files
         if path.is_file() and "__pycache__" not in path.parts
     }
+
+
+def workloads(root: Path) -> list[str]:
+    """The names of the workloads of the benchmark at ``root``, in its order."""
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return [workload["name"] for workload in spec["workloads"]]
 
 
 def end_to_end(root: Path) -> dict[str, dict]:
@@ -131,7 +137,7 @@ def main() -> int:
         "order": "base first in odd pairs, head first in even pairs",
         "workloads": {},
     }
-    for workload in WORKLOADS:
+    for workload in workloads(head_root):
         base, head = [], []
         for seed in record["seeds"]:
             sides = [(base_root, base), (head_root, head)]
