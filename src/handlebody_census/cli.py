@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
 import re
 import sys
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .counting import count_A
@@ -65,7 +66,7 @@ from .tuples import (
     shape_count,
     shape_tables,
 )
-from .verification import DEFAULT_STATE_BUDGET, compare, enumerate_canonical, orbit_count
+from .verification import DEFAULT_STATE_BUDGET, ROUTES, Comparison, compare, enumerate_canonical, orbit_count
 from .verification.canonical import NormalForms
 
 EXIT_OK = 0
@@ -486,12 +487,7 @@ def _cmd_orbits(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
     stats = orbit_count(p, v, budget=args.max_states)
-    fields = {
-        "orbits": str(stats.orbits),
-        "state_space_size": stats.state_space_size,
-        "valid_states": stats.valid_states,
-        "largest_orbit": stats.largest_orbit,
-    }
+    fields = {**dataclasses.asdict(stats), "orbits": str(stats.orbits)}
     return Output(
         json=_dumps({"p": p, "tuple": v, **fields}),
         header=_SHAPE_COLUMNS + list(fields),
@@ -502,20 +498,6 @@ def _cmd_orbits(args) -> Output:
             f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
         ]),
     )
-
-
-# A verify CSV row is its JSON row with the tuple and the agreement spread
-# into cells and the errors left out (csv writes a null as an empty cell);
-# these keys fill the cells between.
-_VERIFY_KEYS = [
-    "case", "theorem_count", "canonical_count", "orbit_count",
-    "state_space_size", "valid_states", "largest_orbit",
-]
-
-
-def _comparison_cells(row: dict) -> list:
-    cells = [*row["tuple"], *(row[k] for k in _VERIFY_KEYS)]
-    return cells + [*row["agreement"].values(), row["complete"]]
 
 
 def _cmd_verify(args) -> Output:
@@ -531,35 +513,32 @@ def _cmd_verify(args) -> Output:
     rows, lines = [], []
     for v in shapes:
         r = compare(p, v, budget=args.max_states)
-        row = {
-            "tuple": v,
-            "case": r.case.value,
-            "theorem_count": str(r.theorem_count),
-            "canonical_count": None if r.canonical_count is None else str(r.canonical_count),
-            "orbit_count": None if r.orbit_count is None else str(r.orbit_count),
-            "state_space_size": r.state_space_size,
-            "valid_states": r.valid_states,
-            "largest_orbit": r.largest_orbit,
-            "agreement": r.agreement,
-            "complete": r.complete,
-            "errors": r.errors,
-        }
+        # the fields after p, with the case's text and the counts as decimal strings
+        row = {field.name: getattr(r, field.name) for field in dataclasses.fields(r)[1:]}
+        row["case"] = r.case.value
+        for route in ROUTES:
+            row[route.field] = None if row[route.field] is None else str(row[route.field])
         rows.append(row)
+        counts = ", ".join(f"{route.label} {row[route.field] or '?'}" for route in ROUTES)
         verdict = "agree" if all(x is True for x in r.agreement.values()) else "DIFFER"
-        lines.append(
-            f"shape {v}: theorem {r.theorem_count}, canonical {row['canonical_count'] or '?'}, "
-            f"orbits {row['orbit_count'] or '?'} [{verdict if r.complete else 'incomplete'}]"
-        )
+        lines.append(f"shape {v}: {counts} [{verdict if r.complete else 'incomplete'}]")
         lines += [f"  {err}" for err in r.errors]
     if not shapes:
         lines.append(f"0 admissible shape(s) for p={p} genus={args.genus}: nothing to verify")
     incomplete = any(not row["complete"] for row in rows)
+    # A CSV row is its JSON row with the tuple and the agreement spread into
+    # cells and the errors left out (csv writes a null as an empty cell); the
+    # Comparison fields between the tuple and the agreement head the cells
+    # between.
+    keys = [field.name for field in dataclasses.fields(Comparison)[2:-3]]
+    agree = [f"agree_{a.name}_{b.name}" for a, b in combinations(ROUTES, 2)]
     return Output(
         json=_dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}),
-        header=_SHAPE_COLUMNS + _VERIFY_KEYS + [
-            "agree_theorem_canonical", "agree_theorem_orbit", "agree_canonical_orbit", "complete",
-        ],
-        csv=map(_csv_line, map(_comparison_cells, rows)),
+        header=_SHAPE_COLUMNS + keys + agree + ["complete"],
+        csv=(
+            _csv_line([*v, *cells, *agreement.values(), complete])
+            for v, *cells, agreement, complete, _ in map(dict.values, rows)
+        ),
         table=_lines(lines),
         code=EXIT_INCOMPLETE if incomplete else EXIT_OK,
     )

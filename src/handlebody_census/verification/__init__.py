@@ -6,7 +6,9 @@ homeomorphisms.  Counting normal forms and counting move orbits give two
 checks on every closed-form count.  They are not independent: the normal
 forms are listed case by case as the counts are, so their number equals
 the closed form by construction.  The orbit count is the independent
-check.
+check.  The three counts are the routes of :data:`.orbits.ROUTES`, in the
+order :func:`compare` runs them and ``verify`` prints them: theorem,
+canonical, orbit.
 
 The package exports what the command line and the top-level API use;
 everything else is imported from its module (``.canonical``, ``.moves``,
@@ -14,11 +16,12 @@ everything else is imported from its module (``.canonical``, ``.moves``,
 """
 
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
-from .orbits import Comparison, compare, orbit_count
+from .orbits import ROUTES, Comparison, compare, orbit_count
 
 __all__ = [
     "Comparison",
     "DEFAULT_STATE_BUDGET",
+    "ROUTES",
     "compare",
     "enumerate_canonical",
     "orbit_count",

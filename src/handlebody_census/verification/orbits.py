@@ -77,9 +77,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -515,29 +516,69 @@ def orbit_count(
     )
 
 
-@dataclasses.dataclass
-class Comparison:
-    """Three-way record for one shape: formula, normal forms, orbits.
+class Route(NamedTuple):
+    """One way :func:`compare` counts a shape's classes.
 
-    ``agreement`` holds pairwise equality booleans (None where a side is
-    missing); ``complete`` is False when a budget or a failed allocation
-    stopped a computation, with the reasons in ``errors``.  Disagreement is
-    a finding, never an exception.  ``state_space_size`` is ``None`` when
-    the orbit budget check refused the shape without computing it.
+    ``run(p, v, budget)`` returns the count and the side fields reported
+    beside it, or raises :class:`BudgetExceededError` or
+    :class:`MemoryError` when a budget or an allocation stops it; then
+    ``stopped(p, v, exc)`` gives the side fields still known.  ``label``
+    names the route in errors and in ``verify``'s table.  ``run`` calls its
+    engine by module-global name, so a rebinding of that name reaches it.
     """
 
-    p: int
-    tuple: Tuple5
-    case: CaseTag
-    theorem_count: int
-    canonical_count: int | None
-    orbit_count: int | None
-    state_space_size: int | None
-    valid_states: int | None
-    largest_orbit: int | None
-    agreement: dict[str, bool | None]
-    complete: bool
-    errors: list[str]
+    name: str
+    label: str
+    run: Callable[[int, Tuple5, int], tuple[int, dict]]
+    stopped: Callable[[int, Tuple5, Exception], dict] = lambda p, v, exc: {}
+
+    @property
+    def field(self) -> str:
+        """The route's count field on :class:`Comparison`."""
+        return f"{self.name}_count"
+
+
+# The orbit route's side fields, None where it stopped
+_SIDE_FIELDS = [field.name for field in dataclasses.fields(OrbitStats)[1:]]
+
+
+def _orbit(p: int, v: Tuple5, budget: int) -> tuple[int, dict]:
+    stats = orbit_count(p, v, budget=budget)
+    return stats.orbits, {name: getattr(stats, name) for name in _SIDE_FIELDS}
+
+
+def _orbit_stopped(p: int, v: Tuple5, exc: Exception) -> dict:
+    # an allocation fails only past the budget check: the size fits int64
+    raw = exc.required if isinstance(exc, BudgetExceededError) else raw_state_count(p, v)
+    return {"state_space_size": raw}
+
+
+#: The routes :func:`compare` runs, in order: the closed form, the normal
+#: forms and the move orbits.
+ROUTES = (
+    Route("theorem", "theorem", lambda p, v, budget: (count_for_tuple(p, v), {})),
+    Route("canonical", "canonical", lambda p, v, budget: (len(enumerate_canonical(p, v, budget=budget)), {})),
+    Route("orbit", "orbits", _orbit, _orbit_stopped),
+)
+
+Comparison = dataclasses.make_dataclass(
+    "Comparison",
+    [("p", int), ("tuple", Tuple5), ("case", CaseTag)]
+    + [(route.field, "int | None") for route in ROUTES]
+    + [(name, "int | None") for name in _SIDE_FIELDS]
+    + [("agreement", "dict[str, bool | None]"), ("complete", bool), ("errors", "list[str]")],
+    namespace={"__module__": __name__},
+)
+Comparison.__doc__ = """Record for one shape: its count by each of :data:`ROUTES`.
+
+A count is None where a budget or a failed allocation stopped its route;
+``complete`` is then False, with the reasons in ``errors``.  The orbit
+route's side fields follow the counts; ``state_space_size`` is ``None``
+when the orbit budget check refused the shape without computing it.
+``agreement`` holds one key ``<a>_vs_<b>`` per ordered pair of routes, a
+before b in the list: whether their counts are equal, None where a side is
+missing.  Disagreement is a finding, never an exception.
+"""
 
 
 def compare(
@@ -545,51 +586,26 @@ def compare(
     v: Shape,
     budget: int = DEFAULT_STATE_BUDGET,
 ) -> Comparison:
-    """Compare the formula count, normal-form count, and orbit count; ``v``
-    is checked as in :func:`orbit_partition`."""
+    """Count a shape's classes by each of :data:`ROUTES`, in order, and
+    compare each ordered pair; ``v`` is checked as in :func:`orbit_partition`."""
     require_odd_prime(p)
     v = Tuple5._make(v)
     genus_of(p, v)
-    theorem = count_for_tuple(p, v)
+    counts: dict[Route, int | None] = {}
+    side = dict.fromkeys(_SIDE_FIELDS)
     errors: list[str] = []
-
-    canonical: int | None
-    try:
-        canonical = len(enumerate_canonical(p, v, budget=budget))
-    except (BudgetExceededError, MemoryError) as exc:
-        canonical = None
-        errors.append(f"canonical: {stop_reason(exc)}")
-
-    orbits: int | None
-    valid: int | None
-    largest: int | None
-    try:
-        part = orbit_partition(p, v, budget=budget)
-        raw, orbits, valid, largest = part.raw, part.orbit_count, part.valid_count, part.largest_orbit
-    except (BudgetExceededError, MemoryError) as exc:
-        orbits = valid = largest = None
-        # an allocation fails only past the budget check: the size fits int64
-        raw = exc.required if isinstance(exc, BudgetExceededError) else raw_state_count(p, v)
-        errors.append(f"orbits: {stop_reason(exc)}")
-
+    for route in ROUTES:
+        try:
+            counts[route], fields = route.run(p, v, budget)
+        except (BudgetExceededError, MemoryError) as exc:
+            counts[route], fields = None, route.stopped(p, v, exc)
+            errors.append(f"{route.label}: {stop_reason(exc)}")
+        side.update(fields)
     agreement = {
-        "theorem_vs_canonical": None if canonical is None else theorem == canonical,
-        "theorem_vs_orbit": None if orbits is None else theorem == orbits,
-        "canonical_vs_orbit": (
-            None if canonical is None or orbits is None else canonical == orbits
-        ),
+        f"{a.name}_vs_{b.name}": None if counts[a] is None or counts[b] is None else counts[a] == counts[b]
+        for a, b in itertools.combinations(ROUTES, 2)
     }
     return Comparison(
-        p=p,
-        tuple=v,
-        case=shape_case(v),
-        theorem_count=theorem,
-        canonical_count=canonical,
-        orbit_count=orbits,
-        state_space_size=raw,
-        valid_states=valid,
-        largest_orbit=largest,
-        agreement=agreement,
-        complete=not errors,
-        errors=errors,
+        p, v, shape_case(v), *counts.values(), **side,
+        agreement=agreement, complete=not errors, errors=errors,
     )

@@ -87,6 +87,32 @@ def test_orbit_stats_equal_the_raw_engine_record():
         assert [got.orbits, got.state_space_size, got.valid_states, got.largest_orbit] == stats, (p, v)
 
 
+def _closed_form_valid_count(p, v):
+    """The valid states of a shape by their closed form: every raw state
+    when s+t > 0, whose b or d images are units; otherwise the raw states
+    less the p^r (p(p-1))^m (p-1)^n with no unit image."""
+    r, s, t, m, n = v
+    raw = raw_state_count(p, v)
+    return raw if s + t else raw - p**r * (p * (p - 1)) ** m * (p - 1) ** n
+
+
+def test_valid_count_has_its_closed_form():
+    record = json.loads((TESTS_DIR / "orbit_stats_record.json").read_text())
+    recorded = [(p, tuple(v)) for p, v, _ in record["rows"]]
+    sweep = [
+        (p, v)
+        for p in (3, 5, 7)
+        for v in itertools.product(range(4), range(2), range(2), range(4), range(3))
+        if any(v[:4]) and raw_state_count(p, v) <= 2 * 10**6
+    ]
+    assert len(sweep) == 242
+    for shapes in (recorded, sweep):
+        assert {bool(v[1] + v[2]) for _, v in shapes} == {False, True}
+    for p, v in recorded + sweep:
+        part = orbit_partition(p, v, budget=2 * 10**6)
+        assert part.valid_count == _closed_form_valid_count(p, v), (p, v)
+
+
 def test_orbit_stats_fields():
     stats = orbit_count(3, Tuple5(0, 1, 0, 0, 0))
     assert stats.orbits == 3
