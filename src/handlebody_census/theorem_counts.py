@@ -57,7 +57,6 @@ from .tuples import (
     require_genus,
     require_odd_prime,
     shape_case,
-    shape_count,
     shape_tables,
 )
 
@@ -304,9 +303,10 @@ def census(p: int, g: int) -> CountReport:
     rows on demand (:meth:`CountReport.iter_tables` and
     :meth:`CountReport.iter_rows`, lexicographic order).
 
-    One term per (t, n) block of :func:`genus_blocks`, with K = r+s+m.  The
-    sum over the block's (r, s, m) collapses by Chu-Vandermonde, since the
-    sum of A(k,s) A(k,m) over s+m <= K is C(2k+K, K):
+    One pass over the (t, n) blocks of :func:`genus_blocks`, K = r+s+m,
+    gives both: a block holds (K+1)(K+2)/2 shapes, and the sum of their
+    counts collapses by Chu-Vandermonde, as the sum of A(k,s) A(k,m) over
+    s+m <= K is C(2k+K, K):
 
     * t > 0: every shape is case st, and the block total is
       A(kn,n) A(k,t) C(2k+K, K).
@@ -320,8 +320,9 @@ def census(p: int, g: int) -> CountReport:
     """
     pool_sizes = pools(p)
     k, kn, kp = pool_sizes
-    total = 0
+    total = shapes = 0
     for t, n, K in genus_blocks(p, g):
+        shapes += (K + 1) * (K + 2) // 2
         both = math.comb(2 * k + K, K)
         if t:
             total += count_A(kn, n) * count_A(k, t) * both
@@ -340,7 +341,7 @@ def census(p: int, g: int) -> CountReport:
         p=p,
         g=g,
         total=total,
-        shape_count=shape_count(p, g),
+        shape_count=shapes,
         reference_total=None if published is None else published[0],
         shape_flags=shape_flags,
     )

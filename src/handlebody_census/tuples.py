@@ -5,7 +5,7 @@ factors of the quotient's fundamental group by kind: r free handles (Z),
 s pairs of kind Z_{p^2} x Z, t of kind Z_{p^2}, m pairs of kind Z_p x Z,
 and n of kind Z_p.  The genus a shape acts on is a fixed linear function
 of its components; for given p and g the admissible shapes are the lattice
-solutions of that equation.
+solutions of that equation, which :func:`_runs` solves.
 
 There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
 with named fields and a check at construction: shapes with r+s+t+m = 0
@@ -154,18 +154,32 @@ def genus_of(p: int, v: Shape) -> int:
     return g
 
 
+def _runs(p: int, g: int, u: int) -> Iterator[Run]:
+    """The runs ``(t, ms, ns)`` of the shapes with r+s = u acting on genus
+    g, sorted.  The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n =
+    g-1+q, with q = p^2.  Fixing r+s and t fixes q*m + (q-p)*n =: R.  A
+    solution needs R = p*R' (so t runs through one residue class mod p, as
+    q-1 = -1 mod p) and m = R' mod p-1 (as p = 1 mod p-1); from one solution
+    to the next m rises by p-1 while n falls by p.  Shapes with r+s+t+m = 0
+    are never emitted.
+    """
+    q = p * p
+    rest = g - 1 + q - q * u  # (q-1)*t + R
+    for t in range(-rest % p, rest // (q - 1) + 1, p):
+        reduced = (rest - (q - 1) * t) // p  # R'
+        ms = range(reduced % (p - 1), reduced // p + 1, p - 1)
+        if u + t == 0 and ms and ms[0] == 0:
+            ms = ms[1:]
+        if ms:
+            n = (reduced - p * ms[0]) // (p - 1)
+            yield t, ms, range(n, n - p * len(ms), -p)
+
+
 def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
     """Every shape acting on genus g, as ``(r, s, runs)`` in lexicographic
     order of (r, s): the shapes are ``(r, s, t, m, n)`` for each ``(t, ms,
-    ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, sorted.
-
-    The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n = g-1+q, with
-    q = p^2.  Fixing (r, s, t) fixes q*m + (q-p)*n =: R.  A solution needs
-    R = p*R' (so t runs through one residue class mod p, as q-1 = -1 mod p)
-    and m = R' mod p-1 (as p = 1 mod p-1); from one solution to the next m
-    rises by p-1 while n falls by p.  So the shapes come out already sorted,
-    with no list of shapes and no sort.  Shapes with r+s+t+m = 0 are never
-    emitted.
+    ns)`` of ``runs`` (:func:`_runs` of r+s) and ``m, n`` in ``zip(ms, ns)``,
+    sorted, with no list of shapes and no sort.
 
     ``runs`` depends on r+s alone, so each value of r+s has one table, built
     as the r = 0 pass first reaches that value and yielded again, the same
@@ -178,26 +192,15 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
     """
     require_odd_prime(p)
     require_genus(g)
-    q = p * p
-    top = g - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
-    # per value u of r+s: its runs' (t, ms, ns) and their number of shapes
+    last = (g - 1) // (p * p) + 1  # the largest r+s
+    # per value u of r+s: its runs and their number of shapes
     tables: list[tuple[list[Run], int]] = []
     count = 0
-    for r in range(top // q + 1):
-        for u in range(r, top // q + 1):
+    for r in range(last + 1):
+        for u in range(r, last + 1):
             if u == len(tables):  # r = 0, and u is new
-                rest = top - q * u  # (q-1)*t + R
-                runs, shapes = [], 0
-                for t in range(-rest % p, rest // (q - 1) + 1, p):
-                    reduced = (rest - (q - 1) * t) // p  # R'
-                    ms = range(reduced % (p - 1), reduced // p + 1, p - 1)
-                    if u + t == 0 and ms and ms[0] == 0:
-                        ms = ms[1:]
-                    if ms:
-                        n = (reduced - p * ms[0]) // (p - 1)
-                        runs.append((t, ms, range(n, n - p * len(ms), -p)))
-                        shapes += len(ms)
-                tables.append((runs, shapes))
+                runs = list(_runs(p, g, u))
+                tables.append((runs, sum(len(ms) for _, ms, _ in runs)))
             runs, shapes = tables[u]
             count += shapes
             yield r, u - r, runs
@@ -235,20 +238,15 @@ def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
     """``(t, n, K)`` for every (t, n) that some shape of genus g has, with
     K = r+s+m, the same for all of the block's (K+1)(K+2)/2 shapes.
 
-    For each n, t runs through one residue class mod q, as q-1 = -1 mod q.
-    The closed forms of :func:`shape_count` and of the census total take one
-    term per block.
+    They are the r = s = 0 table of :func:`shape_tables` with K = m, read
+    lazily from its runs (:func:`_runs`), so grouped by t.  The closed forms
+    of :func:`shape_count` and of the census total take one term per block.
     """
     require_odd_prime(p)
     require_genus(g)
-    q = p * p
-    top = g - 1 + q  # q*K + (q-1)*t + (q-p)*n
-    for n in range(top // (q - p) + 1):
-        rest = top - (q - p) * n
-        for t in range(-rest % q, rest // (q - 1) + 1, q):
-            K = (rest - (q - 1) * t) // q
-            if K or t:
-                yield t, n, K
+    for t, ms, ns in _runs(p, g, 0):
+        for K, n in zip(ms, ns):
+            yield t, n, K
 
 
 def shape_count(p: int, g: int) -> int:

@@ -8,10 +8,14 @@ column sums must reproduce
 
 Census: the list-and-sort census that the streamed one replaced, with
 every shape listed from the (t, n) compositions, sorted, and counted by
-:func:`handlebody_census.theorem_counts.count_kernel` one at a time; and
-the census totals of every genus up to a bound at once, as the
-coefficients of a rational generating series built from truncated
-products, with no shape, block or per-shape count.
+:func:`handlebody_census.theorem_counts.count_kernel` one at a time; the
+(t, n, K) blocks found by a residue walk of their own, mod p^2 where the
+package's walk takes p and p-1; and the census totals of every genus up
+to a bound at once, as the coefficients of a rational generating series
+built from truncated products, with no shape, block or per-shape count.
+
+Orbits: a closed form for the number of move orbits of a shape, which the
+theorem's count differs from in case r and case m.
 
 States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
@@ -32,7 +36,7 @@ import math
 import numpy as np
 import orbit_reference as ref
 
-from handlebody_census.counting import _require_kj
+from handlebody_census.counting import _require_kj, count_A
 from handlebody_census.errors import BudgetExceededError
 from handlebody_census.theorem_counts import count_kernel, pools
 from handlebody_census.tuples import Tuple5, require_odd_prime
@@ -146,6 +150,24 @@ def listed_shapes(p: int, g: int) -> list[tuple[int, int, int, int, int]]:
     return out
 
 
+def reference_genus_blocks(p: int, g: int) -> list[tuple[int, int, int]]:
+    """``(t, n, K)`` for every (t, n) that some shape of genus g has, with
+    K = r+s+m, found without the package's walk: for each n, t runs through
+    one residue class mod q = p^2, as q-1 = -1 mod q, and K is what is left
+    of q*K + (q-1)*t + (q-p)*n = g-1+q.  In order of n, then t."""
+    require_odd_prime(p)
+    q = p * p
+    top = g - 1 + q  # q*K + (q-1)*t + (q-p)*n
+    blocks = []
+    for n in range(top // (q - p) + 1):
+        rest = top - (q - p) * n
+        for t in range(-rest % q, rest // (q - 1) + 1, q):
+            K = (rest - (q - 1) * t) // q
+            if K or t:
+                blocks.append((t, n, K))
+    return blocks
+
+
 def listed_census(p: int, g: int) -> list[tuple]:
     """The census rows ``(r, s, t, m, n, case, count)`` of :func:`listed_shapes`,
     each counted by ``count_kernel``."""
@@ -205,6 +227,49 @@ def census_totals_by_series(p: int, G: int) -> list[int]:
     ]
     series = times(times(inverse_power(q - p, h), inverse_power(q, 1)), bracket)
     return [0] + series[q:]
+
+
+def orbit_exact_count(p: int, v: tuple[int, int, int, int, int]) -> int:
+    """The number of move orbits of the valid states of a shape, in closed
+    form, with k = p(p-1)/2 and h = (p-1)/2 as in ``pools`` and A =
+    ``count_A``:
+
+    * s+t > 0: the theorem's product, A(k,s) A(k,t) A(k,m) A(h,n);
+    * s = t = 0: (A(k,m) - A(h,m)) A(h,n) + H A(h,m) A(h,n), where H is 0
+      when r = 0, k when r = 1 and m = n = 0, h when r = 1 and m+n > 0,
+      and 1 when r >= 2.
+
+    Why it holds, in a sketch.  Twists take each bc pair to (b, 0) and each
+    ef pair to (e, f mod p).  Spins then pair the +- classes, so an ef pair
+    is one of k classes, and h of those have f = 0 mod p (no unit).
+
+    * If some f is a unit, slides over it zero every handle.  These orbits
+      are the multisets of m pair classes that hold a unit: A(k,m) - A(h,m).
+    * Otherwise some handle is a unit.  With r >= 2, slides between
+      handles act on the handle vector by elementary matrices over Z/p^2,
+      which act transitively on unimodular vectors, since Z/p^2 is local
+      (stable rank 1: Bass, "K-theory and stable algebra", Publ. IHES 22,
+      1964).  So there is one class.
+    * With r = 1, the handle moves by pZ/p^2, which any e or g generates,
+      and by sign, which gives h classes.  With nothing to slide over, the
+      classes are the units up to sign: k classes.
+
+    With s+t > 0 a b or d image is a unit, and the classes are the
+    theorem's.  The theorem differs where s = t = 0: its pinned-pair
+    branch kp A(k,m-1) counts a multiset with j distinct unit classes j
+    times, and its pinned-handle branch k A(h,m) A(h,n) always takes H = k.
+    """
+    k, h, _ = pools(p)
+    r, s, t, m, n = v
+    if s + t:
+        return count_A(k, s) * count_A(k, t) * count_A(k, m) * count_A(h, n)
+    if r >= 2:
+        H = 1
+    elif r == 1:
+        H = h if m + n else k
+    else:
+        H = 0
+    return (count_A(k, m) - count_A(h, m) + H * count_A(h, m)) * count_A(h, n)
 
 
 def is_unit(x: int, p: int) -> bool:

@@ -264,14 +264,14 @@ def _child_env():
 )
 def test_a_reader_closing_stdout_early_ends_the_process_by_sigpipe(argv):
     # each output is over 1 MB, far past a pipe's buffer
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "handlebody_census", *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == -signal.SIGPIPE
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
     assert stderr == b""
 
 
@@ -401,15 +401,15 @@ def test_census_json_streams_1374562_rows_under_256_mib():
     # r+s, not per row.  Its 217 MB of output are read here a block at a
     # time, counting the rows by the line that opens each one.
     argv = _capped("census", "--p", "3", "--genus", "1000", "--format", "json", cap_mib=256)
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
     opening = b"\n    {\n"
-    head = proc.stdout.read(64)
-    rows, data = 0, head
-    while block := proc.stdout.read(1 << 20):
-        data = data[-len(opening) + 1 :] + block
-        rows += data.count(opening)
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0, stderr
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as proc:
+        head = proc.stdout.read(64)
+        rows, data = 0, head
+        while block := proc.stdout.read(1 << 20):
+            data = data[-len(opening) + 1 :] + block
+            rows += data.count(opening)
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, stderr
     rows += head.count(opening)
     report = census(3, 1000)
     assert head.startswith(b'{\n  "p": 3,\n  "g": 1000,\n  "rows": [\n    {\n      "tuple": [')

@@ -13,9 +13,10 @@ import numpy as np
 import orbit_reference as ref
 import pytest
 from bfs_oracle import assert_least_matches_bfs, generators_and_inverses
-from oracles import check_move_closure
+from oracles import check_move_closure, orbit_exact_count
 
 from handlebody_census.errors import BudgetExceededError, InadmissibleTupleError
+from handlebody_census.theorem_counts import count_for_tuple
 from handlebody_census.tuples import Tuple5
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.orbits import compare, orbit_count, orbit_partition
@@ -111,6 +112,47 @@ def test_valid_count_has_its_closed_form():
     for p, v in recorded + sweep:
         part = orbit_partition(p, v, budget=2 * 10**6)
         assert part.valid_count == _closed_form_valid_count(p, v), (p, v)
+
+
+#: Every shape with p in {3, 5, 7, 11}, r <= 5, s, t <= 2 and m, n <= 4
+#: whose raw space holds at most 2*10^6 states.
+PROBE_SHAPES = [
+    (p, v)
+    for p in (3, 5, 7, 11)
+    for v in itertools.product(range(6), range(3), range(3), range(5), range(5))
+    if any(v[:4]) and raw_state_count(p, v) <= 2 * 10**6
+]
+
+
+def _quotient_size(p, v):
+    """The states of a shape's coset quotient: h^r p^m (q-p)^(s+t)
+    (p-1)^(m+n), q = p^2, where a handle's h is 1 when some b or d image
+    is a unit (s+t > 0), p when only order-p images are held, and q when
+    there is nothing to slide over."""
+    r, s, t, m, n = v
+    q = p * p
+    h = 1 if s + t else p if m + n else q
+    return h**r * p**m * (q - p) ** (s + t) * (p - 1) ** (m + n)
+
+
+def test_the_quotient_has_its_closed_form_size():
+    record = json.loads((TESTS_DIR / "orbit_stats_record.json").read_text())
+    recorded = [(p, tuple(v)) for p, v, _ in record["rows"]]
+    assert len(recorded) == 483 and len(PROBE_SHAPES) == 581
+    for p, v in recorded + PROBE_SHAPES:
+        assert _Space(p, Tuple5(*v)).size == _quotient_size(p, v), (p, v)
+
+
+def test_the_orbit_counts_have_their_closed_form():
+    # the form's H is 0, k, h or 1 by r and m+n when s = t = 0
+    branches = {(min(v[0], 2), v[0] == 1 and bool(v[3] + v[4])) for _, v in PROBE_SHAPES if not v[1] + v[2]}
+    assert branches == {(0, False), (1, False), (1, True), (2, False)}
+    theorem_differs = 0
+    for p, v in PROBE_SHAPES:
+        orbits = orbit_count(p, v, budget=2 * 10**6).orbits
+        assert orbits == orbit_exact_count(p, v), (p, v)
+        theorem_differs += orbits != count_for_tuple(p, v)
+    assert theorem_differs == 142
 
 
 def test_orbit_stats_fields():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import listed_shapes, reference_genus_blocks
 
 from handlebody_census import tuples
 from handlebody_census.errors import InadmissibleTupleError
@@ -136,6 +137,16 @@ def test_completeness_against_box_scan():
         for g in range(1, 61):
             got = admissible_tuples(p, g)
             assert got == _scan_box(p, g), (p, g)
+
+
+def test_genus_blocks_are_the_reference_blocks_and_the_listed_shapes_blocks():
+    for p in (3, 5, 7, 11):
+        for g in range(1, 1201):
+            assert sorted(tuples.genus_blocks(p, g)) == sorted(reference_genus_blocks(p, g)), (p, g)
+    for p in (3, 5, 7):
+        for g in range(1, 301):
+            listed = {(t, n, r + s + m) for r, s, t, m, n in listed_shapes(p, g)}
+            assert sorted(tuples.genus_blocks(p, g)) == sorted(listed), (p, g)
 
 
 def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatch):
