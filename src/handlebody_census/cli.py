@@ -16,13 +16,15 @@ Each subcommand answers with three lazy streams of text chunks, one per
 format (:class:`Output`), and :func:`_render` writes the asked one; nothing
 is rendered for the other two.  The census rows (the tables of
 :meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
-:func:`~.tuples.shape_tables`) are rendered an (r, s) table at a time in
-every format (:func:`_shape_rows`): the text of each row's m and n, with
+:func:`~.tuples.shape_tables`, which also give each table's head rows, the
+ones not in case st) are rendered an (r, s) table at a time in every
+format (:func:`_shape_rows`): the text of each row's m and n, with
 its case, once per case and (ms, ns) columns of a run, that of t once per
 value of r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a
 list of the table's pieces, filled a piece kind at a time by slice
 assignment, with no template per row.  The tables are written in chunks
-of about 1 MiB.  An aligned table takes its column widths and its largest
+of about 1 MiB.  Both aligned tables are one renderer
+(:func:`_aligned_table`), which takes the column widths and the largest
 count from the (t, n) blocks of :func:`~.tuples.genus_blocks`, with no
 pass over the shapes.  A normal-form listing is one join of its dump
 lines in table and JSON output, made a shared prefix at a time
@@ -51,14 +53,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .counting import count_A
 from .errors import BudgetExceededError, stop_reason
-from .theorem_counts import CensusTable, CountReport, census
+from .theorem_counts import CountReport, census
 from .tuples import (
     CaseTag,
     Run,
     Tuple5,
     admissible_tuples,
     genus_blocks,
-    head_rows,
     per_table,
     require_genus,
     require_odd_prime,
@@ -219,14 +220,14 @@ _CHUNK = 1 << 20
 
 
 def _shape_rows(
-    tables: Iterable[CensusTable], cells: tuple[str, str, str, str], ends=None, width: int = 0
+    tables: Iterable[tuple], cells: tuple[str, str, str, str], ends=None, width: int = 0
 ) -> Iterator[str]:
     """Shape rows rendered an (r, s) table at a time, written in chunks of
     about :data:`_CHUNK` characters.
 
     ``tables`` yields ``(r, s, runs, head, counts, flags)`` as
-    :meth:`CountReport.iter_tables` does; shapes without counts come with
-    ``counts`` and ``flags`` ``None`` (:func:`_bare_tables`).  ``cells``
+    :meth:`CountReport.iter_tables` does, or the shapes without counts as
+    :func:`~.tuples.shape_tables` yields them, ``(r, s, runs, head)``.  ``cells``
     holds the templates of a row's pieces: the start, which takes r and s;
     t; m and n; and the case, with the text between it and the count.  A
     census row then ends with its count and the text after it: with
@@ -240,7 +241,7 @@ def _shape_rows(
     each t of a table is made once per value of r+s
     (:func:`~.tuples.per_table`), that of m and n with the case text once
     per case and (ms, ns) columns of a run, shared by every table that
-    holds them: the ``head`` rows, in case r or m
+    holds them: the walk's ``head`` rows, in case r or m
     (:func:`~.tuples.shape_case` of the first row), overwrite their slice
     with their case's texts.  A flagged row overwrites its count slot and
     the separator slot after it.
@@ -263,7 +264,8 @@ def _shape_rows(
     end, mark = ends or ("", None)
     k = 3 if ends is None else 4
     chunk, size = [], 0
-    for (r, s, runs, head, counts, flags), (ts, lens, texts, rows) in per_table(tables, table_texts):
+    for (r, s, runs, head, *counted), (ts, lens, texts, rows) in per_table(tables, table_texts):
+        counts, flags = counted or (None, None)
         if not rows:
             continue
         start = start_cell % (r, s)
@@ -291,13 +293,6 @@ def _shape_rows(
         yield "".join(chunk)
 
 
-def _bare_tables(p: int, g: int) -> Iterator[CensusTable]:
-    """The tables of :func:`shape_tables` as :func:`_shape_rows` reads them,
-    with no counts and no flags."""
-    for r, s, runs in shape_tables(p, g):
-        yield r, s, runs, head_rows(s, runs), None, None
-
-
 # Shape row pieces (_shape_rows).  The cells templates render a row's start
 # (its r and s, after the end of the row before), its t with the separator
 # after it, its m and n, and its case with the text between it and the
@@ -313,12 +308,10 @@ _CENSUS_JSON_END = '",\n      "flags": %s\n    }'
 _TUPLES_CSV_CELLS = ("%d,%d,", "%d,", "%d,%d", ",%s\n")
 _CENSUS_CSV_CELLS = ("%d,%d,", "%d,", "%d,%d", ",%s,")
 _CENSUS_CSV_END = ",%s\n"
-# Aligned table rows: str.format puts in the column widths first.  A row
-# ends at its last nonempty cell, unpadded, as a right-stripped row does: a
-# census row with no flags ends at its count.
-_TABLE_CELLS = ("%-{}d  %-{}d  ", "%-{}d  ", "%-{}d  %-{}d")
-_TUPLES_TABLE_CASE = "  %s\n"
-_CENSUS_TABLE_CASE = "  %-{}s  "
+# Aligned table rows (_aligned_table): str.format puts in the column widths
+# first.  A row ends at its last nonempty cell, unpadded, as a right-stripped
+# row does: a shape row at its case, a census row with no flags at its count.
+_TABLE_CELLS = ("%-{}d  %-{}d  ", "%-{}d  ", "%-{}d  %-{}d", "  %-{}s  ")
 
 
 def _widths(p: int, g: int) -> list[int]:
@@ -332,30 +325,35 @@ def _widths(p: int, g: int) -> list[int]:
     return [len(str(x)) for x in (K, K, t, K, n)] + [len(CaseTag.CASE_ST.value) if blocks else 0]
 
 
-def _header_line(header: list[str], widths: list[int], no_header: bool) -> tuple[list[str], list[int]]:
-    """The table's header line unless ``no_header``, and ``widths`` (of every
-    column but the last) widened to the header's when it is printed, as
-    ``ljust`` aligns cells with two spaces between columns."""
-    if no_header:
-        return [], widths
-    widths = list(map(max, widths, map(len, header)))
-    return ["  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"], widths
+def _aligned_table(tables: Iterable[tuple], header: list[str], widths: list[int], no_header: bool) -> Iterator[str]:
+    """The rows of ``tables`` (:func:`_shape_rows`) aligned under ``header``
+    unless ``no_header``, with two spaces between columns.  ``widths`` holds
+    the widest cell of every column but the last, widened to the header's
+    when it is printed: r, s, t, m, n for the shapes, whose case comes last,
+    and with the case and the count for the census rows, whose flags do."""
+    if not no_header:
+        widths = list(map(max, widths, map(len, header)))
+        yield "  ".join(map(str.ljust, header, widths + [0])).rstrip() + "\n"
+    wr, ws, wt, wm, wn, *counted = widths
+    start, t, mn, case = _TABLE_CELLS
+    cells = (start.format(wr, ws), t.format(wt), mn.format(wm, wn))
+    if not counted:
+        yield from _shape_rows(tables, (*cells, "  %s\n"))
+    else:
+        wcase, wcount = counted
+        ends = ("\n", lambda flags: "  %s\n" % _flag_cell(flags))
+        yield from _shape_rows(tables, (*cells, case.format(wcase)), ends, wcount)
 
 
-def _table_cells(widths: list[int]) -> tuple[str, str, str]:
-    """The start, t and m, n templates of an aligned row, with the column
-    widths r, s, t, m, n put in."""
-    wr, ws, wt, wm, wn = widths
-    start, t, mn = _TABLE_CELLS
-    return start.format(wr, ws), t.format(wt), mn.format(wm, wn)
+def _tuples_rows(p: int, g: int, cells: tuple[str, str, str, str]) -> Iterator[str]:
+    """:func:`_shape_rows` of the walk, which starts when the first row is read."""
+    yield from _shape_rows(shape_tables(p, g), cells)
 
 
 def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
-    """The shapes aligned under their header, an (r, s) table at a time,
-    in column widths from the (t, n) blocks (:func:`_widths`)."""
-    heading, widths = _header_line(_TUPLES_HEADER, _widths(p, g)[:5], no_header)
-    yield from heading
-    yield from _shape_rows(_bare_tables(p, g), (*_table_cells(widths), _TUPLES_TABLE_CASE))
+    """The shapes aligned, in column widths from the (t, n) blocks
+    (:func:`_widths`), then their number."""
+    yield from _aligned_table(shape_tables(p, g), _TUPLES_HEADER, _widths(p, g)[:5], no_header)
     yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
 
 
@@ -363,9 +361,9 @@ def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
     g = require_genus(args.genus)
     return Output(
-        json=_json_rows(p, g, _shape_rows(_bare_tables(p, g), _TUPLES_JSON_CELLS)),
+        json=_json_rows(p, g, _tuples_rows(p, g, _TUPLES_JSON_CELLS)),
         header=_TUPLES_HEADER,
-        csv=_shape_rows(_bare_tables(p, g), _TUPLES_CSV_CELLS),
+        csv=_tuples_rows(p, g, _TUPLES_CSV_CELLS),
         table=_tuples_table(p, g, args.no_header),
     )
 
@@ -395,18 +393,12 @@ def _census_csv(report: CountReport) -> Iterator[str]:
 
 
 def _census_table(report: CountReport, per_tuple: bool, no_header: bool) -> Iterator[str]:
-    """The census table: with ``per_tuple`` its rows aligned under their
-    header, an (r, s) table at a time, in column widths and a count width
-    taken from the (t, n) blocks (:func:`_widths` and
+    """The census table: with ``per_tuple`` its rows aligned, in column
+    widths and a count width from the (t, n) blocks (:func:`_widths` and
     :meth:`CountReport.largest_count`); then the total."""
     if per_tuple:
         widths = _widths(report.p, report.g) + [len(str(report.largest_count()))]
-        heading, widths = _header_line(_CENSUS_HEADER, widths, no_header)
-        yield from heading
-        *widths, wcase, wcount = widths
-        cells = (*_table_cells(widths), _CENSUS_TABLE_CASE.format(wcase))
-        ends = ("\n", lambda flags: "  %s\n" % _flag_cell(flags))
-        yield from _shape_rows(report.iter_tables(), cells, ends, wcount)
+        yield from _aligned_table(report.iter_tables(), _CENSUS_HEADER, widths, no_header)
     yield f"total {report.total} ({report.shape_count} shapes)\n"
     if report.reference_total is not None:
         yield f"published reference total {report.reference_total}\n"

@@ -23,8 +23,8 @@ to every (r, s) with that sum.  The census builds a run's list of
 M(m) A(kn,n) once per case and (ms, ns), with factors from
 :func:`factor_lists`, and gathers case st's lists once per value of r+s
 (:func:`~.tuples.per_table`); an (r, s) then costs one list comprehension
-over its table and one multiplication a row by A(k,s) A(k,t), and the rows
-of its run with s = t = 0, if any, take their case's list.
+over its table and one multiplication a row by A(k,s) A(k,t), and the
+walk's head rows, those with s = t = 0, take their case's list.
 :meth:`CountReport.iter_rows` flattens the tables into plain row tuples
 ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are checked
 against the closed form when they have all been read.
@@ -52,7 +52,6 @@ from .tuples import (
     Shape,
     Tuple5,
     genus_blocks,
-    head_rows,
     per_table,
     require_genus,
     require_odd_prime,
@@ -146,9 +145,8 @@ class Flag:
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
-#: One census table: r, s, the shape walk's runs (t, ms, ns) for r+s, the
-#: number of leading rows in case r or m, and per row the count, and the
-#: flags when some row has any.
+#: One census table: a table (r, s, runs, head) of the shape walk, and per
+#: row the count, and the flags when some row has any.
 CensusTable = tuple[int, int, list[Run], int, list[int], list[tuple[Flag, ...]] | None]
 
 
@@ -175,13 +173,13 @@ class CountReport:
     def iter_tables(self) -> Iterator[CensusTable]:
         """The rows a table of :func:`~.tuples.shape_tables` at a time, one
         per (r, s), in lexicographic order, computed as they are read:
-        ``(r, s, runs, head, counts, flags)``.  The rows are ``(r, s, t, m, n)``
-        for each ``(t, ms, ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``,
-        row i with count ``counts[i]``.  The first ``head`` rows (the run
-        with s = t = 0, so at most one run and only when s = 0) are in case
-        r when r > 0, else in case m; every other row is in case st.
-        ``flags`` is ``None`` when no row has a flag, else each row's flags
-        (``()`` when it has none).
+        ``(r, s, runs, head, counts, flags)``, the walk's table with row i's
+        count ``counts[i]``: the rows are ``(r, s, t, m, n)`` for each ``(t,
+        ms, ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, and the first
+        ``head`` of them, those with s = t = 0, are in case r when r > 0,
+        else in case m; every other row is in case st.  ``flags`` is
+        ``None`` when no row has a flag, else each row's flags (``()`` when
+        it has none).
 
         A row's count is :func:`count_kernel`'s, factored as ``A(k,s) A(k,t)
         * (M(m) A(kn,n))`` with M its case's :func:`m_factor`.  The list of
@@ -214,8 +212,8 @@ class CountReport:
 
         count = total = 0
         tables = per_table(shape_tables(p, g), lambda runs: [columns(CaseTag.CASE_ST, ms, ns) for _, ms, ns in runs])
-        for (r, s, runs), table in tables:
-            A_s, head = A_k[s], head_rows(s, runs)
+        for (r, s, runs, head), table in tables:
+            A_s = A_k[s]
             run_factors = [A_s * A_k[t] for t, _, _ in runs]
             counts = [f * x for f, factors in zip(run_factors, table) for x in factors]
             if head:  # A(k,s) A(k,t) = 1
@@ -261,19 +259,19 @@ class CountReport:
 
     def iter_rows(self) -> Iterator[CensusRow]:
         """The rows of :meth:`iter_tables` as plain tuples ``(r, s, t, m, n,
-        case, count, flags)``, with the same check at the end.  Each run's
-        rows are in the case of its first row (:func:`~.tuples.shape_case`):
-        a table's first ``head`` rows in case r, or case m when r = 0, the
-        rest in case st; ``flags`` is ``()`` for a row with none."""
+        case, count, flags)``, with the same check at the end.  A table's first
+        ``head`` rows take the case of the first (:func:`~.tuples.shape_case`),
+        the rest case st; ``flags`` is ``()`` for a row with none."""
 
         def table_rows():
-            for r, s, runs, _, counts, flags in self.iter_tables():
+            for r, s, runs, head, counts, flags in self.iter_tables():
                 t_col = chain.from_iterable(repeat(t, len(ms)) for t, ms, _ in runs)
                 m_col = chain.from_iterable(ms for _, ms, _ in runs)
                 n_col = chain.from_iterable(ns for _, _, ns in runs)
-                cases = chain.from_iterable(
-                    repeat(shape_case((r, s, t, ms[0], ns[0])), len(ms)) for t, ms, ns in runs
-                )
+                cases = repeat(CaseTag.CASE_ST)
+                if head:
+                    t, ms, ns = runs[0]
+                    cases = chain(repeat(shape_case((r, s, t, ms[0], ns[0])), head), cases)
                 yield zip(repeat(r), repeat(s), t_col, m_col, n_col, cases, counts, flags or repeat(()))
 
         return chain.from_iterable(table_rows())

@@ -10,10 +10,11 @@ solutions of that equation, which :func:`_runs` solves.
 There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
 with named fields and a check at construction: shapes with r+s+t+m = 0
 carry no action and are rejected.  The shape walk, :func:`shape_tables`,
-yields plain tuples, an (r, s) table of runs at a time, and builds no
-:class:`Tuple5`; :func:`per_table` pairs each of its tables with what a
-consumer builds once per value of r+s, and :func:`admissible_tuples`
-flattens it into :class:`Tuple5` shapes.  :func:`shape_case` and
+yields plain tuples, an (r, s) table of runs at a time with its head, the
+number of its leading rows not in case st, and builds no :class:`Tuple5`;
+:func:`per_table` pairs each of its tables with what a consumer builds
+once per value of r+s, and :func:`admissible_tuples` flattens it into
+:class:`Tuple5` shapes.  :func:`shape_case` and
 :func:`genus_of` take either.
 """
 
@@ -30,17 +31,51 @@ Shape = tuple[int, int, int, int, int]
 Run = tuple[int, range, range]
 
 
+#: A strong-probable-prime test to the first 13 primes decides primality
+#: exactly below _SPRP_BOUND (Sorenson and Webster, "Strong pseudoprimes
+#: to twelve prime bases", Math. Comp. 86, 2017).
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SPRP_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _strong_probable_prime(p: int) -> bool:
+    """Whether the odd p > 41 is a strong probable prime to every base of
+    :data:`_SPRP_BASES`: with p-1 = d 2^e, d odd, each a has a^d = 1 or
+    a^(d 2^i) = -1 mod p for some i < e."""
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> e
+    for a in _SPRP_BASES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(e):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
+
+
 def require_odd_prime(p: int) -> int:
-    """Validate p by trial division: an odd prime, at least 3."""
+    """Validate p: an odd prime, at least 3.
+
+    Trial division by every d < 2^16, which decides every p < 2^32 and
+    names a factor.  Past that, the strong-probable-prime test of
+    :func:`_strong_probable_prime`, exact below :data:`_SPRP_BOUND`; at or
+    above it, trial division up to sqrt(p).
+    """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     d = 3
-    while d * d <= p:
+    while d * d <= p and (d < 1 << 16 or p >= _SPRP_BOUND):
         if p % d == 0:
             raise ValueError(f"p must be prime, got {p} = {d} * {p // d}")
         d += 2
+    if d * d <= p and not _strong_probable_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     return p
 
 
@@ -175,17 +210,21 @@ def _runs(p: int, g: int, u: int) -> Iterator[Run]:
             yield t, ms, range(n, n - p * len(ms), -p)
 
 
-def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
-    """Every shape acting on genus g, as ``(r, s, runs)`` in lexicographic
-    order of (r, s): the shapes are ``(r, s, t, m, n)`` for each ``(t, ms,
-    ns)`` of ``runs`` (:func:`_runs` of r+s) and ``m, n`` in ``zip(ms, ns)``,
-    sorted, with no list of shapes and no sort.
+def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run], int]]:
+    """Every shape acting on genus g, as ``(r, s, runs, head)`` in
+    lexicographic order of (r, s): the shapes are ``(r, s, t, m, n)`` for
+    each ``(t, ms, ns)`` of ``runs`` (:func:`_runs` of r+s) and ``m, n`` in
+    ``zip(ms, ns)``, sorted, with no list of shapes and no sort.  The first
+    ``head`` of them, those with s = t = 0, are in case r, or case m when
+    r = 0 (:func:`shape_case`); every other one is in case st.
 
     ``runs`` depends on r+s alone, so each value of r+s has one table, built
     as the r = 0 pass first reaches that value and yielded again, the same
-    list, by every later (r, s) with the same sum.  The tables are built
-    lazily, so the first comes after one table is built, and together they
-    never hold more entries than there are runs with r = 0.
+    list, by every later (r, s) with the same sum.  So is the length of its
+    run with t = 0, the head of the (r+s, 0) table and of no other.  The
+    tables are built lazily, so the first comes after one table is built,
+    and together they never hold more entries than there are runs with
+    r = 0.
 
     At the end the number of shapes is held to :func:`shape_count`; a
     difference raises :class:`AssertionError`, also under ``python -O``.
@@ -193,28 +232,21 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
     require_odd_prime(p)
     require_genus(g)
     last = (g - 1) // (p * p) + 1  # the largest r+s
-    # per value u of r+s: its runs and their number of shapes
-    tables: list[tuple[list[Run], int]] = []
+    # per value u of r+s: its runs, their number of shapes and the head
+    tables: list[tuple[list[Run], int, int]] = []
     count = 0
     for r in range(last + 1):
         for u in range(r, last + 1):
             if u == len(tables):  # r = 0, and u is new
                 runs = list(_runs(p, g, u))
-                tables.append((runs, sum(len(ms) for _, ms, _ in runs)))
-            runs, shapes = tables[u]
+                head = len(runs[0][1]) if runs and not runs[0][0] else 0
+                tables.append((runs, sum(len(ms) for _, ms, _ in runs), head))
+            runs, shapes, head = tables[u]
             count += shapes
-            yield r, u - r, runs
+            yield r, u - r, runs, 0 if u > r else head
     expected = shape_count(p, g)
     if count != expected:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
-
-
-def head_rows(s: int, runs: list[Run]) -> int:
-    """How many rows of a table ``(r, s, runs)`` of :func:`shape_tables`
-    come before its first one in case st: those of its run with s = t = 0,
-    in case r or m (:func:`shape_case`).  Only an s = 0 table has that
-    run, and it is the table's first."""
-    return len(runs[0][1]) if not s and runs and not runs[0][0] else 0
 
 
 def per_table(tables: Iterable[tuple], build: Callable[[list[Run]], object]) -> Iterator[tuple[tuple, object]]:
@@ -260,5 +292,5 @@ def admissible_tuples(p: int, g: int) -> list[Tuple5]:
     tables of :func:`shape_tables`, flattened, with the same check at the
     end."""
     return [
-        Tuple5(r, s, t, m, n) for r, s, runs in shape_tables(p, g) for t, ms, ns in runs for m, n in zip(ms, ns)
+        Tuple5(r, s, t, m, n) for r, s, runs, _ in shape_tables(p, g) for t, ms, ns in runs for m, n in zip(ms, ns)
     ]

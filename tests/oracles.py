@@ -15,7 +15,9 @@ to a bound at once, as the coefficients of a rational generating series
 built from truncated products, with no shape, block or per-shape count.
 
 Orbits: a closed form for the number of move orbits of a shape, which the
-theorem's count differs from in case r and case m.
+theorem's count differs from in case r and case m, and its totals over
+every genus up to a bound, as the census totals are, from a series of the
+same truncated products.
 
 States: validity from the order constraints and surjectivity, checked
 image by image; the fixed-radix encoding whose order the orbit engine's
@@ -175,6 +177,37 @@ def listed_census(p: int, g: int) -> list[tuple]:
     return [(*v, *count_kernel(pool_sizes, *v)) for v in listed_shapes(p, g)]
 
 
+def _inverse_power(top: int, a: int, e: int, scale: int = 1, shift: int = 0) -> list[int]:
+    """scale * x^shift * (1-x^a)^-e, truncated after x^top: the coefficient
+    scale * C(e+j-1, j) at x^(shift + a*j)."""
+    series = [0] * (top + 1)
+    for j in range((top - shift) // a + 1):
+        series[shift + a * j] = scale * math.comb(e + j - 1, j)
+    return series
+
+
+def _times(f: list[int], g: list[int]) -> list[int]:
+    """The product of two series truncated after the same power, so truncated."""
+    top = len(f) - 1
+    out = [0] * (top + 1)
+    g_terms = [(j, y) for j, y in enumerate(g) if y]
+    for i, x in enumerate(f):
+        if x:
+            for j, y in g_terms:
+                if i + j > top:
+                    break
+                out[i + j] += x * y
+    return out
+
+
+def _series_terms(p: int, G: int) -> tuple[int, int, int, int]:
+    """q = p^2, k = p(p-1)/2, h = (p-1)/2, and the highest power g-1+q that
+    a genus g <= G reads."""
+    require_odd_prime(p)
+    q = p * p
+    return q, p * (p - 1) // 2, (p - 1) // 2, G - 1 + q
+
+
 def census_totals_by_series(p: int, G: int) -> list[int]:
     """The census total of every genus g <= G, at index g (index 0 is 0).
 
@@ -191,41 +224,60 @@ def census_totals_by_series(p: int, G: int) -> list[int]:
     the pinned-pair term of m > 0 and the pinned-handle term of r > 0.
     Each factor (1-x^a)^-e has the coefficient C(e+j-1, j) at x^(aj).
     """
-    require_odd_prime(p)
-    q = p * p
-    k = p * (p - 1) // 2
-    h = (p - 1) // 2
+    q, k, h, top = _series_terms(p, G)
     kp = (p - 1) * h
-    top = G - 1 + q
-
-    def inverse_power(a, e, scale=1, shift=0):
-        """scale * x^shift * (1-x^a)^-e, truncated after x^top."""
-        series = [0] * (top + 1)
-        for j in range((top - shift) // a + 1):
-            series[shift + a * j] = scale * math.comb(e + j - 1, j)
-        return series
-
-    def times(f, g):
-        out = [0] * (top + 1)
-        g_terms = [(j, y) for j, y in enumerate(g) if y]
-        for i, x in enumerate(f):
-            if x:
-                for j, y in g_terms:
-                    if i + j > top:
-                        break
-                    out[i + j] += x * y
-        return out
-
     bracket = [
         a - b + c + d
         for a, b, c, d in zip(
-            times(inverse_power(q, 2 * k), inverse_power(q - 1, k)),
-            inverse_power(q, k),
-            inverse_power(q, k, scale=kp, shift=q),
-            inverse_power(q, h, scale=k, shift=q),
+            _times(_inverse_power(top, q, 2 * k), _inverse_power(top, q - 1, k)),
+            _inverse_power(top, q, k),
+            _inverse_power(top, q, k, scale=kp, shift=q),
+            _inverse_power(top, q, h, scale=k, shift=q),
         )
     ]
-    series = times(times(inverse_power(q - p, h), inverse_power(q, 1)), bracket)
+    series = _times(_times(_inverse_power(top, q - p, h), _inverse_power(top, q, 1)), bracket)
+    return [0] + series[q:]
+
+
+def orbit_totals_by_series(p: int, G: int) -> list[int]:
+    """The sum of :func:`orbit_exact_count` over the shapes of every genus
+    g <= G, at index g (index 0 is 0).
+
+    With q, k, h, X, Y and Z as in :func:`census_totals_by_series`, it is
+    the coefficient of x^(g-1+q) in
+
+        (1-Z)^-h (1-X)^-1 [ (1-X)^-2k (1-Y)^-k - (1-X)^-h ]
+          + (1-Z)^-h (1-X)^-h [ h X + X^2 (1-X)^-1 ] + (k-h) X.
+
+    The s+t > 0 part is the theorem's.  Summed over r, the shapes with
+    s = t = 0 and a unit f give (1-X)^-1 [(1-X)^-k - (1-X)^-h] (1-Z)^-h,
+    whose (1-X)^-k cancels the theorem's -(1-X)^-k.  H adds
+    X [h (1-X)^-h (1-Z)^-h + (k-h)] at r = 1, where k replaces h only at
+    m = n = 0, and X^2 (1-X)^-1 (1-X)^-h (1-Z)^-h at r >= 2.
+
+    The theorem's series minus this one has no Y term, as the s+t > 0
+    parts cancel, and X and Z are powers of x^p.  So the totals can differ
+    only where p divides g-1+q, at g = 1 (mod p).  At g = 1 they agree:
+    the one shape there, (0,0,0,1,0), has kp = k-h classes either way.
+    """
+    q, k, h, top = _series_terms(p, G)
+    bracket = [
+        a - b
+        for a, b in zip(
+            _times(_inverse_power(top, q, 2 * k), _inverse_power(top, q - 1, k)), _inverse_power(top, q, h)
+        )
+    ]
+    handles = _inverse_power(top, q, 1, shift=2 * q)  # X^2 (1-X)^-1
+    handles[q] += h  # h X
+    ns = _inverse_power(top, q - p, h)
+    series = [
+        a + b
+        for a, b in zip(
+            _times(_times(ns, _inverse_power(top, q, 1)), bracket),
+            _times(_times(ns, _inverse_power(top, q, h)), handles),
+        )
+    ]
+    series[q] += k - h
     return [0] + series[q:]
 
 

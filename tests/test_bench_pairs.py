@@ -73,3 +73,31 @@ def test_workloads_are_those_of_the_benchmark_in_its_order(tmp_path):
     spec["workloads"] = [{"name": "second", "why": ""}, {"name": "first", "why": ""}]
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
     assert tool.workloads(tmp_path) == ["second", "first"]
+
+
+def _stub_checkout(root: Path, body: str) -> Path:
+    """A checkout whose ``perfbench/run.py`` is ``body``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(body)
+    return root
+
+
+def test_a_failing_run_names_its_checkout_workload_seed_exit_code_and_stderr(tmp_path):
+    tool = _load_tool()
+    body = "import sys\nprint('partial')\nprint('line 1\\nboom', file=sys.stderr)\nsys.exit(3)\n"
+    root = _stub_checkout(tmp_path / "base", body)
+    with pytest.raises(SystemExit) as caught:
+        tool.run_once(root, "census-and-normal-forms", 7)
+    message = str(caught.value.code)
+    assert message.startswith(f"{root}: census-and-normal-forms seed 7 exited 3;")
+    assert message.endswith("\nline 1\nboom")
+
+
+def test_a_run_that_prints_nothing_names_its_checkout_workload_seed_and_stderr(tmp_path):
+    tool = _load_tool()
+    root = _stub_checkout(tmp_path / "head", "import sys\nprint('no metrics', file=sys.stderr)\n")
+    with pytest.raises(SystemExit) as caught:
+        tool.run_once(root, "verify-and-orbits", 2)
+    message = str(caught.value.code)
+    what = "exited 0 and printed nothing; the end of its stderr"
+    assert message == f"{root}: verify-and-orbits seed 2 {what}:\nno metrics"

@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -154,7 +156,7 @@ def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatc
     monkeypatch.setattr(tuples, "shape_count", lambda p, g: 5)
     tables = tuples.shape_tables(5, 26)
     read = [next(tables) for _ in range(count)]
-    assert sum(len(ms) for _, _, runs in read for _, ms, _ in runs) == 6
+    assert sum(len(ms) for _, _, runs, _ in read for _, ms, _ in runs) == 6
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
         next(tables)
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
@@ -175,6 +177,19 @@ def test_the_walk_reaches_its_first_run_lazily():
     assert peak < 1 << 20
 
 
+def test_the_walk_gives_each_tables_head():
+    # head counts the table's rows with s = t = 0, which come first and are
+    # the only ones not in case st
+    for p in (3, 5, 7):
+        for g in range(1, 301):
+            for r, s, runs, head in tuples.shape_tables(p, g):
+                rows = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
+                heads = [v for v in rows if v[1] == v[2] == 0]
+                assert head == len(heads) and rows[:head] == heads, (p, g, r, s)
+                assert {shape_case(v) for v in heads} <= {CaseTag.CASE_R if r else CaseTag.CASE_M}
+                assert all(shape_case(v) is CaseTag.CASE_ST for v in rows[head:])
+
+
 @pytest.mark.parametrize("p,g", [(3, 43), (5, 300)])
 def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
     built = []
@@ -184,7 +199,7 @@ def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
         return object()
 
     # extra fields after (r, s, runs) pass through untouched
-    tables = [(r, s, runs, r * s) for r, s, runs in tuples.shape_tables(p, g)]
+    tables = [(r, s, runs, r * s) for r, s, runs, _ in tuples.shape_tables(p, g)]
     pairs = tuples.per_table(tables, build)
     first = next(pairs)
     # the first pair comes before any later table is built
@@ -296,6 +311,36 @@ def test_odd_primes_accepted(p):
 def test_non_odd_primes_rejected(p):
     with pytest.raises(ValueError):
         require_odd_prime(p)
+
+
+@pytest.mark.parametrize(
+    "p,message",
+    [
+        (1, "p must be an odd prime >= 3, got 1"),
+        (4, "p must be an odd prime >= 3, got 4"),
+        (9, "p must be prime, got 9 = 3 * 3"),
+        (21, "p must be prime, got 21 = 3 * 7"),
+        (65521**2, "p must be prime, got 4293001441 = 65521 * 65521"),  # the largest square below 2^32
+        # composites past 2^32 without a factor below 2^16 are named alone
+        (65537**2, "p must be prime, got 4295098369"),
+        (2**67 - 1, "p must be prime, got 147573952589676412927"),  # 193707721 * 761838257287
+        (3825123056546413051, "p must be prime, got 3825123056546413051"),  # strong pseudoprime to bases 2-23
+        # a strong pseudoprime to bases 2-37 that only base 41 exposes
+        (318665857834031151167461, "p must be prime, got 318665857834031151167461"),
+    ],
+)
+def test_a_rejected_p_says_why(p, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_odd_prime(p)
+
+
+@pytest.mark.parametrize("p", [10000000000000061, 2**61 - 1])
+def test_large_primes_accepted_quickly(p):
+    # trial division to sqrt(p) took seconds at 10^16; past 2^32 a
+    # strong-probable-prime test decides
+    start = time.perf_counter()
+    assert require_odd_prime(p) == p
+    assert time.perf_counter() - start < 0.1
 
 
 @settings(deadline=None, max_examples=150)

@@ -35,6 +35,8 @@ from pathlib import Path
 
 PAIRS = 10
 SECONDS = 15
+#: The lines of a failed run's stderr that the tool prints.
+STDERR_LINES = 20
 
 
 def benchmark_files(root: Path) -> dict[str, bytes]:
@@ -73,11 +75,18 @@ def checkout(root: Path) -> dict:
 
 
 def run_once(root: Path, workload: str, seed: int) -> dict:
-    """The metrics of one benchmark run of the checkout at ``root``."""
+    """The metrics of one benchmark run of the checkout at ``root``, read
+    from the last line it prints.  A run that fails or prints nothing ends
+    the tool with the exit code and the last lines of its stderr."""
     argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
-    proc = subprocess.run(argv, capture_output=True, text=True, cwd=root, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=root)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        what = f"exited {proc.returncode}" + ("" if lines else " and printed nothing")
+        stderr = "\n".join(proc.stderr.strip().splitlines()[-STDERR_LINES:]) or "(no stderr)"
+        raise SystemExit(f"{root}: {workload} seed {seed} {what}; the end of its stderr:\n{stderr}")
+    result = json.loads(lines[-1])
     if not result["correct"]:
         raise SystemExit(f"{root}: {workload} seed {seed} printed a wrong answer")
     return {name: metric["value"] for name, metric in result["metrics"].items()}
