@@ -14,7 +14,9 @@ for ``orbits``, both per shape for ``verify``.  A negative budget, like a
 
 Each subcommand answers with three lazy streams of text chunks, one per
 format (:class:`Output`), and :func:`_render` writes the asked one; nothing
-is rendered for the other two.  The census rows (the tables of
+is rendered for the other two.  An answer that is one record (``akj``,
+``canonical`` without ``--list``, ``orbits``) takes all three from its JSON
+object (:func:`_record`).  The census rows (the tables of
 :meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
 :func:`~.tuples.shape_tables`, which also give each table's head rows, the
 ones not in case st) are rendered an (r, s) table at a time in every
@@ -136,14 +138,6 @@ def _csv_line(cells: Iterable) -> str:
     return buf.getvalue()
 
 
-def _flag_json(flag) -> dict:
-    return {
-        "location": flag.location,
-        "paper_value": str(flag.paper_value),
-        "computed_value": str(flag.computed_value),
-    }
-
-
 def _flag_cell(flags) -> str:
     return "; ".join(
         f"{f.location}: published={f.paper_value} computed={f.computed_value}"
@@ -161,10 +155,25 @@ def _dumps(obj) -> Iterator[str]:
     yield json.dumps(obj, indent=2)
 
 
+_SHAPE_COLUMNS = ["r", "s", "t", "m", "n"]
+
+
+def _record(obj: dict, lines: list[str], stamped: bool = True) -> Output:
+    """The answer that is one record: ``obj`` as its JSON, one CSV row of
+    ``obj``'s keys after ``p``, with ``tuple`` spread into r, s, t, m, n,
+    and ``lines`` as its table."""
+    cells = {}
+    for key, value in obj.items():
+        if key == "tuple":
+            cells.update(zip(_SHAPE_COLUMNS, value))
+        elif key != "p":
+            cells[key] = value
+    return Output(_dumps(obj), list(cells), [_csv_line(cells.values())], _lines(lines), stamped)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SHAPE_COLUMNS = ["r", "s", "t", "m", "n"]
 _TUPLES_HEADER = _SHAPE_COLUMNS + ["case"]
 _CENSUS_HEADER = _TUPLES_HEADER + ["count", "flags"]
 
@@ -174,20 +183,15 @@ def _cmd_akj(args) -> Output:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.j < 0:
         raise ValueError(f"--j must be >= 0, got {args.j}")
-    value = count_A(args.k, args.j)
-    return Output(
-        json=_dumps({"k": args.k, "j": args.j, "value": str(value)}),
-        header=["k", "j", "value"],
-        csv=[_csv_line([args.k, args.j, value])],
-        table=_lines([str(value)]),
-        stamped=False,
-    )
+    value = str(count_A(args.k, args.j))
+    return _record({"k": args.k, "j": args.j, "value": value}, [value], stamped=False)
 
 
 def _json_flags(flags, indent: int) -> str:
     """A list of flags as ``json.dumps(..., indent=2)`` prints it nested
     ``indent`` spaces deep."""
-    return json.dumps([_flag_json(f) for f in flags], indent=2).replace("\n", "\n" + " " * indent)
+    records = [{key: str(value) for key, value in dataclasses.asdict(flag).items()} for flag in flags]
+    return json.dumps(records, indent=2).replace("\n", "\n" + " " * indent)
 
 
 def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
@@ -420,12 +424,10 @@ def _cmd_canonical(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
     forms = enumerate_canonical(p, v, budget=args.max_states)
-    fields = {"case": shape_case(v).value, "count": str(len(forms))}
-    obj = {"p": p, "tuple": v, **fields}
+    obj = {"p": p, "tuple": v, "case": shape_case(v).value, "count": str(len(forms))}
     summary = f"{len(forms)} canonical state(s) for p={p} shape {v}"
     if not args.list:
-        header = _SHAPE_COLUMNS + list(fields)
-        return Output(_dumps(obj), header, [_csv_line([*v, *fields.values()])], _lines([summary]))
+        return _record(obj, [summary])
     heading = _lines([summary, f"p={p} v={','.join(map(str, v))}"])
     return Output(_json_states(obj, forms), ["index", "state"], _dump_csv(forms), _states_table(heading, forms))
 
@@ -479,17 +481,11 @@ def _cmd_orbits(args) -> Output:
     p = require_odd_prime(args.p)
     v = Tuple5.parse(args.tuple)
     stats = orbit_count(p, v, budget=args.max_states)
-    fields = {**dataclasses.asdict(stats), "orbits": str(stats.orbits)}
-    return Output(
-        json=_dumps({"p": p, "tuple": v, **fields}),
-        header=_SHAPE_COLUMNS + list(fields),
-        csv=[_csv_line([*v, *fields.values()])],
-        table=_lines([
-            f"shape {v} at p={p}: {stats.orbits} orbit(s)",
-            f"state space {stats.state_space_size} raw, "
-            f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
-        ]),
-    )
+    return _record({"p": p, "tuple": v, **dataclasses.asdict(stats), "orbits": str(stats.orbits)}, [
+        f"shape {v} at p={p}: {stats.orbits} orbit(s)",
+        f"state space {stats.state_space_size} raw, "
+        f"{stats.valid_states} valid, largest orbit {stats.largest_orbit}",
+    ])
 
 
 def _cmd_verify(args) -> Output:
@@ -520,16 +516,20 @@ def _cmd_verify(args) -> Output:
     incomplete = any(not row["complete"] for row in rows)
     # A CSV row is its JSON row with the tuple and the agreement spread into
     # cells and the errors left out (csv writes a null as an empty cell); the
-    # Comparison fields between the tuple and the agreement head the cells
-    # between.
-    keys = [field.name for field in dataclasses.fields(Comparison)[2:-3]]
-    agree = [f"agree_{a.name}_{b.name}" for a, b in combinations(ROUTES, 2)]
+    # Comparison fields between the tuple and the agreement, by name, head
+    # the cells between.
+    names = [field.name for field in dataclasses.fields(Comparison)]
+    keys = names[names.index("tuple") + 1 : names.index("agreement")]
+    pairs = [(a.name, b.name) for a, b in combinations(ROUTES, 2)]
     return Output(
         json=_dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}),
-        header=_SHAPE_COLUMNS + keys + agree + ["complete"],
+        header=[*_SHAPE_COLUMNS, *keys, *("agree_%s_%s" % pair for pair in pairs), "complete"],
         csv=(
-            _csv_line([*v, *cells, *agreement.values(), complete])
-            for v, *cells, agreement, complete, _ in map(dict.values, rows)
+            _csv_line([
+                *row["tuple"], *(row[key] for key in keys),
+                *(row["agreement"]["%s_vs_%s" % pair] for pair in pairs), row["complete"],
+            ])
+            for row in rows
         ),
         table=_lines(lines),
         code=EXIT_INCOMPLETE if incomplete else EXIT_OK,

@@ -62,18 +62,21 @@ def require_odd_prime(p: int) -> int:
 
     Trial division by every d < 2^16, which decides every p < 2^32 and
     names a factor.  Past that, the strong-probable-prime test of
-    :func:`_strong_probable_prime`, exact below :data:`_SPRP_BOUND`; at or
-    above it, trial division up to sqrt(p).
+    :func:`_strong_probable_prime`, exact below :data:`_SPRP_BOUND`; a p
+    with no small factor at or above that bound is refused, since no test
+    here decides it exactly.
     """
     if not isinstance(p, int) or isinstance(p, bool):
         raise ValueError(f"p must be an integer, got {p!r}")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
     d = 3
-    while d * d <= p and (d < 1 << 16 or p >= _SPRP_BOUND):
+    while d * d <= p and d < 1 << 16:
         if p % d == 0:
             raise ValueError(f"p must be prime, got {p} = {d} * {p // d}")
         d += 2
+    if d * d <= p and p >= _SPRP_BOUND:
+        raise ValueError(f"p must be below {_SPRP_BOUND}, where the primality test stops being exact, got {p}")
     if d * d <= p and not _strong_probable_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return p

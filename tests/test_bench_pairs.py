@@ -101,3 +101,20 @@ def test_a_run_that_prints_nothing_names_its_checkout_workload_seed_and_stderr(t
     message = str(caught.value.code)
     what = "exited 0 and printed nothing; the end of its stderr"
     assert message == f"{root}: verify-and-orbits seed 2 {what}:\nno metrics"
+
+
+def test_a_wrong_answer_names_the_jobs_that_failed(tmp_path):
+    tool = _load_tool()
+    body = (
+        "import json\n"
+        "print('  error_rate     0.5000  (1 failed of 2 jobs attempted)')\n"
+        "print(\"  failed: ['akj', '--k', '10']: stdout sha256 differs\")\n"
+        "print(json.dumps({'correct': False, 'attempted': 2, 'failed': 1, 'metrics': {}}))\n"
+    )
+    root = _stub_checkout(tmp_path / "head", body)
+    with pytest.raises(SystemExit) as caught:
+        tool.run_once(root, "verify-and-orbits", 4)
+    assert str(caught.value.code) == (
+        f"{root}: verify-and-orbits seed 4 printed a wrong answer\n"
+        "failed: ['akj', '--k', '10']: stdout sha256 differs"
+    )

@@ -494,6 +494,73 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[1] == "0,1,0,0,0,st,3,3,3,54,54,18,True,True,True,True"
 
 
+def _text(value) -> str:
+    """A JSON value as csv writes it in a cell: a null as an empty cell."""
+    return "" if value is None else str(value)
+
+
+def _json_and_csv(capsys, *argv):
+    """The JSON document and the CSV rows (header first) of one argv."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == code_csv
+    return json.loads(out), list(csv.reader(io.StringIO(out_csv)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--p", "5", "--genus", "26"],
+        ["verify", "--p", "3", "--genus", "10", "--max-states", "50"],
+    ],
+)
+def test_verify_csv_cells_are_the_json_row_values_by_name(capsys, argv):
+    doc, (header, *rows) = _json_and_csv(capsys, *argv)
+    assert len(rows) == len(doc["rows"]) > 0
+    nulls = 0
+    for obj, row in zip(doc["rows"], rows):
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            if name in "rstmn":
+                value = obj["tuple"]["rstmn".index(name)]
+            elif name.startswith("agree_"):
+                a, b = name[len("agree_"):].split("_")
+                value = obj["agreement"][f"{a}_vs_{b}"]
+            else:
+                value = obj[name]
+            assert cell == _text(value), (name, obj)
+            nulls += value is None
+    # the budget of 50 stops a route on some shape of genus 10 at p=3
+    assert (nulls > 0) == doc["incomplete"] == ("--max-states" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["akj", "--k", "10", "--j", "2"],
+        ["akj", "--k", "8000", "--j", "8000"],
+        ["canonical", "--p", "3", "--tuple", "0,1,0,0,0"],  # case st
+        ["canonical", "--p", "5", "--tuple", "2,0,0,1,0"],  # case r
+        ["canonical", "--p", "5", "--tuple", "0,0,0,2,1"],  # case m
+        ["orbits", "--p", "3", "--tuple", "0,1,0,0,0"],
+        ["orbits", "--p", "3", "--tuple", "1,0,0,1,0"],
+        ["orbits", "--p", "5", "--tuple", "0,0,0,2,0"],
+    ],
+)
+def test_a_one_record_answer_has_its_json_keys_after_p_as_its_csv_row(capsys, argv):
+    obj, rows = _json_and_csv(capsys, *argv)
+    assert len(rows) == 2
+    header, row = rows
+    expected = {}
+    for key, value in obj.items():
+        if key == "tuple":
+            expected.update(zip("rstmn", value))
+        elif key != "p":
+            expected[key] = value
+    assert header == list(expected)
+    assert row == list(map(_text, expected.values()))
+
+
 def test_bad_tuple_syntax_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "orbits", "--p", "3", "--tuple", "1,2,3")
     assert code == 1

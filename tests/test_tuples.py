@@ -343,6 +343,23 @@ def test_large_primes_accepted_quickly(p):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("p", [2**89 - 1, 3317044064679887385961981])
+def test_a_p_past_the_exact_bound_is_refused_quickly(p):
+    # at or past the bound no strong-probable-prime test to the 13 bases is
+    # exact; trial division to sqrt(p) would run for hours
+    message = f"p must be below 3317044064679887385961981, where the primality test stops being exact, got {p}"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        require_odd_prime(p)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_a_small_factor_is_named_past_the_exact_bound():
+    q = 2**89 - 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'p must be prime, got {3 * q} = 3 * {q}')}$"):
+        require_odd_prime(3 * q)
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     comps=st.tuples(*[st.integers(0, 4)] * 5).filter(lambda c: sum(c[:4]) > 0),

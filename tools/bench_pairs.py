@@ -35,7 +35,8 @@ from pathlib import Path
 
 PAIRS = 10
 SECONDS = 15
-#: The lines of a failed run's stderr that the tool prints.
+#: The lines of a failed run's stderr, or of a wrong run's ``failed:``
+#: lines, that the tool prints.
 STDERR_LINES = 20
 
 
@@ -77,7 +78,8 @@ def checkout(root: Path) -> dict:
 def run_once(root: Path, workload: str, seed: int) -> dict:
     """The metrics of one benchmark run of the checkout at ``root``, read
     from the last line it prints.  A run that fails or prints nothing ends
-    the tool with the exit code and the last lines of its stderr."""
+    the tool with the exit code and the last lines of its stderr; one that
+    reads ``"correct": false`` with the ``failed:`` lines it printed."""
     argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=root)
@@ -88,7 +90,8 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"{root}: {workload} seed {seed} {what}; the end of its stderr:\n{stderr}")
     result = json.loads(lines[-1])
     if not result["correct"]:
-        raise SystemExit(f"{root}: {workload} seed {seed} printed a wrong answer")
+        failed = [line for line in map(str.strip, lines) if line.startswith("failed: ")][:STDERR_LINES]
+        raise SystemExit("\n".join([f"{root}: {workload} seed {seed} printed a wrong answer", *failed]))
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
