@@ -18,11 +18,11 @@ is rendered for the other two.  An answer that is one record (``akj``,
 ``canonical`` without ``--list``, ``orbits``) takes all three from its JSON
 object (:func:`_record`).  The census rows (the tables of
 :meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
-:func:`~.tuples.shape_tables`, which also give each table's head rows, the
-ones not in case st) are rendered an (r, s) table at a time in every
-format (:func:`_shape_rows`): the text of each row's m and n, with
-its case, once per case and (ms, ns) columns of a run, that of t once per
-value of r+s (:func:`~.tuples.per_table`), then one join per (r, s) of a
+:func:`~.tuples.shape_tables`, whose runs carry their rows' case) are
+rendered an (r, s) table at a time in every format (:func:`_shape_rows`):
+the text of each row's m and n, with its case, once per case and (ms, ns)
+columns of a run, that of t once per list of runs
+(:func:`~.tuples.per_table`), then one join per (r, s) of a
 list of the table's pieces, filled a piece kind at a time by slice
 assignment, with no template per row.  The tables are written in chunks
 of about 1 MiB.  Both aligned tables are one renderer
@@ -229,9 +229,9 @@ def _shape_rows(
     """Shape rows rendered an (r, s) table at a time, written in chunks of
     about :data:`_CHUNK` characters.
 
-    ``tables`` yields ``(r, s, runs, head, counts, flags)`` as
+    ``tables`` yields ``(r, s, runs, counts, flags)`` as
     :meth:`CountReport.iter_tables` does, or the shapes without counts as
-    :func:`~.tuples.shape_tables` yields them, ``(r, s, runs, head)``.  ``cells``
+    :func:`~.tuples.shape_tables` yields them, ``(r, s, runs)``.  ``cells``
     holds the templates of a row's pieces: the start, which takes r and s;
     t; m and n; and the case, with the text between it and the count.  A
     census row then ends with its count and the text after it: with
@@ -242,12 +242,10 @@ def _shape_rows(
     or 4 with the count): every row's separator slot (the end of the row
     before and this row's start) is filled at once, then the t texts, the
     m, n texts and the counts each by one slice assignment.  The text of
-    each t of a table is made once per value of r+s
-    (:func:`~.tuples.per_table`), that of m and n with the case text once
-    per case and (ms, ns) columns of a run, shared by every table that
-    holds them: the walk's ``head`` rows, in case r or m
-    (:func:`~.tuples.shape_case` of the first row), overwrite their slice
-    with their case's texts.  A flagged row overwrites its count slot and
+    each t of a table is made once per list of runs
+    (:func:`~.tuples.per_table`), that of m and n with the text of the
+    run's case once per case and (ms, ns) columns of a run, shared by every
+    table that holds them.  A flagged row overwrites its count slot and
     the separator slot after it.
     """
     start_cell, t_cell, mn_cell, case_cell = cells
@@ -261,14 +259,14 @@ def _shape_rows(
     def table_texts(runs: list[Run]) -> tuple[list[str], list[int], list[list[str]], int]:
         """The t text and the number of rows of each run of a table, the
         runs' m, n texts, and the rows in all."""
-        lens = [len(ms) for _, ms, _ in runs]
-        texts = [mn_texts(CaseTag.CASE_ST, ms, ns) for _, ms, ns in runs]
-        return [t_cell % t for t, _, _ in runs], lens, texts, sum(lens)
+        lens = [len(ms) for _, ms, _, _ in runs]
+        texts = [mn_texts(case, ms, ns) for _, ms, ns, case in runs]
+        return [t_cell % t for t, _, _, _ in runs], lens, texts, sum(lens)
 
     end, mark = ends or ("", None)
     k = 3 if ends is None else 4
     chunk, size = [], 0
-    for (r, s, runs, head, *counted), (ts, lens, texts, rows) in per_table(tables, table_texts):
+    for (r, s, _, *counted), (ts, lens, texts, rows) in per_table(tables, table_texts):
         counts, flags = counted or (None, None)
         if not rows:
             continue
@@ -277,9 +275,6 @@ def _shape_rows(
         pieces[0] = start
         pieces[1::k] = chain.from_iterable(map(repeat, ts, lens))
         pieces[2::k] = chain.from_iterable(texts)
-        if head:  # the first rows, those with s = t = 0, are in case r or m
-            t, ms, ns = runs[0]
-            pieces[2 : k * head : k] = mn_texts(shape_case((r, s, t, ms[0], ns[0])), ms, ns)
         if counts is not None:
             pieces[3::k] = map(str, counts)
         pieces.append(end)

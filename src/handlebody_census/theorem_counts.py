@@ -18,13 +18,12 @@ The census never lists its shapes.  :func:`census` gives the total and the
 number of shapes in closed form, one term per (t, n) block, and
 :meth:`CountReport.iter_tables` streams the rows in lexicographic order, an
 (r, s) table of the shape walk (:func:`~.tuples.shape_tables`) at a time.
-The walk builds one table of runs (t, ms, ns) per value of r+s and hands it
-to every (r, s) with that sum.  The census builds a run's list of
+The walk tags each run (t, ms, ns) with its rows' case and builds at most
+two lists of runs per value of r+s.  The census builds a run's list of
 M(m) A(kn,n) once per case and (ms, ns), with factors from
-:func:`factor_lists`, and gathers case st's lists once per value of r+s
+:func:`factor_lists`, and gathers a list of runs' lists once
 (:func:`~.tuples.per_table`); an (r, s) then costs one list comprehension
-over its table and one multiplication a row by A(k,s) A(k,t), and the
-walk's head rows, those with s = t = 0, take their case's list.
+over its table and one multiplication a row by A(k,s) A(k,t).
 :meth:`CountReport.iter_rows` flattens the tables into plain row tuples
 ``(r, s, t, m, n, case, count, flags)``.  The counts yielded are checked
 against the closed form when they have all been read.
@@ -145,9 +144,9 @@ class Flag:
 
 #: One census row: r, s, t, m, n, its case, its count and its flags.
 CensusRow = tuple[int, int, int, int, int, CaseTag, int, tuple[Flag, ...]]
-#: One census table: a table (r, s, runs, head) of the shape walk, and per
-#: row the count, and the flags when some row has any.
-CensusTable = tuple[int, int, list[Run], int, list[int], list[tuple[Flag, ...]] | None]
+#: One census table: a table (r, s, runs) of the shape walk, and per row
+#: the count, and the flags when some row has any.
+CensusTable = tuple[int, int, list[Run], list[int], list[tuple[Flag, ...]] | None]
 
 
 @dataclasses.dataclass
@@ -173,24 +172,20 @@ class CountReport:
     def iter_tables(self) -> Iterator[CensusTable]:
         """The rows a table of :func:`~.tuples.shape_tables` at a time, one
         per (r, s), in lexicographic order, computed as they are read:
-        ``(r, s, runs, head, counts, flags)``, the walk's table with row i's
-        count ``counts[i]``: the rows are ``(r, s, t, m, n)`` for each ``(t,
-        ms, ns)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, and the first
-        ``head`` of them, those with s = t = 0, are in case r when r > 0,
-        else in case m; every other row is in case st.  ``flags`` is
-        ``None`` when no row has a flag, else each row's flags (``()`` when
-        it has none).
+        ``(r, s, runs, counts, flags)``, the walk's table with row i's count
+        ``counts[i]``: the rows are ``(r, s, t, m, n)`` for each ``(t, ms,
+        ns, case)`` of ``runs`` and ``m, n`` in ``zip(ms, ns)``, all in the
+        run's case.  ``flags`` is ``None`` when no row has a flag, else each
+        row's flags (``()`` when it has none).
 
         A row's count is :func:`count_kernel`'s, factored as ``A(k,s) A(k,t)
         * (M(m) A(kn,n))`` with M its case's :func:`m_factor`.  The list of
         ``M(m) A(kn,n)`` over a run is built once per case and (ms, ns) and
-        shared by every table that holds those columns, and each value of
-        r+s gathers its runs' case st lists once (:func:`~.tuples.per_table`).
-        An (r, s) then costs one list comprehension over its table, one
-        multiplication a row; the ``head`` rows, where A(k,s) A(k,t) = 1,
-        take the list of their case (:func:`~.tuples.shape_case` of the
-        first row) from the same cache.  ``runs`` is the walk's, the same
-        list for every (r, s) with the same r+s: treat it as read-only.
+        shared by every table that holds those columns, and each list of
+        runs gathers its runs' lists once (:func:`~.tuples.per_table`).  An
+        (r, s) then costs one list comprehension over its table, one
+        multiplication a row.  ``runs`` is the walk's, shared by every (r,
+        s) with the same r+s and s > 0: treat it as read-only.
 
         What is kept is one factor per row of the distinct cases and
         columns, about g^2 of them, where a list per table would hold one
@@ -211,20 +206,17 @@ class CountReport:
             return [by_case[m] * A_kn[n] for m, n in zip(ms, ns)]
 
         count = total = 0
-        tables = per_table(shape_tables(p, g), lambda runs: [columns(CaseTag.CASE_ST, ms, ns) for _, ms, ns in runs])
-        for (r, s, runs, head), table in tables:
+        tables = per_table(shape_tables(p, g), lambda runs: [columns(case, ms, ns) for _, ms, ns, case in runs])
+        for (r, s, runs), table in tables:
             A_s = A_k[s]
-            run_factors = [A_s * A_k[t] for t, _, _ in runs]
+            run_factors = [A_s * A_k[t] for t, _, _, _ in runs]
             counts = [f * x for f, factors in zip(run_factors, table) for x in factors]
-            if head:  # A(k,s) A(k,t) = 1
-                t, ms, ns = runs[0]
-                counts[:head] = columns(shape_case((r, s, t, ms[0], ns[0])), ms, ns)
             flags = None
             if (r, s) in flagged:
-                flags = [shape_flags.get((r, s, t, m, n), ()) for t, ms, ns in runs for m, n in zip(ms, ns)]
+                flags = [shape_flags.get((r, s, t, m, n), ()) for t, ms, ns, _ in runs for m, n in zip(ms, ns)]
             count += len(counts)
             total += sum(counts)
-            yield r, s, runs, head, counts, flags
+            yield r, s, runs, counts, flags
         if (count, total) != (self.shape_count, self.total):
             raise AssertionError(
                 f"census p={p} g={g}: the rows give {count} shapes and total {total}, "
@@ -259,20 +251,17 @@ class CountReport:
 
     def iter_rows(self) -> Iterator[CensusRow]:
         """The rows of :meth:`iter_tables` as plain tuples ``(r, s, t, m, n,
-        case, count, flags)``, with the same check at the end.  A table's first
-        ``head`` rows take the case of the first (:func:`~.tuples.shape_case`),
-        the rest case st; ``flags`` is ``()`` for a row with none."""
+        case, count, flags)``, with the same check at the end.  A row takes
+        its run's case; ``flags`` is ``()`` for a row with none."""
 
         def table_rows():
-            for r, s, runs, head, counts, flags in self.iter_tables():
-                t_col = chain.from_iterable(repeat(t, len(ms)) for t, ms, _ in runs)
-                m_col = chain.from_iterable(ms for _, ms, _ in runs)
-                n_col = chain.from_iterable(ns for _, _, ns in runs)
-                cases = repeat(CaseTag.CASE_ST)
-                if head:
-                    t, ms, ns = runs[0]
-                    cases = chain(repeat(shape_case((r, s, t, ms[0], ns[0])), head), cases)
-                yield zip(repeat(r), repeat(s), t_col, m_col, n_col, cases, counts, flags or repeat(()))
+            for r, s, runs, counts, flags in self.iter_tables():
+                ts, ms, ns, cases = list(zip(*runs)) or [()] * 4
+                lens = list(map(len, ms))
+                t_col = chain.from_iterable(map(repeat, ts, lens))
+                m_col, n_col = chain.from_iterable(ms), chain.from_iterable(ns)
+                case_col = chain.from_iterable(map(repeat, cases, lens))
+                yield zip(repeat(r), repeat(s), t_col, m_col, n_col, case_col, counts, flags or repeat(()))
 
         return chain.from_iterable(table_rows())
 

@@ -10,10 +10,10 @@ solutions of that equation, which :func:`_runs` solves.
 There is one shape type, the tuple itself.  :class:`Tuple5` is that tuple
 with named fields and a check at construction: shapes with r+s+t+m = 0
 carry no action and are rejected.  The shape walk, :func:`shape_tables`,
-yields plain tuples, an (r, s) table of runs at a time with its head, the
-number of its leading rows not in case st, and builds no :class:`Tuple5`;
+yields plain tuples, an (r, s) table of runs at a time, each run tagged
+with the case of its rows, and builds no :class:`Tuple5`;
 :func:`per_table` pairs each of its tables with what a consumer builds
-once per value of r+s, and :func:`admissible_tuples` flattens it into
+once per list of runs, and :func:`admissible_tuples` flattens it into
 :class:`Tuple5` shapes.  :func:`shape_case` and
 :func:`genus_of` take either.
 """
@@ -27,8 +27,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .errors import InadmissibleTupleError
 
 Shape = tuple[int, int, int, int, int]
-#: A run of shapes of one table: t, and the m and n of its rows.
-Run = tuple[int, range, range]
 
 
 #: A strong-probable-prime test to the first 13 primes decides primality
@@ -165,6 +163,10 @@ class CaseTag(enum.Enum):
     CASE_M = "m"
 
 
+#: A run of shapes of one table: t, the m and n of its rows, and their case.
+Run = tuple[int, range, range, CaseTag]
+
+
 def shape_case(v: Shape) -> CaseTag:
     """The case of a shape: s+t > 0 wins, then r > 0, else m > 0 is forced."""
     r, s, t, _, _ = v
@@ -192,7 +194,7 @@ def genus_of(p: int, v: Shape) -> int:
     return g
 
 
-def _runs(p: int, g: int, u: int) -> Iterator[Run]:
+def _runs(p: int, g: int, u: int) -> Iterator[tuple[int, range, range]]:
     """The runs ``(t, ms, ns)`` of the shapes with r+s = u acting on genus
     g, sorted.  The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n =
     g-1+q, with q = p^2.  Fixing r+s and t fixes q*m + (q-p)*n =: R.  A
@@ -213,20 +215,21 @@ def _runs(p: int, g: int, u: int) -> Iterator[Run]:
             yield t, ms, range(n, n - p * len(ms), -p)
 
 
-def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run], int]]:
-    """Every shape acting on genus g, as ``(r, s, runs, head)`` in
-    lexicographic order of (r, s): the shapes are ``(r, s, t, m, n)`` for
-    each ``(t, ms, ns)`` of ``runs`` (:func:`_runs` of r+s) and ``m, n`` in
-    ``zip(ms, ns)``, sorted, with no list of shapes and no sort.  The first
-    ``head`` of them, those with s = t = 0, are in case r, or case m when
-    r = 0 (:func:`shape_case`); every other one is in case st.
+def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
+    """Every shape acting on genus g, as ``(r, s, runs)`` in lexicographic
+    order of (r, s): the shapes are ``(r, s, t, m, n)`` for each ``(t, ms,
+    ns, case)`` of ``runs`` (:func:`_runs` of r+s) and ``m, n`` in
+    ``zip(ms, ns)``, sorted, with no list of shapes and no sort, and
+    ``case`` is the :func:`shape_case` of every row of its run.
 
-    ``runs`` depends on r+s alone, so each value of r+s has one table, built
-    as the r = 0 pass first reaches that value and yielded again, the same
-    list, by every later (r, s) with the same sum.  So is the length of its
-    run with t = 0, the head of the (r+s, 0) table and of no other.  The
-    tables are built lazily, so the first comes after one table is built,
-    and together they never hold more entries than there are runs with
+    The runs depend on r+s alone, but for the case of a run with t = 0,
+    which s = 0 decides.  So each value u of r+s has one list of runs, all
+    in case st, built as the r = 0 pass first reaches u and yielded again,
+    the same list, by every (r, s) with that sum and s > 0; when its first
+    run has t = 0, the (u, 0) table gets a copy built at the same time, with
+    that run in case r, or case m when u = 0.  Treat the lists as
+    read-only.  The tables are built lazily, so the first comes after one
+    table is built, and together they hold at most two entries per run with
     r = 0.
 
     At the end the number of shapes is held to :func:`shape_count`; a
@@ -235,38 +238,43 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run], int]]:
     require_odd_prime(p)
     require_genus(g)
     last = (g - 1) // (p * p) + 1  # the largest r+s
-    # per value u of r+s: its runs, their number of shapes and the head
-    tables: list[tuple[list[Run], int, int]] = []
+    # per value u of r+s: the runs of its s > 0 tables and of its (u, 0)
+    # table, and their number of shapes
+    tables: list[tuple[list[Run], list[Run], int]] = []
     count = 0
     for r in range(last + 1):
         for u in range(r, last + 1):
             if u == len(tables):  # r = 0, and u is new
-                runs = list(_runs(p, g, u))
-                head = len(runs[0][1]) if runs and not runs[0][0] else 0
-                tables.append((runs, sum(len(ms) for _, ms, _ in runs), head))
-            runs, shapes, head = tables[u]
+                runs = [(t, ms, ns, CaseTag.CASE_ST) for t, ms, ns in _runs(p, g, u)]
+                first = runs
+                if runs and not runs[0][0]:  # rows with s = t = 0 at (u, 0)
+                    t, ms, ns, _ = runs[0]
+                    first = [(t, ms, ns, shape_case((u, 0, t, ms[0], ns[0]))), *runs[1:]]
+                tables.append((runs, first, sum(len(ms) for _, ms, _, _ in runs)))
+            runs, first, shapes = tables[u]
             count += shapes
-            yield r, u - r, runs, 0 if u > r else head
+            yield r, u - r, runs if u > r else first
     expected = shape_count(p, g)
     if count != expected:
         raise AssertionError(f"p={p} g={g}: the walk gave {count} shapes, the closed form {expected}")
 
 
 def per_table(tables: Iterable[tuple], build: Callable[[list[Run]], object]) -> Iterator[tuple[tuple, object]]:
-    """Each table ``(r, s, runs, ...)`` of ``tables``, in the order of
-    :func:`shape_tables`, paired with ``build(runs)``.
+    """Each table ``(r, s, runs, ...)`` of ``tables``, in order, paired
+    with ``build(runs)``.
 
-    ``runs`` depends on r+s alone, so ``build`` is called once per value of
-    r+s, as the r = 0 pass first reaches that value, and every later (r, s)
-    with the same sum gets the same object.  Each call comes as its table
-    is read, so the first pair comes after one call.
+    ``build`` is called once per distinct ``runs`` list, as the first table
+    that holds it is read, and every later table with the same list gets
+    the same object: for :func:`shape_tables`, at most twice per value of
+    r+s.  So the first pair comes after one call.
     """
-    built = []
+    built = {}  # id of a runs list: the list, held so its id is not reused, and its build
     for table in tables:
-        r, s, runs = table[:3]
-        if r + s == len(built):  # r = 0, and the table is new
-            built.append(build(runs))
-        yield table, built[r + s]
+        runs = table[2]
+        entry = built.get(id(runs))
+        if entry is None:
+            entry = built[id(runs)] = (runs, build(runs))
+        yield table, entry[1]
 
 
 def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
@@ -295,5 +303,5 @@ def admissible_tuples(p: int, g: int) -> list[Tuple5]:
     tables of :func:`shape_tables`, flattened, with the same check at the
     end."""
     return [
-        Tuple5(r, s, t, m, n) for r, s, runs, _ in shape_tables(p, g) for t, ms, ns in runs for m, n in zip(ms, ns)
+        Tuple5(r, s, t, m, n) for r, s, runs in shape_tables(p, g) for t, ms, ns, _ in runs for m, n in zip(ms, ns)
     ]

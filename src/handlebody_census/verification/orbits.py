@@ -90,6 +90,7 @@ from ..tuples import CaseTag, Shape, Tuple5, genus_of, require_odd_prime, shape_
 from .canonical import DEFAULT_STATE_BUDGET, enumerate_canonical
 from .moves import GenClass, Move, MoveKind, apply_move, generator_moves
 from .states import (
+    LAYOUT,
     State,
     coordinate_domains,
     coset_moduli,
@@ -167,23 +168,21 @@ class _Space:
         """Which rows are valid states.
 
         The domains already enforce the order constraints, so validity is
-        surjectivity alone: the OR over columns of each domain's unit mask,
-        broadcast.  With s+t > 0 some domain holds units only, and the OR
-        is true on every row.
+        surjectivity alone: the outer OR over columns of each domain's unit
+        mask, in row order.  With s+t > 0 some domain holds units only, and
+        the OR is true on every row.
         """
-        valid = np.zeros(self.size, dtype=bool)
-        for c, dom in enumerate(self.dom_arrays):
-            shape, _ = self.layout([c])
-            view = valid.reshape(shape)
-            view |= (dom % self.p != 0).reshape(-1, 1)
-        return valid
+        return functools.reduce(np.logical_or.outer, [dom % self.p != 0 for dom in self.dom_arrays]).reshape(-1)
 
     def state_row(self, state: State) -> int:
         """Row of one state's representative; -1 if the state has another
-        shape or nesting, or any image that is no integer (a bool reads as
-        its int) or leaves its raw domain."""
+        shape or nesting (a pair of a paired class with other than two
+        images), or any image that is no integer (a bool reads as its int)
+        or leaves its raw domain."""
         try:
-            shaped = tuple(map(len, state)) == tuple(self.v)
+            shaped = tuple(map(len, state)) == tuple(self.v) and all(
+                len(pair) == 2 for entries, kinds in zip(state, LAYOUT) if len(kinds) > 1 for pair in entries
+            )
             images = [operator.index(x) for x in flatten(state)]
         except TypeError:  # an entry that is no sequence, or no integer
             return -1

@@ -86,7 +86,7 @@ def test_flags_stay_per_row_inside_a_multi_row_run(capsys, monkeypatch):
     # At (5, 26) every flagged shape is alone in its run; here one flag sits
     # on the middle row of a run of three or more.
     report = census(3, 60)
-    r, s, t, ms, ns = next(
+    r, s, t, ms, ns, _ = next(
         (r, s, *run) for r, s, runs, *_ in report.iter_tables() for run in runs if len(run[1]) >= 3
     )
     middle = (r, s, t, ms[1], ns[1])
@@ -109,12 +109,12 @@ def _split_targets(report):
     run that leads an s = 0 table with r > 0, ``"m"`` in the run that leads
     the table at r = s = 0, ``"st"`` in the second run of an s > 0 table."""
     targets = {}
-    for r, s, runs, head, _, _ in report.iter_tables():
-        if not s and head >= 2:
-            t, ms, ns = runs[0]
+    for r, s, runs, _, _ in report.iter_tables():
+        if not s and runs and not runs[0][0] and len(runs[0][1]) >= 2:
+            t, ms, ns, _ = runs[0]
             targets.setdefault("r" if r else "m", (r, s, t, ms[1], ns[1]))
         elif s and len(runs) >= 2 and len(runs[1][1]) >= 2:
-            t, ms, ns = runs[1]
+            t, ms, ns, _ = runs[1]
             targets.setdefault("st", (r, s, t, ms[1], ns[1]))
     return targets
 
@@ -305,7 +305,7 @@ def test_flags_on_the_last_row_of_a_table_and_of_a_chunk(capsys, monkeypatch, fm
         "table": lambda report: cli._census_table(report, True, True),
     }
     chunk_ends = _row_ends(report, fmt, streams[fmt](report))
-    table_ends = {n for n in accumulate(len(table[4]) for table in report.iter_tables()) if n < report.shape_count}
+    table_ends = {n for n in accumulate(len(table[3]) for table in report.iter_tables()) if n < report.shape_count}
     assert chunk_ends and chunk_ends <= table_ends and table_ends - chunk_ends
     rows = list(report.iter_rows())
     ends = [min(table_ends - chunk_ends), min(chunk_ends), report.shape_count]

@@ -85,6 +85,9 @@ def test_akj_usage_error(capsys):
     code, _, err = run_cli(capsys, "akj", "--k", "0", "--j", "2")
     assert code == 1
     assert "error" in err
+    code, out, err = run_cli(capsys, "akj", "--k", "3", "--j", "-1")
+    assert (code, out) == (1, "")
+    assert err == "handlebody-census akj: error: --j must be >= 0, got -1\n"
 
 
 def test_tuples_csv(capsys):

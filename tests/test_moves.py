@@ -1,6 +1,7 @@
 """Move semantics: frozen examples, invertibility, validity preservation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,35 @@ def test_move_contract_violations():
             state,
             Move(MoveKind.SLIDE, GenClass.EF, 0, amount=1, source=GenRef(GenClass.A, 0)),
         )
+
+
+@pytest.mark.parametrize(
+    "move,message",
+    [
+        (Move(MoveKind.SPIN, GenClass.A, 0.0), "move index must be an integer index, got 0.0"),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=1, source=GenRef(GenClass.EF, 0, 2)),
+            "pair slot must be 0 or 1, got 2",
+        ),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=1, source=GenRef(GenClass.A, 1, 1)),
+            "class 'a' has no pair slot 1",
+        ),
+        (Move(MoveKind.SLIDE, GenClass.A, 0, amount=1), "slide needs a source generator"),
+        (Move("spin", GenClass.A, 0), "unknown move kind 'spin'"),
+    ],
+)
+def test_a_malformed_move_says_why(move, message):
+    state = State(a=(1, 0), bc=(), d=(), ef=((3, 2),), g=())
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_move(3, state, move)
+
+
+def test_inverse_move_refuses_an_unknown_kind():
+    # a kind given as its text is no MoveKind
+    message = "unknown move kind 'spin'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        inverse_move(3, Move("spin", GenClass.A, 0))
 
 
 SMALL_SHAPES = [

@@ -448,14 +448,18 @@ def test_least_round_trip():
     assert part.least(State(a=(), bc=(), d=(), ef=((3, True),), g=())) == part.least(
         State(a=(), bc=(), d=(), ef=((3, 1),), g=())
     )
-    # other nestings: a bare image for a pair, and a pair of another length
-    # whose first images would be valid
+    # other nestings: a bare image for a pair, a pair of another length
+    # whose first images would be valid, and pairs of one and three images
+    # whose images would be a valid state paired up anew
     with pytest.raises(KeyError):
         part.least(State(a=(), bc=(), d=(), ef=(3,), g=()))
     with pytest.raises(KeyError):
         orbit_partition(3, Tuple5(0, 1, 0, 0, 0)).least(State(a=(), bc=((1,),), d=(), ef=(), g=()))
-    # states of other shapes: fewer and more ef pairs than (0,0,0,2,0) holds
     part = orbit_partition(3, Tuple5(0, 0, 0, 2, 0))
+    for ef in [((3,), (1, 3, 2)), ((3, 1, 3), (2,))]:
+        with pytest.raises(KeyError):
+            part.least(State(a=(), bc=(), d=(), ef=ef, g=()))
+    # states of other shapes: fewer and more ef pairs than (0,0,0,2,0) holds
     for ef in [((3, 1),), ((3, 1), (3, 1), (3, 1))]:
         with pytest.raises(KeyError):
             part.least(State(a=(), bc=(), d=(), ef=ef, g=()))

@@ -98,11 +98,11 @@ def test_the_first_row_at_a_large_prime_and_genus_takes_no_binomial(monkeypatch)
     with monkeypatch.context() as patch:
         patch.setattr(math, "comb", lambda *args: pytest.fail(f"math.comb{args} computed"))
         tables = report.iter_tables()
-        r, s, runs, head, counts, flags = next(tables)
+        r, s, runs, counts, flags = next(tables)
         tables.close()
-    t, ms, ns = runs[0]
+    t, ms, ns, case = runs[0]
     first = (r, s, t, ms[0], ns[0])
-    assert first[:3] == (0, 0, 0) and head == len(ms) and flags is None
+    assert first[:3] == (0, 0, 0) and case is CaseTag.CASE_M and flags is None
     assert genus_of(101, first) == 10**8
     assert counts[0] == count_kernel(pools(101), *first)[1]
 
@@ -273,16 +273,16 @@ def test_runs_flatten_to_the_rows_and_the_listed_census(group):
         report = census(p, g)
         tables = list(report.iter_tables())
         flat = []
-        for r, s, runs, head, counts, flags in tables:
-            shapes = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
+        for r, s, runs, counts, flags in tables:
+            shapes = [(r, s, t, m, n) for t, ms, ns, _ in runs for m, n in zip(ms, ns)]
+            cases = [case for _, ms, _, case in runs for _ in ms]
             assert len(shapes) == len(counts) == len(flags or shapes), (p, g)
-            assert all(len(ms) == len(ns) > 0 for _, ms, ns in runs), (p, g)
+            assert all(len(ms) == len(ns) > 0 for _, ms, ns, _ in runs), (p, g)
             # one run per (r, s, t)
-            assert len({t for t, _, _ in runs}) == len(runs), (p, g)
-            for i, (v, count) in enumerate(zip(shapes, counts)):
-                case = shape_case(v)
-                # the first head rows, and only they, are in case r or m
-                assert (case is not CaseTag.CASE_ST) == (i < head), (p, g, v)
+            assert len({t for t, *_ in runs}) == len(runs), (p, g)
+            for i, (v, case, count) in enumerate(zip(shapes, cases, counts)):
+                # each row is in its run's case
+                assert case is shape_case(v), (p, g, v)
                 flat.append((*v, case, count, flags[i] if flags else ()))
         # one table per (r, s)
         assert len({table[:2] for table in tables}) == len(tables), (p, g)
@@ -297,10 +297,10 @@ def test_counts_yielded_are_not_handed_out_again(p, g):
     # still get a counts list of its own, so writing into every yielded list
     # changes no table read later.
     rows, seen, shared = [], set(), 0
-    for r, s, runs, _, counts, _ in census(p, g).iter_tables():
-        shapes = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
+    for r, s, runs, counts, _ in census(p, g).iter_tables():
+        shapes = [(r, s, t, m, n) for t, ms, ns, _ in runs for m, n in zip(ms, ns)]
         rows += [(*v, shape_case(v), count) for v, count in zip(shapes, counts)]
-        for _, ms, ns in runs:
+        for _, ms, ns, _ in runs:
             shared += (ms, ns) in seen
             seen.add((ms, ns))
         counts[:] = [-1] * len(counts)
@@ -320,14 +320,11 @@ def test_largest_count_is_the_largest_count_the_tables_yield(p, g):
     # other columns as cli._widths says: as the widest cells of the walk
     report = census(p, g)
     largest, top, cases = 0, [0] * 5, set()
-    for r, s, runs, head, counts, _ in report.iter_tables():
+    for r, s, runs, counts, _ in report.iter_tables():
         largest = max(largest, max(counts, default=0))
-        for t, ms, ns in runs:  # m rises and n falls along a run
+        for t, ms, ns, case in runs:  # m rises and n falls along a run
             top = list(map(max, top, (r, s, t, ms[-1], ns[0])))
-        if head:
-            cases.add("r" if r else "m")
-        if head < len(counts):
-            cases.add("st")
+            cases.add(case.value)
     assert cli._widths(p, g) == [len(str(x)) for x in top] + [max(map(len, cases), default=0)]
     assert report.largest_count() == largest
 
@@ -344,7 +341,7 @@ def test_rows_that_disagree_with_the_closed_form_raise_at_the_end():
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
             next(rows)
         table_iter = wrong.iter_tables()
-        assert sum(len(next(table_iter)[4]) for _ in range(tables)) == 6
+        assert sum(len(next(table_iter)[3]) for _ in range(tables)) == 6
         with pytest.raises(AssertionError, match="the rows give 6 shapes and total 283"):
             next(table_iter)
 

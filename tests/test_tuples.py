@@ -156,7 +156,7 @@ def test_a_walk_that_disagrees_with_the_closed_form_raises_at_the_end(monkeypatc
     monkeypatch.setattr(tuples, "shape_count", lambda p, g: 5)
     tables = tuples.shape_tables(5, 26)
     read = [next(tables) for _ in range(count)]
-    assert sum(len(ms) for _, _, runs, _ in read for _, ms, _ in runs) == 6
+    assert sum(len(ms) for _, _, runs in read for _, ms, _, _ in runs) == 6
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
         next(tables)
     with pytest.raises(AssertionError, match="the walk gave 6 shapes, the closed form 5"):
@@ -177,21 +177,21 @@ def test_the_walk_reaches_its_first_run_lazily():
     assert peak < 1 << 20
 
 
-def test_the_walk_gives_each_tables_head():
-    # head counts the table's rows with s = t = 0, which come first and are
-    # the only ones not in case st
+def test_the_walk_gives_each_run_the_case_of_its_rows():
+    # the rows with s = t = 0 come first in their table, and they alone are
+    # not in case st
     for p in (3, 5, 7):
         for g in range(1, 301):
-            for r, s, runs, head in tuples.shape_tables(p, g):
-                rows = [(r, s, t, m, n) for t, ms, ns in runs for m, n in zip(ms, ns)]
-                heads = [v for v in rows if v[1] == v[2] == 0]
-                assert head == len(heads) and rows[:head] == heads, (p, g, r, s)
-                assert {shape_case(v) for v in heads} <= {CaseTag.CASE_R if r else CaseTag.CASE_M}
-                assert all(shape_case(v) is CaseTag.CASE_ST for v in rows[head:])
+            for r, s, runs in tuples.shape_tables(p, g):
+                rows = [(r, s, t, m, n, case) for t, ms, ns, case in runs for m, n in zip(ms, ns)]
+                assert all(shape_case(row[:5]) is row[5] for row in rows), (p, g, r, s)
+                heads = [row for row in rows if row[1] == row[2] == 0]
+                assert rows[: len(heads)] == heads, (p, g, r, s)
+                assert {row[5] for row in heads} <= {CaseTag.CASE_R if r else CaseTag.CASE_M}
 
 
 @pytest.mark.parametrize("p,g", [(3, 43), (5, 300)])
-def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
+def test_per_table_builds_once_per_list_of_runs(p, g):
     built = []
 
     def build(runs):
@@ -199,7 +199,7 @@ def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
         return object()
 
     # extra fields after (r, s, runs) pass through untouched
-    tables = [(r, s, runs, r * s) for r, s, runs, _ in tuples.shape_tables(p, g)]
+    tables = [(r, s, runs, r * s) for r, s, runs in tuples.shape_tables(p, g)]
     pairs = tuples.per_table(tables, build)
     first = next(pairs)
     # the first pair comes before any later table is built
@@ -207,15 +207,24 @@ def test_per_table_builds_once_per_value_of_r_plus_s(p, g):
     assert built == [tables[0][2]]
     pairs = [first, *pairs]
     assert [table for table, _ in pairs] == tables
+    # one call per distinct list, the first time a table holds it
+    firsts = {}
+    for r, s, runs, _ in tables:
+        firsts.setdefault(id(runs), runs)
+    assert built == list(firsts.values()) and len(set(map(id, built))) == len(built)
+    # at most two lists per value of r+s: one shared by its tables with
+    # s > 0, and the (r+s, 0) table's
     sums = [r + s for r, s, _, _ in tables]
-    # one call per value of r+s, in increasing order, on that sum's runs
-    assert len(built) == len(set(sums)) == max(sums) + 1
-    assert all(built[r + s] is runs for r, s, runs, _ in tables)
-    # every (r, s) with the same sum gets the identical object
-    by_sum = {}
-    for (r, s, _, _), value in pairs:
-        assert by_sum.setdefault(r + s, value) is value
-    assert len(set(map(id, by_sum.values()))) == len(by_sum)
+    lists = {}
+    for r, s, runs, _ in tables:
+        lists.setdefault(r + s, {})[id(runs)] = s > 0
+    assert sorted(lists) == list(range(max(sums) + 1))
+    assert all(len(ids) <= 2 and sum(ids.values()) <= 1 for ids in lists.values())
+    # every table with the same list gets the identical object
+    by_list = {}
+    for (_, _, runs, _), value in pairs:
+        assert by_list.setdefault(id(runs), value) is value
+    assert len(set(map(id, by_list.values()))) == len(by_list) == len(built)
 
 
 def test_tuple5_rejects_bad_components():
@@ -316,6 +325,8 @@ def test_non_odd_primes_rejected(p):
 @pytest.mark.parametrize(
     "p,message",
     [
+        (3.0, "p must be an integer, got 3.0"),
+        (True, "p must be an integer, got True"),
         (1, "p must be an odd prime >= 3, got 1"),
         (4, "p must be an odd prime >= 3, got 4"),
         (9, "p must be prime, got 9 = 3 * 3"),
