@@ -89,6 +89,15 @@ def _check_index(state: State, cls: GenClass, index, what: str) -> None:
         )
 
 
+def _check_amount(amount, bound: int, what: str) -> None:
+    """A twist amount or slide multiplier must be an int in [0, bound), as
+    :func:`inverse_move` makes them."""
+    if not isinstance(amount, int) or isinstance(amount, bool):
+        raise ValueError(f"{what} must be an integer, got {amount!r}")
+    if not 0 <= amount < bound:
+        raise ValueError(f"{what} must lie in [0, {bound}), got {amount}")
+
+
 def _ref_value(state: State, ref: GenRef) -> int:
     _check_index(state, ref.cls, ref.index, "slide source index")
     entry = _class_values(state, ref.cls)[ref.index]
@@ -115,8 +124,10 @@ def apply_move(p: int, state: State, move: Move) -> State:
     through as the same objects and may be anything, ``None`` included.
     The orbit engine builds its gather tables this way.
 
-    Raises ValueError for out-of-range indices, malformed amounts, or a
-    slide sourced from the target's own factor.
+    Raises ValueError for out-of-range indices, malformed amounts (a twist
+    amount or slide multiplier that is no int, a bool included, or lies
+    outside [0, p^2), [0, p) for an ef twist), or a slide sourced from the
+    target's own factor.
     """
     q = p * p
     _check_index(state, move.cls, move.index, "move index")
@@ -142,11 +153,7 @@ def apply_move(p: int, state: State, move: Move) -> State:
         if not move.cls.paired:
             raise ValueError(f"twist acts on paired classes, not {move.cls.field!r}")
         bound = q if move.cls is GenClass.BC else p
-        if not 0 <= move.amount < bound:
-            raise ValueError(
-                f"twist amount must lie in [0, {bound}) for class "
-                f"{move.cls.field!r}, got {move.amount}"
-            )
+        _check_amount(move.amount, bound, f"twist amount for class {move.cls.field!r}")
         finite, free = values[move.index]
         values[move.index] = (finite, (free + move.amount * finite) % q)
         return _replace(state, move.cls, values)
@@ -160,6 +167,7 @@ def apply_move(p: int, state: State, move: Move) -> State:
             raise ValueError(
                 f"slide of a_{move.index} over its own factor is not a move"
             )
+        _check_amount(move.amount, q, "slide multiplier")
         src = _ref_value(state, move.source)
         values[move.index] = (values[move.index] + move.amount * src) % q
         return _replace(state, move.cls, values)

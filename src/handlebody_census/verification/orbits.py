@@ -43,11 +43,15 @@ representative values of the touched coordinates as an open grid, checks
 that every image it writes stays in its raw domain, and looks each up as
 the position of its own representative.  The moves are
 :func:`generator_moves`, each walked forward only: no inverse is built.
-A move whose table is the identity, every column it writes keeping its
-positions, is dropped: every twist, and every slide that only adds
-multiples of its handle's k (onto a handle reduced to 0, from a c, or
-from an e or g onto a handle reduced mod p).  Each round gathers the
-labels through every other move g with its table,
+A move the quotient absorbs, one that changes every image it writes by
+multiples of that image's k only, is the identity on the quotient and is
+never built (:func:`_absorbed`): every twist; every slide whose handle's
+k divides every representative of its source, that is onto a handle
+reduced to 0 or from an e or g onto a handle reduced mod p; and every
+spin and interchange of handles reduced to 0.  A table that still comes
+out the identity, every column it writes keeping its positions, would be
+dropped; no generator's does.  Each round gathers the labels through
+every other move g with its table,
 ``labels[x] = min(labels[x], labels[g(x)])`` along the touched axes (one
 ``np.take`` when they are adjacent, one indexed assignment when they are
 not), so no successor array is ever built.  Validity (surjectivity) is
@@ -101,6 +105,17 @@ from .states import (
 )
 
 
+@functools.lru_cache(maxsize=1)
+def _prime_representatives(p: int) -> dict:
+    """The representatives and ``luts`` rows of :class:`_Space` columns at
+    one prime, by (domain kind, k), filled as shapes first ask for them.
+
+    A prime has at most five entries: free at k = 1, p and p^2, unit and
+    order-p at p^2.  Only the last prime's are kept.
+    """
+    return {}
+
+
 class _Space:
     """Vectorized view of one shape's state space on the coset quotient.
 
@@ -108,12 +123,14 @@ class _Space:
     :func:`coset_moduli` k that its raw domain (:func:`coordinate_domains`)
     meets, ascending.  They are read off a count of the residues
     (``np.bincount``), not found by ``np.unique``, whose first call in a
-    process imports ``numpy.ma``.  Columns with one domain and one k share
-    their arrays.  Representative states are the rows of the index over
-    the representatives in numpy's C order over ``sizes`` (last coordinate
-    fastest), so row order is lexicographic on image vectors, as raw order
-    is.  ``luts`` holds per
-    column a row mapping every raw value to the position of its
+    process imports ``numpy.ma``.  They depend on the column's domain kind
+    and k alone, so each (kind, k) is built once per prime and shared,
+    read-only, by every column and every shape that has it
+    (:func:`_prime_representatives`).  Representative states are the rows
+    of the index over the representatives in numpy's C order over
+    ``sizes`` (last coordinate fastest), so row order is lexicographic on
+    image vectors, as raw order is.  ``luts`` holds per column a row
+    mapping every raw value to the position of its
     representative, and to -1 outside the raw domain, so every state read
     through it is reduced.  Nothing here has the raw size, but the raw size
     must still fit int64, and :func:`_check_budget` refuses any that does
@@ -123,23 +140,30 @@ class _Space:
 
     def __init__(self, p: int, v: Shape):
         self.p, self.q, self.v = p, p * p, v
-        moduli = coset_moduli(p, v)
-        self.ncols = len(moduli)
+        self.moduli = coset_moduli(p, v)
+        self.ncols = len(self.moduli)
         # the state whose images are their own column numbers
         self.columns = unflatten(v, range(self.ncols))
-        keys = list(zip(coordinate_domains(p, v), moduli))
-        shared = {key: self._representatives(*key) for key in dict.fromkeys(keys)}
+        kinds = [kind for kinds, length in zip(LAYOUT, v) for _ in range(length) for kind in kinds]
+        keys = list(zip(kinds, self.moduli))
+        shared = _prime_representatives(p)
+        missing = [key for key in dict.fromkeys(keys) if key not in shared]
+        if missing:
+            domains = dict(zip(keys, coordinate_domains(p, v)))
+            shared.update({key: self._representatives(domains[key], key[1]) for key in missing})
         self.dom_arrays = [shared[key][0] for key in keys]
         self.luts = [shared[key][1] for key in keys]
         self.sizes = tuple(len(dom) for dom in self.dom_arrays)
         self.size = math.prod(self.sizes)
 
     def _representatives(self, dom, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The representatives of one raw domain mod k, and its ``luts`` row."""
+        """The representatives of one raw domain mod k, and its ``luts`` row,
+        both read-only."""
         raw = np.asarray(dom, dtype=np.int64)
         reps = np.flatnonzero(np.bincount(raw % k))
         lut = np.full(self.q, -1, dtype=np.int64)
         lut[raw] = np.searchsorted(reps, raw % k)
+        reps.flags.writeable = lut.flags.writeable = False
         return reps, lut
 
     def layout(self, cols) -> tuple[list[int], list[list[int]]]:
@@ -223,6 +247,30 @@ def _index_dtype(size: int):
     return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
+def _absorbed(space: _Space, move: Move) -> bool:
+    """Whether the quotient absorbs a generator: every image it writes
+    changes by multiples of that image's k only, so it is the identity on
+    the quotient.  Decided from the move's kind and classes and the
+    handles' k, with no table:
+
+    * every twist: it adds a multiple of b to c (k = 1) or of e to f (k = p);
+    * a slide whose handle's k divides every representative of its source:
+      k = 1 (the shape has a b or d), or k = p and the source is an e or a
+      g, whose representatives are multiples of p;
+    * a spin or interchange that writes images of one representative each:
+      handles at k = 1.  Every other class holds at least two
+      representatives per image, and negating or swapping them moves some.
+    """
+    if move.kind is MoveKind.TWIST:
+        return True
+    if move.cls is not GenClass.A:
+        return False
+    k = space.moduli[0]  # the handles' k; a move on class a means r > 0
+    if move.kind is MoveKind.SLIDE and k == space.p:
+        return move.source.cls is GenClass.G or (move.source.cls is GenClass.EF and move.source.part == 0)
+    return k == 1
+
+
 class _Gather:
     """One move as a gather: ``out[x] = src[succ(x)]`` for every row x,
     where ``succ`` is the move's successor on the quotient, with no index
@@ -237,7 +285,9 @@ class _Gather:
     is the full product of the representative domains, so the grid covers
     every row's restriction to these columns.  ``identity`` is set when no
     position changes (every twist's table); such a gather builds nothing
-    more, and :func:`orbit_partition` drops it.
+    more, and :func:`orbit_partition` drops it.  That is a safety net:
+    :func:`orbit_partition` builds no gather for a move :func:`_absorbed`
+    names, and no other generator's table is the identity.
 
     The row index is viewed in :meth:`_Space.layout` over the touched
     columns, so ``succ`` changes the positions on the touched axes only.
@@ -470,7 +520,7 @@ def orbit_partition(
     raw = _check_budget(p, v, budget)
     space = _Space(p, v)
     valid = space.valid_mask()
-    gathers = [_Gather(space, move) for move in generator_moves(p, v)]
+    gathers = [_Gather(space, move) for move in generator_moves(p, v) if not _absorbed(space, move)]
     gathers = [gather for gather in gathers if not gather.identity]
     least, rounds = _min_label_components(space.size, gathers)
     if not np.array_equal(valid[least], valid):

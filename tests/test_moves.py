@@ -100,10 +100,29 @@ def test_move_contract_violations():
         ),
         (Move(MoveKind.SLIDE, GenClass.A, 0, amount=1), "slide needs a source generator"),
         (Move("spin", GenClass.A, 0), "unknown move kind 'spin'"),
+        # amounts: an int that is no bool, in the range inverse_move makes
+        (Move(MoveKind.TWIST, GenClass.BC, 0, amount=0.5), "twist amount for class 'bc' must be an integer, got 0.5"),
+        (Move(MoveKind.TWIST, GenClass.BC, 0, amount=True), "twist amount for class 'bc' must be an integer, got True"),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=0.5, source=GenRef(GenClass.BC, 0)),
+            "slide multiplier must be an integer, got 0.5",
+        ),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=True, source=GenRef(GenClass.BC, 0)),
+            "slide multiplier must be an integer, got True",
+        ),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=-3, source=GenRef(GenClass.BC, 0)),
+            "slide multiplier must lie in [0, 9), got -3",
+        ),
+        (
+            Move(MoveKind.SLIDE, GenClass.A, 0, amount=100, source=GenRef(GenClass.BC, 0)),
+            "slide multiplier must lie in [0, 9), got 100",
+        ),
     ],
 )
 def test_a_malformed_move_says_why(move, message):
-    state = State(a=(1, 0), bc=(), d=(), ef=((3, 2),), g=())
+    state = State(a=(1, 0), bc=((1, 2),), d=(), ef=((3, 2),), g=())
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         apply_move(3, state, move)
 

@@ -25,6 +25,7 @@ from handlebody_census.verification.moves import MoveKind, apply_move, generator
 from handlebody_census.verification.orbits import (
     _Gather,
     _Space,
+    _absorbed,
     _check_budget,
     _index_dtype,
     _min_label_components,
@@ -312,9 +313,10 @@ def test_every_twist_gather_is_the_identity_and_skipped(p, v):
     moves = generators_and_inverses(p, v)
     assert len(set(moves)) == len(moves)
     gathers = [_Gather(space, move) for move in moves]
-    twists = [g for move, g in zip(moves, gathers) if move.kind is MoveKind.TWIST]
+    twists = [(move, g) for move, g in zip(moves, gathers) if move.kind is MoveKind.TWIST]
     assert len(twists) == 2 * (v.s + v.m)
-    assert all(g.identity for g in twists)
+    assert all(g.identity for _, g in twists)
+    assert all(_absorbed(space, move) for move, _ in twists)
     for gather, succ in zip(gathers, _successor_arrays(space, moves)):
         assert gather.identity == np.array_equal(succ, np.arange(space.size))
     part = orbit_partition(p, v)
@@ -323,13 +325,57 @@ def test_every_twist_gather_is_the_identity_and_skipped(p, v):
     assert_least_matches_bfs(part, p, v)
 
 
-def test_the_engine_applies_the_non_identity_generators():
+def test_the_engine_applies_the_non_identity_generators(monkeypatch):
     record = json.loads((TESTS_DIR / "orbit_stats_record.json").read_text())
+    assert len(record["rows"]) == 483
+    built = []
+
+    class Spy(_Gather):
+        def __init__(self, space, move):
+            super().__init__(space, move)
+            built.append(move)
+
+    # the engine builds a gather only for a move it applies: none is built
+    # and then dropped as the identity
+    monkeypatch.setattr(orbits, "_Gather", Spy)
     for p, v, _ in record["rows"]:
         v = Tuple5(*v)
         space = _Space(p, v)
         gathers = [_Gather(space, move) for move in generator_moves(p, v)]
-        assert orbit_partition(p, v).moves == sum(not g.identity for g in gathers), (p, v)
+        built.clear()
+        part = orbit_partition(p, v)
+        assert part.moves == sum(not g.identity for g in gathers), (p, v)
+        assert len(built) == part.moves, (p, v)
+
+
+@pytest.mark.parametrize("source", ["small_p3", "probe"])
+def test_a_move_is_absorbed_exactly_when_its_gather_is_the_identity(source):
+    if source == "small_p3":
+        shapes = [(3, v) for v in ref.small_p3_shapes(limit=20_000)]
+        assert len(shapes) == 207
+    else:
+        shapes = [(p, Tuple5(*v)) for p, v in PROBE_SHAPES]
+    absorbed = kept = 0
+    for p, v in shapes:
+        space = _Space(p, v)
+        for move in generators_and_inverses(p, v):
+            identity = _Gather(space, move).identity
+            assert _absorbed(space, move) == identity, (p, v, move)
+            absorbed += identity
+            kept += not identity
+    # both answers occur: the rule is not a constant
+    assert absorbed and kept
+
+
+def test_spaces_at_one_prime_share_read_only_representatives():
+    first, second = _Space(5, Tuple5(1, 1, 0, 1, 1)), _Space(5, Tuple5(2, 1, 1, 0, 0))
+    # the handles reduce to 0 in both shapes, and b's units are shared too
+    assert first.dom_arrays[0] is second.dom_arrays[0] and first.luts[0] is second.luts[0]
+    assert first.dom_arrays[1] is second.dom_arrays[2] and first.luts[1] is second.luts[2]
+    for array in (first.dom_arrays[1], first.luts[1]):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert first.dom_arrays[1][0] == 1 and first.luts[1][0] == -1
 
 
 class _Permutation:
