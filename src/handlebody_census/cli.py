@@ -19,13 +19,15 @@ is rendered for the other two.  An answer that is one record (``akj``,
 object (:func:`_record`).  The census rows (the tables of
 :meth:`~.theorem_counts.CountReport.iter_tables`) and the shapes (those of
 :func:`~.tuples.shape_tables`, whose runs carry their rows' case) are
-rendered an (r, s) table at a time in every format (:func:`_shape_rows`):
-the text of each row's m and n, with its case, once per case and (ms, ns)
-columns of a run, that of t once per list of runs
-(:func:`~.tuples.per_table`), then one join per (r, s) of a
-list of the table's pieces, filled a piece kind at a time by slice
-assignment, with no template per row.  The tables are written in chunks
-of about 1 MiB.  Both aligned tables are one renderer
+rendered an (r, s) table at a time in every format (:func:`_shape_rows`),
+from one bytes ``%`` template per list of runs (:func:`~.tuples.per_table`)
+of its rows' text, with each start a placeholder and each count a ``%d``:
+a table is one ``replace`` of the placeholder by its r and s and one ``%``
+of its counts.  The text of each row's m and n, with its case, is made
+once per case and (ms, ns) columns of a run, that of t once per list of
+runs, and the templates kept for reuse are capped (:data:`_KEPT`); a table
+whose template is not kept gets one made for it alone.  The tables are
+written in chunks of about 512 KiB.  Both aligned tables are one renderer
 (:func:`_aligned_table`), which takes the column widths and the largest
 count from the (t, n) blocks of :func:`~.tuples.genus_blocks`, with no
 pass over the shapes.  A normal-form listing is one join of its dump
@@ -49,6 +51,7 @@ import io
 import json
 import re
 import sys
+from collections import deque
 from datetime import datetime, timezone
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -126,9 +129,9 @@ def _render(out: Output, args) -> None:
         sys.stdout.writelines(out.table)
 
 
-def _lines(lines: list[str]) -> list[str]:
-    """Table lines as one chunk, each line ended by ``"\n"``."""
-    return ["\n".join([*lines, ""])]
+def _lines(lines: list[str]) -> Iterator[str]:
+    """Table lines as one chunk, each line ended by ``"\n"``, made when it is read."""
+    yield "\n".join([*lines, ""])
 
 
 def _csv_line(cells: Iterable) -> str:
@@ -161,14 +164,14 @@ _SHAPE_COLUMNS = ["r", "s", "t", "m", "n"]
 def _record(obj: dict, lines: list[str], stamped: bool = True) -> Output:
     """The answer that is one record: ``obj`` as its JSON, one CSV row of
     ``obj``'s keys after ``p``, with ``tuple`` spread into r, s, t, m, n,
-    and ``lines`` as its table."""
+    and ``lines`` as its table, each rendered only when it is read."""
     cells = {}
     for key, value in obj.items():
         if key == "tuple":
             cells.update(zip(_SHAPE_COLUMNS, value))
         elif key != "p":
             cells[key] = value
-    return Output(_dumps(obj), list(cells), [_csv_line(cells.values())], _lines(lines), stamped)
+    return Output(_dumps(obj), list(cells), map(_csv_line, [cells.values()]), _lines(lines), stamped)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +218,39 @@ def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) ->
 
 
 # The census and the shapes are written in chunks of at least this many
-# characters, each a whole number of (r, s) tables.  A writer that gathers
-# stdout in an io.StringIO peaks higher with smaller or larger chunks, by
-# where the heap puts them: at p=3, g=492 a chunk per table (about 9 KB)
-# raised the process's peak RSS by 10 MB, and chunks of 64-512 KiB or
-# 2 MiB by 2-7 MB in some source directories; 1 MiB in none tried.
-_CHUNK = 1 << 20
+# bytes, each a whole number of (r, s) tables.  A writer that gathers stdout
+# in an io.StringIO peaks higher with smaller or larger chunks, by where the
+# heap puts them.  Peak RSS of the census-large-genus benchmark worker, one
+# run per seed 1-10 at each of five checkout paths (1 MiB chunks without
+# the templates of _shape_rows: 87.2-87.5 MB at all five): 512 KiB
+# 87.3-87.6 MB, but for one run of 50 at 97.8 that eight reruns put at
+# 87.3; 1 MiB 90.8-91.0 at every path.  At two of the paths: 2 MiB
+# 91.9-92.2, 256 KiB 87.4-87.7 but for one run of 20 at 99.9.  Before the
+# templates, a chunk per table (about 9 KB) raised the peak by 10 MB.
+_CHUNK = 1 << 19
+
+# The templates of _shape_rows kept for reuse hold at most this many bytes.
+# A template for every list of runs would grow as g^3: at p=3 they hold
+# 8.9 MiB in JSON at g=1000 (4.6 MiB of them for lists used once, never
+# kept) and 34 MiB at g=2000.  2 MiB keeps the templates of 76 % of the
+# reuse in JSON at g=1000 and of 66 % in CSV at g=2000, and all of them at
+# the benchmark's sizes (at most 0.56 MiB).
+_KEPT = 2 << 20
+
+# A row's start in a kept template; no row text holds it.
+_START = b"\x00"
+
+
+def _literal(text: str) -> bytes:
+    """``text`` in a template, as ``%`` fills it back in."""
+    return text.encode().replace(b"%", b"%%")
 
 
 def _shape_rows(
     tables: Iterable[tuple], cells: tuple[str, str, str, str], ends=None, width: int = 0
 ) -> Iterator[str]:
     """Shape rows rendered an (r, s) table at a time, written in chunks of
-    about :data:`_CHUNK` characters.
+    about :data:`_CHUNK` bytes.
 
     ``tables`` yields ``(r, s, runs, counts, flags)`` as
     :meth:`CountReport.iter_tables` does, or the shapes without counts as
@@ -238,64 +261,99 @@ def _shape_rows(
     ``ends = (end, mark)``, ``end`` for a row with no flags and
     ``mark(flags)`` for one with some, whose count is padded to ``width``.
 
-    A table is one ``"".join`` over a list of its pieces, ``k`` a row (3,
-    or 4 with the count): every row's separator slot (the end of the row
-    before and this row's start) is filled at once, then the t texts, the
-    m, n texts and the counts each by one slice assignment.  The text of
-    each t of a table is made once per list of runs
+    A table is its list of runs' template, the UTF-8 text of its rows with
+    each row's start a :data:`_START` and each count a ``%d``, after one
+    ``replace`` of :data:`_START` by the start and one ``%`` of the counts:
+    on bytes, ``%`` skips to the next ``%`` by ``memchr``, where on a str
+    it reads every character.  A template is made by one join of its
+    pieces, ``k`` a row (3, or 4 with the count), filled a piece kind at a
+    time by slice assignment: the text of each t once per list of runs
     (:func:`~.tuples.per_table`), that of m and n with the text of the
     run's case once per case and (ms, ns) columns of a run, shared by every
-    table that holds them.  A flagged row overwrites its count slot and
-    the separator slot after it.
+    table that holds them.  The list of runs of r+s = u is first met at (0,
+    u), in the r = 0 pass, and serves u-1 tables more, u with the (u, 0)
+    table when that table shares it; its template is kept from there while
+    the kept ones fit in :data:`_KEPT` bytes, the oldest given up first:
+    each row of a later list is reused more.  A table whose template is
+    not kept, such as the one (u, 0) table of a list of its own, gets a
+    template made for it alone, with its start in place; so does a flagged
+    table, whose flagged rows hold their padded count and ``mark(flags)``.
+    The fixed text of ``cells`` and of the cases holds no ``%`` and no NUL.
     """
     start_cell, t_cell, mn_cell, case_cell = cells
+    start_cell, t_cell = start_cell.encode(), t_cell.encode()
 
     @functools.cache
-    def mn_texts(case: CaseTag, ms: range, ns: range) -> list[str]:
+    def mn_texts(case: CaseTag, ms: range, ns: range) -> list[bytes]:
         """The m, n and case texts of a run's rows in the case."""
-        cell = mn_cell + (case_cell % case.value).replace("%", "%%")
+        cell = (mn_cell + (case_cell % case.value).replace("%", "%%")).encode()
         return list(map(cell.__mod__, zip(ms, ns)))
-
-    def table_texts(runs: list[Run]) -> tuple[list[str], list[int], list[list[str]], int]:
-        """The t text and the number of rows of each run of a table, the
-        runs' m, n texts, and the rows in all."""
-        lens = [len(ms) for _, ms, _, _ in runs]
-        texts = [mn_texts(case, ms, ns) for _, ms, ns, case in runs]
-        return [t_cell % t for t, _, _, _ in runs], lens, texts, sum(lens)
 
     end, mark = ends or ("", None)
     k = 3 if ends is None else 4
+    slot = b"%d" + _literal(end)  # a census row's count and end
+
+    class Texts:
+        """What a list of runs renders with: its template while it is kept,
+        the t text of each run and its number of rows, the runs' m, n
+        texts, and the rows in all."""
+
+        def __init__(self, runs: list[Run]):
+            self.template = None
+            self.lens = [len(ms) for _, ms, _, _ in runs]
+            self.ts = [t_cell % t for t, _, _, _ in runs]
+            self.texts = [mn_texts(case, ms, ns) for _, ms, ns, case in runs]
+            self.rows = sum(self.lens)
+
+        def fill(self, start: bytes, slots: list[bytes]) -> bytes:
+            """The rows' template: each row ``start``, its t, m, n and case
+            texts and, in a census, its slot of ``slots``."""
+            pieces = [start] * (k * self.rows)
+            pieces[1::k] = chain.from_iterable(map(repeat, self.ts, self.lens))
+            pieces[2::k] = chain.from_iterable(self.texts)
+            if k == 4:
+                pieces[3::k] = slots
+            return b"".join(pieces)
+
+    kept, held = deque(), 0  # the kept templates' lists, oldest first, and their bytes
     chunk, size = [], 0
-    for (r, s, _, *counted), (ts, lens, texts, rows) in per_table(tables, table_texts):
+    for (r, s, _, *counted), texts in per_table(tables, Texts):
         counts, flags = counted or (None, None)
-        if not rows:
+        if not texts.rows:
             continue
         start = start_cell % (r, s)
-        pieces = [end + start] * (k * rows)
-        pieces[0] = start
-        pieces[1::k] = chain.from_iterable(map(repeat, ts, lens))
-        pieces[2::k] = chain.from_iterable(texts)
-        if counts is not None:
-            pieces[3::k] = map(str, counts)
-        pieces.append(end)
-        for i, f in enumerate(flags or ()):
-            if f:  # the row's count, then its end and the next row's start
-                pieces[k * i + 3] = str(counts[i]).ljust(width)
-                pieces[k * i + k] = mark(f) + pieces[k * i + k][len(end) :]
-        text = "".join(pieces)
+        if flags:  # a template of its own, the flagged rows' counts and ends filled in
+            template = texts.fill(start, [
+                slot if not f else _literal(str(c).ljust(width) + mark(f)) for c, f in zip(counts, flags)
+            ])
+            counts = [c for c, f in zip(counts, flags) if not f]
+        elif texts.template is not None:
+            template = texts.template.replace(_START, start)
+        elif s and not r:  # first met, at (0, s): s-1 tables more share the list
+            texts.template = texts.fill(_START, [slot] * texts.rows)
+            template = texts.template.replace(_START, start)
+            kept.append(texts)
+            held += len(texts.template)
+            while held > _KEPT:
+                oldest = kept.popleft()
+                held -= len(oldest.template)
+                oldest.template = None
+        else:
+            template = texts.fill(start, [slot] * texts.rows)
+        text = template if counts is None else template % tuple(counts)
         chunk.append(text)
         size += len(text)
         if size >= _CHUNK:
-            yield "".join(chunk)
+            yield b"".join(chunk).decode()
             chunk, size = [], 0
     if chunk:
-        yield "".join(chunk)
+        yield b"".join(chunk).decode()
 
 
 # Shape row pieces (_shape_rows).  The cells templates render a row's start
-# (its r and s, after the end of the row before), its t with the separator
-# after it, its m and n, and its case with the text between it and the
-# count; a census row's end holds its flag field.
+# (its r and s), its t with the separator after it, its m and n, and its
+# case with the text between it and the count; a census row's end, after
+# its count, holds its flag field.
 # A JSON row is its object as json.dumps(..., indent=2) prints it inside
 # "rows", after the ",\n" that separates it from the row before.
 _JSON_CELLS = (',\n    {\n      "tuple": [\n        %d,\n        %d,\n        ', "%d,\n        ", "%d,\n        %d")
@@ -427,7 +485,7 @@ def _cmd_canonical(args) -> Output:
     return Output(_json_states(obj, forms), ["index", "state"], _dump_csv(forms), _states_table(heading, forms))
 
 
-def _states_table(heading: list[str], forms: NormalForms) -> Iterator[str]:
+def _states_table(heading: Iterable[str], forms: NormalForms) -> Iterator[str]:
     """The table of a state dump: ``heading``, then one dump line a form."""
     yield from heading
     if len(forms):

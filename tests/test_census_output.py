@@ -241,10 +241,11 @@ def test_canonical_csv_listing_peaks_below_half_its_output():
     assert peak <= chars // 2
 
 
-def _held_after_the_r0_pass(p, g):
-    """What a census CSV stream holds, by tracemalloc, when it has rendered
-    every row with r = 0 and reads the first table with r = 1: the texts and
-    factors it keeps for the later passes, and the chunk it is filling."""
+def _held_after_the_r0_pass(p, g, stream=cli._census_csv):
+    """What a census stream, CSV unless ``stream`` is another, holds, by
+    tracemalloc, when it has rendered every row with r = 0 and reads the
+    first table with r = 1: the texts, templates and factors it keeps for
+    the later passes, and the chunk it is filling."""
     report = census(p, g)
     held = []
 
@@ -257,7 +258,7 @@ def _held_after_the_r0_pass(p, g):
     report.iter_tables = tables
     tracemalloc.start()
     try:
-        for _ in cli._census_csv(report):
+        for _ in stream(report):
             if held:
                 return held[0]
     finally:
@@ -272,6 +273,16 @@ def test_what_a_census_keeps_grows_as_the_square_of_the_genus():
     small, large = _held_after_the_r0_pass(3, 1000), _held_after_the_r0_pass(3, 2000)
     assert large <= 5 * small
     assert large < 12 << 20
+
+
+def test_what_a_json_census_keeps_stays_under_a_fixed_bound():
+    # JSON rows are about six times the CSV's, and so are their texts and
+    # templates: 5.5 and 11.8 MiB at genus 1000 and 2000.  A template kept
+    # for every list of runs would hold 8.9 and 34 MiB more; the cap
+    # (cli._KEPT) holds the kept ones to 2 MiB.
+    small, large = (_held_after_the_r0_pass(3, g, cli._census_json) for g in (1000, 2000))
+    assert large <= 5 * small
+    assert large < 16 << 20
 
 
 def test_a_large_census_is_written_in_a_few_large_chunks():
@@ -322,6 +333,44 @@ def test_flags_on_the_last_row_of_a_table_and_of_a_chunk(capsys, monkeypatch, fm
         out = run_cli(capsys, *common, "--per-tuple", "--no-header")
         assert out == ref.census_table(flagged, True, True)
         assert all(f"synthetic flag on {v}" in out for v in shapes)
+
+
+@pytest.mark.parametrize("kept", [0, 4096], ids=["none-kept", "4-kib-cap"])
+@pytest.mark.parametrize("p,g", [(5, 26), (3, 43), (3, 100), (7, 99)])
+def test_tables_rendered_from_templates_made_for_them_alone_match_the_reference(capsys, monkeypatch, kept, p, g):
+    # With no template kept every list of runs is rendered from a template
+    # made for its table alone; with 4 KiB the templates of the first lists
+    # are given up for later ones.
+    monkeypatch.setattr(cli, "_KEPT", kept)
+    report = census(p, g)
+    common = ("census", "--p", p, "--genus", g)
+    assert run_cli(capsys, *common, "--format", "json") == ref.census_json(report)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(report, False)
+    assert run_cli(capsys, *common, "--per-tuple", "--no-header") == ref.census_table(report, True, True)
+    assert run_cli(capsys, "tuples", "--p", p, "--genus", g, "--format", "csv") == ref.tuples_csv(p, g, False)
+
+
+@pytest.mark.parametrize("kept", [0, cli._KEPT], ids=["none-kept", "default-cap"])
+def test_a_flagged_table_of_a_list_with_a_kept_template(capsys, monkeypatch, kept):
+    # Flagged: the last row of the (1, s-1) table, whose list of runs was
+    # first met, with no flag, at (0, s) and kept there unless the cap is 0,
+    # and the last row of the census.
+    monkeypatch.setattr(cli, "_KEPT", kept)
+    report = census(3, 100)
+    rows = list(report.iter_rows())
+    sizes = [(r, s, len(counts)) for r, s, _, counts, _ in report.iter_tables()]
+    ends = dict(zip([(r, s) for r, s, _ in sizes], accumulate(n for _, _, n in sizes)))
+    s = next(s for r, s, n in sizes if not r and s >= 2 and n >= 2)
+    shapes = [rows[ends[1, s - 1] - 1][:5], rows[-1][:5]]
+    flags = {v: (Flag(location=f"synthetic flag on {v}", paper_value=1, computed_value=2),) for v in shapes}
+    flagged = dataclasses.replace(report, shape_flags=flags)
+    monkeypatch.setattr(cli, "census", lambda p, g: flagged)
+    common = ("census", "--p", 3, "--genus", 100)
+    assert run_cli(capsys, *common, "--format", "json") == ref.census_json(flagged)
+    assert run_cli(capsys, *common, "--format", "csv") == ref.census_csv(flagged, False)
+    out = run_cli(capsys, *common, "--per-tuple", "--no-header")
+    assert out == ref.census_table(flagged, True, True)
+    assert all(f"synthetic flag on {v}" in out for v in shapes)
 
 
 RECORDED = json.loads(EXPECTED.read_text())

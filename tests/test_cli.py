@@ -17,7 +17,7 @@ import pytest
 from oracles import format_state, parse_state
 
 import handlebody_census
-from handlebody_census import Tuple5, census
+from handlebody_census import Tuple5, census, cli
 from handlebody_census.cli import main
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.states import raw_state_count
@@ -562,6 +562,24 @@ def test_a_one_record_answer_has_its_json_keys_after_p_as_its_csv_row(capsys, ar
             expected[key] = value
     assert header == list(expected)
     assert row == list(map(_text, expected.values()))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["akj", "--k", "8000", "--j", "8000"],  # a 4,814-digit value
+        ["canonical", "--p", "5", "--tuple", "2,0,0,1,0"],
+        ["orbits", "--p", "3", "--tuple", "1,0,0,1,0"],
+    ],
+)
+def test_a_one_record_answer_renders_no_csv_row_for_json(capsys, monkeypatch, argv):
+    def refuse(cells):
+        raise AssertionError("a CSV row was rendered")
+
+    monkeypatch.setattr(cli, "_csv_line", refuse)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)
 
 
 def test_bad_tuple_syntax_is_usage_error(capsys):
