@@ -36,6 +36,13 @@ lines in table and JSON output, made a shared prefix at a time
 numbers each line, one template per prefix, filled in with each line's
 index and the rest of the line.
 
+``verify`` reads the same walk, a shape at a time, or its one ``--tuple``,
+and compares each shape as the asked format's stream reaches it: the
+shape's JSON row, CSV line or table lines are written before the next
+shape is compared, and no row is held.  Its JSON rows go through
+:func:`_json_rows`, as the census and shape rows do, and its exit code is
+read once the stream is written (``Output.code``).
+
 Output is reproducible byte for byte; the only exception is the timestamp
 header on table output, which --no-header suppresses.  ``akj`` prints its
 bare value as its table, with no timestamp.  JSON and CSV never carry one.
@@ -63,8 +70,8 @@ from .tuples import (
     CaseTag,
     Run,
     Tuple5,
-    admissible_tuples,
     genus_blocks,
+    genus_of,
     per_table,
     require_genus,
     require_odd_prime,
@@ -102,7 +109,9 @@ class Output(NamedTuple):
     ``json``, ``csv`` and ``table`` are lazy streams of text chunks: nothing
     is rendered for the formats that are not asked.  The CSV header row and
     the table's timestamp line are not in them; :func:`_render` adds those
-    unless ``--no-header``.
+    unless ``--no-header``.  ``code`` gives the exit code, and :func:`main`
+    calls it only after the stream is written: ``verify`` exits 2 when any
+    of the shapes it streams is incomplete.
     """
 
     json: Iterable[str]  # the JSON document, without its final newline
@@ -110,7 +119,7 @@ class Output(NamedTuple):
     csv: Iterable[str]  # the CSV body, each line ended by "\n"
     table: Iterable[str]  # the table after its timestamp, each line ended by "\n"
     stamped: bool = True  # the table starts with the timestamp line
-    code: int = EXIT_OK
+    code: Callable[[], int] = lambda: EXIT_OK
 
 
 def _render(out: Output, args) -> None:
@@ -190,22 +199,27 @@ def _cmd_akj(args) -> Output:
     return _record({"k": args.k, "j": args.j, "value": value}, [value], stamped=False)
 
 
+def _nested(obj, indent: int) -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` prints it nested ``indent``
+    spaces deep."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
+
+
 def _json_flags(flags, indent: int) -> str:
-    """A list of flags as ``json.dumps(..., indent=2)`` prints it nested
-    ``indent`` spaces deep."""
-    records = [{key: str(value) for key, value in dataclasses.asdict(flag).items()} for flag in flags]
-    return json.dumps(records, indent=2).replace("\n", "\n" + " " * indent)
+    """A list of flags as :func:`_nested` prints it."""
+    return _nested([{key: str(value) for key, value in dataclasses.asdict(flag).items()} for flag in flags], indent)
 
 
-def _json_rows(p: int, g: int, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
-    """``{"p": p, "g": g, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
-    prints it, from rendered rows and the rendered keys after them (``tail``),
-    one row at a time: the rows are never all held.  Each row comes with the
-    ``",\n"`` that separates it from the row before; the first one's comma
-    becomes the opening bracket, and the rest pass through a C-level chain."""
+def _json_rows(head: dict, rows: Iterable[str], tail: Iterable[str] = ()) -> Iterator[str]:
+    """``{**head, "rows": [...], ...}`` as ``json.dumps(obj, indent=2)``
+    prints it, from rendered rows and the rendered keys after them (``tail``,
+    read once the last row is written), one row at a time: the rows are
+    never all held.  Each row comes with the ``",\n"`` that separates it
+    from the row before; the first one's comma becomes the opening bracket,
+    and the rest pass through a C-level chain."""
 
     def pieces():
-        yield ['{\n  "p": %d,\n  "g": %d,\n  "rows": ' % (p, g)]
+        yield [json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "rows": ']
         first = next(row_iter, None)
         if first is None:
             yield ["[]"]
@@ -402,26 +416,22 @@ def _aligned_table(tables: Iterable[tuple], header: list[str], widths: list[int]
         yield from _shape_rows(tables, (*cells, case.format(wcase)), ends, wcount)
 
 
-def _tuples_rows(p: int, g: int, cells: tuple[str, str, str, str]) -> Iterator[str]:
-    """:func:`_shape_rows` of the walk, which starts when the first row is read."""
-    yield from _shape_rows(shape_tables(p, g), cells)
-
-
-def _tuples_table(p: int, g: int, no_header: bool) -> Iterator[str]:
-    """The shapes aligned, in column widths from the (t, n) blocks
-    (:func:`_widths`), then their number."""
-    yield from _aligned_table(shape_tables(p, g), _TUPLES_HEADER, _widths(p, g)[:5], no_header)
+def _tuples_table(tables: Iterable[tuple], p: int, g: int, no_header: bool) -> Iterator[str]:
+    """The shapes of the walk ``tables`` aligned, in column widths from the
+    (t, n) blocks (:func:`_widths`), then their number."""
+    yield from _aligned_table(tables, _TUPLES_HEADER, _widths(p, g)[:5], no_header)
     yield f"{shape_count(p, g)} admissible shape(s) for p={p} genus={g}\n"
 
 
 def _cmd_tuples(args) -> Output:
     p = require_odd_prime(args.p)
-    g = require_genus(args.genus)
+    g = require_genus(p, args.genus)
+    tables = shape_tables(p, g)  # one walk, read by the one format written
     return Output(
-        json=_json_rows(p, g, _tuples_rows(p, g, _TUPLES_JSON_CELLS)),
+        json=_json_rows({"p": p, "g": g}, _shape_rows(tables, _TUPLES_JSON_CELLS)),
         header=_TUPLES_HEADER,
-        csv=_tuples_rows(p, g, _TUPLES_CSV_CELLS),
-        table=_tuples_table(p, g, args.no_header),
+        csv=_shape_rows(tables, _TUPLES_CSV_CELLS),
+        table=_tuples_table(tables, p, g, args.no_header),
     )
 
 
@@ -440,7 +450,7 @@ def _census_json(report: CountReport) -> Iterator[str]:
     if report.reference_total is not None:
         tail.append(',\n  "reference_total": "%d"' % report.reference_total)
     tail.append(',\n  "flags": ' + _json_flags(report.flags, 2))
-    return _json_rows(report.p, report.g, rows, tail)
+    return _json_rows({"p": report.p, "g": report.g}, rows, tail)
 
 
 def _census_csv(report: CountReport) -> Iterator[str]:
@@ -542,31 +552,51 @@ def _cmd_orbits(args) -> Output:
 
 
 def _cmd_verify(args) -> Output:
+    """Each shape's comparison, made as the asked format's stream reaches it
+    and written at once: no row is held.  Every usage check runs here,
+    before the first byte is written."""
     p = require_odd_prime(args.p)
     if (args.tuple is None) == (args.genus is None):
         raise ValueError("verify needs exactly one of --tuple or --genus")
     if args.tuple is not None:
-        shapes = [Tuple5.parse(args.tuple)]
-        target = {"tuple": shapes[0]}
+        v = Tuple5.parse(args.tuple)
+        genus_of(p, v)  # an inadmissible shape is a usage error too
+        head, shapes = {"p": p, "tuple": v}, [v]
     else:
-        shapes = admissible_tuples(p, require_genus(args.genus))
-        target = {"g": args.genus}
-    rows, lines = [], []
-    for v in shapes:
-        r = compare(p, v, budget=args.max_states)
-        # the fields after p, with the case's text and the counts as decimal strings
-        row = {field.name: getattr(r, field.name) for field in dataclasses.fields(r)[1:]}
-        row["case"] = r.case.value
-        for route in ROUTES:
-            row[route.field] = None if row[route.field] is None else str(row[route.field])
-        rows.append(row)
-        counts = ", ".join(f"{route.label} {row[route.field] or '?'}" for route in ROUTES)
-        verdict = "agree" if all(x is True for x in r.agreement.values()) else "DIFFER"
-        lines.append(f"shape {v}: {counts} [{verdict if r.complete else 'incomplete'}]")
-        lines += [f"  {err}" for err in r.errors]
-    if not shapes:
-        lines.append(f"0 admissible shape(s) for p={p} genus={args.genus}: nothing to verify")
-    incomplete = any(not row["complete"] for row in rows)
+        g = require_genus(p, args.genus)
+        head = {"p": p, "g": g}
+        shapes = (
+            (r, s, t, m, n) for r, s, runs in shape_tables(p, g) for t, ms, ns, _ in runs for m, n in zip(ms, ns)
+        )
+    incomplete = False
+
+    def rows() -> Iterator[dict]:
+        """Each shape's JSON row: the fields after p, with the case's text and
+        the counts as decimal strings."""
+        nonlocal incomplete
+        for v in shapes:
+            r = compare(p, v, budget=args.max_states)
+            incomplete |= not r.complete
+            row = {field.name: getattr(r, field.name) for field in dataclasses.fields(r)[1:]}
+            row["case"] = r.case.value
+            for route in ROUTES:
+                row[route.field] = None if row[route.field] is None else str(row[route.field])
+            yield row
+
+    def table() -> Iterator[str]:
+        empty = True
+        for row in rows():
+            empty = False
+            counts = ", ".join(f"{route.label} {row[route.field] or '?'}" for route in ROUTES)
+            verdict = "agree" if all(x is True for x in row["agreement"].values()) else "DIFFER"
+            yield f"shape {row['tuple']}: {counts} [{verdict if row['complete'] else 'incomplete'}]\n"
+            yield from (f"  {err}\n" for err in row["errors"])
+        if empty:
+            yield f"0 admissible shape(s) for p={p} genus={args.genus}: nothing to verify\n"
+
+    def tail() -> Iterator[str]:
+        yield ',\n  "incomplete": ' + json.dumps(incomplete)
+
     # A CSV row is its JSON row with the tuple and the agreement spread into
     # cells and the errors left out (csv writes a null as an empty cell); the
     # Comparison fields between the tuple and the agreement, by name, head
@@ -575,17 +605,17 @@ def _cmd_verify(args) -> Output:
     keys = names[names.index("tuple") + 1 : names.index("agreement")]
     pairs = [(a.name, b.name) for a, b in combinations(ROUTES, 2)]
     return Output(
-        json=_dumps({"p": p, **target, "rows": rows, "incomplete": incomplete}),
+        json=_json_rows(head, (",\n    " + _nested(row, 4) for row in rows()), tail()),
         header=[*_SHAPE_COLUMNS, *keys, *("agree_%s_%s" % pair for pair in pairs), "complete"],
         csv=(
             _csv_line([
                 *row["tuple"], *(row[key] for key in keys),
                 *(row["agreement"]["%s_vs_%s" % pair] for pair in pairs), row["complete"],
             ])
-            for row in rows
+            for row in rows()
         ),
-        table=_lines(lines),
-        code=EXIT_INCOMPLETE if incomplete else EXIT_OK,
+        table=table(),
+        code=lambda: EXIT_INCOMPLETE if incomplete else EXIT_OK,
     )
 
 
@@ -694,7 +724,7 @@ def main(argv=None) -> int:
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(previous)
-    return out.code
+    return out.code()
 
 
 def run() -> None:

@@ -116,7 +116,7 @@ def factor_lists(p: int, g: int) -> tuple[list[int], list[int], dict[CaseTag, li
     pool_sizes = pools(p)
     k, kn, _ = pool_sizes
     q = p * p
-    top = require_genus(g) - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
+    top = require_genus(p, g) - 1 + q  # q*(r+s+m) + (q-1)*t + (q-p)*n
     A_k = count_A_list(k, top // (q - 1))  # j = s, t or m
     A_kn = count_A_list(kn, top // (q - p))  # j = n or m
     ms = range(top // q + 1)

@@ -13,9 +13,9 @@ carry no action and are rejected.  The shape walk, :func:`shape_tables`,
 yields plain tuples, an (r, s) table of runs at a time, each run tagged
 with the case of its rows, and builds no :class:`Tuple5`;
 :func:`per_table` pairs each of its tables with what a consumer builds
-once per list of runs, and :func:`admissible_tuples` flattens it into
-:class:`Tuple5` shapes.  :func:`shape_case` and
-:func:`genus_of` take either.
+once per list of runs, and :func:`admissible_tuples` flattens it into a
+list of :class:`Tuple5` shapes, for library callers; the CLI reads the
+walk itself.  :func:`shape_case` and :func:`genus_of` take either.
 """
 
 from __future__ import annotations
@@ -80,9 +80,25 @@ def require_odd_prime(p: int) -> int:
     return p
 
 
-def require_genus(g: int) -> int:
+def require_genus(p: int, g: int) -> int:
+    """Validate g for the odd prime p: an integer >= 1 at which no shape
+    component can pass ``sys.maxsize``, the bound :class:`Tuple5` holds
+    every shape to.
+
+    The genus equation reads q*(r+s+m) + (q-1)*t + (q-p)*n = g-1+q, with
+    q = p^2, so no component passes (g-1+q)//(q-p), q-p the smallest
+    coefficient.  That stays at most ``sys.maxsize`` exactly while g is at
+    most (sys.maxsize+1)*(q-p) - q, which is about 5.5e19 at p=3.
+    """
     if not isinstance(g, int) or isinstance(g, bool) or g < 1:
         raise ValueError(f"genus must be an integer >= 1, got {g!r}")
+    q = p * p
+    largest = (sys.maxsize + 1) * (q - p) - q
+    if g > largest:
+        raise ValueError(
+            f"genus must be at most {largest} at p={p}, where no shape component "
+            f"can pass sys.maxsize = {sys.maxsize}, got {g}"
+        )
     return g
 
 
@@ -232,11 +248,13 @@ def shape_tables(p: int, g: int) -> Iterator[tuple[int, int, list[Run]]]:
     table is built, and together they hold at most two entries per run with
     r = 0.
 
-    At the end the number of shapes is held to :func:`shape_count`; a
-    difference raises :class:`AssertionError`, also under ``python -O``.
+    A p or g that :func:`require_odd_prime` or :func:`require_genus`
+    refuses raises ``ValueError`` before the first table.  At the end the
+    number of shapes is held to :func:`shape_count`; a difference raises
+    :class:`AssertionError`, also under ``python -O``.
     """
     require_odd_prime(p)
-    require_genus(g)
+    require_genus(p, g)
     last = (g - 1) // (p * p) + 1  # the largest r+s
     # per value u of r+s: the runs of its s > 0 tables and of its (u, 0)
     # table, and their number of shapes
@@ -284,9 +302,10 @@ def genus_blocks(p: int, g: int) -> Iterator[tuple[int, int, int]]:
     They are the r = s = 0 table of :func:`shape_tables` with K = m, read
     lazily from its runs (:func:`_runs`), so grouped by t.  The closed forms
     of :func:`shape_count` and of the census total take one term per block.
+    The p and g checks of :func:`shape_tables` come before the first block.
     """
     require_odd_prime(p)
-    require_genus(g)
+    require_genus(p, g)
     for t, ms, ns in _runs(p, g, 0):
         for K, n in zip(ms, ns):
             yield t, n, K

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, round trips, determinism; and
 the top-level names of the package."""
 
+import contextlib
 import csv
 import io
 import json
@@ -11,13 +12,14 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from oracles import format_state, parse_state
 
 import handlebody_census
-from handlebody_census import Tuple5, census, cli
+from handlebody_census import Tuple5, census, cli, compare
 from handlebody_census.cli import main
 from handlebody_census.verification.canonical import enumerate_canonical
 from handlebody_census.verification.states import raw_state_count
@@ -497,6 +499,60 @@ def test_verify_csv_header(capsys):
     assert out.splitlines()[1] == "0,1,0,0,0,st,3,3,3,54,54,18,True,True,True,True"
 
 
+# How many shape rows a prefix of verify's output holds, per format: table
+# lines start "shape (", JSON rows each hold one "case" key, and CSV rows
+# are the lines after the header.
+_VERIFY_ROWS = {
+    "table": lambda text: len(re.findall(r"^shape \(", text, re.M)),
+    "json": lambda text: text.count('"case"'),
+    "csv": lambda text: text.count("\n") - 1,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_VERIFY_ROWS))
+def test_verify_writes_each_shape_before_comparing_the_next(monkeypatch, fmt):
+    out, written = io.StringIO(), []
+
+    def spy(p, v, budget):
+        written.append(out.getvalue())
+        return compare(p, v, budget=budget)
+
+    monkeypatch.setattr(cli, "compare", spy)
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--p", "3", "--genus", "10", "--max-states", "50", "--format", fmt])
+    assert code == 2  # read after the stream: the budget stops some shapes
+    assert all(out.getvalue().startswith(prefix) for prefix in written)
+    assert list(map(_VERIFY_ROWS[fmt], written)) == list(range(6))
+    assert _VERIFY_ROWS[fmt](out.getvalue()) == 6
+
+
+def _verify_peak(genus: int) -> int:
+    """The traced peak of ``verify --p 3 --genus G --format json``, in bytes,
+    writing to the null device."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            main(["verify", "--p", "3", "--genus", str(genus), "--format", "json"])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_shapes():
+    # An untraced run first fills CPython's free lists, whose objects the
+    # traced peak would otherwise count as they fill (about 4 MiB here);
+    # gc.collect() empties them.  Holding every row until the end peaks at
+    # about 16 MiB at genus 200 (2,724 shapes), and rises by about 13 MiB
+    # from genus 100 (419 shapes); streamed, each row is written before the
+    # next shape is compared, and below 1 MiB is traced at either genus.
+    mib = 1 << 20
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(["verify", "--p", "3", "--genus", "200", "--format", "json"])
+    small, large = _verify_peak(100), _verify_peak(200)
+    assert large < 6 * mib, (small, large)
+    assert large - small < 4 * mib, (small, large)
+
+
 def _text(value) -> str:
     """A JSON value as csv writes it in a cell: a null as an empty cell."""
     return "" if value is None else str(value)
@@ -614,6 +670,17 @@ def test_a_component_past_sys_maxsize_is_a_usage_error(capsys, command, shape):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert "shape components must be at most sys.maxsize" in err
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", [["tuples"], ["census"], ["census", "--per-tuple"], ["verify"]])
+def test_a_genus_past_the_shape_bound_is_a_usage_error(capsys, command, fmt):
+    # at p=3 a shape component could pass sys.maxsize past this genus
+    largest = (sys.maxsize + 1) * 6 - 9
+    code, out, err = run_cli(capsys, *command, "--p", "3", "--genus", str(10**21), "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"genus must be at most {largest} at p=3, where no shape component can pass sys.maxsize" in err
 
 
 def test_json_outputs_are_deterministic(capsys):

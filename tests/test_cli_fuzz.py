@@ -45,6 +45,8 @@ def run(argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+    # a usage error is found before the first byte is written
+    assert code != 1 or out.getvalue() == "", (argv, out.getvalue())
     return code, out.getvalue(), err.getvalue()
 
 
@@ -111,8 +113,13 @@ def test_orbits_exit_codes(p, shape, budget, workers, fmt, no_header):
         assert obj["largest_orbit"] <= obj["valid_states"] <= obj["state_space_size"]
 
 
+# A shape below genus 1: refused before the first shape's row is written.
+INADMISSIBLE = ("--tuple", "0,0,1,0,0")
+
+
 @SETTINGS
 @given(SMALL_PRIMES, TARGETS, SMALL_BUDGETS, WORKERS, st.booleans())
+@example("3", INADMISSIBLE, "3000", "1", False)
 def test_verify_json_is_incomplete_exactly_on_exit_two(p, target, budget, workers, no_header):
     argv = ["verify", "--p", p, *target, "--max-states", budget, "--workers", workers]
     code, out, _ = run(argv + ["--format", "json"] + _options(**{"--no-header": no_header}))
@@ -120,12 +127,12 @@ def test_verify_json_is_incomplete_exactly_on_exit_two(p, target, budget, worker
         obj = json.loads(out)
         assert obj["incomplete"] is (code == 2)
         assert obj["incomplete"] is any(not row["complete"] for row in obj["rows"])
-    else:
-        assert out == ""
 
 
 @SETTINGS
 @given(SMALL_PRIMES, TARGETS, SMALL_BUDGETS, st.sampled_from(["table", "csv"]), st.booleans())
+@example("3", INADMISSIBLE, "3000", "table", False)
+@example("3", INADMISSIBLE, "3000", "csv", False)
 def test_verify_exit_codes(p, target, budget, fmt, no_header):
     argv = ["verify", "--p", p, *target, "--max-states", budget, "--format", fmt]
     run(argv + _options(**{"--no-header": no_header}))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import listed_shapes, reference_genus_blocks
 
-from handlebody_census import tuples
+from handlebody_census import census, tuples
 from handlebody_census.errors import InadmissibleTupleError
 from handlebody_census.tuples import (
     CaseTag,
@@ -175,6 +175,23 @@ def test_the_walk_reaches_its_first_run_lazily():
         tracemalloc.stop()
     assert first[:2] == (0, 0)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("p", [3, 5, 101])
+def test_a_genus_where_a_component_could_pass_sys_maxsize_is_refused(p):
+    # q-p is the smallest coefficient of the genus equation, so no component
+    # passes (g-1+q)//(q-p): at most sys.maxsize up to this genus
+    q = p * p
+    largest = (sys.maxsize + 1) * (q - p) - q
+    t, n, K = next(tuples.genus_blocks(p, largest))
+    assert sys.maxsize - q < max(t, n, K) <= sys.maxsize
+    message = f"genus must be at most {largest} at p={p}, where no shape component can pass sys.maxsize"
+    for walk in (tuples.shape_tables, tuples.genus_blocks):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(walk(p, largest + 1))
+    for whole in (tuples.shape_count, census):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            whole(p, largest + 1)
 
 
 def test_the_walk_gives_each_run_the_case_of_its_rows():
